@@ -46,6 +46,7 @@ from .differential import (
     parent_chain_id,
     read_records,
 )
+from .extensions import WalkContext
 from .grammar import (
     AlgorithmId,
     ParsedCertificate,
@@ -97,6 +98,7 @@ __all__ = [
     "TlvNode",
     "UnmappedMessage",
     "ValidityInfo",
+    "WalkContext",
     "aggregate",
     "analyze",
     "classify_differential",

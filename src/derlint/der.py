@@ -26,7 +26,11 @@ decreases a counter, so recognition always terminates.
 
 parse_tlv_tree builds the element tree with exact offsets while enforcing
 the same rules; primitive content is consumed in slices rather than octet
-by octet, which changes nothing observable.
+by octet, which changes nothing observable.  It parses a region
+[start, end) of a buffer in place: a payload carried inside an OCTET
+STRING or BIT STRING is parsed as a region of the whole document, so
+every node and every error carries an absolute document offset, and the
+region end plays the part of the input end.
 """
 
 from __future__ import annotations
@@ -317,10 +321,11 @@ def _parse_node(
     data: bytes,
     pos: int,
     limit: int,
+    region_end: int,
     depth: int,
     max_depth: int,
 ) -> TlvNode:
-    at_input_end = limit == len(data)
+    at_input_end = limit == region_end
     header_offset = pos
     tag_class, constructed, tag_number, pos = _read_identifier(data, pos, limit, at_input_end)
     content_length, pos = _read_length(data, pos, limit, at_input_end)
@@ -352,7 +357,7 @@ def _parse_node(
             raise RecognitionError(Code.NESTING_TOO_DEEP, offset=header_offset)
         cur = pos
         while cur < end:
-            child = _parse_node(data, cur, end, depth + 1, max_depth)
+            child = _parse_node(data, cur, end, region_end, depth + 1, max_depth)
             node.children.append(child)
             cur = child.raw_span.end
         # cur == end exactly: every child was bounded by end above.
@@ -361,30 +366,36 @@ def _parse_node(
 
 def parse_tlv_tree(
     data: bytes,
+    start: int = 0,
+    end: int | None = None,
     *,
     max_depth: int = MAX_DEPTH,
     max_size: int = CONTENT_MAX,
 ) -> TlvNode:
-    """Parse one complete DER element from data.
+    """Parse one complete DER element from the region data[start:end].
 
-    The input must hold exactly one element: anything after it is
-    TRAILING_BYTES, anything missing is TRUNCATED_INPUT.  All structural
-    errors raise RecognitionError with the offset of the offending octet.
+    end defaults to the end of data.  The region must hold exactly one
+    element: anything after it is TRAILING_BYTES, anything missing is
+    TRUNCATED_INPUT.  All structural errors raise RecognitionError with
+    the offset of the offending octet in data, and nodes carry offsets
+    in data too.
     """
-    if len(data) == 0:
-        raise RecognitionError(Code.TRUNCATED_INPUT, offset=0, message="empty input")
-    if len(data) > max_size:
+    if end is None:
+        end = len(data)
+    if start == end:
+        raise RecognitionError(Code.TRUNCATED_INPUT, offset=start, message="empty input")
+    if end - start > max_size:
         raise RecognitionError(
             Code.LENGTH_TOO_LARGE,
-            offset=0,
-            message=f"input of {len(data)} bytes exceeds cap {max_size}",
+            offset=start,
+            message=f"input of {end - start} bytes exceeds cap {max_size}",
         )
-    root = _parse_node(data, 0, len(data), 0, max_depth)
-    if root.raw_span.end != len(data):
+    root = _parse_node(data, start, end, end, 0, max_depth)
+    if root.raw_span.end != end:
         raise RecognitionError(
             Code.TRAILING_BYTES,
             offset=root.raw_span.end,
-            message=f"{len(data) - root.raw_span.end} byte(s) after element",
+            message=f"{end - root.raw_span.end} byte(s) after element",
         )
     return root
 

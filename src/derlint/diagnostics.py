@@ -254,7 +254,6 @@ class Diagnostic:
 
     code: Code
     severity: Severity
-    category: Category = Category.SYNTACTIC
     byte_offset: int | None = None
     grammar_path: str = ""
     message: str = ""
@@ -263,7 +262,6 @@ class Diagnostic:
         return {
             "code": self.code.value,
             "severity": self.severity.value,
-            "category": self.category.value,
             "byte_offset": self.byte_offset,
             "path": self.grammar_path,
             "message": self.message,

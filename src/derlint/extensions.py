@@ -1,13 +1,14 @@
-"""Certificate extension recognition.
+"""Certificate extension recognition, and the context every walk shares.
 
 The extension block is the part of a certificate that regular or
 context-free machinery cannot finish alone: each extnValue is an OCTET
 STRING whose payload must itself parse under the grammar selected by the
 extnID.  Payload parsing therefore re-enters the structural layer on the
-payload slice.  The outer walk deliberately does not require extension
-OIDs to be unique while scanning; uniqueness is a separate post-check so
-a duplicated extension is reported as exactly that instead of a generic
-shape mismatch.
+extnValue content, in place in the whole document, so body nodes and
+their diagnostics carry absolute offsets.  The outer walk deliberately
+does not require extension OIDs to be unique while scanning; uniqueness
+is a separate post-check so a duplicated extension is reported as
+exactly that instead of a generic shape mismatch.
 
 All bodies listed in the extension registry are parsed in full.  Unknown
 extnIDs keep their payload opaque; their critical flag is surfaced so the
@@ -94,6 +95,61 @@ _DISPLAY_TEXT_TAGS = frozenset(
 )
 
 
+class WalkContext:
+    """What one certificate walk shares: the registry and the diagnostic sink.
+
+    Every node the walk sees, payload nodes included, carries absolute
+    offsets into the whole document, so a diagnostic keeps the offset it
+    was found at.  add() is the one way the walk records a diagnostic;
+    decode() and payload() turn a decoder's or a re-entered payload's
+    RecognitionError into one.
+    """
+
+    __slots__ = ("reg", "diags")
+
+    def __init__(self, reg: Registry):
+        self.reg = reg
+        self.diags: list[Diagnostic] = []
+
+    def add(self, code: Code, at: TlvNode | int | None, path: str, message: str = "") -> None:
+        """Record a diagnostic at a node's header, at an offset, or nowhere (None)."""
+        offset = at.header_offset if isinstance(at, TlvNode) else at
+        self.diags.append(diag(code, path=path, offset=offset, message=message))
+
+    def decode(self, fn, node, path: str, *args, wrong_oid: Code = Code.WRONG_OID, **kwargs):
+        """fn(node, ...), or None after recording its error.
+
+        No decoder returns None, so None marks the failure.  wrong_oid is
+        the slot's code for a non-minimal OID arc.
+        """
+        try:
+            return fn(node, *args, **kwargs)
+        except RecognitionError as err:
+            code = err.code
+            if code is Code.WRONG_OID:
+                code = wrong_oid
+            self.add(code, err.offset, path, err.message)
+            return None
+
+    def payload(self, node: TlvNode, skip: int, path: str, fallback: Code | None = None) -> TlvNode | None:
+        """Parse the DER element carried in node's content after skip octets.
+
+        Leftover octets become REDUNDANT_TRAILING_BYTES; any other
+        structural error becomes the slot's fallback code, or keeps its
+        own code when there is none, and keeps its own message.
+        """
+        end = node.content_offset + node.content_length
+        try:
+            return parse_tlv_tree(node.buffer, node.content_offset + skip, end)
+        except RecognitionError as err:
+            if err.code is Code.TRAILING_BYTES:
+                code = Code.REDUNDANT_TRAILING_BYTES
+            else:
+                code = fallback or err.code
+            self.add(code, err.offset, path, err.message)
+            return None
+
+
 @dataclass
 class KeyUsageValue:
     bits: frozenset[int]
@@ -132,8 +188,6 @@ class ExtensionEntry:
     oid: str | None
     critical: bool
     node: TlvNode
-    payload: bytes = b""
-    payload_offset: int = 0
     body: object | None = None
     known: bool = False
 
@@ -157,8 +211,7 @@ class ExtensionSet:
 
 def parse_extensions(
     wrapper: TlvNode,
-    reg: Registry,
-    diags: list[Diagnostic],
+    ctx: WalkContext,
     path: str = "tbsCertificate.extensions",
 ) -> ExtensionSet | None:
     """Parse the [3] EXPLICIT extensions wrapper into an ExtensionSet.
@@ -168,24 +221,15 @@ def parse_extensions(
     rest of the block is still examined.
     """
     if len(wrapper.children) != 1 or not wrapper.children[0].is_universal(TAG_SEQUENCE, True):
-        diags.append(
-            diag(
-                Code.STRUCTURAL_MISMATCH,
-                path=path,
-                offset=wrapper.header_offset,
-                message="extensions wrapper must hold exactly one SEQUENCE",
-            )
-        )
+        ctx.add(Code.STRUCTURAL_MISMATCH, wrapper, path, "extensions wrapper must hold exactly one SEQUENCE")
         return None
     seq = wrapper.children[0]
     out = ExtensionSet()
     if not seq.children:
-        diags.append(
-            diag(Code.EMPTY_EXTENSION_SEQUENCE, path=path, offset=seq.header_offset)
-        )
+        ctx.add(Code.EMPTY_EXTENSION_SEQUENCE, seq, path)
         return out
     for i, node in enumerate(seq.children):
-        entry = _parse_extension_entry(node, i, reg, diags, f"{path}[{i}]")
+        entry = _parse_extension_entry(node, i, ctx, f"{path}[{i}]")
         if entry is not None:
             out.entries.append(entry)
     # Uniqueness is checked over the finished scan: report the second and
@@ -195,194 +239,97 @@ def parse_extensions(
         if e.oid is None:
             continue
         if e.oid in seen:
-            diags.append(
-                diag(
-                    Code.DUPLICATED_EXTENSION,
-                    path=f"{path}[{e.index}]",
-                    offset=e.node.header_offset,
-                    message=f"extension {e.oid} appears more than once",
-                )
+            ctx.add(
+                Code.DUPLICATED_EXTENSION, e.node, f"{path}[{e.index}]", f"extension {e.oid} appears more than once"
             )
         seen.add(e.oid)
     return out
 
 
-def _parse_extension_entry(
-    node: TlvNode, index: int, reg: Registry, diags: list[Diagnostic], path: str
-) -> ExtensionEntry | None:
+def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: str) -> ExtensionEntry | None:
     if not node.is_universal(TAG_SEQUENCE, True):
-        diags.append(
-            diag(
-                Code.STRUCTURAL_MISMATCH,
-                path=path,
-                offset=node.header_offset,
-                message=f"extension must be a SEQUENCE, found {node.describe_tag()}",
-            )
-        )
+        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"extension must be a SEQUENCE, found {node.describe_tag()}")
         return None
     kids = node.children
     if not 2 <= len(kids) <= 3:
-        diags.append(
-            diag(
-                Code.STRUCTURAL_MISMATCH,
-                path=path,
-                offset=node.header_offset,
-                message=f"extension with {len(kids)} fields",
-            )
-        )
+        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"extension with {len(kids)} fields")
         return None
 
     oid_str: str | None = None
     if not kids[0].is_universal(TAG_OID, False):
-        diags.append(
-            diag(
-                Code.WRONG_EXTN_ID,
-                path=f"{path}.extnID",
-                offset=kids[0].header_offset,
-                message=f"extnID must be an OID, found {kids[0].describe_tag()}",
-            )
-        )
+        ctx.add(Code.WRONG_EXTN_ID, kids[0], f"{path}.extnID", f"extnID must be an OID, found {kids[0].describe_tag()}")
     else:
-        try:
-            oid_str = dotted(decode_oid(kids[0]))
-        except RecognitionError as err:
-            code = Code.WRONG_EXTN_ID if err.code == Code.WRONG_OID else err.code
-            diags.append(diag(code, path=f"{path}.extnID", offset=err.offset, message=err.message))
+        arcs = ctx.decode(decode_oid, kids[0], f"{path}.extnID", wrong_oid=Code.WRONG_EXTN_ID)
+        if arcs is not None:
+            oid_str = dotted(arcs)
 
     critical = False
     value_node = kids[-1]
     if len(kids) == 3:
         if not kids[1].is_universal(TAG_BOOLEAN, False):
-            diags.append(
-                diag(
-                    Code.STRUCTURAL_MISMATCH,
-                    path=f"{path}.critical",
-                    offset=kids[1].header_offset,
-                    message=f"critical must be a BOOLEAN, found {kids[1].describe_tag()}",
-                )
+            ctx.add(
+                Code.STRUCTURAL_MISMATCH,
+                kids[1],
+                f"{path}.critical",
+                f"critical must be a BOOLEAN, found {kids[1].describe_tag()}",
             )
             return None
-        try:
-            critical = decode_boolean(kids[1])
-        except RecognitionError as err:
-            diags.append(diag(err.code, path=f"{path}.critical", offset=err.offset, message=err.message))
-        else:
-            if critical is False:
-                diags.append(
-                    diag(
-                        Code.DEFAULT_VALUE_ENCODED,
-                        path=f"{path}.critical",
-                        offset=kids[1].header_offset,
-                        message="critical FALSE explicitly encoded",
-                    )
-                )
+        critical = ctx.decode(decode_boolean, kids[1], f"{path}.critical")
+        if critical is False:
+            ctx.add(Code.DEFAULT_VALUE_ENCODED, kids[1], f"{path}.critical", "critical FALSE explicitly encoded")
 
+    body_path = f"{path}.extnValue"
     if not value_node.is_universal(TAG_OCTET_STRING, False):
-        diags.append(
-            diag(
-                Code.STRUCTURAL_MISMATCH,
-                path=f"{path}.extnValue",
-                offset=value_node.header_offset,
-                message=f"extnValue must be a primitive OCTET STRING, found {value_node.describe_tag()}",
-            )
+        ctx.add(
+            Code.STRUCTURAL_MISMATCH,
+            value_node,
+            body_path,
+            f"extnValue must be a primitive OCTET STRING, found {value_node.describe_tag()}",
         )
         return None
 
-    entry = ExtensionEntry(
-        index=index,
-        oid=oid_str,
-        critical=critical,
-        node=node,
-        payload=value_node.content,
-        payload_offset=value_node.content_offset,
-    )
-    if len(entry.payload) == 0:
-        diags.append(
-            diag(
-                Code.EMPTY_VALUE_FIELD,
-                path=f"{path}.extnValue",
-                offset=value_node.header_offset,
-                message="empty extnValue",
-            )
-        )
+    entry = ExtensionEntry(index=index, oid=oid_str, critical=bool(critical), node=node)
+    if value_node.content_length == 0:
+        ctx.add(Code.EMPTY_VALUE_FIELD, value_node, body_path, "empty extnValue")
         return entry
 
-    grammar = reg.lookup("extension", oid_str) if oid_str else None
+    grammar = ctx.reg.lookup("extension", oid_str) if oid_str else None
     if grammar is None:
         return entry
     entry.known = True
-
-    try:
-        body_root = parse_tlv_tree(entry.payload)
-    except RecognitionError as err:
-        code = Code.REDUNDANT_TRAILING_BYTES if err.code == Code.TRAILING_BYTES else err.code
-        offset = entry.payload_offset + (err.offset or 0)
-        diags.append(
-            diag(code, path=f"{path}.extnValue", offset=offset, message=err.message)
-        )
-        return entry
-
-    ctx = _BodyContext(reg=reg, diags=diags, base=entry.payload_offset, path=f"{path}.extnValue")
-    parser = _BODY_PARSERS[grammar]
-    entry.body = parser(body_root, ctx)
+    body_root = ctx.payload(value_node, 0, body_path)
+    if body_root is not None:
+        entry.body = _BODY_PARSERS[grammar](body_root, ctx, body_path)
     return entry
 
 
-@dataclass
-class _BodyContext:
-    """Shared state for body parsers: registry, sink, offset rebasing.
-
-    Payload nodes carry offsets relative to the payload slice; base maps
-    them back to positions in the whole input document.
-    """
-
-    reg: Registry
-    diags: list[Diagnostic]
-    base: int
-    path: str
-
-    def add(self, code: Code, node_or_offset, message: str = "", sub: str = "") -> None:
-        if isinstance(node_or_offset, TlvNode):
-            offset = self.base + node_or_offset.header_offset
-        elif node_or_offset is None:
-            offset = None
-        else:
-            offset = self.base + node_or_offset
-        where = f"{self.path}.{sub}" if sub else self.path
-        self.diags.append(diag(code, path=where, offset=offset, message=message))
-
-    def add_err(self, err: RecognitionError, sub: str = "") -> None:
-        offset = None if err.offset is None else self.base + err.offset
-        where = f"{self.path}.{sub}" if sub else self.path
-        self.diags.append(diag(err.code, path=where, offset=offset, message=err.message))
-
-
-def _expect(ctx: _BodyContext, node: TlvNode, tag: int, constructed: bool, what: str, sub: str = "") -> bool:
+def _expect(ctx: WalkContext, node: TlvNode, tag: int, constructed: bool, what: str, path: str) -> bool:
     if node.is_universal(tag, constructed):
         return True
+    shape = "constructed" if constructed else "primitive"
     ctx.add(
-        Code.MALFORMED_EXTENSION_BODY,
-        node,
-        message=f"{what}: expected {'constructed' if constructed else 'primitive'} tag {tag}, found {node.describe_tag()}",
-        sub=sub,
+        Code.MALFORMED_EXTENSION_BODY, node, path, f"{what}: expected {shape} tag {tag}, found {node.describe_tag()}"
     )
     return False
 
 
 # --- individual bodies ------------------------------------------------------
+#
+# Each body parser takes the payload root, the walk context and the
+# extnValue path.
 
 
-def _body_subject_key_identifier(root: TlvNode, ctx: _BodyContext) -> bytes | None:
-    if not _expect(ctx, root, TAG_OCTET_STRING, False, "subjectKeyIdentifier"):
+def _body_subject_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -> bytes | None:
+    if not _expect(ctx, root, TAG_OCTET_STRING, False, "subjectKeyIdentifier", path):
         return None
     if root.content_length == 0:
-        ctx.add(Code.EMPTY_VALUE_FIELD, root, message="empty key identifier")
+        ctx.add(Code.EMPTY_VALUE_FIELD, root, path, "empty key identifier")
         return None
     return root.content
 
 
-def _body_authority_key_identifier(root: TlvNode, ctx: _BodyContext) -> AkiValue | None:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "authorityKeyIdentifier"):
+def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -> AkiValue | None:
+    if not _expect(ctx, root, TAG_SEQUENCE, True, "authorityKeyIdentifier", path):
         return None
     value = AkiValue()
     last_tag = -1
@@ -391,489 +338,459 @@ def _body_authority_key_identifier(root: TlvNode, ctx: _BodyContext) -> AkiValue
             ctx.add(
                 Code.MALFORMED_EXTENSION_BODY,
                 child,
-                message=f"unexpected field {child.describe_tag()} in authorityKeyIdentifier",
+                path,
+                f"unexpected field {child.describe_tag()} in authorityKeyIdentifier",
             )
             return value
         if child.tag_number <= last_tag:
             ctx.add(
-                Code.MALFORMED_EXTENSION_BODY,
-                child,
-                message="authorityKeyIdentifier fields out of order or repeated",
+                Code.MALFORMED_EXTENSION_BODY, child, path, "authorityKeyIdentifier fields out of order or repeated"
             )
             return value
         last_tag = child.tag_number
         if child.tag_number == 0:
             if child.constructed:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message="keyIdentifier must be primitive")
+                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "keyIdentifier must be primitive")
                 continue
             if child.content_length == 0:
-                ctx.add(Code.EMPTY_VALUE_FIELD, child, message="empty keyIdentifier")
+                ctx.add(Code.EMPTY_VALUE_FIELD, child, path, "empty keyIdentifier")
                 continue
             value.key_id = child.content
         elif child.tag_number == 1:
             if not child.constructed:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message="authorityCertIssuer must be constructed")
+                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "authorityCertIssuer must be constructed")
                 continue
             value.has_issuer = True
             if not child.children:
-                ctx.add(Code.EMPTY_GENERAL_NAMES, child, message="empty authorityCertIssuer")
+                ctx.add(Code.EMPTY_GENERAL_NAMES, child, path, "empty authorityCertIssuer")
             for gn in child.children:
-                parse_general_name(gn, ctx, sub="authorityCertIssuer")
+                parse_general_name(gn, ctx, f"{path}.authorityCertIssuer")
         else:
             if child.constructed:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message="authorityCertSerialNumber must be primitive")
+                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "authorityCertSerialNumber must be primitive")
                 continue
             value.has_serial = True
-            try:
-                decode_integer(child)
-            except RecognitionError as err:
-                ctx.add_err(err, sub="authorityCertSerialNumber")
+            ctx.decode(decode_integer, child, f"{path}.authorityCertSerialNumber")
     if value.has_issuer != value.has_serial:
         ctx.add(
             Code.MALFORMED_EXTENSION_BODY,
             root,
-            message="authorityCertIssuer and authorityCertSerialNumber must appear together",
+            path,
+            "authorityCertIssuer and authorityCertSerialNumber must appear together",
         )
     return value
 
 
-def _body_key_usage(root: TlvNode, ctx: _BodyContext) -> KeyUsageValue | None:
-    if not _expect(ctx, root, TAG_BIT_STRING, False, "keyUsage"):
+def _body_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> KeyUsageValue | None:
+    if not _expect(ctx, root, TAG_BIT_STRING, False, "keyUsage", path):
         return None
-    try:
-        bs = decode_bit_string(root, named=True)
-    except RecognitionError as err:
-        ctx.add_err(err)
+    bs = ctx.decode(decode_bit_string, root, path, named=True)
+    if bs is None:
         return None
-    assert bs.named_bits is not None
     if bs.named_bits and max(bs.named_bits) >= len(KEY_USAGE_BITS):
-        ctx.add(
-            Code.MALFORMED_EXTENSION_BODY,
-            root,
-            message=f"keyUsage bit {max(bs.named_bits)} beyond the named range",
-        )
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, f"keyUsage bit {max(bs.named_bits)} beyond the named range")
         return None
     if not bs.named_bits:
-        ctx.add(Code.EMPTY_KEY_USAGE, root)
+        ctx.add(Code.EMPTY_KEY_USAGE, root, path)
     return KeyUsageValue(bits=bs.named_bits)
 
 
-def _body_basic_constraints(root: TlvNode, ctx: _BodyContext) -> BasicConstraintsValue | None:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "basicConstraints"):
+def _body_basic_constraints(root: TlvNode, ctx: WalkContext, path: str) -> BasicConstraintsValue | None:
+    if not _expect(ctx, root, TAG_SEQUENCE, True, "basicConstraints", path):
         return None
     value = BasicConstraintsValue()
     kids = list(root.children)
     if kids and kids[0].is_universal(TAG_BOOLEAN, False):
         value.ca_explicit = True
-        try:
-            value.ca = decode_boolean(kids[0])
-        except RecognitionError as err:
-            ctx.add_err(err, sub="cA")
-        else:
-            if value.ca is False:
-                ctx.add(
-                    Code.DEFAULT_VALUE_ENCODED,
-                    kids[0],
-                    message="cA FALSE explicitly encoded",
-                    sub="cA",
-                )
+        ca = ctx.decode(decode_boolean, kids[0], f"{path}.cA")
+        if ca is False:
+            ctx.add(Code.DEFAULT_VALUE_ENCODED, kids[0], f"{path}.cA", "cA FALSE explicitly encoded")
+        value.ca = bool(ca)
         kids = kids[1:]
     if kids and kids[0].is_universal(TAG_INTEGER, False):
-        try:
-            value.path_len = decode_integer(kids[0])
-        except RecognitionError as err:
-            ctx.add_err(err, sub="pathLenConstraint")
-        else:
-            if value.path_len < 0:
-                ctx.add(
-                    Code.NEGATIVE_PATH_LEN,
-                    kids[0],
-                    message=f"pathLenConstraint {value.path_len}",
-                    sub="pathLenConstraint",
-                )
+        value.path_len = ctx.decode(decode_integer, kids[0], f"{path}.pathLenConstraint")
+        if value.path_len is not None and value.path_len < 0:
+            ctx.add(Code.NEGATIVE_PATH_LEN, kids[0], f"{path}.pathLenConstraint", f"pathLenConstraint {value.path_len}")
         kids = kids[1:]
     if kids:
         ctx.add(
             Code.MALFORMED_EXTENSION_BODY,
             kids[0],
-            message=f"unexpected field {kids[0].describe_tag()} in basicConstraints",
+            path,
+            f"unexpected field {kids[0].describe_tag()} in basicConstraints",
         )
     return value
 
 
-def _parse_display_text(node: TlvNode, ctx: _BodyContext, sub: str) -> None:
-    try:
-        validate_charset(node, _DISPLAY_TEXT_TAGS)
-    except RecognitionError as err:
-        ctx.add_err(err, sub=sub)
-
-
-def _body_certificate_policies(root: TlvNode, ctx: _BodyContext) -> list[str]:
+def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> list[str]:
     policies: list[str] = []
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "certificatePolicies"):
+    if not _expect(ctx, root, TAG_SEQUENCE, True, "certificatePolicies", path):
         return policies
     if not root.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, message="certificatePolicies must name at least one policy")
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, "certificatePolicies must name at least one policy")
         return policies
     for i, pi in enumerate(root.children):
-        sub = f"policy[{i}]"
+        sub = f"{path}.policy[{i}]"
         if not _expect(ctx, pi, TAG_SEQUENCE, True, "policyInformation", sub):
             continue
         if not 1 <= len(pi.children) <= 2:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, pi, message="policyInformation with wrong field count", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, pi, sub, "policyInformation with wrong field count")
             continue
         if not pi.children[0].is_universal(TAG_OID, False):
-            ctx.add(Code.WRONG_OID, pi.children[0], message="policyIdentifier must be an OID", sub=sub)
+            ctx.add(Code.WRONG_OID, pi.children[0], sub, "policyIdentifier must be an OID")
         else:
-            try:
-                policies.append(dotted(decode_oid(pi.children[0])))
-            except RecognitionError as err:
-                ctx.add_err(err, sub=sub)
+            arcs = ctx.decode(decode_oid, pi.children[0], sub)
+            if arcs is not None:
+                policies.append(dotted(arcs))
         if len(pi.children) == 2:
             _parse_policy_qualifiers(pi.children[1], ctx, sub)
     return policies
 
 
-def _parse_policy_qualifiers(node: TlvNode, ctx: _BodyContext, sub: str) -> None:
-    if not _expect(ctx, node, TAG_SEQUENCE, True, "policyQualifiers", sub):
+def _parse_policy_qualifiers(node: TlvNode, ctx: WalkContext, path: str) -> None:
+    if not _expect(ctx, node, TAG_SEQUENCE, True, "policyQualifiers", path):
         return
     if not node.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message="empty policyQualifiers", sub=sub)
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "empty policyQualifiers")
         return
     for j, pqi in enumerate(node.children):
-        qsub = f"{sub}.qualifier[{j}]"
-        if not _expect(ctx, pqi, TAG_SEQUENCE, True, "policyQualifierInfo", qsub):
+        sub = f"{path}.qualifier[{j}]"
+        if not _expect(ctx, pqi, TAG_SEQUENCE, True, "policyQualifierInfo", sub):
             continue
         if len(pqi.children) != 2 or not pqi.children[0].is_universal(TAG_OID, False):
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, pqi, message="policyQualifierInfo must be (OID, qualifier)", sub=qsub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, pqi, sub, "policyQualifierInfo must be (OID, qualifier)")
             continue
-        try:
-            qid = dotted(decode_oid(pqi.children[0]))
-        except RecognitionError as err:
-            ctx.add_err(err, sub=qsub)
+        arcs = ctx.decode(decode_oid, pqi.children[0], sub)
+        if arcs is None:
             continue
+        qid = dotted(arcs)
         qualifier = pqi.children[1]
         if qid == _OID_QT_CPS:
             if qualifier.is_universal(TAG_IA5_STRING, False):
-                try:
-                    text = validate_charset(qualifier)
-                except RecognitionError as err:
-                    ctx.add_err(err, sub=qsub)
-                else:
-                    _check_uri(text, qualifier, ctx, qsub)
+                text = ctx.decode(validate_charset, qualifier, sub)
+                if text is not None:
+                    _check_uri(text, qualifier, ctx, sub)
             else:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, qualifier, message="CPS qualifier must be an IA5String", sub=qsub)
+                ctx.add(Code.MALFORMED_EXTENSION_BODY, qualifier, sub, "CPS qualifier must be an IA5String")
         elif qid == _OID_QT_UNOTICE:
-            _parse_user_notice(qualifier, ctx, qsub)
+            _parse_user_notice(qualifier, ctx, sub)
         else:
-            ctx.add(Code.WRONG_OID, pqi.children[0], message=f"unknown policy qualifier {qid}", sub=qsub)
+            ctx.add(Code.WRONG_OID, pqi.children[0], sub, f"unknown policy qualifier {qid}")
 
 
-def _parse_user_notice(node: TlvNode, ctx: _BodyContext, sub: str) -> None:
-    if not _expect(ctx, node, TAG_SEQUENCE, True, "userNotice", sub):
+def _parse_user_notice(node: TlvNode, ctx: WalkContext, path: str) -> None:
+    if not _expect(ctx, node, TAG_SEQUENCE, True, "userNotice", path):
         return
     kids = list(node.children)
     if len(kids) > 2:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message="userNotice with too many fields", sub=sub)
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "userNotice with too many fields")
         return
     if kids and kids[0].is_universal(TAG_SEQUENCE, True):
         ref = kids.pop(0)
         if len(ref.children) != 2:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, ref, message="noticeRef must be (organization, noticeNumbers)", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, ref, path, "noticeRef must be (organization, noticeNumbers)")
         else:
-            _parse_display_text(ref.children[0], ctx, sub)
+            ctx.decode(validate_charset, ref.children[0], path, _DISPLAY_TEXT_TAGS)
             numbers = ref.children[1]
-            if _expect(ctx, numbers, TAG_SEQUENCE, True, "noticeNumbers", sub):
+            if _expect(ctx, numbers, TAG_SEQUENCE, True, "noticeNumbers", path):
                 for n in numbers.children:
                     if not n.is_universal(TAG_INTEGER, False):
-                        ctx.add(Code.MALFORMED_EXTENSION_BODY, n, message="noticeNumbers entry must be an INTEGER", sub=sub)
+                        ctx.add(Code.MALFORMED_EXTENSION_BODY, n, path, "noticeNumbers entry must be an INTEGER")
                         continue
-                    try:
-                        decode_integer(n)
-                    except RecognitionError as err:
-                        ctx.add_err(err, sub=sub)
+                    ctx.decode(decode_integer, n, path)
     if kids:
-        _parse_display_text(kids.pop(0), ctx, sub)
+        ctx.decode(validate_charset, kids.pop(0), path, _DISPLAY_TEXT_TAGS)
     if kids:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, kids[0], message="unexpected field in userNotice", sub=sub)
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, kids[0], path, "unexpected field in userNotice")
 
 
-def _body_policy_mappings(root: TlvNode, ctx: _BodyContext) -> list[tuple[str, str]]:
+def _body_policy_mappings(root: TlvNode, ctx: WalkContext, path: str) -> list[tuple[str, str]]:
     out: list[tuple[str, str]] = []
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "policyMappings"):
+    if not _expect(ctx, root, TAG_SEQUENCE, True, "policyMappings", path):
         return out
     if not root.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, message="policyMappings must hold at least one mapping")
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, "policyMappings must hold at least one mapping")
         return out
     for i, pair in enumerate(root.children):
-        sub = f"mapping[{i}]"
+        sub = f"{path}.mapping[{i}]"
         if not _expect(ctx, pair, TAG_SEQUENCE, True, "policy mapping", sub):
             continue
         if len(pair.children) != 2:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, pair, message="mapping must be (issuerDomainPolicy, subjectDomainPolicy)", sub=sub)
+            ctx.add(
+                Code.MALFORMED_EXTENSION_BODY, pair, sub, "mapping must be (issuerDomainPolicy, subjectDomainPolicy)"
+            )
             continue
         oids = []
         for part in pair.children:
             if not part.is_universal(TAG_OID, False):
-                ctx.add(Code.WRONG_OID, part, message="mapping member must be an OID", sub=sub)
+                ctx.add(Code.WRONG_OID, part, sub, "mapping member must be an OID")
                 break
-            try:
-                oids.append(dotted(decode_oid(part)))
-            except RecognitionError as err:
-                ctx.add_err(err, sub=sub)
+            arcs = ctx.decode(decode_oid, part, sub)
+            if arcs is None:
                 break
+            oids.append(dotted(arcs))
         if len(oids) == 2:
             out.append((oids[0], oids[1]))
     return out
 
 
-def _general_names_body(root: TlvNode, ctx: _BodyContext, what: str) -> list[GeneralNameValue]:
+def _general_names_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> list[GeneralNameValue]:
     names: list[GeneralNameValue] = []
-    if not _expect(ctx, root, TAG_SEQUENCE, True, what):
+    if not _expect(ctx, root, TAG_SEQUENCE, True, what, path):
         return names
     if not root.children:
-        ctx.add(Code.EMPTY_GENERAL_NAMES, root, message=f"empty {what}")
+        ctx.add(Code.EMPTY_GENERAL_NAMES, root, path, f"empty {what}")
         return names
     for i, gn in enumerate(root.children):
-        value = parse_general_name(gn, ctx, sub=f"name[{i}]")
+        value = parse_general_name(gn, ctx, f"{path}.name[{i}]")
         if value is not None:
             names.append(value)
     return names
 
 
-def _body_subject_alt_name(root: TlvNode, ctx: _BodyContext) -> list[GeneralNameValue]:
-    return _general_names_body(root, ctx, "subjectAltName")
+def _body_subject_alt_name(root: TlvNode, ctx: WalkContext, path: str) -> list[GeneralNameValue]:
+    return _general_names_body(root, ctx, path, "subjectAltName")
 
 
-def _body_issuer_alt_name(root: TlvNode, ctx: _BodyContext) -> list[GeneralNameValue]:
-    return _general_names_body(root, ctx, "issuerAltName")
+def _body_issuer_alt_name(root: TlvNode, ctx: WalkContext, path: str) -> list[GeneralNameValue]:
+    return _general_names_body(root, ctx, path, "issuerAltName")
 
 
-def _body_subject_directory_attributes(root: TlvNode, ctx: _BodyContext) -> int:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "subjectDirectoryAttributes"):
+def _body_subject_directory_attributes(root: TlvNode, ctx: WalkContext, path: str) -> int:
+    if not _expect(ctx, root, TAG_SEQUENCE, True, "subjectDirectoryAttributes", path):
         return 0
     if not root.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, message="subjectDirectoryAttributes must hold at least one attribute")
+        ctx.add(
+            Code.MALFORMED_EXTENSION_BODY, root, path, "subjectDirectoryAttributes must hold at least one attribute"
+        )
         return 0
     for i, attr in enumerate(root.children):
-        sub = f"attribute[{i}]"
+        sub = f"{path}.attribute[{i}]"
         if not _expect(ctx, attr, TAG_SEQUENCE, True, "attribute", sub):
             continue
         if len(attr.children) != 2 or not attr.children[0].is_universal(TAG_OID, False):
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, attr, message="attribute must be (OID, SET OF values)", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, attr, sub, "attribute must be (OID, SET OF values)")
             continue
-        try:
-            decode_oid(attr.children[0])
-        except RecognitionError as err:
-            ctx.add_err(err, sub=sub)
+        ctx.decode(decode_oid, attr.children[0], sub)
         values = attr.children[1]
         if not values.is_universal(TAG_SET, True):
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, values, message="attribute values must be a SET", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, values, sub, "attribute values must be a SET")
             continue
         if not values.children:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, values, message="attribute with no values", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, values, sub, "attribute with no values")
         # Value syntax depends on the attribute type; values stay opaque.
     return len(root.children)
 
 
-def _body_name_constraints(root: TlvNode, ctx: _BodyContext) -> None:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "nameConstraints"):
+def _body_name_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None:
+    if not _expect(ctx, root, TAG_SEQUENCE, True, "nameConstraints", path):
         return
     if not root.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, message="nameConstraints with neither permitted nor excluded subtrees")
+        ctx.add(
+            Code.MALFORMED_EXTENSION_BODY, root, path, "nameConstraints with neither permitted nor excluded subtrees"
+        )
         return
     last = -1
     for child in root.children:
         if child.tag_class != "context" or child.tag_number > 1 or not child.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message=f"unexpected field {child.describe_tag()} in nameConstraints")
+            ctx.add(
+                Code.MALFORMED_EXTENSION_BODY,
+                child,
+                path,
+                f"unexpected field {child.describe_tag()} in nameConstraints",
+            )
             return
         if child.tag_number <= last:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message="nameConstraints fields out of order or repeated")
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "nameConstraints fields out of order or repeated")
             return
         last = child.tag_number
         which = "permittedSubtrees" if child.tag_number == 0 else "excludedSubtrees"
         if not child.children:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message=f"empty {which}")
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, f"empty {which}")
             continue
         for i, subtree in enumerate(child.children):
-            _parse_general_subtree(subtree, ctx, f"{which}[{i}]")
+            _parse_general_subtree(subtree, ctx, f"{path}.{which}[{i}]")
 
 
-def _parse_general_subtree(node: TlvNode, ctx: _BodyContext, sub: str) -> None:
-    if not _expect(ctx, node, TAG_SEQUENCE, True, "generalSubtree", sub):
+def _parse_general_subtree(node: TlvNode, ctx: WalkContext, path: str) -> None:
+    if not _expect(ctx, node, TAG_SEQUENCE, True, "generalSubtree", path):
         return
     if not node.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message="empty generalSubtree", sub=sub)
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "empty generalSubtree")
         return
-    parse_general_name(node.children[0], ctx, sub=sub, in_name_constraints=True)
+    parse_general_name(node.children[0], ctx, path, in_name_constraints=True)
     last = -1
     for extra in node.children[1:]:
         if extra.tag_class != "context" or extra.tag_number > 1 or extra.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, extra, message=f"unexpected field {extra.describe_tag()} in generalSubtree", sub=sub)
+            ctx.add(
+                Code.MALFORMED_EXTENSION_BODY, extra, path, f"unexpected field {extra.describe_tag()} in generalSubtree"
+            )
             return
         if extra.tag_number <= last:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, extra, message="generalSubtree fields out of order or repeated", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, extra, path, "generalSubtree fields out of order or repeated")
             return
         last = extra.tag_number
-        try:
-            value = decode_integer(extra)
-        except RecognitionError as err:
-            ctx.add_err(err, sub=sub)
+        value = ctx.decode(decode_integer, extra, path)
+        if value is None:
             continue
         if extra.tag_number == 0 and value == 0:
-            ctx.add(Code.DEFAULT_VALUE_ENCODED, extra, message="minimum 0 explicitly encoded", sub=sub)
+            ctx.add(Code.DEFAULT_VALUE_ENCODED, extra, path, "minimum 0 explicitly encoded")
         if value < 0:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, extra, message=f"negative subtree bound {value}", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, extra, path, f"negative subtree bound {value}")
 
 
-def _body_policy_constraints(root: TlvNode, ctx: _BodyContext) -> None:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "policyConstraints"):
+def _body_policy_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None:
+    if not _expect(ctx, root, TAG_SEQUENCE, True, "policyConstraints", path):
         return
     if not root.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, message="policyConstraints with no fields")
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, "policyConstraints with no fields")
         return
     last = -1
     for child in root.children:
         if child.tag_class != "context" or child.tag_number > 1 or child.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message=f"unexpected field {child.describe_tag()} in policyConstraints")
+            ctx.add(
+                Code.MALFORMED_EXTENSION_BODY,
+                child,
+                path,
+                f"unexpected field {child.describe_tag()} in policyConstraints",
+            )
             return
         if child.tag_number <= last:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message="policyConstraints fields out of order or repeated")
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "policyConstraints fields out of order or repeated")
             return
         last = child.tag_number
-        try:
-            value = decode_integer(child)
-        except RecognitionError as err:
-            ctx.add_err(err)
-            continue
-        if value < 0:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message=f"negative skipCerts {value}")
+        value = ctx.decode(decode_integer, child, path)
+        if value is not None and value < 0:
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, f"negative skipCerts {value}")
 
 
-def _body_extended_key_usage(root: TlvNode, ctx: _BodyContext) -> list[str]:
+def _body_extended_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> list[str]:
     purposes: list[str] = []
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "extendedKeyUsage"):
+    if not _expect(ctx, root, TAG_SEQUENCE, True, "extendedKeyUsage", path):
         return purposes
     if not root.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, message="extendedKeyUsage must name at least one purpose")
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, "extendedKeyUsage must name at least one purpose")
         return purposes
     for i, child in enumerate(root.children):
-        sub = f"purpose[{i}]"
+        sub = f"{path}.purpose[{i}]"
         if not child.is_universal(TAG_OID, False):
-            ctx.add(Code.WRONG_OID, child, message=f"key purpose must be an OID, found {child.describe_tag()}", sub=sub)
+            ctx.add(Code.WRONG_OID, child, sub, f"key purpose must be an OID, found {child.describe_tag()}")
             continue
-        try:
-            purposes.append(dotted(decode_oid(child)))
-        except RecognitionError as err:
-            ctx.add_err(err, sub=sub)
+        arcs = ctx.decode(decode_oid, child, sub)
+        if arcs is not None:
+            purposes.append(dotted(arcs))
     return purposes
 
 
-def _body_crl_distribution_points(root: TlvNode, ctx: _BodyContext) -> None:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "cRLDistributionPoints"):
+def _body_crl_distribution_points(root: TlvNode, ctx: WalkContext, path: str) -> None:
+    if not _expect(ctx, root, TAG_SEQUENCE, True, "cRLDistributionPoints", path):
         return
     if not root.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, message="cRLDistributionPoints must hold at least one point")
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, "cRLDistributionPoints must hold at least one point")
         return
     for i, dp in enumerate(root.children):
-        _parse_distribution_point(dp, ctx, f"point[{i}]")
+        _parse_distribution_point(dp, ctx, f"{path}.point[{i}]")
 
 
-def _parse_distribution_point(node: TlvNode, ctx: _BodyContext, sub: str) -> None:
-    if not _expect(ctx, node, TAG_SEQUENCE, True, "distributionPoint", sub):
+def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> None:
+    if not _expect(ctx, node, TAG_SEQUENCE, True, "distributionPoint", path):
         return
     if not node.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message="empty distributionPoint", sub=sub)
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "empty distributionPoint")
         return
     seen: set[int] = set()
     last = -1
     for child in node.children:
         if child.tag_class != "context" or child.tag_number > 2:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message=f"unexpected field {child.describe_tag()} in distributionPoint", sub=sub)
+            ctx.add(
+                Code.MALFORMED_EXTENSION_BODY,
+                child,
+                path,
+                f"unexpected field {child.describe_tag()} in distributionPoint",
+            )
             return
         if child.tag_number <= last:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message="distributionPoint fields out of order or repeated", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "distributionPoint fields out of order or repeated")
             return
         last = child.tag_number
         seen.add(child.tag_number)
         if child.tag_number == 0:
             if not child.constructed or len(child.children) != 1:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message="distributionPoint name must hold one choice", sub=sub)
+                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "distributionPoint name must hold one choice")
                 continue
             choice = child.children[0]
             if choice.is_context(0, True):
                 if not choice.children:
-                    ctx.add(Code.EMPTY_GENERAL_NAMES, choice, message="empty fullName", sub=sub)
+                    ctx.add(Code.EMPTY_GENERAL_NAMES, choice, path, "empty fullName")
                 for k, gn in enumerate(choice.children):
-                    parse_general_name(gn, ctx, sub=f"{sub}.fullName[{k}]")
+                    parse_general_name(gn, ctx, f"{path}.fullName[{k}]")
             elif choice.is_context(1, True):
                 for atv in choice.children:
                     if not atv.is_universal(TAG_SEQUENCE, True) or len(atv.children) != 2:
-                        ctx.add(Code.MALFORMED_EXTENSION_BODY, atv, message="relative name attribute must be a two-element SEQUENCE", sub=sub)
+                        ctx.add(
+                            Code.MALFORMED_EXTENSION_BODY,
+                            atv,
+                            path,
+                            "relative name attribute must be a two-element SEQUENCE",
+                        )
             else:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, choice, message=f"unknown distributionPointName choice {choice.describe_tag()}", sub=sub)
+                ctx.add(
+                    Code.MALFORMED_EXTENSION_BODY,
+                    choice,
+                    path,
+                    f"unknown distributionPointName choice {choice.describe_tag()}",
+                )
         elif child.tag_number == 1:
             if child.constructed:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message="reasons must be a primitive BIT STRING", sub=sub)
+                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "reasons must be a primitive BIT STRING")
                 continue
-            try:
-                bs = decode_bit_string(child, named=True)
-            except RecognitionError as err:
-                ctx.add_err(err, sub=sub)
-                continue
-            if bs.named_bits and max(bs.named_bits) >= _REASON_FLAG_COUNT:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message="reason flag beyond the named range", sub=sub)
+            bs = ctx.decode(decode_bit_string, child, path, named=True)
+            if bs is not None and bs.named_bits and max(bs.named_bits) >= _REASON_FLAG_COUNT:
+                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "reason flag beyond the named range")
         else:
             if not child.constructed:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message="cRLIssuer must be constructed", sub=sub)
+                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "cRLIssuer must be constructed")
                 continue
             if not child.children:
-                ctx.add(Code.EMPTY_GENERAL_NAMES, child, message="empty cRLIssuer", sub=sub)
+                ctx.add(Code.EMPTY_GENERAL_NAMES, child, path, "empty cRLIssuer")
             for k, gn in enumerate(child.children):
-                parse_general_name(gn, ctx, sub=f"{sub}.cRLIssuer[{k}]")
+                parse_general_name(gn, ctx, f"{path}.cRLIssuer[{k}]")
     if seen == {1}:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message="distributionPoint with only a reasons field", sub=sub)
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "distributionPoint with only a reasons field")
 
 
-def _body_inhibit_any_policy(root: TlvNode, ctx: _BodyContext) -> int | None:
-    if not _expect(ctx, root, TAG_INTEGER, False, "inhibitAnyPolicy"):
+def _body_inhibit_any_policy(root: TlvNode, ctx: WalkContext, path: str) -> int | None:
+    if not _expect(ctx, root, TAG_INTEGER, False, "inhibitAnyPolicy", path):
         return None
-    try:
-        value = decode_integer(root)
-    except RecognitionError as err:
-        ctx.add_err(err)
-        return None
-    if value < 0:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, message=f"negative skipCerts {value}")
+    value = ctx.decode(decode_integer, root, path)
+    if value is not None and value < 0:
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, f"negative skipCerts {value}")
     return value
 
 
-def _info_access_body(root: TlvNode, ctx: _BodyContext, what: str) -> None:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, what):
+def _info_access_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> None:
+    if not _expect(ctx, root, TAG_SEQUENCE, True, what, path):
         return
     if not root.children:
-        ctx.add(Code.EMPTY_SEQUENCE_IN_INFO_ACCESS, root, message=f"empty {what}")
+        ctx.add(Code.EMPTY_SEQUENCE_IN_INFO_ACCESS, root, path, f"empty {what}")
         return
     for i, ad in enumerate(root.children):
-        sub = f"accessDescription[{i}]"
+        sub = f"{path}.accessDescription[{i}]"
         if not _expect(ctx, ad, TAG_SEQUENCE, True, "accessDescription", sub):
             continue
         if len(ad.children) != 2 or not ad.children[0].is_universal(TAG_OID, False):
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, ad, message="accessDescription must be (OID, GeneralName)", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, ad, sub, "accessDescription must be (OID, GeneralName)")
             continue
-        try:
-            decode_oid(ad.children[0])
-        except RecognitionError as err:
-            ctx.add_err(err, sub=sub)
-        parse_general_name(ad.children[1], ctx, sub=sub)
+        ctx.decode(decode_oid, ad.children[0], sub)
+        parse_general_name(ad.children[1], ctx, sub)
 
 
-def _body_authority_info_access(root: TlvNode, ctx: _BodyContext) -> None:
-    _info_access_body(root, ctx, "authorityInfoAccess")
+def _body_authority_info_access(root: TlvNode, ctx: WalkContext, path: str) -> None:
+    _info_access_body(root, ctx, path, "authorityInfoAccess")
 
 
-def _body_subject_info_access(root: TlvNode, ctx: _BodyContext) -> None:
-    _info_access_body(root, ctx, "subjectInfoAccess")
+def _body_subject_info_access(root: TlvNode, ctx: WalkContext, path: str) -> None:
+    _info_access_body(root, ctx, path, "subjectInfoAccess")
 
 
 _BODY_PARSERS = {
@@ -927,15 +844,15 @@ def valid_uri(text: str) -> bool:
     return bool(_SCHEME_RE.match(scheme))
 
 
-def _check_uri(text: str, node: TlvNode, ctx: _BodyContext, sub: str) -> None:
+def _check_uri(text: str, node: TlvNode, ctx: WalkContext, path: str) -> None:
     if not valid_uri(text):
-        ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, message=f"URI without scheme: {text!r}", sub=sub)
+        ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, f"URI without scheme: {text!r}")
 
 
 def parse_general_name(
     node: TlvNode,
-    ctx: _BodyContext,
-    sub: str = "",
+    ctx: WalkContext,
+    path: str,
     in_name_constraints: bool = False,
 ) -> GeneralNameValue | None:
     """Parse and validate one GeneralName choice.
@@ -944,37 +861,41 @@ def parse_general_name(
     doubling its length; everywhere else it is a bare address.
     """
     if node.tag_class != "context":
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message=f"GeneralName must be context-tagged, found {node.describe_tag()}", sub=sub)
+        ctx.add(
+            Code.MALFORMED_EXTENSION_BODY,
+            node,
+            path,
+            f"GeneralName must be context-tagged, found {node.describe_tag()}",
+        )
         return None
 
     tag = node.tag_number
     if tag == 0:  # otherName
         if not node.constructed or len(node.children) != 2:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message="otherName must be (type-id, [0] value)", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "otherName must be (type-id, [0] value)")
             return None
         type_node, value_wrap = node.children
         if not type_node.is_universal(TAG_OID, False):
-            ctx.add(Code.WRONG_OID, type_node, message="otherName type-id must be an OID", sub=sub)
+            ctx.add(Code.WRONG_OID, type_node, path, "otherName type-id must be an OID")
             return None
-        try:
-            decode_oid(type_node)
-        except RecognitionError as err:
-            ctx.add_err(err, sub=sub)
+        if ctx.decode(decode_oid, type_node, path) is None:
             return None
         if not value_wrap.is_context(0, True) or len(value_wrap.children) != 1:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, value_wrap, message="otherName value must be one explicitly tagged element", sub=sub)
+            ctx.add(
+                Code.MALFORMED_EXTENSION_BODY, value_wrap, path, "otherName value must be one explicitly tagged element"
+            )
             return None
         return GeneralNameValue(kind="otherName", raw=node.raw)
 
     if tag in (1, 2, 6):  # rfc822Name, dNSName, uniformResourceIdentifier
         kind = {1: "rfc822Name", 2: "dNSName", 6: "uniformResourceIdentifier"}[tag]
         if node.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message=f"{kind} must be primitive", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, f"{kind} must be primitive")
             return None
         content = node.content
         for i, b in enumerate(content):
             if b == 0x00 or b > 0x7F:
-                ctx.add(Code.CHAR_SET_VIOLATION, node.content_offset + i, message=f"byte 0x{b:02x} in {kind}", sub=sub)
+                ctx.add(Code.CHAR_SET_VIOLATION, node.content_offset + i, path, f"byte 0x{b:02x} in {kind}")
                 return GeneralNameValue(kind=kind, raw=node.raw)
         text = content.decode("ascii")
         ok = {
@@ -983,80 +904,67 @@ def parse_general_name(
             "uniformResourceIdentifier": valid_uri,
         }[kind](text)
         if not ok:
-            ctx.add(
-                Code.BAD_DNS_URI_EMAIL_FORMAT,
-                node,
-                message=f"malformed {kind}: {text!r}",
-                sub=sub,
-            )
+            ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, f"malformed {kind}: {text!r}")
         return GeneralNameValue(kind=kind, text=text, raw=node.raw)
 
     if tag == 3:  # x400Address, parsed for shape only
         if not node.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message="x400Address must be constructed", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "x400Address must be constructed")
             return None
         return GeneralNameValue(kind="x400Address", raw=node.raw)
 
     if tag == 4:  # directoryName, explicit because Name is a CHOICE
         if not node.constructed or len(node.children) != 1:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message="directoryName must hold one Name", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "directoryName must hold one Name")
             return None
-        inner = node.children[0]
-        rebased: list[Diagnostic] = []
-        parse_name(inner, ctx.reg, rebased, f"{ctx.path}.{sub}" if sub else ctx.path, role="general")
-        for d in rebased:
-            if d.byte_offset is not None:
-                d.byte_offset += ctx.base
-            ctx.diags.append(d)
+        parse_name(node.children[0], ctx, path, role="general")
         return GeneralNameValue(kind="directoryName", raw=node.raw)
 
     if tag == 5:  # ediPartyName
         if not node.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message="ediPartyName must be constructed", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "ediPartyName must be constructed")
             return None
-        kids = list(node.children)
         last = -1
         saw_party = False
-        for child in kids:
+        for child in node.children:
             if child.tag_class != "context" or child.tag_number > 1 or not child.constructed or len(child.children) != 1:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message="ediPartyName field must be an explicitly tagged DirectoryString", sub=sub)
+                ctx.add(
+                    Code.MALFORMED_EXTENSION_BODY,
+                    child,
+                    path,
+                    "ediPartyName field must be an explicitly tagged DirectoryString",
+                )
                 return None
             if child.tag_number <= last:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, message="ediPartyName fields out of order or repeated", sub=sub)
+                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "ediPartyName fields out of order or repeated")
                 return None
             last = child.tag_number
             saw_party = saw_party or child.tag_number == 1
-            _parse_display_text(child.children[0], ctx, sub)
+            ctx.decode(validate_charset, child.children[0], path, _DISPLAY_TEXT_TAGS)
         if not saw_party:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message="ediPartyName without partyName", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "ediPartyName without partyName")
         return GeneralNameValue(kind="ediPartyName", raw=node.raw)
 
     if tag == 7:  # iPAddress
         if node.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message="iPAddress must be primitive", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "iPAddress must be primitive")
             return None
         allowed = (8, 32) if in_name_constraints else (4, 16)
-        if len(node.content) not in allowed:
-            ctx.add(
-                Code.BAD_DNS_URI_EMAIL_FORMAT,
-                node,
-                message=f"iPAddress of {len(node.content)} octets, expected {allowed[0]} or {allowed[1]}",
-                sub=sub,
-            )
+        if node.content_length not in allowed:
+            message = f"iPAddress of {node.content_length} octets, expected {allowed[0]} or {allowed[1]}"
+            ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, message)
         return GeneralNameValue(kind="iPAddress", raw=node.raw)
 
     if tag == 8:  # registeredID
         if node.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message="registeredID must be primitive", sub=sub)
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "registeredID must be primitive")
             return None
-        try:
-            arcs = decode_oid(node)
-        except RecognitionError as err:
-            ctx.add_err(err, sub=sub)
+        arcs = ctx.decode(decode_oid, node, path)
+        if arcs is None:
             return None
         return GeneralNameValue(kind="registeredID", text=dotted(arcs), raw=node.raw)
 
-    ctx.add(Code.MALFORMED_EXTENSION_BODY, node, message=f"unknown GeneralName tag [{tag}]", sub=sub)
+    ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, f"unknown GeneralName tag [{tag}]")
     return None
 
 
@@ -1066,7 +974,7 @@ def parse_general_name(
 def check_key_usage_rules(
     extset: ExtensionSet,
     key_family: str | None,
-    diags: list[Diagnostic],
+    ctx: WalkContext,
     path: str = "tbsCertificate.extensions",
 ) -> None:
     """Rules tying keyUsage, basicConstraints and the key algorithm together.
@@ -1086,74 +994,55 @@ def check_key_usage_rules(
     if ku is not None and ku.has(BIT_KEY_CERT_SIGN):
         where = f"{path}[{ku_entry.index}]"
         if bc_entry is None:
-            diags.append(
-                diag(
-                    Code.KEY_CERT_SIGN_WITHOUT_BASIC_CONSTRAINTS,
-                    path=where,
-                    offset=ku_entry.node.header_offset,
-                    message="keyCertSign asserted without a basicConstraints extension",
-                )
+            ctx.add(
+                Code.KEY_CERT_SIGN_WITHOUT_BASIC_CONSTRAINTS,
+                ku_entry.node,
+                where,
+                "keyCertSign asserted without a basicConstraints extension",
             )
         elif bc is not None and not bc.ca:
-            diags.append(
-                diag(
-                    Code.KEY_CERT_SIGN_IN_LEAF,
-                    path=where,
-                    offset=ku_entry.node.header_offset,
-                    message="keyCertSign asserted but basicConstraints does not mark a CA",
-                )
+            ctx.add(
+                Code.KEY_CERT_SIGN_IN_LEAF,
+                ku_entry.node,
+                where,
+                "keyCertSign asserted but basicConstraints does not mark a CA",
             )
 
     if bc_entry is not None and bc is not None:
         where = f"{path}[{bc_entry.index}]"
         if bc.ca:
             if not bc_entry.critical:
-                diags.append(
-                    diag(
-                        Code.NOT_CRITICAL_BASIC_CONSTRAINTS,
-                        path=where,
-                        offset=bc_entry.node.header_offset,
-                        message="cA asserted in a non-critical basicConstraints",
-                    )
+                ctx.add(
+                    Code.NOT_CRITICAL_BASIC_CONSTRAINTS,
+                    bc_entry.node,
+                    where,
+                    "cA asserted in a non-critical basicConstraints",
                 )
                 if bc.path_len is not None:
-                    diags.append(
-                        diag(
-                            Code.PATH_LEN_IN_NON_CRITICAL_BC,
-                            path=where,
-                            offset=bc_entry.node.header_offset,
-                            message="pathLenConstraint in a non-critical basicConstraints",
-                        )
+                    ctx.add(
+                        Code.PATH_LEN_IN_NON_CRITICAL_BC,
+                        bc_entry.node,
+                        where,
+                        "pathLenConstraint in a non-critical basicConstraints",
                     )
             if not extset.has(OID_SUBJECT_KEY_IDENTIFIER):
-                diags.append(
-                    diag(
-                        Code.MISSING_SUBJECT_KEY_ID,
-                        path=path,
-                        offset=bc_entry.node.header_offset,
-                        message="CA certificate without a subjectKeyIdentifier extension",
-                    )
+                ctx.add(
+                    Code.MISSING_SUBJECT_KEY_ID,
+                    bc_entry.node,
+                    path,
+                    "CA certificate without a subjectKeyIdentifier extension",
                 )
         elif bc.path_len is not None:
-            diags.append(
-                diag(
-                    Code.PATH_LEN_IN_LEAF,
-                    path=where,
-                    offset=bc_entry.node.header_offset,
-                    message="pathLenConstraint without cA",
-                )
-            )
+            ctx.add(Code.PATH_LEN_IN_LEAF, bc_entry.node, where, "pathLenConstraint without cA")
 
     if ku is not None and key_family is not None:
         forbidden = _FORBIDDEN_USAGE.get(key_family, frozenset())
         bad = sorted(ku.bits & forbidden)
         if bad:
             names = ", ".join(KEY_USAGE_BITS[b] for b in bad)
-            diags.append(
-                diag(
-                    Code.KEY_USAGE_VIOLATION_ON_PK_ALGORITHM,
-                    path=f"{path}[{ku_entry.index}]",
-                    offset=ku_entry.node.header_offset,
-                    message=f"{names} asserted for a {key_family} key",
-                )
+            ctx.add(
+                Code.KEY_USAGE_VIOLATION_ON_PK_ALGORITHM,
+                ku_entry.node,
+                f"{path}[{ku_entry.index}]",
+                f"{names} asserted for a {key_family} key",
             )

@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .der import TlvNode, parse_tlv_tree
-from .diagnostics import Code, Diagnostic, RecognitionError, diag, rejects
+from .diagnostics import Code, Diagnostic, rejects
 from .extensions import (
     OID_AUTHORITY_KEY_IDENTIFIER,
     OID_SUBJECT_ALT_NAME,
     AkiValue,
     ExtensionSet,
+    WalkContext,
     check_key_usage_rules,
     parse_extensions,
 )
@@ -110,20 +111,13 @@ class _Abort(Exception):
     """Internal: the current walk cannot identify any further fields."""
 
 
-def _mismatch(diags: list[Diagnostic], node: TlvNode | None, path: str, message: str, offset: int | None = None) -> None:
-    if node is not None and offset is None:
-        offset = node.header_offset
-    diags.append(diag(Code.STRUCTURAL_MISMATCH, path=path, offset=offset, message=message))
-
-
 # --- algorithm identifiers ---------------------------------------------------
 
 
 def parse_algorithm_identifier(
     node: TlvNode,
     role: str,
-    reg: Registry,
-    diags: list[Diagnostic],
+    ctx: WalkContext,
     path: str,
 ) -> AlgorithmId | None:
     """Check one AlgorithmIdentifier against the registry for its slot.
@@ -133,45 +127,36 @@ def parse_algorithm_identifier(
     are allowed and what the parameters field must contain for each.
     """
     if not node.is_universal(TAG_SEQUENCE, True):
-        _mismatch(diags, node, path, f"AlgorithmIdentifier must be a SEQUENCE, found {node.describe_tag()}")
+        ctx.add(
+            Code.STRUCTURAL_MISMATCH, node, path, f"AlgorithmIdentifier must be a SEQUENCE, found {node.describe_tag()}"
+        )
         return None
     out = AlgorithmId(raw=node.raw, node=node)
     kids = node.children
     if not 1 <= len(kids) <= 2:
-        _mismatch(diags, node, path, f"AlgorithmIdentifier with {len(kids)} fields")
+        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"AlgorithmIdentifier with {len(kids)} fields")
         return out
 
     if not kids[0].is_universal(TAG_OID, False):
-        diags.append(
-            diag(
-                Code.WRONG_ALGORITHM,
-                path=f"{path}.algorithm",
-                offset=kids[0].header_offset,
-                message=f"algorithm must be an OID, found {kids[0].describe_tag()}",
-            )
+        ctx.add(
+            Code.WRONG_ALGORITHM,
+            kids[0],
+            f"{path}.algorithm",
+            f"algorithm must be an OID, found {kids[0].describe_tag()}",
         )
         return out
-    try:
-        out.oid = dotted(decode_oid(kids[0]))
-    except RecognitionError as err:
-        code = Code.WRONG_ALGORITHM if err.code == Code.WRONG_OID else err.code
-        diags.append(diag(code, path=f"{path}.algorithm", offset=err.offset, message=err.message))
+    arcs = ctx.decode(decode_oid, kids[0], f"{path}.algorithm", wrong_oid=Code.WRONG_ALGORITHM)
+    if arcs is None:
         return out
+    out.oid = dotted(arcs)
 
-    out.grammar = reg.lookup(role, out.oid)
+    out.grammar = ctx.reg.lookup(role, out.oid)
     if out.grammar is None:
-        diags.append(
-            diag(
-                Code.WRONG_ALGORITHM,
-                path=f"{path}.algorithm",
-                offset=kids[0].header_offset,
-                message=f"{out.oid} is not a registered {role} algorithm",
-            )
-        )
+        ctx.add(Code.WRONG_ALGORITHM, kids[0], f"{path}.algorithm", f"{out.oid} is not a registered {role} algorithm")
         return out
 
     params = kids[1] if len(kids) == 2 else None
-    _check_parameters(out, params, node, reg, diags, f"{path}.parameters")
+    _check_parameters(out, params, node, ctx, f"{path}.parameters")
     return out
 
 
@@ -179,169 +164,130 @@ def _check_parameters(
     alg: AlgorithmId,
     params: TlvNode | None,
     holder: TlvNode,
-    reg: Registry,
-    diags: list[Diagnostic],
+    ctx: WalkContext,
     path: str,
 ) -> None:
     grammar = alg.grammar
-
-    def bad(node: TlvNode, message: str) -> None:
-        diags.append(diag(Code.MALFORMED_PARAMETERS, path=path, offset=node.header_offset, message=message))
-
-    def missing(message: str) -> None:
-        diags.append(diag(Code.MISSING_PARAMETERS, path=path, offset=holder.header_offset, message=message))
+    malformed = Code.MALFORMED_PARAMETERS
 
     if grammar == "absent":
         if params is None:
             return
         if params.is_universal(TAG_NULL, False):
-            diags.append(
-                diag(
-                    Code.UNEXPECTED_NULL_IN_ALGORITHM_P,
-                    path=path,
-                    offset=params.header_offset,
-                    message=f"{alg.oid} takes no parameters, NULL present",
-                )
-            )
+            ctx.add(Code.UNEXPECTED_NULL_IN_ALGORITHM_P, params, path, f"{alg.oid} takes no parameters, NULL present")
         else:
-            bad(params, f"{alg.oid} takes no parameters, found {params.describe_tag()}")
+            ctx.add(malformed, params, path, f"{alg.oid} takes no parameters, found {params.describe_tag()}")
         return
 
     if grammar == "null":
         if params is None:
-            missing(f"{alg.oid} requires NULL parameters")
-            return
-        if not params.is_universal(TAG_NULL, False):
-            bad(params, f"{alg.oid} requires NULL parameters, found {params.describe_tag()}")
+            ctx.add(Code.MISSING_PARAMETERS, holder, path, f"{alg.oid} requires NULL parameters")
+        elif not params.is_universal(TAG_NULL, False):
+            ctx.add(malformed, params, path, f"{alg.oid} requires NULL parameters, found {params.describe_tag()}")
         elif params.content_length != 0:
-            bad(params, "NULL with content octets")
+            ctx.add(malformed, params, path, "NULL with content octets")
         return
 
     if grammar == "named-curve":
         if params is None:
-            missing(f"{alg.oid} requires a named curve")
+            ctx.add(Code.MISSING_PARAMETERS, holder, path, f"{alg.oid} requires a named curve")
             return
         if not params.is_universal(TAG_OID, False):
-            bad(params, f"named curve must be an OID, found {params.describe_tag()}")
+            ctx.add(malformed, params, path, f"named curve must be an OID, found {params.describe_tag()}")
             return
-        try:
-            curve = dotted(decode_oid(params))
-        except RecognitionError as err:
-            code = Code.MALFORMED_PARAMETERS if err.code == Code.WRONG_OID else err.code
-            diags.append(diag(code, path=path, offset=err.offset, message=err.message))
+        arcs = ctx.decode(decode_oid, params, path, wrong_oid=malformed)
+        if arcs is None:
             return
-        if reg.lookup("curve", curve) is None:
-            diags.append(
-                diag(
-                    Code.WRONG_ALGORITHM,
-                    path=path,
-                    offset=params.header_offset,
-                    message=f"{curve} is not a registered curve",
-                )
-            )
+        curve = dotted(arcs)
+        if ctx.reg.lookup("curve", curve) is None:
+            ctx.add(Code.WRONG_ALGORITHM, params, path, f"{curve} is not a registered curve")
             return
         alg.curve_oid = curve
         return
 
     if params is None:
-        missing(f"{alg.oid} requires parameters")
+        ctx.add(Code.MISSING_PARAMETERS, holder, path, f"{alg.oid} requires parameters")
         return
 
     if grammar == "dss-params":
         if not params.is_universal(TAG_SEQUENCE, True) or len(params.children) != 3:
-            bad(params, "domain parameters must be a SEQUENCE of three INTEGERs")
+            ctx.add(malformed, params, path, "domain parameters must be a SEQUENCE of three INTEGERs")
             return
         for part in params.children:
             if not part.is_universal(TAG_INTEGER, False):
-                bad(part, f"domain parameter must be an INTEGER, found {part.describe_tag()}")
+                ctx.add(malformed, part, path, f"domain parameter must be an INTEGER, found {part.describe_tag()}")
                 return
-            try:
-                decode_integer(part)
-            except RecognitionError as err:
-                diags.append(diag(err.code, path=path, offset=err.offset, message=err.message))
+            ctx.decode(decode_integer, part, path)
         return
 
     if grammar == "dh-params":
-        _check_dh_params(params, diags, path, bad)
+        _check_dh_params(params, ctx, path)
         return
 
     if grammar == "kea-params":
         if not params.is_universal(TAG_OCTET_STRING, False):
-            bad(params, f"domain identifier must be an OCTET STRING, found {params.describe_tag()}")
+            ctx.add(
+                malformed, params, path, f"domain identifier must be an OCTET STRING, found {params.describe_tag()}"
+            )
         elif params.content_length == 0:
-            diags.append(diag(Code.EMPTY_VALUE_FIELD, path=path, offset=params.header_offset, message="empty domain identifier"))
+            ctx.add(Code.EMPTY_VALUE_FIELD, params, path, "empty domain identifier")
         return
 
     if grammar == "gost-params":
         if not params.is_universal(TAG_SEQUENCE, True) or not 2 <= len(params.children) <= 3:
-            bad(params, "parameters must be a SEQUENCE of two or three OIDs")
+            ctx.add(malformed, params, path, "parameters must be a SEQUENCE of two or three OIDs")
             return
         for part in params.children:
             if not part.is_universal(TAG_OID, False):
-                bad(part, f"parameter must be an OID, found {part.describe_tag()}")
+                ctx.add(malformed, part, path, f"parameter must be an OID, found {part.describe_tag()}")
                 return
-            try:
-                decode_oid(part)
-            except RecognitionError as err:
-                code = Code.MALFORMED_PARAMETERS if err.code == Code.WRONG_OID else err.code
-                diags.append(diag(code, path=path, offset=err.offset, message=err.message))
+            ctx.decode(decode_oid, part, path, wrong_oid=malformed)
         return
 
     if grammar == "rsa-pss-params":
-        _check_pss_params(params, diags, path, bad)
+        _check_pss_params(params, ctx, path)
         return
 
     raise AssertionError(f"unhandled parameter grammar {grammar!r}")
 
 
-def _check_dh_params(params: TlvNode, diags: list[Diagnostic], path: str, bad) -> None:
+def _check_dh_params(params: TlvNode, ctx: WalkContext, path: str) -> None:
+    malformed = Code.MALFORMED_PARAMETERS
     if not params.is_universal(TAG_SEQUENCE, True):
-        bad(params, "domain parameters must be a SEQUENCE")
+        ctx.add(malformed, params, path, "domain parameters must be a SEQUENCE")
         return
     kids = list(params.children)
     if len(kids) < 3:
-        bad(params, "domain parameters need prime, base and subprime")
+        ctx.add(malformed, params, path, "domain parameters need prime, base and subprime")
         return
     for part in kids[:3]:
         if not part.is_universal(TAG_INTEGER, False):
-            bad(part, f"domain parameter must be an INTEGER, found {part.describe_tag()}")
+            ctx.add(malformed, part, path, f"domain parameter must be an INTEGER, found {part.describe_tag()}")
             return
-        try:
-            decode_integer(part)
-        except RecognitionError as err:
-            diags.append(diag(err.code, path=path, offset=err.offset, message=err.message))
+        ctx.decode(decode_integer, part, path)
     rest = kids[3:]
     if rest and rest[0].is_universal(TAG_INTEGER, False):
-        try:
-            decode_integer(rest[0])
-        except RecognitionError as err:
-            diags.append(diag(err.code, path=path, offset=err.offset, message=err.message))
+        ctx.decode(decode_integer, rest[0], path)
         rest = rest[1:]
     if rest:
         vp = rest.pop(0)
         if not vp.is_universal(TAG_SEQUENCE, True) or len(vp.children) != 2:
-            bad(vp, "validation parameters must be (seed, pgenCounter)")
+            ctx.add(malformed, vp, path, "validation parameters must be (seed, pgenCounter)")
         else:
             seed, counter = vp.children
             if not seed.is_universal(TAG_BIT_STRING, False):
-                bad(seed, "seed must be a BIT STRING")
+                ctx.add(malformed, seed, path, "seed must be a BIT STRING")
             else:
-                try:
-                    decode_bit_string(seed)
-                except RecognitionError as err:
-                    diags.append(diag(err.code, path=path, offset=err.offset, message=err.message))
+                ctx.decode(decode_bit_string, seed, path)
             if not counter.is_universal(TAG_INTEGER, False):
-                bad(counter, "pgenCounter must be an INTEGER")
+                ctx.add(malformed, counter, path, "pgenCounter must be an INTEGER")
             else:
-                try:
-                    decode_integer(counter)
-                except RecognitionError as err:
-                    diags.append(diag(err.code, path=path, offset=err.offset, message=err.message))
+                ctx.decode(decode_integer, counter, path)
     if rest:
-        bad(rest[0], f"unexpected field {rest[0].describe_tag()} in domain parameters")
+        ctx.add(malformed, rest[0], path, f"unexpected field {rest[0].describe_tag()} in domain parameters")
 
 
-def _check_pss_params(params: TlvNode, diags: list[Diagnostic], path: str, bad) -> None:
+def _check_pss_params(params: TlvNode, ctx: WalkContext, path: str) -> None:
     """Shape check for PSS parameters.
 
     Each field is an explicitly tagged slot: hash and mask algorithms
@@ -349,39 +295,32 @@ def _check_pss_params(params: TlvNode, diags: list[Diagnostic], path: str, bad) 
     INTEGERs.  The hash and mask OIDs live in their own registries and
     stay unchecked here.
     """
+    malformed = Code.MALFORMED_PARAMETERS
     if not params.is_universal(TAG_SEQUENCE, True):
-        bad(params, "PSS parameters must be a SEQUENCE")
+        ctx.add(malformed, params, path, "PSS parameters must be a SEQUENCE")
         return
     last = -1
     for child in params.children:
         if child.tag_class != "context" or child.tag_number > 3 or not child.constructed or len(child.children) != 1:
-            bad(child, f"unexpected field {child.describe_tag()} in PSS parameters")
+            ctx.add(malformed, child, path, f"unexpected field {child.describe_tag()} in PSS parameters")
             return
         if child.tag_number <= last:
-            bad(child, "PSS parameter fields out of order or repeated")
+            ctx.add(malformed, child, path, "PSS parameter fields out of order or repeated")
             return
         last = child.tag_number
         inner = child.children[0]
         if child.tag_number in (0, 1):
             if not inner.is_universal(TAG_SEQUENCE, True) or not 1 <= len(inner.children) <= 2 or not inner.children[0].is_universal(TAG_OID, False):
-                bad(inner, "PSS algorithm slot must hold an AlgorithmIdentifier")
+                ctx.add(malformed, inner, path, "PSS algorithm slot must hold an AlgorithmIdentifier")
                 return
-            try:
-                decode_oid(inner.children[0])
-            except RecognitionError as err:
-                code = Code.MALFORMED_PARAMETERS if err.code == Code.WRONG_OID else err.code
-                diags.append(diag(code, path=path, offset=err.offset, message=err.message))
+            ctx.decode(decode_oid, inner.children[0], path, wrong_oid=malformed)
         else:
             if not inner.is_universal(TAG_INTEGER, False):
-                bad(inner, "PSS integer slot must hold an INTEGER")
+                ctx.add(malformed, inner, path, "PSS integer slot must hold an INTEGER")
                 return
-            try:
-                value = decode_integer(inner)
-            except RecognitionError as err:
-                diags.append(diag(err.code, path=path, offset=err.offset, message=err.message))
-                continue
-            if value < 0:
-                bad(inner, f"negative PSS parameter {value}")
+            value = ctx.decode(decode_integer, inner, path)
+            if value is not None and value < 0:
+                ctx.add(malformed, inner, path, f"negative PSS parameter {value}")
 
 
 # --- subject public key info -------------------------------------------------
@@ -389,132 +328,120 @@ def _check_pss_params(params: TlvNode, diags: list[Diagnostic], path: str, bad) 
 
 def parse_spki(
     node: TlvNode,
-    reg: Registry,
-    diags: list[Diagnostic],
+    ctx: WalkContext,
     path: str = "tbsCertificate.subjectPublicKeyInfo",
 ) -> SpkiInfo | None:
     if not node.is_universal(TAG_SEQUENCE, True):
-        _mismatch(diags, node, path, f"subjectPublicKeyInfo must be a SEQUENCE, found {node.describe_tag()}")
+        ctx.add(
+            Code.STRUCTURAL_MISMATCH,
+            node,
+            path,
+            f"subjectPublicKeyInfo must be a SEQUENCE, found {node.describe_tag()}",
+        )
         return None
     out = SpkiInfo(node=node)
     if len(node.children) != 2:
-        _mismatch(diags, node, path, f"subjectPublicKeyInfo with {len(node.children)} fields")
+        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"subjectPublicKeyInfo with {len(node.children)} fields")
         return out
     alg_node, key_node = node.children
-    out.algorithm = parse_algorithm_identifier(alg_node, "spki", reg, diags, f"{path}.algorithm")
+    out.algorithm = parse_algorithm_identifier(alg_node, "spki", ctx, f"{path}.algorithm")
     if out.algorithm is not None and out.algorithm.oid is not None:
-        out.key_family = reg.lookup("keyfamily", out.algorithm.oid)
+        out.key_family = ctx.reg.lookup("keyfamily", out.algorithm.oid)
 
+    key_path = f"{path}.subjectPublicKey"
     if not key_node.is_universal(TAG_BIT_STRING, False):
-        _mismatch(diags, key_node, f"{path}.subjectPublicKey", f"subjectPublicKey must be a primitive BIT STRING, found {key_node.describe_tag()}")
+        ctx.add(
+            Code.STRUCTURAL_MISMATCH,
+            key_node,
+            key_path,
+            f"subjectPublicKey must be a primitive BIT STRING, found {key_node.describe_tag()}",
+        )
         return out
-    try:
-        bs = decode_bit_string(key_node)
-    except RecognitionError as err:
-        diags.append(diag(err.code, path=f"{path}.subjectPublicKey", offset=err.offset, message=err.message))
+    bs = ctx.decode(decode_bit_string, key_node, key_path)
+    if bs is None:
         return out
     if bs.unused_bits != 0:
-        diags.append(
-            diag(
-                Code.BAD_BIT_STRING_ENCODING,
-                path=f"{path}.subjectPublicKey",
-                offset=key_node.content_offset,
-                message=f"key bits must fill whole octets, {bs.unused_bits} unused",
-            )
+        ctx.add(
+            Code.BAD_BIT_STRING_ENCODING,
+            key_node.content_offset,
+            key_path,
+            f"key bits must fill whole octets, {bs.unused_bits} unused",
         )
     out.key_bits = bs.bits
     if len(bs.bits) == 0:
-        diags.append(diag(Code.EMPTY_VALUE_FIELD, path=f"{path}.subjectPublicKey", offset=key_node.header_offset, message="empty public key"))
+        ctx.add(Code.EMPTY_VALUE_FIELD, key_node, key_path, "empty public key")
         return out
 
     if out.algorithm is None or out.algorithm.oid is None:
         return out
-    keybits_grammar = reg.lookup("keybits", out.algorithm.oid)
+    keybits_grammar = ctx.reg.lookup("keybits", out.algorithm.oid)
     if keybits_grammar is None:
         return out
-    base = key_node.content_offset + 1
-    _check_key_bits(keybits_grammar, bs.bits, base, out, reg, diags, f"{path}.subjectPublicKey")
+    _check_key_bits(keybits_grammar, key_node, bs.bits, out, ctx, key_path)
     return out
 
 
-def _parse_payload(payload: bytes, base: int, diags: list[Diagnostic], path: str, fallback: Code) -> TlvNode | None:
-    """Parse a carried byte payload, mapping structural codes for the slot.
-
-    Leftover bytes after the carried element become the slot's redundant
-    trailing bytes code; other structural failures fall back to the
-    slot-specific malformation code but keep their own message.
-    """
-    try:
-        return parse_tlv_tree(payload)
-    except RecognitionError as err:
-        offset = base + (err.offset or 0)
-        if err.code == Code.TRAILING_BYTES:
-            diags.append(diag(Code.REDUNDANT_TRAILING_BYTES, path=path, offset=offset, message=err.message))
-        else:
-            diags.append(diag(fallback, path=path, offset=offset, message=err.message))
-        return None
+def _positive_integer(node: TlvNode, what: str, code: Code, ctx: WalkContext, path: str) -> None:
+    """A key or signature INTEGER: tagged as one, minimal, above zero."""
+    if not node.is_universal(TAG_INTEGER, False):
+        ctx.add(code, node, path, f"{what} must be an INTEGER, found {node.describe_tag()}")
+        return
+    value = ctx.decode(decode_integer, node, path)
+    if value is not None and value <= 0:
+        ctx.add(code, node, path, f"non-positive {what}")
 
 
 def _check_key_bits(
     grammar: str,
-    payload: bytes,
-    base: int,
+    key_node: TlvNode,
+    bits: bytes,
     out: SpkiInfo,
-    reg: Registry,
-    diags: list[Diagnostic],
+    ctx: WalkContext,
     path: str,
 ) -> None:
-    def bad(offset: int | None, message: str) -> None:
-        diags.append(diag(Code.MALFORMED_PUBLIC_KEY, path=path, offset=offset, message=message))
-
+    malformed = Code.MALFORMED_PUBLIC_KEY
     if grammar == "ec-point":
-        first = payload[0]
-        width = reg.curve_width(out.algorithm.curve_oid) if out.algorithm and out.algorithm.curve_oid else None
+        # The point starts after the BIT STRING's unused-bits octet.
+        point_offset = key_node.content_offset + 1
+        first = bits[0]
+        width = ctx.reg.curve_width(out.algorithm.curve_oid) if out.algorithm and out.algorithm.curve_oid else None
         if first == 0x04:
             expect = None if width is None else 1 + 2 * width
         elif first in (0x02, 0x03):
             expect = None if width is None else 1 + width
         else:
-            bad(base, f"unknown point form 0x{first:02x}")
+            ctx.add(malformed, point_offset, path, f"unknown point form 0x{first:02x}")
             return
-        if expect is not None and len(payload) != expect:
-            bad(base, f"point of {len(payload)} octets, form 0x{first:02x} on this curve takes {expect}")
+        if expect is not None and len(bits) != expect:
+            ctx.add(
+                malformed,
+                point_offset,
+                path,
+                f"point of {len(bits)} octets, form 0x{first:02x} on this curve takes {expect}",
+            )
         return
 
-    root = _parse_payload(payload, base, diags, path, Code.MALFORMED_PUBLIC_KEY)
+    root = ctx.payload(key_node, 1, path, malformed)
     if root is None:
         return
 
-    def integer(node: TlvNode, what: str, positive: bool = True) -> None:
-        if not node.is_universal(TAG_INTEGER, False):
-            bad(base + node.header_offset, f"{what} must be an INTEGER, found {node.describe_tag()}")
-            return
-        try:
-            value = decode_integer(node)
-        except RecognitionError as err:
-            diags.append(diag(err.code, path=path, offset=base + (err.offset or 0), message=err.message))
-            return
-        if positive and value <= 0:
-            bad(base + node.header_offset, f"non-positive {what}")
-
     if grammar == "rsa-key":
         if not root.is_universal(TAG_SEQUENCE, True) or len(root.children) != 2:
-            bad(base + root.header_offset, "key must be a SEQUENCE of modulus and exponent")
+            ctx.add(malformed, root, path, "key must be a SEQUENCE of modulus and exponent")
             return
-        integer(root.children[0], "modulus")
-        integer(root.children[1], "exponent")
+        _positive_integer(root.children[0], "modulus", malformed, ctx, path)
+        _positive_integer(root.children[1], "exponent", malformed, ctx, path)
         return
 
     if grammar == "integer-key":
-        integer(root, "public value")
+        _positive_integer(root, "public value", malformed, ctx, path)
         return
 
     if grammar == "octet-key":
         if not root.is_universal(TAG_OCTET_STRING, False):
-            bad(base + root.header_offset, f"key must be an OCTET STRING, found {root.describe_tag()}")
-            return
-        if root.content_length == 0:
-            diags.append(diag(Code.EMPTY_VALUE_FIELD, path=path, offset=base + root.header_offset, message="empty key octets"))
+            ctx.add(malformed, root, path, f"key must be an OCTET STRING, found {root.describe_tag()}")
+        elif root.content_length == 0:
+            ctx.add(Code.EMPTY_VALUE_FIELD, root, path, "empty key octets")
         return
 
     raise AssertionError(f"unhandled key grammar {grammar!r}")
@@ -526,151 +453,106 @@ def _check_key_bits(
 def parse_signature_value(
     node: TlvNode,
     outer: AlgorithmId | None,
-    reg: Registry,
-    diags: list[Diagnostic],
+    ctx: WalkContext,
     path: str = "signatureValue",
 ) -> None:
     if not node.is_universal(TAG_BIT_STRING, False):
-        _mismatch(diags, node, path, f"signatureValue must be a primitive BIT STRING, found {node.describe_tag()}")
+        ctx.add(
+            Code.STRUCTURAL_MISMATCH,
+            node,
+            path,
+            f"signatureValue must be a primitive BIT STRING, found {node.describe_tag()}",
+        )
         return
-    try:
-        bs = decode_bit_string(node)
-    except RecognitionError as err:
-        diags.append(diag(err.code, path=path, offset=err.offset, message=err.message))
+    bs = ctx.decode(decode_bit_string, node, path)
+    if bs is None:
         return
     if bs.unused_bits != 0:
-        diags.append(
-            diag(
-                Code.BAD_BIT_STRING_ENCODING,
-                path=path,
-                offset=node.content_offset,
-                message=f"signature bits must fill whole octets, {bs.unused_bits} unused",
-            )
+        ctx.add(
+            Code.BAD_BIT_STRING_ENCODING,
+            node.content_offset,
+            path,
+            f"signature bits must fill whole octets, {bs.unused_bits} unused",
         )
     if len(bs.bits) == 0:
-        diags.append(diag(Code.EMPTY_VALUE_FIELD, path=path, offset=node.header_offset, message="empty signature"))
+        ctx.add(Code.EMPTY_VALUE_FIELD, node, path, "empty signature")
         return
     if outer is None or outer.oid is None:
         return
-    grammar = reg.lookup("sigvalue", outer.oid)
+    grammar = ctx.reg.lookup("sigvalue", outer.oid)
     if grammar in (None, "opaque"):
         return
 
-    base = node.content_offset + 1
-    root = _parse_payload(bs.bits, base, diags, path, Code.MALFORMED_SIGNATURE_STRUCTURE)
+    malformed = Code.MALFORMED_SIGNATURE_STRUCTURE
+    root = ctx.payload(node, 1, path, malformed)
     if root is None:
         return
     if not root.is_universal(TAG_SEQUENCE, True) or len(root.children) != 2:
-        diags.append(
-            diag(
-                Code.MALFORMED_SIGNATURE_STRUCTURE,
-                path=path,
-                offset=base + root.header_offset,
-                message="signature must be a SEQUENCE of two INTEGERs",
-            )
-        )
+        ctx.add(malformed, root, path, "signature must be a SEQUENCE of two INTEGERs")
         return
     for what, part in zip(("r", "s"), root.children):
-        if not part.is_universal(TAG_INTEGER, False):
-            diags.append(
-                diag(
-                    Code.MALFORMED_SIGNATURE_STRUCTURE,
-                    path=path,
-                    offset=base + part.header_offset,
-                    message=f"{what} must be an INTEGER, found {part.describe_tag()}",
-                )
-            )
-            continue
-        try:
-            value = decode_integer(part)
-        except RecognitionError as err:
-            diags.append(diag(err.code, path=path, offset=base + (err.offset or 0), message=err.message))
-            continue
-        if value <= 0:
-            diags.append(
-                diag(
-                    Code.MALFORMED_SIGNATURE_STRUCTURE,
-                    path=path,
-                    offset=base + part.header_offset,
-                    message=f"non-positive {what}",
-                )
-            )
+        _positive_integer(part, what, malformed, ctx, path)
 
 
 # --- tbsCertificate ----------------------------------------------------------
 
 
-def _parse_version(node: TlvNode, tbs: ParsedTbs, diags: list[Diagnostic]) -> None:
+def _parse_version(node: TlvNode, tbs: ParsedTbs, ctx: WalkContext) -> None:
     path = "tbsCertificate.version"
     tbs.version_present = True
     if not node.constructed or len(node.children) != 1:
-        _mismatch(diags, node, path, "version wrapper must hold one INTEGER")
+        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, "version wrapper must hold one INTEGER")
         return
     inner = node.children[0]
     if not inner.is_universal(TAG_INTEGER, False):
-        _mismatch(diags, inner, path, f"version must be an INTEGER, found {inner.describe_tag()}")
+        ctx.add(Code.STRUCTURAL_MISMATCH, inner, path, f"version must be an INTEGER, found {inner.describe_tag()}")
         return
-    try:
-        value = decode_integer(inner)
-    except RecognitionError as err:
-        diags.append(diag(err.code, path=path, offset=err.offset, message=err.message))
+    value = ctx.decode(decode_integer, inner, path)
+    if value is None:
         return
     if value == 0:
-        diags.append(
-            diag(
-                Code.DEFAULT_VALUE_ENCODED,
-                path=path,
-                offset=node.header_offset,
-                message="version 1 is the default and must be left implicit",
-            )
-        )
+        ctx.add(Code.DEFAULT_VALUE_ENCODED, node, path, "version 1 is the default and must be left implicit")
     elif value not in (1, 2):
-        _mismatch(diags, inner, path, f"version value {value} out of range")
+        ctx.add(Code.STRUCTURAL_MISMATCH, inner, path, f"version value {value} out of range")
     tbs.version = value
 
 
-def _parse_validity(node: TlvNode, diags: list[Diagnostic]) -> ValidityInfo:
+def _parse_validity(node: TlvNode, ctx: WalkContext) -> ValidityInfo:
     path = "tbsCertificate.validity"
     out = ValidityInfo()
     if len(node.children) != 2:
-        _mismatch(diags, node, path, f"validity with {len(node.children)} fields")
+        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"validity with {len(node.children)} fields")
         return out
     labels = ("notBefore", "notAfter")
     times: list[TimeValue | None] = [None, None]
     for i, (label, child) in enumerate(zip(labels, node.children)):
         sub = f"{path}.{label}"
         if not (child.is_universal(TAG_UTC_TIME, False) or child.is_universal(TAG_GENERALIZED_TIME, False)):
-            _mismatch(diags, child, sub, f"{label} must be a time, found {child.describe_tag()}")
+            ctx.add(Code.STRUCTURAL_MISMATCH, child, sub, f"{label} must be a time, found {child.describe_tag()}")
             continue
-        try:
-            times[i] = validate_time(child)
-        except RecognitionError as err:
-            diags.append(diag(err.code, path=sub, offset=err.offset, message=err.message))
+        times[i] = ctx.decode(validate_time, child, sub)
     out.not_before, out.not_after = times
     return out
 
 
-_TBS_FIELDS = ("serialNumber", "signature", "issuer", "validity", "subject", "subjectPublicKeyInfo")
-
-
-def _parse_tbs(node: TlvNode, reg: Registry, diags: list[Diagnostic]) -> ParsedTbs:
+def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
     path = "tbsCertificate"
     tbs = ParsedTbs(raw=node.raw)
     if not node.is_universal(TAG_SEQUENCE, True):
-        _mismatch(diags, node, path, f"tbsCertificate must be a SEQUENCE, found {node.describe_tag()}")
+        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"tbsCertificate must be a SEQUENCE, found {node.describe_tag()}")
         raise _Abort
     kids = node.children
     idx = 0
 
     if idx < len(kids) and kids[idx].is_context(0):
-        _parse_version(kids[idx], tbs, diags)
+        _parse_version(kids[idx], tbs, ctx)
         idx += 1
 
     def need(label: str) -> TlvNode | None:
         nonlocal idx
         if idx >= len(kids):
             end = node.content_offset + node.content_length
-            _mismatch(diags, None, path, f"tbsCertificate ends before {label}", offset=end)
+            ctx.add(Code.STRUCTURAL_MISMATCH, end, path, f"tbsCertificate ends before {label}")
             raise _Abort
         got = kids[idx]
         idx += 1
@@ -678,40 +560,39 @@ def _parse_tbs(node: TlvNode, reg: Registry, diags: list[Diagnostic]) -> ParsedT
 
     serial_node = need("serialNumber")
     if serial_node.is_universal(TAG_INTEGER, False):
-        try:
-            tbs.serial = decode_integer(serial_node)
-        except RecognitionError as err:
-            diags.append(diag(err.code, path=f"{path}.serialNumber", offset=err.offset, message=err.message))
-        else:
-            if tbs.serial <= 0:
-                diags.append(
-                    diag(
-                        Code.NON_POSITIVE_SERIAL,
-                        path=f"{path}.serialNumber",
-                        offset=serial_node.header_offset,
-                        message=f"serial number {tbs.serial}",
-                    )
-                )
+        tbs.serial = ctx.decode(decode_integer, serial_node, f"{path}.serialNumber")
+        if tbs.serial is not None and tbs.serial <= 0:
+            ctx.add(Code.NON_POSITIVE_SERIAL, serial_node, f"{path}.serialNumber", f"serial number {tbs.serial}")
     else:
-        _mismatch(diags, serial_node, f"{path}.serialNumber", f"serialNumber must be an INTEGER, found {serial_node.describe_tag()}")
+        ctx.add(
+            Code.STRUCTURAL_MISMATCH,
+            serial_node,
+            f"{path}.serialNumber",
+            f"serialNumber must be an INTEGER, found {serial_node.describe_tag()}",
+        )
 
     alg_node = need("signature")
-    tbs.inner_algorithm = parse_algorithm_identifier(alg_node, "signature", reg, diags, f"{path}.signature")
+    tbs.inner_algorithm = parse_algorithm_identifier(alg_node, "signature", ctx, f"{path}.signature")
 
     issuer_node = need("issuer")
-    tbs.issuer = parse_name(issuer_node, reg, diags, f"{path}.issuer", role="issuer")
+    tbs.issuer = parse_name(issuer_node, ctx, f"{path}.issuer", role="issuer")
 
     validity_node = need("validity")
     if validity_node.is_universal(TAG_SEQUENCE, True):
-        tbs.validity = _parse_validity(validity_node, diags)
+        tbs.validity = _parse_validity(validity_node, ctx)
     else:
-        _mismatch(diags, validity_node, f"{path}.validity", f"validity must be a SEQUENCE, found {validity_node.describe_tag()}")
+        ctx.add(
+            Code.STRUCTURAL_MISMATCH,
+            validity_node,
+            f"{path}.validity",
+            f"validity must be a SEQUENCE, found {validity_node.describe_tag()}",
+        )
 
     subject_node = need("subject")
-    tbs.subject = parse_name(subject_node, reg, diags, f"{path}.subject", role="subject")
+    tbs.subject = parse_name(subject_node, ctx, f"{path}.subject", role="subject")
 
     spki_node = need("subjectPublicKeyInfo")
-    tbs.spki = parse_spki(spki_node, reg, diags, f"{path}.subjectPublicKeyInfo")
+    tbs.spki = parse_spki(spki_node, ctx, f"{path}.subjectPublicKeyInfo")
 
     for tag_number, attr, label in ((1, "has_issuer_uid", "issuerUniqueID"), (2, "has_subject_uid", "subjectUniqueID")):
         if idx < len(kids) and kids[idx].is_context(tag_number):
@@ -720,25 +601,22 @@ def _parse_tbs(node: TlvNode, reg: Registry, diags: list[Diagnostic]) -> ParsedT
             setattr(tbs, attr, True)
             sub = f"{path}.{label}"
             if uid.constructed:
-                _mismatch(diags, uid, sub, f"{label} must be primitive")
+                ctx.add(Code.STRUCTURAL_MISMATCH, uid, sub, f"{label} must be primitive")
                 continue
-            try:
-                decode_bit_string(uid)
-            except RecognitionError as err:
-                diags.append(diag(err.code, path=sub, offset=err.offset, message=err.message))
+            ctx.decode(decode_bit_string, uid, sub)
 
     if idx < len(kids) and kids[idx].is_context(3):
         wrapper = kids[idx]
         idx += 1
         tbs.extensions_present = True
         if not wrapper.constructed:
-            _mismatch(diags, wrapper, f"{path}.extensions", "extensions wrapper must be constructed")
+            ctx.add(Code.STRUCTURAL_MISMATCH, wrapper, f"{path}.extensions", "extensions wrapper must be constructed")
         else:
-            tbs.extensions = parse_extensions(wrapper, reg, diags)
+            tbs.extensions = parse_extensions(wrapper, ctx)
 
     if idx < len(kids):
         extra = kids[idx]
-        _mismatch(diags, extra, path, f"unexpected field {extra.describe_tag()} after position {idx}")
+        ctx.add(Code.STRUCTURAL_MISMATCH, extra, path, f"unexpected field {extra.describe_tag()} after position {idx}")
 
     return tbs
 
@@ -752,83 +630,75 @@ def parse_certificate(data: bytes | TlvNode, registry: Registry | None = None) -
     Accepts raw bytes or an already parsed tag tree.  The result's
     accepted flag is derived from the diagnostics alone.
     """
-    reg = registry if registry is not None else default_registry()
-    result = ParsedCertificate()
+    ctx = WalkContext(registry if registry is not None else default_registry())
+    result = ParsedCertificate(diagnostics=ctx.diags)
 
     if isinstance(data, TlvNode):
         node = data
         result.raw = node.raw
     else:
         result.raw = bytes(data)
-        try:
-            node = parse_tlv_tree(result.raw)
-        except RecognitionError as err:
-            result.diagnostics.append(err.to_diagnostic("certificate"))
+        node = ctx.decode(parse_tlv_tree, result.raw, "certificate")
+        if node is None:
             return result
     result.node = node
 
     if not node.is_universal(TAG_SEQUENCE, True):
-        _mismatch(result.diagnostics, node, "certificate", f"certificate must be a SEQUENCE, found {node.describe_tag()}")
+        ctx.add(
+            Code.STRUCTURAL_MISMATCH,
+            node,
+            "certificate",
+            f"certificate must be a SEQUENCE, found {node.describe_tag()}",
+        )
         return result
     if len(node.children) != 3:
-        _mismatch(result.diagnostics, node, "certificate", f"certificate with {len(node.children)} fields, expected 3")
+        ctx.add(
+            Code.STRUCTURAL_MISMATCH, node, "certificate", f"certificate with {len(node.children)} fields, expected 3"
+        )
         return result
 
     tbs_node, alg_node, sig_node = node.children
     try:
-        result.tbs = _parse_tbs(tbs_node, reg, result.diagnostics)
+        result.tbs = _parse_tbs(tbs_node, ctx)
     except _Abort:
         pass
-    result.outer_algorithm = parse_algorithm_identifier(
-        alg_node, "signature", reg, result.diagnostics, "signatureAlgorithm"
-    )
-    parse_signature_value(sig_node, result.outer_algorithm, reg, result.diagnostics)
+    result.outer_algorithm = parse_algorithm_identifier(alg_node, "signature", ctx, "signatureAlgorithm")
+    parse_signature_value(sig_node, result.outer_algorithm, ctx)
 
     if result.tbs is not None:
-        _post_checks(result, reg)
+        _post_checks(result, ctx)
     return result
 
 
-def _post_checks(result: ParsedCertificate, reg: Registry) -> None:
+def _post_checks(result: ParsedCertificate, ctx: WalkContext) -> None:
     tbs = result.tbs
-    diags = result.diagnostics
 
-    if tbs.extensions_present and tbs.version != 2:
-        if tbs.version in (0, 1):
-            diags.append(
-                diag(
-                    Code.EXTENSIONS_REQUIRE_V3,
-                    path="tbsCertificate.extensions",
-                    offset=None,
-                    message=f"extensions present in a version {tbs.version + 1} certificate",
-                )
-            )
+    if tbs.extensions_present and tbs.version in (0, 1):
+        ctx.add(
+            Code.EXTENSIONS_REQUIRE_V3,
+            None,
+            "tbsCertificate.extensions",
+            f"extensions present in a version {tbs.version + 1} certificate",
+        )
     if (tbs.has_issuer_uid or tbs.has_subject_uid) and tbs.version == 0:
-        diags.append(
-            diag(
-                Code.UNIQUE_ID_REQUIRES_V2_PLUS,
-                path="tbsCertificate",
-                offset=None,
-                message="unique identifiers present in a version 1 certificate",
-            )
+        ctx.add(
+            Code.UNIQUE_ID_REQUIRES_V2_PLUS,
+            None,
+            "tbsCertificate",
+            "unique identifiers present in a version 1 certificate",
         )
 
     extset = tbs.extensions
     if tbs.subject is not None and tbs.subject.empty:
         san = extset.get(OID_SUBJECT_ALT_NAME) if extset else None
         if san is None or not san.critical:
-            diags.append(
-                diag(
-                    Code.EMPTY_SUBJECT_DN,
-                    path="tbsCertificate.subject",
-                    offset=None,
-                    message="empty subject without a critical subjectAltName",
-                )
+            ctx.add(
+                Code.EMPTY_SUBJECT_DN, None, "tbsCertificate.subject", "empty subject without a critical subjectAltName"
             )
 
     if extset is not None:
         key_family = tbs.spki.key_family if tbs.spki else None
-        check_key_usage_rules(extset, key_family, diags)
+        check_key_usage_rules(extset, key_family, ctx)
 
     if tbs.inner_algorithm is not None and result.outer_algorithm is not None and tbs.subject is not None and tbs.issuer is not None:
         aki = extset.get(OID_AUTHORITY_KEY_IDENTIFIER) if extset else None
@@ -844,5 +714,5 @@ def _post_checks(result: ParsedCertificate, reg: Registry) -> None:
                 inner_alg_offset=tbs.inner_algorithm.node.header_offset if tbs.inner_algorithm.node else None,
                 aki_offset=aki.node.header_offset if aki else None,
             ),
-            diags,
+            ctx.diags,
         )

@@ -57,7 +57,6 @@ class CertificateReport:
     size_bytes: int
     parse_time_micros: int | None
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    parsed: ParsedCertificate | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -237,8 +236,7 @@ def lint(doc: InputDocument, options: LintOptions | None = None) -> CertificateR
         outcome="accepted" if parsed.accepted else "rejected",
         size_bytes=len(doc.data),
         parse_time_micros=elapsed_micros if options.timing else None,
-        diagnostics=list(parsed.diagnostics),
-        parsed=parsed,
+        diagnostics=parsed.diagnostics,
     )
 
 

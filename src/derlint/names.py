@@ -13,31 +13,31 @@ structurally checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .der import TlvNode
-from .diagnostics import Code, Diagnostic, RecognitionError, diag
-from .registry import Registry
+from .diagnostics import Code
 from .values import (
     STRING_KIND_BY_TAG,
-    TAG_BMP_STRING,
     TAG_IA5_STRING,
     TAG_OID,
     TAG_PRINTABLE_STRING,
     TAG_SEQUENCE,
     TAG_SET,
-    TAG_TELETEX_STRING,
-    TAG_UNIVERSAL_STRING,
     TAG_UTF8_STRING,
     decode_oid,
     dotted,
     validate_charset,
 )
 
+if TYPE_CHECKING:
+    from .extensions import WalkContext
+
 # Universal tags a directory-string attribute may carry.  The full CHOICE
-# includes the three legacy kinds; only the first two are allowed in new
-# certificates, so the rest trip a wrong-string-type flag on the way in.
+# includes the three legacy kinds (Teletex, BMP, Universal); only the
+# first two are allowed in new certificates, so the rest trip a
+# wrong-string-type flag on the way in.
 _DIR_STRING_ALLOWED = frozenset({TAG_PRINTABLE_STRING, TAG_UTF8_STRING})
-_DIR_STRING_LEGACY = frozenset({TAG_TELETEX_STRING, TAG_BMP_STRING, TAG_UNIVERSAL_STRING})
 
 _PERMITTED_BY_KIND = {
     "dir-string": _DIR_STRING_ALLOWED,
@@ -58,8 +58,7 @@ class NameInfo:
 
 def parse_name(
     node: TlvNode,
-    reg: Registry,
-    diags: list[Diagnostic],
+    ctx: WalkContext,
     path: str,
     role: str = "subject",
 ) -> NameInfo:
@@ -70,14 +69,7 @@ def parse_name(
     function just reports emptiness in the returned NameInfo.
     """
     if not node.is_universal(TAG_SEQUENCE, True):
-        diags.append(
-            diag(
-                Code.STRUCTURAL_MISMATCH,
-                path=path,
-                offset=node.header_offset,
-                message=f"name must be a SEQUENCE, found {node.describe_tag()}",
-            )
-        )
+        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"name must be a SEQUENCE, found {node.describe_tag()}")
         # empty specifically means a SEQUENCE with zero RDNs; a node of
         # the wrong shape is neither empty nor usable.
         return NameInfo(raw=node.raw, empty=False)
@@ -85,115 +77,63 @@ def parse_name(
     info = NameInfo(raw=node.raw, empty=not node.children, rdn_count=len(node.children))
     if info.empty:
         if role == "issuer":
-            diags.append(
-                diag(Code.EMPTY_ISSUER_DN, path=path, offset=node.header_offset)
-            )
+            ctx.add(Code.EMPTY_ISSUER_DN, node, path)
         return info
 
     for i, rdn in enumerate(node.children):
         rdn_path = f"{path}.rdn[{i}]"
         if not rdn.is_universal(TAG_SET, True):
-            diags.append(
-                diag(
-                    Code.INVALID_DN,
-                    path=rdn_path,
-                    offset=rdn.header_offset,
-                    message=f"RDN must be a SET, found {rdn.describe_tag()}",
-                )
-            )
+            ctx.add(Code.INVALID_DN, rdn, rdn_path, f"RDN must be a SET, found {rdn.describe_tag()}")
             continue
         if not rdn.children:
-            diags.append(
-                diag(Code.INVALID_DN, path=rdn_path, offset=rdn.header_offset, message="empty RDN set")
-            )
+            ctx.add(Code.INVALID_DN, rdn, rdn_path, "empty RDN set")
             continue
         # SET OF elements must come in ascending encoding order.
         for a, b in zip(rdn.children, rdn.children[1:]):
             if a.raw > b.raw:
-                diags.append(
-                    diag(
-                        Code.INVALID_DN,
-                        path=rdn_path,
-                        offset=b.header_offset,
-                        message="SET OF elements out of order",
-                    )
-                )
+                ctx.add(Code.INVALID_DN, b, rdn_path, "SET OF elements out of order")
                 break
         for j, atv in enumerate(rdn.children):
-            _parse_atv(atv, reg, diags, f"{rdn_path}.attr[{j}]", info)
+            _parse_atv(atv, ctx, f"{rdn_path}.attr[{j}]", info)
     return info
 
 
-def _parse_atv(atv: TlvNode, reg: Registry, diags: list[Diagnostic], path: str, info: NameInfo) -> None:
+def _parse_atv(atv: TlvNode, ctx: WalkContext, path: str, info: NameInfo) -> None:
     if not atv.is_universal(TAG_SEQUENCE, True) or len(atv.children) != 2:
-        diags.append(
-            diag(
-                Code.INVALID_DN,
-                path=path,
-                offset=atv.header_offset,
-                message="attribute must be a two-element SEQUENCE",
-            )
-        )
+        ctx.add(Code.INVALID_DN, atv, path, "attribute must be a two-element SEQUENCE")
         return
     type_node, value_node = atv.children
     oid_str: str | None = None
     if not type_node.is_universal(TAG_OID, False):
-        diags.append(
-            diag(
-                Code.INVALID_DN,
-                path=path,
-                offset=type_node.header_offset,
-                message=f"attribute type must be an OID, found {type_node.describe_tag()}",
-            )
-        )
+        ctx.add(Code.INVALID_DN, type_node, path, f"attribute type must be an OID, found {type_node.describe_tag()}")
     else:
-        try:
-            oid_str = dotted(decode_oid(type_node))
-        except RecognitionError as err:
-            # A malformed type OID makes the whole attribute unusable.
-            code = Code.INVALID_DN if err.code == Code.WRONG_OID else err.code
-            diags.append(diag(code, path=path, offset=err.offset, message=err.message))
+        # A malformed type OID makes the whole attribute unusable.
+        arcs = ctx.decode(decode_oid, type_node, path, wrong_oid=Code.INVALID_DN)
+        if arcs is not None:
+            oid_str = dotted(arcs)
 
     kind: str | None = None
     if oid_str is not None:
-        kind = reg.lookup("attribute", oid_str)
+        kind = ctx.reg.lookup("attribute", oid_str)
         if kind is None:
-            diags.append(
-                diag(
-                    Code.WRONG_OID_IN_DN,
-                    path=path,
-                    offset=type_node.content_offset,
-                    message=f"unknown naming attribute {oid_str}",
-                )
-            )
+            ctx.add(Code.WRONG_OID_IN_DN, type_node.content_offset, path, f"unknown naming attribute {oid_str}")
 
-    text = _validate_attribute_value(value_node, kind, diags, path)
+    text = _validate_attribute_value(value_node, kind, ctx, path)
     info.attributes.append((oid_str, text))
 
 
-def _validate_attribute_value(
-    value_node: TlvNode, kind: str | None, diags: list[Diagnostic], path: str
-) -> str | None:
+def _validate_attribute_value(value_node: TlvNode, kind: str | None, ctx: WalkContext, path: str) -> str | None:
     is_string = (
         value_node.tag_class == "universal"
         and not value_node.constructed
         and value_node.tag_number in STRING_KIND_BY_TAG
     )
     if is_string and value_node.content_length == 0:
-        diags.append(
-            diag(Code.EMPTY_STRING, path=path, offset=value_node.header_offset)
-        )
+        ctx.add(Code.EMPTY_STRING, value_node, path)
     permitted = _PERMITTED_BY_KIND.get(kind) if kind else None
-    text: str | None = None
-    try:
-        text = validate_charset(value_node, permitted)
-    except RecognitionError as err:
-        diags.append(diag(err.code, path=path, offset=err.offset, message=err.message))
-        if err.code == Code.WRONG_STRING_TYPE and is_string:
-            # Wrong kind for this slot, but still a string: check its own
-            # character set so smuggled NULs and friends do not hide.
-            try:
-                text = validate_charset(value_node)
-            except RecognitionError as err2:
-                diags.append(diag(err2.code, path=path, offset=err2.offset, message=err2.message))
+    text = ctx.decode(validate_charset, value_node, path, permitted)
+    if is_string and permitted is not None and value_node.tag_number not in permitted:
+        # Wrong kind for this slot, but still a string: check its own
+        # character set so smuggled NULs and friends do not hide.
+        text = ctx.decode(validate_charset, value_node, path)
     return text

@@ -74,9 +74,6 @@ class Registry:
     def lookup(self, role: str, oid: str) -> str | None:
         return self.by_role.get(role, {}).get(oid)
 
-    def oids(self, role: str) -> frozenset[str]:
-        return frozenset(self.by_role.get(role, {}))
-
     def curve_width(self, oid: str) -> int | None:
         name = self.lookup("curve", oid)
         if name is None:

@@ -135,12 +135,6 @@ class BitStringValue:
     bits: bytes
     named_bits: frozenset[int] | None = None
 
-    def bit_set(self, index: int) -> bool:
-        byte, pos = divmod(index, 8)
-        if byte >= len(self.bits):
-            return False
-        return bool(self.bits[byte] & (0x80 >> pos))
-
 
 def decode_bit_string(node: TlvNode, *, named: bool = False) -> BitStringValue:
     """Decode a primitive BIT STRING.

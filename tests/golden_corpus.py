@@ -25,15 +25,12 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 from dataclasses import replace
 from pathlib import Path
 
-if __package__ in (None, ""):
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from support import certs  # noqa: E402
-from support import encoder as enc  # noqa: E402
+from derlint.ingest import LintOptions, lint_bytes
+from support import certs
+from support import encoder as enc
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_lint.jsonl"
 
@@ -93,8 +90,6 @@ def documents() -> list[tuple[str, bytes]]:
 
 def render() -> str:
     """The golden file's text for the current derlint."""
-    from derlint.ingest import LintOptions, lint_bytes
-
     options = LintOptions(fmt="der", timing=False)
     lines = []
     for doc_id, data in documents():

@@ -8,6 +8,7 @@ from derlint.extensions import (
     AkiValue,
     BasicConstraintsValue,
     KeyUsageValue,
+    WalkContext,
     check_key_usage_rules,
     parse_extensions,
     valid_dns_name,
@@ -37,9 +38,9 @@ OID_OCSP = "1.3.6.1.5.5.7.48.1"
 
 def run_exts(*ext_bytes: bytes):
     wrapper = parse_tlv_tree(enc.ctx(3, enc.seq(*ext_bytes)))
-    diags = []
-    extset = parse_extensions(wrapper, REG, diags, "exts")
-    return extset, [d.code for d in diags]
+    ctx = WalkContext(REG)
+    extset = parse_extensions(wrapper, ctx, "exts")
+    return extset, [d.code for d in ctx.diags]
 
 
 def run_body(oid_text: str, payload: bytes, critical: bool | None = None):
@@ -54,9 +55,9 @@ def codes_only(oid_text: str, payload: bytes, critical: bool | None = None):
 class TestFraming:
     def test_wrapper_must_hold_one_sequence(self):
         wrapper = parse_tlv_tree(enc.ctx(3, enc.integer(1)))
-        diags = []
-        assert parse_extensions(wrapper, REG, diags, "exts") is None
-        assert [d.code for d in diags] == [Code.STRUCTURAL_MISMATCH]
+        ctx = WalkContext(REG)
+        assert parse_extensions(wrapper, ctx, "exts") is None
+        assert [d.code for d in ctx.diags] == [Code.STRUCTURAL_MISMATCH]
 
     def test_empty_sequence(self):
         extset, codes = run_exts()
@@ -382,10 +383,10 @@ class TestValidators:
 class TestUsageRules:
     def run_rules(self, exts: tuple[bytes, ...], family: str = "rsa"):
         wrapper = parse_tlv_tree(enc.ctx(3, enc.seq(*exts)))
-        diags = []
-        extset = parse_extensions(wrapper, REG, diags, "exts")
-        check_key_usage_rules(extset, family, diags, "exts")
-        return [d.code for d in diags]
+        ctx = WalkContext(REG)
+        extset = parse_extensions(wrapper, ctx, "exts")
+        check_key_usage_rules(extset, family, ctx, "exts")
+        return [d.code for d in ctx.diags]
 
     def test_cert_sign_without_bc(self):
         codes = self.run_rules((certs.aki(), certs.ski(), certs.key_usage({5})))

@@ -6,6 +6,7 @@ import pytest
 
 from derlint.der import parse_tlv_tree
 from derlint.diagnostics import Code
+from derlint.extensions import WalkContext
 from derlint.grammar import (
     parse_algorithm_identifier,
     parse_certificate,
@@ -33,15 +34,15 @@ def codes_of(parsed) -> list[Code]:
 
 
 def alg_codes(data: bytes, role: str = "signature"):
-    diags = []
-    alg = parse_algorithm_identifier(parse_tlv_tree(data), role, REG, diags, "alg")
-    return alg, [d.code for d in diags]
+    ctx = WalkContext(REG)
+    alg = parse_algorithm_identifier(parse_tlv_tree(data), role, ctx, "alg")
+    return alg, [d.code for d in ctx.diags]
 
 
 def spki_codes(data: bytes):
-    diags = []
-    info = parse_spki(parse_tlv_tree(data), REG, diags, "spki")
-    return info, [d.code for d in diags]
+    ctx = WalkContext(REG)
+    info = parse_spki(parse_tlv_tree(data), ctx, "spki")
+    return info, [d.code for d in ctx.diags]
 
 
 class TestBaseCertificate:

@@ -2,6 +2,7 @@
 
 from derlint.der import parse_tlv_tree
 from derlint.diagnostics import Code
+from derlint.extensions import WalkContext
 from derlint.names import parse_name
 from derlint.registry import default_registry
 
@@ -16,9 +17,9 @@ OID_SERIAL = "2.5.4.5"
 
 
 def walk(data: bytes, role: str = "subject"):
-    diags = []
-    info = parse_name(parse_tlv_tree(data), REG, diags, "name", role=role)
-    return info, [d.code for d in diags]
+    ctx = WalkContext(REG)
+    info = parse_name(parse_tlv_tree(data), ctx, "name", role=role)
+    return info, [d.code for d in ctx.diags]
 
 
 def atv(oid_text: str, value: bytes) -> bytes:
