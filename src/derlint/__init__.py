@@ -11,7 +11,6 @@ simply the absence of rejecting diagnostics.
 from .der import (
     CONTENT_MAX,
     MAX_DEPTH,
-    NestingStack,
     TlvNode,
     decode_length,
     delta_length,
@@ -88,7 +87,6 @@ __all__ = [
     "LintOptions",
     "MAX_DEPTH",
     "MissingCaRecord",
-    "NestingStack",
     "ParsedCertificate",
     "ParsedTbs",
     "RecognitionError",

@@ -17,25 +17,31 @@ not an overflow hazard.  Short form is mandatory below 128 and leading
 zero length octets are rejected, which makes the accumulator state ranges
 disjoint and the transition function a pure function of the integer state.
 
-Nesting is handled by a vector of counting states, one per open
-constructed element.  Every content octet decrements all open counters at
-once; a child whose declared extent exceeds its parent's remaining count
-is rejected the moment its length is known.  Each transition consumes one
-input octet and either enters a (finite) length-decoding path or strictly
-decreases a counter, so recognition always terminates.
+delta_length is that function, the executable specification of length
+decoding.
 
-parse_tlv_tree builds the element tree with exact offsets while enforcing
-the same rules; primitive content is consumed in slices rather than octet
-by octet, which changes nothing observable.  It parses a region
-[start, end) of a buffer in place: a payload carried inside an OCTET
-STRING or BIT STRING is parsed as a region of the whole document, so
-every node and every error carries an absolute document offset, and the
-region end plays the part of the input end.
+parse_tlv_tree adds nesting back in offset form: one left-to-right scan
+over a region [start, end) of a buffer, with an explicit stack holding
+the end offset of each open constructed element.  The offset where a
+level ends stands for its counter of octets still owed, so nothing is
+decremented: a child whose end passes its parent's is rejected as soon
+as its length is known, the top level closes when the scan reaches its
+end (a child ending with its parent closes both), and the stack height
+is the depth the cap applies to.  Every header consumes at least two
+octets, so the scan terminates; it does not recurse, so no input can
+exhaust the Python stack.
+
+The common header, a low tag number with a short, 0x81 or 0x82 length,
+is decoded inline and must agree with delta_length (the tests check
+every such prefix).  Any other header goes through the octet-at-a-time
+readers built on delta_length, which own every header error's code,
+offset and message.  Payloads inside an OCTET STRING or BIT STRING are
+parsed as regions of the whole document, so every node and error has an
+absolute document offset, and the region end acts as the input end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .diagnostics import Code, RecognitionError
@@ -141,89 +147,46 @@ def decode_length(state: LengthAutomatonState) -> int:
     return state
 
 
-class NestingStack:
-    """Vector of counting states, one per open constructed element.
-
-    The innermost level is the top of the stack.  step() consumes one
-    content octet: every open counter decreases by one, and levels whose
-    counter reaches zero are popped (a child finishing exactly when its
-    parent does cascades).  push() opens a new level once a child's
-    content length is known, enforcing that the child fits inside its
-    parent's remaining extent.
-    """
-
-    def __init__(self, levels: list[int] | None = None):
-        self.levels: list[int] = list(levels or [])
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def remaining(self) -> int | None:
-        return self.levels[-1] if self.levels else None
-
-    def push(self, count: int) -> None:
-        if not 0 <= count <= CONTENT_MAX:
-            raise ValueError(f"count out of range: {count}")
-        if self.levels and count > self.levels[-1]:
-            raise RecognitionError(
-                Code.CHILD_OVERFLOW,
-                message=f"child needs {count} octets, parent has {self.levels[-1]} left",
-            )
-        if len(self.levels) >= MAX_DEPTH:
-            raise RecognitionError(Code.NESTING_TOO_DEEP)
-        self.levels.append(count)
-        self._settle()
-
-    def step(self, byte: int) -> None:
-        if not self.levels:
-            raise ValueError("no open level")
-        if self.levels[-1] == 0:
-            raise ValueError("top of stack is not a counting state >= 1")
-        for i in range(len(self.levels)):
-            self.levels[i] -= 1
-        self._settle()
-
-    def _settle(self) -> None:
-        while self.levels and self.levels[-1] == 0:
-            self.levels.pop()
-
-    def accepting(self) -> bool:
-        return not self.levels
-
-
-def step_counting(stack: list[int], byte: int) -> list[int]:
-    """Functional form of NestingStack.step for a bare state vector."""
-    ns = NestingStack(stack)
-    ns.step(byte)
-    return ns.levels
-
-
 class Span(NamedTuple):
     start: int
     end: int
 
 
 _TAG_CLASSES = ("universal", "application", "context", "private")
+# (class, constructed, number) of each one-octet identifier; None marks the high-tag-number escape.
+_LOW_TAGS = [None if b & 0x1F == 0x1F else (_TAG_CLASSES[b >> 6], b & 0x20 != 0, b & 0x1F) for b in range(256)]
 
 
-@dataclass
 class TlvNode:
-    """One element of the parsed tree, with exact input offsets.
+    """One element of the parsed tree, with exact offsets into buffer.
 
     content_offset + content_length == raw_span.end always holds; for a
     constructed node the children tile [content_offset, raw_span.end)
-    exactly, in input order.
+    exactly, in input order.  content and raw are slices of buffer made
+    on demand.
     """
 
-    tag_class: str
-    constructed: bool
-    tag_number: int
-    header_offset: int
-    content_offset: int
-    content_length: int
-    children: list["TlvNode"] = field(default_factory=list)
-    raw_span: Span = Span(0, 0)
-    buffer: bytes = field(default=b"", repr=False)
+    __slots__ = (
+        "tag_class", "constructed", "tag_number", "header_offset",
+        "content_offset", "content_length", "children", "buffer",
+    )
+
+    def __init__(
+        self, tag_class: str, constructed: bool, tag_number: int, header_offset: int, content_offset: int,
+        content_length: int, buffer: bytes,
+    ):
+        self.tag_class = tag_class
+        self.constructed = constructed
+        self.tag_number = tag_number
+        self.header_offset = header_offset
+        self.content_offset = content_offset
+        self.content_length = content_length
+        self.children: list[TlvNode] = []
+        self.buffer = buffer
+
+    @property
+    def raw_span(self) -> Span:
+        return Span(self.header_offset, self.content_offset + self.content_length)
 
     @property
     def content(self) -> bytes:
@@ -231,19 +194,15 @@ class TlvNode:
 
     @property
     def raw(self) -> bytes:
-        return self.buffer[self.raw_span.start : self.raw_span.end]
+        return self.buffer[self.header_offset : self.content_offset + self.content_length]
 
     def is_universal(self, tag_number: int, constructed: bool | None = None) -> bool:
-        ok = self.tag_class == "universal" and self.tag_number == tag_number
-        if constructed is not None:
-            ok = ok and self.constructed == constructed
-        return ok
+        shape_ok = constructed in (None, self.constructed)
+        return shape_ok and self.tag_number == tag_number and self.tag_class == "universal"
 
     def is_context(self, tag_number: int, constructed: bool | None = None) -> bool:
-        ok = self.tag_class == "context" and self.tag_number == tag_number
-        if constructed is not None:
-            ok = ok and self.constructed == constructed
-        return ok
+        shape_ok = constructed in (None, self.constructed)
+        return shape_ok and self.tag_number == tag_number and self.tag_class == "context"
 
     def describe_tag(self) -> str:
         shape = "constructed" if self.constructed else "primitive"
@@ -317,53 +276,6 @@ def _read_length(data: bytes, pos: int, limit: int, at_input_end: bool) -> tuple
     return decode_length(state), pos
 
 
-def _parse_node(
-    data: bytes,
-    pos: int,
-    limit: int,
-    region_end: int,
-    depth: int,
-    max_depth: int,
-) -> TlvNode:
-    at_input_end = limit == region_end
-    header_offset = pos
-    tag_class, constructed, tag_number, pos = _read_identifier(data, pos, limit, at_input_end)
-    content_length, pos = _read_length(data, pos, limit, at_input_end)
-    end = pos + content_length
-    if end > limit:
-        if at_input_end:
-            raise RecognitionError(
-                Code.TRUNCATED_INPUT,
-                offset=limit,
-                message=f"declared length {content_length} overruns input",
-            )
-        raise RecognitionError(
-            Code.CHILD_OVERFLOW,
-            offset=header_offset,
-            message=f"declared length {content_length} overruns parent extent",
-        )
-    node = TlvNode(
-        tag_class=tag_class,
-        constructed=constructed,
-        tag_number=tag_number,
-        header_offset=header_offset,
-        content_offset=pos,
-        content_length=content_length,
-        raw_span=Span(header_offset, end),
-        buffer=data,
-    )
-    if constructed:
-        if depth + 1 > max_depth:
-            raise RecognitionError(Code.NESTING_TOO_DEEP, offset=header_offset)
-        cur = pos
-        while cur < end:
-            child = _parse_node(data, cur, end, region_end, depth + 1, max_depth)
-            node.children.append(child)
-            cur = child.raw_span.end
-        # cur == end exactly: every child was bounded by end above.
-    return node
-
-
 def parse_tlv_tree(
     data: bytes,
     start: int = 0,
@@ -390,14 +302,70 @@ def parse_tlv_tree(
             offset=start,
             message=f"input of {end - start} bytes exceeds cap {max_size}",
         )
-    root = _parse_node(data, start, end, end, 0, max_depth)
-    if root.raw_span.end != end:
-        raise RecognitionError(
-            Code.TRAILING_BYTES,
-            offset=root.raw_span.end,
-            message=f"{end - root.raw_span.end} byte(s) after element",
-        )
-    return root
+    low_tags = _LOW_TAGS
+    # limit is where the innermost open element ends (the region end at
+    # the top level) and kids is its child list; opening an element saves
+    # both on these stacks, closing it restores them.
+    outer_limits: list[int] = []
+    outer_kids: list[list[TlvNode]] = []
+    limit = end
+    top: list[TlvNode] = []
+    kids = top
+    pos = start
+    while True:
+        header = pos
+        # Inline header: low tag number and a short, 0x81 or 0x82 length.
+        # Anything else, errors included, goes to the octet-at-a-time readers.
+        length = -1
+        if pos + 1 < limit and (tag := low_tags[data[pos]]) is not None:
+            first = data[pos + 1]
+            if first < 0x80:
+                length = first
+                pos += 2
+            elif first == 0x81:
+                if pos + 2 < limit and data[pos + 2] >= 0x80:
+                    length = data[pos + 2]
+                    pos += 3
+            elif first == 0x82:
+                if pos + 3 < limit and data[pos + 2]:
+                    length = (data[pos + 2] << 8) | data[pos + 3]
+                    pos += 4
+        if length >= 0:
+            tag_class, constructed, tag_number = tag
+        else:
+            at_input_end = limit == end
+            tag_class, constructed, tag_number, pos = _read_identifier(data, pos, limit, at_input_end)
+            length, pos = _read_length(data, pos, limit, at_input_end)
+        stop = pos + length
+        if stop > limit:
+            if limit == end:
+                raise RecognitionError(
+                    Code.TRUNCATED_INPUT, offset=limit, message=f"declared length {length} overruns input"
+                )
+            raise RecognitionError(
+                Code.CHILD_OVERFLOW, offset=header, message=f"declared length {length} overruns parent extent"
+            )
+        node = TlvNode(tag_class, constructed, tag_number, header, pos, length, data)
+        kids.append(node)
+        if constructed:
+            if len(outer_limits) >= max_depth:
+                raise RecognitionError(Code.NESTING_TOO_DEEP, offset=header)
+            if length:
+                outer_limits.append(limit)
+                outer_kids.append(kids)
+                limit = stop
+                kids = node.children
+                continue
+        pos = stop
+        # Close every element that ends here; the root closing ends the scan.
+        while pos == limit and outer_limits:
+            limit = outer_limits.pop()
+            kids = outer_kids.pop()
+        if not outer_limits:
+            break
+    if pos != end:
+        raise RecognitionError(Code.TRAILING_BYTES, offset=pos, message=f"{end - pos} byte(s) after element")
+    return top[0]
 
 
 # Toy recognizer for the radix-4 warm-up language: d1 d2 a^n with digits

@@ -47,20 +47,8 @@ from .values import (
 OID_AUTHORITY_KEY_IDENTIFIER = "2.5.29.35"
 OID_SUBJECT_KEY_IDENTIFIER = "2.5.29.14"
 OID_KEY_USAGE = "2.5.29.15"
-OID_CERTIFICATE_POLICIES = "2.5.29.32"
-OID_POLICY_MAPPINGS = "2.5.29.33"
 OID_SUBJECT_ALT_NAME = "2.5.29.17"
-OID_ISSUER_ALT_NAME = "2.5.29.18"
-OID_SUBJECT_DIRECTORY_ATTRIBUTES = "2.5.29.9"
 OID_BASIC_CONSTRAINTS = "2.5.29.19"
-OID_NAME_CONSTRAINTS = "2.5.29.30"
-OID_POLICY_CONSTRAINTS = "2.5.29.36"
-OID_EXTENDED_KEY_USAGE = "2.5.29.37"
-OID_CRL_DISTRIBUTION_POINTS = "2.5.29.31"
-OID_INHIBIT_ANY_POLICY = "2.5.29.54"
-OID_FRESHEST_CRL = "2.5.29.46"
-OID_AUTHORITY_INFO_ACCESS = "1.3.6.1.5.5.7.1.1"
-OID_SUBJECT_INFO_ACCESS = "1.3.6.1.5.5.7.1.11"
 
 _OID_QT_CPS = "1.3.6.1.5.5.7.2.1"
 _OID_QT_UNOTICE = "1.3.6.1.5.5.7.2.2"
@@ -101,7 +89,7 @@ class WalkContext:
     Every node the walk sees, payload nodes included, carries absolute
     offsets into the whole document, so a diagnostic keeps the offset it
     was found at.  add() is the one way the walk records a diagnostic;
-    decode() and payload() turn a decoder's or a re-entered payload's
+    decode(), oid() and payload() turn a decoder's or a re-entered payload's
     RecognitionError into one.
     """
 
@@ -130,6 +118,18 @@ class WalkContext:
                 code = wrong_oid
             self.add(code, err.offset, path, err.message)
             return None
+
+    def oid(self, node: TlvNode, path: str, wrong_oid: Code = Code.WRONG_OID) -> str | None:
+        """The dotted form of an OID node, or None after recording its error as decode() does.
+
+        Registered OIDs come from the registry's by_der table undecoded.
+        """
+        text = self.reg.by_der.get(node.content)
+        if text is None:
+            arcs = self.decode(decode_oid, node, path, wrong_oid=wrong_oid)
+            if arcs is not None:
+                text = dotted(arcs)
+        return text
 
     def payload(self, node: TlvNode, skip: int, path: str, fallback: Code | None = None) -> TlvNode | None:
         """Parse the DER element carried in node's content after skip octets.
@@ -179,7 +179,6 @@ class AkiValue:
 class GeneralNameValue:
     kind: str
     text: str | None = None
-    raw: bytes = b""
 
 
 @dataclass
@@ -259,9 +258,7 @@ def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: st
     if not kids[0].is_universal(TAG_OID, False):
         ctx.add(Code.WRONG_EXTN_ID, kids[0], f"{path}.extnID", f"extnID must be an OID, found {kids[0].describe_tag()}")
     else:
-        arcs = ctx.decode(decode_oid, kids[0], f"{path}.extnID", wrong_oid=Code.WRONG_EXTN_ID)
-        if arcs is not None:
-            oid_str = dotted(arcs)
+        oid_str = ctx.oid(kids[0], f"{path}.extnID", wrong_oid=Code.WRONG_EXTN_ID)
 
     critical = False
     value_node = kids[-1]
@@ -439,9 +436,9 @@ def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> li
         if not pi.children[0].is_universal(TAG_OID, False):
             ctx.add(Code.WRONG_OID, pi.children[0], sub, "policyIdentifier must be an OID")
         else:
-            arcs = ctx.decode(decode_oid, pi.children[0], sub)
-            if arcs is not None:
-                policies.append(dotted(arcs))
+            policy = ctx.oid(pi.children[0], sub)
+            if policy is not None:
+                policies.append(policy)
         if len(pi.children) == 2:
             _parse_policy_qualifiers(pi.children[1], ctx, sub)
     return policies
@@ -460,10 +457,9 @@ def _parse_policy_qualifiers(node: TlvNode, ctx: WalkContext, path: str) -> None
         if len(pqi.children) != 2 or not pqi.children[0].is_universal(TAG_OID, False):
             ctx.add(Code.MALFORMED_EXTENSION_BODY, pqi, sub, "policyQualifierInfo must be (OID, qualifier)")
             continue
-        arcs = ctx.decode(decode_oid, pqi.children[0], sub)
-        if arcs is None:
+        qid = ctx.oid(pqi.children[0], sub)
+        if qid is None:
             continue
-        qid = dotted(arcs)
         qualifier = pqi.children[1]
         if qid == _OID_QT_CPS:
             if qualifier.is_universal(TAG_IA5_STRING, False):
@@ -525,10 +521,10 @@ def _body_policy_mappings(root: TlvNode, ctx: WalkContext, path: str) -> list[tu
             if not part.is_universal(TAG_OID, False):
                 ctx.add(Code.WRONG_OID, part, sub, "mapping member must be an OID")
                 break
-            arcs = ctx.decode(decode_oid, part, sub)
-            if arcs is None:
+            oid = ctx.oid(part, sub)
+            if oid is None:
                 break
-            oids.append(dotted(arcs))
+            oids.append(oid)
         if len(oids) == 2:
             out.append((oids[0], oids[1]))
     return out
@@ -571,7 +567,7 @@ def _body_subject_directory_attributes(root: TlvNode, ctx: WalkContext, path: st
         if len(attr.children) != 2 or not attr.children[0].is_universal(TAG_OID, False):
             ctx.add(Code.MALFORMED_EXTENSION_BODY, attr, sub, "attribute must be (OID, SET OF values)")
             continue
-        ctx.decode(decode_oid, attr.children[0], sub)
+        ctx.oid(attr.children[0], sub)
         values = attr.children[1]
         if not values.is_universal(TAG_SET, True):
             ctx.add(Code.MALFORMED_EXTENSION_BODY, values, sub, "attribute values must be a SET")
@@ -676,9 +672,9 @@ def _body_extended_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> list
         if not child.is_universal(TAG_OID, False):
             ctx.add(Code.WRONG_OID, child, sub, f"key purpose must be an OID, found {child.describe_tag()}")
             continue
-        arcs = ctx.decode(decode_oid, child, sub)
-        if arcs is not None:
-            purposes.append(dotted(arcs))
+        purpose = ctx.oid(child, sub)
+        if purpose is not None:
+            purposes.append(purpose)
     return purposes
 
 
@@ -781,7 +777,7 @@ def _info_access_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> 
         if len(ad.children) != 2 or not ad.children[0].is_universal(TAG_OID, False):
             ctx.add(Code.MALFORMED_EXTENSION_BODY, ad, sub, "accessDescription must be (OID, GeneralName)")
             continue
-        ctx.decode(decode_oid, ad.children[0], sub)
+        ctx.oid(ad.children[0], sub)
         parse_general_name(ad.children[1], ctx, sub)
 
 
@@ -878,14 +874,14 @@ def parse_general_name(
         if not type_node.is_universal(TAG_OID, False):
             ctx.add(Code.WRONG_OID, type_node, path, "otherName type-id must be an OID")
             return None
-        if ctx.decode(decode_oid, type_node, path) is None:
+        if ctx.oid(type_node, path) is None:
             return None
         if not value_wrap.is_context(0, True) or len(value_wrap.children) != 1:
             ctx.add(
                 Code.MALFORMED_EXTENSION_BODY, value_wrap, path, "otherName value must be one explicitly tagged element"
             )
             return None
-        return GeneralNameValue(kind="otherName", raw=node.raw)
+        return GeneralNameValue(kind="otherName")
 
     if tag in (1, 2, 6):  # rfc822Name, dNSName, uniformResourceIdentifier
         kind = {1: "rfc822Name", 2: "dNSName", 6: "uniformResourceIdentifier"}[tag]
@@ -896,7 +892,7 @@ def parse_general_name(
         for i, b in enumerate(content):
             if b == 0x00 or b > 0x7F:
                 ctx.add(Code.CHAR_SET_VIOLATION, node.content_offset + i, path, f"byte 0x{b:02x} in {kind}")
-                return GeneralNameValue(kind=kind, raw=node.raw)
+                return GeneralNameValue(kind=kind)
         text = content.decode("ascii")
         ok = {
             "rfc822Name": valid_email,
@@ -905,20 +901,20 @@ def parse_general_name(
         }[kind](text)
         if not ok:
             ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, f"malformed {kind}: {text!r}")
-        return GeneralNameValue(kind=kind, text=text, raw=node.raw)
+        return GeneralNameValue(kind=kind, text=text)
 
     if tag == 3:  # x400Address, parsed for shape only
         if not node.constructed:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "x400Address must be constructed")
             return None
-        return GeneralNameValue(kind="x400Address", raw=node.raw)
+        return GeneralNameValue(kind="x400Address")
 
     if tag == 4:  # directoryName, explicit because Name is a CHOICE
         if not node.constructed or len(node.children) != 1:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "directoryName must hold one Name")
             return None
         parse_name(node.children[0], ctx, path, role="general")
-        return GeneralNameValue(kind="directoryName", raw=node.raw)
+        return GeneralNameValue(kind="directoryName")
 
     if tag == 5:  # ediPartyName
         if not node.constructed:
@@ -943,7 +939,7 @@ def parse_general_name(
             ctx.decode(validate_charset, child.children[0], path, _DISPLAY_TEXT_TAGS)
         if not saw_party:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "ediPartyName without partyName")
-        return GeneralNameValue(kind="ediPartyName", raw=node.raw)
+        return GeneralNameValue(kind="ediPartyName")
 
     if tag == 7:  # iPAddress
         if node.constructed:
@@ -953,16 +949,16 @@ def parse_general_name(
         if node.content_length not in allowed:
             message = f"iPAddress of {node.content_length} octets, expected {allowed[0]} or {allowed[1]}"
             ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, message)
-        return GeneralNameValue(kind="iPAddress", raw=node.raw)
+        return GeneralNameValue(kind="iPAddress")
 
     if tag == 8:  # registeredID
         if node.constructed:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "registeredID must be primitive")
             return None
-        arcs = ctx.decode(decode_oid, node, path)
-        if arcs is None:
+        text = ctx.oid(node, path)
+        if text is None:
             return None
-        return GeneralNameValue(kind="registeredID", text=dotted(arcs), raw=node.raw)
+        return GeneralNameValue(kind="registeredID", text=text)
 
     ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, f"unknown GeneralName tag [{tag}]")
     return None

@@ -45,10 +45,11 @@ from .values import (
     TimeValue,
     decode_bit_string,
     decode_integer,
-    decode_oid,
-    dotted,
     validate_time,
 )
+
+# Unused here (WalkContext.oid reads OIDs); perfbench's traced run wraps these names.
+from .values import decode_oid, dotted  # noqa: F401
 
 
 @dataclass
@@ -88,7 +89,6 @@ class ParsedTbs:
     has_subject_uid: bool = False
     extensions: ExtensionSet | None = None
     extensions_present: bool = False
-    raw: bytes = b""
 
 
 @dataclass
@@ -145,10 +145,9 @@ def parse_algorithm_identifier(
             f"algorithm must be an OID, found {kids[0].describe_tag()}",
         )
         return out
-    arcs = ctx.decode(decode_oid, kids[0], f"{path}.algorithm", wrong_oid=Code.WRONG_ALGORITHM)
-    if arcs is None:
+    out.oid = ctx.oid(kids[0], f"{path}.algorithm", wrong_oid=Code.WRONG_ALGORITHM)
+    if out.oid is None:
         return out
-    out.oid = dotted(arcs)
 
     out.grammar = ctx.reg.lookup(role, out.oid)
     if out.grammar is None:
@@ -195,10 +194,9 @@ def _check_parameters(
         if not params.is_universal(TAG_OID, False):
             ctx.add(malformed, params, path, f"named curve must be an OID, found {params.describe_tag()}")
             return
-        arcs = ctx.decode(decode_oid, params, path, wrong_oid=malformed)
-        if arcs is None:
+        curve = ctx.oid(params, path, wrong_oid=malformed)
+        if curve is None:
             return
-        curve = dotted(arcs)
         if ctx.reg.lookup("curve", curve) is None:
             ctx.add(Code.WRONG_ALGORITHM, params, path, f"{curve} is not a registered curve")
             return
@@ -241,7 +239,7 @@ def _check_parameters(
             if not part.is_universal(TAG_OID, False):
                 ctx.add(malformed, part, path, f"parameter must be an OID, found {part.describe_tag()}")
                 return
-            ctx.decode(decode_oid, part, path, wrong_oid=malformed)
+            ctx.oid(part, path, wrong_oid=malformed)
         return
 
     if grammar == "rsa-pss-params":
@@ -313,7 +311,7 @@ def _check_pss_params(params: TlvNode, ctx: WalkContext, path: str) -> None:
             if not inner.is_universal(TAG_SEQUENCE, True) or not 1 <= len(inner.children) <= 2 or not inner.children[0].is_universal(TAG_OID, False):
                 ctx.add(malformed, inner, path, "PSS algorithm slot must hold an AlgorithmIdentifier")
                 return
-            ctx.decode(decode_oid, inner.children[0], path, wrong_oid=malformed)
+            ctx.oid(inner.children[0], path, wrong_oid=malformed)
         else:
             if not inner.is_universal(TAG_INTEGER, False):
                 ctx.add(malformed, inner, path, "PSS integer slot must hold an INTEGER")
@@ -537,7 +535,7 @@ def _parse_validity(node: TlvNode, ctx: WalkContext) -> ValidityInfo:
 
 def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
     path = "tbsCertificate"
-    tbs = ParsedTbs(raw=node.raw)
+    tbs = ParsedTbs()
     if not node.is_universal(TAG_SEQUENCE, True):
         ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"tbsCertificate must be a SEQUENCE, found {node.describe_tag()}")
         raise _Abort

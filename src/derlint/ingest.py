@@ -275,12 +275,14 @@ def _collect_paths(inputs: list[str]) -> tuple[list[str], list[tuple[str, str]]]
 def run_batch(inputs: list[str], options: LintOptions | None = None, jobs: int = 1) -> BatchResult:
     """Lint every file under the given paths.
 
-    Directories are walked in sorted order.  A file that cannot be read
-    is recorded as an IO error and skipped; it never aborts the batch.
+    Reports come in path order, and the documents of a multi-block PEM
+    file in block order.  A file that cannot be read is recorded as an
+    IO error and skipped; it never aborts the batch.
     """
     options = options or LintOptions()
     result = BatchResult()
     files, missing = _collect_paths(inputs)
+    files.sort()
     result.io_errors.extend(missing)
 
     docs: list[InputDocument] = []
@@ -299,7 +301,6 @@ def run_batch(inputs: list[str], options: LintOptions | None = None, jobs: int =
     else:
         reports = [lint(d, options) for d in docs]
 
-    reports.sort(key=lambda r: r.doc_id)
     result.reports = reports
     for report in reports:
         result.histogram.add(report.diagnostics)

@@ -25,10 +25,11 @@ from .values import (
     TAG_SEQUENCE,
     TAG_SET,
     TAG_UTF8_STRING,
-    decode_oid,
-    dotted,
     validate_charset,
 )
+
+# Unused here (WalkContext.oid reads OIDs); perfbench's traced run wraps these names.
+from .values import decode_oid, dotted  # noqa: F401
 
 if TYPE_CHECKING:
     from .extensions import WalkContext
@@ -108,9 +109,7 @@ def _parse_atv(atv: TlvNode, ctx: WalkContext, path: str, info: NameInfo) -> Non
         ctx.add(Code.INVALID_DN, type_node, path, f"attribute type must be an OID, found {type_node.describe_tag()}")
     else:
         # A malformed type OID makes the whole attribute unusable.
-        arcs = ctx.decode(decode_oid, type_node, path, wrong_oid=Code.INVALID_DN)
-        if arcs is not None:
-            oid_str = dotted(arcs)
+        oid_str = ctx.oid(type_node, path, wrong_oid=Code.INVALID_DN)
 
     kind: str | None = None
     if oid_str is not None:

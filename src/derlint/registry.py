@@ -22,6 +22,11 @@ The bundled file covers exactly the algorithm identifiers the certificate
 profile standards spell out in full, plus the standard extension and
 naming attribute OIDs; deployments can point DERLINT_REGISTRY or
 --registry at an extended copy.
+
+by_der maps the DER content octets of each registered OID to its dotted
+form, so the walk names registered OIDs without decoding them.  It holds
+only OIDs whose encoding decodes back to exactly the registered text; no
+decoded OID can equal any other entry.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from importlib import resources
+
+from .der import TlvNode
+from .diagnostics import RecognitionError
+from .values import TAG_OID, decode_oid, dotted
 
 ENV_REGISTRY = "DERLINT_REGISTRY"
 
@@ -70,6 +79,7 @@ class Registry:
 
     by_role: dict[str, dict[str, str]] = field(default_factory=dict)
     source: str = "<builtin>"
+    by_der: dict[bytes, str] = field(default_factory=dict)
 
     def lookup(self, role: str, oid: str) -> str | None:
         return self.by_role.get(role, {}).get(oid)
@@ -103,7 +113,33 @@ def parse_registry(text: str, source: str = "<string>") -> Registry:
         if oid in bucket:
             raise ValueError(f"{source}:{lineno}: duplicate entry for ({oid}, {role})")
         bucket[oid] = grammar
+    for oid in {oid for bucket in reg.by_role.values() for oid in bucket}:
+        content = _oid_content(oid)
+        if content is not None:
+            reg.by_der[content] = oid
     return reg
+
+
+def _oid_content(oid: str) -> bytes | None:
+    """The DER content octets of a dotted OID, or None if none decode back to exactly oid."""
+    try:
+        arcs = [int(arc) for arc in oid.split(".")]
+        values = (40 * arcs[0] + arcs[1], *arcs[2:])
+    except (ValueError, IndexError):
+        return None
+    content = bytearray()
+    for value in values:
+        septets = [value & 0x7F]
+        while value > 0x7F:
+            value >>= 7
+            septets.append(0x80 | (value & 0x7F))
+        content += bytes(reversed(septets))
+    node = TlvNode("universal", False, TAG_OID, 0, 0, len(content), bytes(content))
+    try:
+        decoded = dotted(decode_oid(node))
+    except RecognitionError:
+        return None
+    return node.buffer if decoded == oid else None
 
 
 def load_registry(path: str | None = None) -> Registry:

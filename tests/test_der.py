@@ -1,4 +1,4 @@
-"""Structural layer: length transition function, nesting stack, TLV trees."""
+"""Structural layer: length transition function, TLV scanner, TLV trees."""
 
 import random
 
@@ -12,14 +12,14 @@ from derlint.der import (
     L4,
     MAX_DEPTH,
     Q0,
-    NestingStack,
     TlvNode,
+    _read_identifier,
+    _read_length,
     decode_length,
     delta_length,
     is_accepting,
     is_counting,
     parse_tlv_tree,
-    step_counting,
 )
 from derlint.diagnostics import Code, RecognitionError
 
@@ -132,47 +132,6 @@ class TestDeltaLength:
             delta_length(5, 0x01)
 
 
-class TestNestingStack:
-    def test_all_levels_decrement_together(self):
-        ns = NestingStack([10, 6, 3])
-        ns.step(0xAB)
-        assert ns.levels == [9, 5, 2]
-
-    def test_functional_form(self):
-        assert step_counting([4, 2], 0x00) == [3, 1]
-
-    def test_cascade_pop_on_zero(self):
-        # Child ends exactly when its parent does: both levels close.
-        ns = NestingStack([1, 1])
-        ns.step(0x00)
-        assert ns.accepting()
-
-    def test_child_overflow(self):
-        ns = NestingStack([3])
-        with pytest.raises(RecognitionError) as exc:
-            ns.push(4)
-        assert exc.value.code is Code.CHILD_OVERFLOW
-
-    def test_child_exact_fit_allowed(self):
-        ns = NestingStack([3])
-        ns.push(3)
-        assert ns.levels == [3, 3]
-
-    def test_zero_length_child_pops_immediately(self):
-        ns = NestingStack([5])
-        ns.push(0)
-        assert ns.levels == [5]
-
-    def test_depth_cap(self):
-        ns = NestingStack()
-        ns.push(CONTENT_MAX)
-        for _ in range(MAX_DEPTH - 1):
-            ns.push(ns.remaining())
-        with pytest.raises(RecognitionError) as exc:
-            ns.push(1)
-        assert exc.value.code is Code.NESTING_TOO_DEEP
-
-
 def first_error(data: bytes) -> RecognitionError:
     with pytest.raises(RecognitionError) as exc:
         parse_tlv_tree(data)
@@ -277,6 +236,58 @@ class TestParseTlvTree:
             blob = enc.seq(blob)
         assert parse_tlv_tree(blob) is not None
 
+    def test_depth_cap_offset(self):
+        # Element MAX_DEPTH + 1, counting the root as 1, is the first one
+        # past the cap; the error points at its header.
+        levels = [enc.null()]
+        for _ in range(MAX_DEPTH + 6):
+            levels.append(enc.seq(levels[-1]))
+        blob = levels[-1]
+        err = first_error(blob)
+        assert err.code is Code.NESTING_TOO_DEEP
+        assert err.offset == len(blob) - len(levels[-1 - MAX_DEPTH])
+
+    def test_deep_nesting_under_raised_cap(self):
+        depth = 5_000
+        blob = enc.null()
+        for _ in range(depth):
+            blob = enc.seq(blob)
+        node = parse_tlv_tree(blob, max_depth=10_000)
+        levels = 0
+        while node.children:
+            (node,) = node.children
+            levels += 1
+        assert levels == depth
+        assert node.is_universal(5, False)
+
+    def test_shared_end_closes_every_level(self):
+        # The innermost two levels end on the same octet; the next element
+        # is a sibling of the outer one, not a child of either.
+        data = enc.seq(enc.seq(enc.seq(enc.null())), enc.integer(7))
+        node = parse_tlv_tree(data)
+        assert len(node.children) == 2
+        assert node.children[1].is_universal(2, False)
+        assert node.children[0].children[0].children[0].is_universal(5, False)
+
+    def test_child_exact_fit_allowed(self):
+        data = enc.seq(enc.octet_string(b"xyz"))
+        node = parse_tlv_tree(data)
+        (child,) = node.children
+        assert child.raw_span.end == node.raw_span.end == len(data)
+
+    def test_zero_length_constructed_child(self):
+        data = enc.seq(enc.seq(), enc.null())
+        node = parse_tlv_tree(data)
+        assert [c.tag_number for c in node.children] == [16, 5]
+        assert node.children[0].children == []
+
+    def test_child_overrunning_parent_rejected_at_its_header(self):
+        data = enc.seq(b"\x30\x03\x04\x02ab", enc.null())
+        err = first_error(data)
+        assert err.code is Code.CHILD_OVERFLOW
+        assert err.offset == 4
+        assert err.message == "declared length 2 overruns parent extent"
+
     def test_round_trip_random_trees(self):
         rng = random.Random(0xD1CE)
         for _ in range(300):
@@ -299,3 +310,94 @@ def _matches(spec: enc.TreeSpec, node: TlvNode) -> bool:
             return False
         return all(_matches(s, n) for s, n in zip(spec.children, node.children))
     return spec.content == node.content
+
+
+def header_spec(data, pos: int, limit: int, at_input_end: bool):
+    """What the octet-at-a-time readers make of the header at pos."""
+    try:
+        tag_class, constructed, number, pos = _read_identifier(data, pos, limit, at_input_end)
+        length, pos = _read_length(data, pos, limit, at_input_end)
+    except RecognitionError as err:
+        return (err.code, err.offset, err.message)
+    return (tag_class, constructed, number, length, pos)
+
+
+def header_scanned(data, pos: int, end: int):
+    """What parse_tlv_tree makes of the header at pos, as header_spec says it."""
+    try:
+        node = parse_tlv_tree(data, pos, end)
+    except RecognitionError as err:
+        return (err.code, err.offset, err.message)
+    return (node.tag_class, node.constructed, node.tag_number, node.content_length, node.content_offset)
+
+
+def header_expected(data, end: int):
+    """The spec's reading of a header at 0 whose content is all of data[..:end], or an overrun."""
+    spec = header_spec(data, 0, end, True)
+    if isinstance(spec[0], Code) or spec[3] + spec[4] <= end:
+        return spec
+    return (Code.TRUNCATED_INPUT, end, f"declared length {spec[3]} overruns input")
+
+
+class TestInlineHeader:
+    """The scanner's inline header decoder against delta_length and the readers built on it.
+
+    Each length prefix is checked three ways: complete, with content
+    where it fits; cut short at the input end, where the readers say
+    TRUNCATED_INPUT; and cut short at a parent's end, inside a SEQUENCE
+    that the input goes on past, where they say CHILD_OVERFLOW.
+    """
+
+    def check_prefix(self, prefix: bytes, buf: bytearray | None = None):
+        header = b"\x04" + prefix
+        data = bytes(header)
+        assert header_scanned(data, 0, len(data)) == header_expected(data, len(data)), prefix.hex()
+        spec = header_spec(data, 0, len(data), True)
+        if buf is not None and not isinstance(spec[0], Code):
+            buf[: len(header)] = header
+            end = spec[4] + spec[3]
+            assert header_scanned(buf, 0, end) == header_spec(buf, 0, end, True), prefix.hex()
+        for cut in range(1, len(prefix)):
+            short = header[: 1 + cut]
+            assert header_scanned(short, 0, len(short)) == header_spec(short, 0, len(short), True), short.hex()
+            nested = bytes([0x30, len(short)]) + short + b"\x00"
+            got = header_scanned(nested, 0, len(nested))
+            assert got == header_spec(nested, 2, 2 + len(short), False), short.hex()
+
+    def test_every_short_form_length(self):
+        buf = bytearray(0x80 + 2)
+        for b in range(0x80):
+            self.check_prefix(bytes([b]), buf)
+
+    def test_every_one_octet_long_form(self):
+        buf = bytearray(0x100 + 3)
+        for b in range(0x100):
+            self.check_prefix(bytes([0x81, b]), buf)
+
+    def test_every_two_octet_long_form(self):
+        buf = bytearray(0x10000 + 4)
+        for b1 in range(0x100):
+            for b2 in range(0x100):
+                self.check_prefix(bytes([0x82, b1, b2]), buf)
+
+    def test_sampled_three_and_four_octet_long_forms(self):
+        rng = random.Random(0x8384)
+        for _ in range(2000):
+            self.check_prefix(bytes([0x83]) + rng.randbytes(3))
+            self.check_prefix(bytes([0x84]) + rng.randbytes(4))
+        for prefix in (b"\x83\x00\x00\x00", b"\x83\x00\xff\xff", b"\x84\x00\x01\x00\x00", b"\x84\x01\x00\x00\x00"):
+            self.check_prefix(prefix)
+
+    def test_every_first_length_octet_alone(self):
+        for b in range(0x100):
+            self.check_prefix(bytes([b]))
+
+    def test_every_first_identifier_octet(self):
+        for b0 in range(0x100):
+            high = b0 & 0x1F == 0x1F
+            data = bytes([b0, 0x1F, 0x00] if high else [b0, 0x00])
+            assert header_scanned(data, 0, len(data)) == header_spec(data, 0, len(data), True), hex(b0)
+            short = bytes([b0])
+            assert header_scanned(short, 0, 1) == header_spec(short, 0, 1, True), hex(b0)
+            nested = bytes([0x30, 1, b0, 0x00])
+            assert header_scanned(nested, 0, len(nested)) == header_spec(nested, 2, 3, False), hex(b0)

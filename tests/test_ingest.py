@@ -195,6 +195,14 @@ class TestBatch:
             r.to_json_dict() | {"parse_time_micros": 0} for r in parallel.reports
         ]
 
+    def test_multi_block_reports_in_block_order(self, tmp_path):
+        # Sorting ids as strings would put f.pem#10 before f.pem#2.
+        path = tmp_path / "f.pem"
+        path.write_text("".join(pem_of(certs.base_cert()) for _ in range(12)))
+        (tmp_path / "e.der").write_bytes(certs.base_cert())
+        result = run_batch([str(path), str(tmp_path / "e.der")])
+        assert [r.doc_id for r in result.reports] == [str(tmp_path / "e.der")] + [f"{path}#{k}" for k in range(1, 13)]
+
     def test_missing_path_recorded_not_raised(self, tmp_path):
         result = run_batch([str(tmp_path / "nope.der")])
         assert result.io_errors

@@ -1,0 +1,75 @@
+"""The OID registry's table of registered OIDs by their DER content octets."""
+
+from derlint.der import parse_tlv_tree
+from derlint.diagnostics import Code
+from derlint.extensions import WalkContext, parse_extensions
+from derlint.grammar import parse_algorithm_identifier
+from derlint.names import parse_name
+from derlint.registry import default_registry, load_registry, parse_registry
+
+from support import encoder as enc
+
+SHA256_RSA = "1.2.840.113549.1.1.11"
+OID_CN = "2.5.4.3"
+OID_BASIC_CONSTRAINTS = "2.5.29.19"
+
+
+def content_of(oid_text: str) -> bytes:
+    return parse_tlv_tree(enc.oid(oid_text)).content
+
+
+def non_minimal(oid_text: str) -> bytes:
+    """The OID with a 0x80 pad octet before its last arc: the same arcs, spelled non-minimally."""
+    content = content_of(oid_text)
+    return enc.raw_oid(content[:-1] + b"\x80" + content[-1:])
+
+
+def codes(ctx: WalkContext) -> list[Code]:
+    return [d.code for d in ctx.diags]
+
+
+def test_every_bundled_oid_is_keyed_by_its_encoding():
+    reg = load_registry()
+    oids = {oid for bucket in reg.by_role.values() for oid in bucket}
+    assert reg.by_der == {content_of(oid): oid for oid in oids}
+
+
+def test_oids_that_cannot_round_trip_stay_out():
+    # 1.50.3 encodes its first two arcs as 90, which decodes as 2.10;
+    # an arc above 2**32-1 overflows the decoder.
+    reg = parse_registry("1.50.3 ; attribute ; ia5\n1.2.4294967296 ; attribute ; ia5\n1.2.4294967295 ; attribute ; ia5\n")
+    assert reg.lookup("attribute", "1.50.3") == "ia5"
+    assert reg.lookup("attribute", "1.2.4294967296") == "ia5"
+    assert reg.by_der == {content_of("1.2.4294967295"): "1.2.4294967295"}
+
+
+def test_extra_registry_oid_joins_the_table():
+    extra = "1.3.6.1.4.1.55555.7"
+    text = f"{OID_BASIC_CONSTRAINTS} ; extension ; basic-constraints\n{extra} ; extension ; key-usage\n"
+    reg = parse_registry(text)
+    assert reg.by_der[content_of(extra)] == extra
+    ctx = WalkContext(reg)
+    body = enc.bit_string(b"\x80", unused=7)
+    exts = parse_extensions(parse_tlv_tree(enc.ctx(3, enc.seq(enc.seq(enc.oid(extra), enc.octet_string(body))))), ctx)
+    assert codes(ctx) == []
+    assert exts.entries[0].oid == extra and exts.entries[0].known
+
+
+def test_non_minimal_registered_oid_keeps_the_slot_code():
+    reg = default_registry()
+    assert SHA256_RSA in reg.by_role["signature"]
+
+    ctx = WalkContext(reg)
+    alg = parse_algorithm_identifier(parse_tlv_tree(enc.seq(non_minimal(SHA256_RSA), enc.null())), "signature", ctx, "alg")
+    assert alg.oid is None
+    assert codes(ctx) == [Code.WRONG_ALGORITHM]
+
+    ctx = WalkContext(reg)
+    name = enc.seq(enc.set_of(enc.seq(non_minimal(OID_CN), enc.printable("x"))))
+    parse_name(parse_tlv_tree(name), ctx, "name")
+    assert codes(ctx) == [Code.INVALID_DN]
+
+    ctx = WalkContext(reg)
+    ext = enc.seq(non_minimal(OID_BASIC_CONSTRAINTS), enc.octet_string(enc.seq()))
+    parse_extensions(parse_tlv_tree(enc.ctx(3, enc.seq(ext))), ctx)
+    assert codes(ctx) == [Code.WRONG_EXTN_ID]
