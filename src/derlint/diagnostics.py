@@ -4,8 +4,8 @@ Every way a certificate can fail recognition is named by a stable machine
 code.  A code carries a severity class (is the flaw usable as an attack
 building block, or merely sloppy encoding), a rejection class (does its
 presence make the overall outcome "rejected", or is it a recorded note),
-and a human-readable label.  The registry is closed: emitting a code that
-is not registered is a programming error, checked at import time.
+and a human-readable label.  Each Code member holds all three itself, so
+no code can exist without them.
 
 The module also knows how to classify the outcome strings of a handful of
 widely deployed validators into coarse categories (syntactic, validation,
@@ -33,213 +33,126 @@ class Category(enum.Enum):
     GENERIC = "generic"
 
 
+_CRIT = Severity.SECURITY_CRITICAL
+_NON = Severity.NON_CRITICAL
+
+
 class Code(enum.Enum):
-    """Stable machine identifiers for every recognizable defect."""
+    """Stable machine identifiers for every recognizable defect.
+
+    Each member's value is its identifier string; the member also carries
+    its severity class, whether it rejects, and its label.
+    """
+
+    def __new__(cls, value: str, severity: Severity, rejects: bool, label: str):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.severity = severity
+        member.rejects = rejects
+        member.label = label
+        return member
 
     # Structural (TLV / length layer).  Anything here means the input is
     # not even a well-formed DER element tree.
-    LEXING_ERROR = "LEXING_ERROR"
-    LENGTH_BYTE_FORBIDDEN = "LENGTH_BYTE_FORBIDDEN"
-    LENGTH_TOO_LARGE = "LENGTH_TOO_LARGE"
-    NON_MINIMAL_LENGTH = "NON_MINIMAL_LENGTH"
-    CHILD_OVERFLOW = "CHILD_OVERFLOW"
-    TRAILING_BYTES = "TRAILING_BYTES"
-    TRUNCATED_INPUT = "TRUNCATED_INPUT"
-    NESTING_TOO_DEEP = "NESTING_TOO_DEEP"
+    LEXING_ERROR = "LEXING_ERROR", _CRIT, True, "Lexing Error"
+    LENGTH_BYTE_FORBIDDEN = "LENGTH_BYTE_FORBIDDEN", _CRIT, True, "Forbidden length octet"
+    LENGTH_TOO_LARGE = "LENGTH_TOO_LARGE", _CRIT, True, "Declared length too large"
+    NON_MINIMAL_LENGTH = "NON_MINIMAL_LENGTH", _CRIT, True, "Non-minimal length encoding"
+    CHILD_OVERFLOW = "CHILD_OVERFLOW", _CRIT, True, "Nested element overflows its parent"
+    TRAILING_BYTES = "TRAILING_BYTES", _CRIT, True, "Trailing bytes after element"
+    TRUNCATED_INPUT = "TRUNCATED_INPUT", _CRIT, True, "Truncated input"
+    NESTING_TOO_DEEP = "NESTING_TOO_DEEP", _CRIT, True, "Nesting depth cap exceeded"
 
     # Primitive value decoding.
-    NON_MINIMAL_INTEGER = "NON_MINIMAL_INTEGER"
-    NON_CANONICAL_BOOLEAN = "NON_CANONICAL_BOOLEAN"
-    BAD_BIT_STRING_ENCODING = "BAD_BIT_STRING_ENCODING"
-    EMPTY_VALUE_FIELD = "EMPTY_VALUE_FIELD"
-    OID_ARC_OVERFLOW = "OID_ARC_OVERFLOW"
-    OID_TRUNCATED = "OID_TRUNCATED"
-    INVALID_DATE = "INVALID_DATE"
-    MALFORMED_TIME = "MALFORMED_TIME"
-    CHAR_SET_VIOLATION = "CHAR_SET_VIOLATION"
-    WRONG_STRING_TYPE = "WRONG_STRING_TYPE"
+    NON_MINIMAL_INTEGER = "NON_MINIMAL_INTEGER", _CRIT, True, "Non-minimal INTEGER encoding"
+    NON_CANONICAL_BOOLEAN = "NON_CANONICAL_BOOLEAN", _CRIT, True, "Non-canonical BOOLEAN encoding"
+    BAD_BIT_STRING_ENCODING = "BAD_BIT_STRING_ENCODING", _NON, True, "Bad BIT STRING encoding"
+    EMPTY_VALUE_FIELD = "EMPTY_VALUE_FIELD", _NON, True, "Empty value field"
+    OID_ARC_OVERFLOW = "OID_ARC_OVERFLOW", _CRIT, True, "OID arc overflow"
+    OID_TRUNCATED = "OID_TRUNCATED", _CRIT, True, "Truncated OID arc"
+    INVALID_DATE = "INVALID_DATE", _CRIT, True, "Invalid date"
+    MALFORMED_TIME = "MALFORMED_TIME", _CRIT, True, "Malformed time value"
+    CHAR_SET_VIOLATION = "CHAR_SET_VIOLATION", _CRIT, True, "Character set violation"
+    WRONG_STRING_TYPE = "WRONG_STRING_TYPE", _CRIT, True, "Wrong string type"
 
     # Certificate grammar.
-    STRUCTURAL_MISMATCH = "STRUCTURAL_MISMATCH"
-    WRONG_ALGORITHM = "WRONG_ALGORITHM"
-    UNEXPECTED_NULL_IN_ALGORITHM_P = "UNEXPECTED_NULL_IN_ALGORITHM_P"
-    MISSING_PARAMETERS = "MISSING_PARAMETERS"
-    MALFORMED_PARAMETERS = "MALFORMED_PARAMETERS"
-    EMPTY_ISSUER_DN = "EMPTY_ISSUER_DN"
-    EMPTY_SUBJECT_DN = "EMPTY_SUBJECT_DN"
-    INVALID_DN = "INVALID_DN"
-    WRONG_OID_IN_DN = "WRONG_OID_IN_DN"
-    EMPTY_STRING = "EMPTY_STRING"
-    EXTENSIONS_REQUIRE_V3 = "EXTENSIONS_REQUIRE_V3"
-    UNIQUE_ID_REQUIRES_V2_PLUS = "UNIQUE_ID_REQUIRES_V2_PLUS"
-    DEFAULT_VALUE_ENCODED = "DEFAULT_VALUE_ENCODED"
-    MALFORMED_PUBLIC_KEY = "MALFORMED_PUBLIC_KEY"
-    REDUNDANT_TRAILING_BYTES = "REDUNDANT_TRAILING_BYTES"
-    MALFORMED_SIGNATURE_STRUCTURE = "MALFORMED_SIGNATURE_STRUCTURE"
-    NON_POSITIVE_SERIAL = "NON_POSITIVE_SERIAL"
+    STRUCTURAL_MISMATCH = "STRUCTURAL_MISMATCH", _CRIT, True, "Certificate grammar mismatch"
+    WRONG_ALGORITHM = "WRONG_ALGORITHM", _CRIT, True, "Wrong algorithm"
+    UNEXPECTED_NULL_IN_ALGORITHM_P = (
+        "UNEXPECTED_NULL_IN_ALGORITHM_P", _CRIT, True, "Unexpected NULL in algorithm parameters"
+    )
+    MISSING_PARAMETERS = "MISSING_PARAMETERS", _CRIT, True, "Missing algorithm parameters"
+    MALFORMED_PARAMETERS = "MALFORMED_PARAMETERS", _CRIT, True, "Malformed algorithm parameters"
+    EMPTY_ISSUER_DN = "EMPTY_ISSUER_DN", _CRIT, True, "Empty issuer distinguished name"
+    EMPTY_SUBJECT_DN = "EMPTY_SUBJECT_DN", _CRIT, True, "Empty subject without critical subjectAltName"
+    INVALID_DN = "INVALID_DN", _NON, True, "Invalid distinguished name"
+    WRONG_OID_IN_DN = "WRONG_OID_IN_DN", _NON, True, "Wrong OID in distinguished name"
+    EMPTY_STRING = "EMPTY_STRING", _NON, True, "Empty string"
+    EXTENSIONS_REQUIRE_V3 = "EXTENSIONS_REQUIRE_V3", _CRIT, True, "Extension found but version is not 3"
+    UNIQUE_ID_REQUIRES_V2_PLUS = "UNIQUE_ID_REQUIRES_V2_PLUS", _CRIT, True, "Unique identifier found but version is 1"
+    DEFAULT_VALUE_ENCODED = "DEFAULT_VALUE_ENCODED", _NON, True, "DEFAULT value explicitly encoded"
+    MALFORMED_PUBLIC_KEY = "MALFORMED_PUBLIC_KEY", _CRIT, True, "Malformed public key"
+    REDUNDANT_TRAILING_BYTES = "REDUNDANT_TRAILING_BYTES", _NON, True, "Redundant trailing bytes"
+    MALFORMED_SIGNATURE_STRUCTURE = "MALFORMED_SIGNATURE_STRUCTURE", _CRIT, True, "Malformed signature structure"
+    NON_POSITIVE_SERIAL = "NON_POSITIVE_SERIAL", _NON, False, "Non-positive serial number"
 
     # Extension block.
-    DUPLICATED_EXTENSION = "DUPLICATED_EXTENSION"
-    EMPTY_EXTENSION_SEQUENCE = "EMPTY_EXTENSION_SEQUENCE"
-    WRONG_EXTN_ID = "WRONG_EXTN_ID"
-    MALFORMED_EXTENSION_BODY = "MALFORMED_EXTENSION_BODY"
-    PATH_LEN_IN_NON_CRITICAL_BC = "PATH_LEN_IN_NON_CRITICAL_BC"
-    PATH_LEN_IN_LEAF = "PATH_LEN_IN_LEAF"
-    NEGATIVE_PATH_LEN = "NEGATIVE_PATH_LEN"
-    WRONG_KEY_CERT_SIGN_ENCODING = "WRONG_KEY_CERT_SIGN_ENCODING"
-    EMPTY_KEY_USAGE = "EMPTY_KEY_USAGE"
-    KEY_CERT_SIGN_WITHOUT_BASIC_CONSTRAINTS = "KEY_CERT_SIGN_WITHOUT_BASIC_CONSTRAINTS"
-    KEY_CERT_SIGN_IN_LEAF = "KEY_CERT_SIGN_IN_LEAF"
-    KEY_USAGE_VIOLATION_ON_PK_ALGORITHM = "KEY_USAGE_VIOLATION_ON_PK_ALGORITHM"
-    BAD_DNS_URI_EMAIL_FORMAT = "BAD_DNS_URI_EMAIL_FORMAT"
-    EMPTY_GENERAL_NAMES = "EMPTY_GENERAL_NAMES"
-    MISSING_SUBJECT_KEY_ID = "MISSING_SUBJECT_KEY_ID"
-    NOT_CRITICAL_BASIC_CONSTRAINTS = "NOT_CRITICAL_BASIC_CONSTRAINTS"
-    WRONG_OID = "WRONG_OID"
-    EMPTY_SEQUENCE_IN_INFO_ACCESS = "EMPTY_SEQUENCE_IN_INFO_ACCESS"
+    DUPLICATED_EXTENSION = "DUPLICATED_EXTENSION", _CRIT, True, "Duplicated extension"
+    EMPTY_EXTENSION_SEQUENCE = "EMPTY_EXTENSION_SEQUENCE", _NON, True, "Empty extension sequence"
+    WRONG_EXTN_ID = "WRONG_EXTN_ID", _NON, True, "Wrong extension identifier"
+    MALFORMED_EXTENSION_BODY = "MALFORMED_EXTENSION_BODY", _CRIT, True, "Malformed extension body"
+    PATH_LEN_IN_NON_CRITICAL_BC = (
+        "PATH_LEN_IN_NON_CRITICAL_BC", _NON, True, "pathLenConstraint in non-critical basicConstraints"
+    )
+    PATH_LEN_IN_LEAF = "PATH_LEN_IN_LEAF", _NON, True, "pathLenConstraint in leaf certificate"
+    NEGATIVE_PATH_LEN = "NEGATIVE_PATH_LEN", _CRIT, True, "Negative pathLenConstraint"
+    WRONG_KEY_CERT_SIGN_ENCODING = "WRONG_KEY_CERT_SIGN_ENCODING", _NON, True, "keyCertSign encoding"
+    EMPTY_KEY_USAGE = "EMPTY_KEY_USAGE", _NON, True, "Empty keyUsage"
+    KEY_CERT_SIGN_WITHOUT_BASIC_CONSTRAINTS = (
+        "KEY_CERT_SIGN_WITHOUT_BASIC_CONSTRAINTS", _CRIT, True, "keyCertSign without basicConstraints"
+    )
+    KEY_CERT_SIGN_IN_LEAF = "KEY_CERT_SIGN_IN_LEAF", _CRIT, True, "keyCertSign in leaf certificate"
+    KEY_USAGE_VIOLATION_ON_PK_ALGORITHM = (
+        "KEY_USAGE_VIOLATION_ON_PK_ALGORITHM", _CRIT, True, "keyUsage violation on public key algorithm"
+    )
+    BAD_DNS_URI_EMAIL_FORMAT = "BAD_DNS_URI_EMAIL_FORMAT", _CRIT, True, "Bad DNS/URI/email format"
+    EMPTY_GENERAL_NAMES = "EMPTY_GENERAL_NAMES", _NON, True, "Empty generalNames"
+    MISSING_SUBJECT_KEY_ID = "MISSING_SUBJECT_KEY_ID", _NON, True, "Missing subjectKeyIdentifier"
+    NOT_CRITICAL_BASIC_CONSTRAINTS = "NOT_CRITICAL_BASIC_CONSTRAINTS", _NON, True, "Non-critical basicConstraints"
+    WRONG_OID = "WRONG_OID", _NON, True, "Wrong OID"
+    EMPTY_SEQUENCE_IN_INFO_ACCESS = "EMPTY_SEQUENCE_IN_INFO_ACCESS", _NON, True, "Empty sequence in information access"
 
     # Cross-field consistency.
-    SIGNATURE_ALGORITHM_MISMATCH = "SIGNATURE_ALGORITHM_MISMATCH"
-    MISSING_KEY_IDENTIFIER_NOT_SELF_ISSUED = "MISSING_KEY_IDENTIFIER_NOT_SELF_ISSUED"
-    MISSING_KEY_IDENTIFIER_SELF_ISSUED = "MISSING_KEY_IDENTIFIER_SELF_ISSUED"
+    SIGNATURE_ALGORITHM_MISMATCH = "SIGNATURE_ALGORITHM_MISMATCH", _CRIT, True, "Signature algorithm mismatch"
+    MISSING_KEY_IDENTIFIER_NOT_SELF_ISSUED = (
+        "MISSING_KEY_IDENTIFIER_NOT_SELF_ISSUED", _NON, True, "Missing keyIdentifier in non-self-issued certificate"
+    )
+    MISSING_KEY_IDENTIFIER_SELF_ISSUED = (
+        "MISSING_KEY_IDENTIFIER_SELF_ISSUED", _NON, False, "Missing keyIdentifier in self-issued certificate"
+    )
 
     # Input container.
-    BAD_PEM_ARMOR = "BAD_PEM_ARMOR"
-    BAD_BASE64 = "BAD_BASE64"
-    UNRECOGNIZED_FORMAT = "UNRECOGNIZED_FORMAT"
+    BAD_PEM_ARMOR = "BAD_PEM_ARMOR", _NON, True, "Bad PEM armor"
+    BAD_BASE64 = "BAD_BASE64", _NON, True, "Bad base64 payload"
+    UNRECOGNIZED_FORMAT = "UNRECOGNIZED_FORMAT", _NON, True, "Unrecognized input format"
 
     # Catch-all for records that fit no better class.  Never raised by the
     # recognizer itself; kept so externally sourced reports can be folded
     # into the same histogram.
-    GENERIC_ERROR = "GENERIC_ERROR"
-
-
-@dataclass(frozen=True)
-class CodeInfo:
-    severity: Severity
-    rejects: bool
-    label: str
-
-
-_CRIT = Severity.SECURITY_CRITICAL
-_NON = Severity.NON_CRITICAL
-
-REGISTRY: dict[Code, CodeInfo] = {
-    Code.LEXING_ERROR: CodeInfo(_CRIT, True, "Lexing Error"),
-    Code.LENGTH_BYTE_FORBIDDEN: CodeInfo(_CRIT, True, "Forbidden length octet"),
-    Code.LENGTH_TOO_LARGE: CodeInfo(_CRIT, True, "Declared length too large"),
-    Code.NON_MINIMAL_LENGTH: CodeInfo(_CRIT, True, "Non-minimal length encoding"),
-    Code.CHILD_OVERFLOW: CodeInfo(_CRIT, True, "Nested element overflows its parent"),
-    Code.TRAILING_BYTES: CodeInfo(_CRIT, True, "Trailing bytes after element"),
-    Code.TRUNCATED_INPUT: CodeInfo(_CRIT, True, "Truncated input"),
-    Code.NESTING_TOO_DEEP: CodeInfo(_CRIT, True, "Nesting depth cap exceeded"),
-    Code.NON_MINIMAL_INTEGER: CodeInfo(_CRIT, True, "Non-minimal INTEGER encoding"),
-    Code.NON_CANONICAL_BOOLEAN: CodeInfo(_CRIT, True, "Non-canonical BOOLEAN encoding"),
-    Code.BAD_BIT_STRING_ENCODING: CodeInfo(_NON, True, "Bad BIT STRING encoding"),
-    Code.EMPTY_VALUE_FIELD: CodeInfo(_NON, True, "Empty value field"),
-    Code.OID_ARC_OVERFLOW: CodeInfo(_CRIT, True, "OID arc overflow"),
-    Code.OID_TRUNCATED: CodeInfo(_CRIT, True, "Truncated OID arc"),
-    Code.INVALID_DATE: CodeInfo(_CRIT, True, "Invalid date"),
-    Code.MALFORMED_TIME: CodeInfo(_CRIT, True, "Malformed time value"),
-    Code.CHAR_SET_VIOLATION: CodeInfo(_CRIT, True, "Character set violation"),
-    Code.WRONG_STRING_TYPE: CodeInfo(_CRIT, True, "Wrong string type"),
-    Code.STRUCTURAL_MISMATCH: CodeInfo(_CRIT, True, "Certificate grammar mismatch"),
-    Code.WRONG_ALGORITHM: CodeInfo(_CRIT, True, "Wrong algorithm"),
-    Code.UNEXPECTED_NULL_IN_ALGORITHM_P: CodeInfo(
-        _CRIT, True, "Unexpected NULL in algorithm parameters"
-    ),
-    Code.MISSING_PARAMETERS: CodeInfo(_CRIT, True, "Missing algorithm parameters"),
-    Code.MALFORMED_PARAMETERS: CodeInfo(_CRIT, True, "Malformed algorithm parameters"),
-    Code.EMPTY_ISSUER_DN: CodeInfo(_CRIT, True, "Empty issuer distinguished name"),
-    Code.EMPTY_SUBJECT_DN: CodeInfo(
-        _CRIT, True, "Empty subject without critical subjectAltName"
-    ),
-    Code.INVALID_DN: CodeInfo(_NON, True, "Invalid distinguished name"),
-    Code.WRONG_OID_IN_DN: CodeInfo(_NON, True, "Wrong OID in distinguished name"),
-    Code.EMPTY_STRING: CodeInfo(_NON, True, "Empty string"),
-    Code.EXTENSIONS_REQUIRE_V3: CodeInfo(
-        _CRIT, True, "Extension found but version is not 3"
-    ),
-    Code.UNIQUE_ID_REQUIRES_V2_PLUS: CodeInfo(
-        _CRIT, True, "Unique identifier found but version is 1"
-    ),
-    Code.DEFAULT_VALUE_ENCODED: CodeInfo(_NON, True, "DEFAULT value explicitly encoded"),
-    Code.MALFORMED_PUBLIC_KEY: CodeInfo(_CRIT, True, "Malformed public key"),
-    Code.REDUNDANT_TRAILING_BYTES: CodeInfo(_NON, True, "Redundant trailing bytes"),
-    Code.MALFORMED_SIGNATURE_STRUCTURE: CodeInfo(
-        _CRIT, True, "Malformed signature structure"
-    ),
-    Code.NON_POSITIVE_SERIAL: CodeInfo(_NON, False, "Non-positive serial number"),
-    Code.DUPLICATED_EXTENSION: CodeInfo(_CRIT, True, "Duplicated extension"),
-    Code.EMPTY_EXTENSION_SEQUENCE: CodeInfo(_NON, True, "Empty extension sequence"),
-    Code.WRONG_EXTN_ID: CodeInfo(_NON, True, "Wrong extension identifier"),
-    Code.MALFORMED_EXTENSION_BODY: CodeInfo(_CRIT, True, "Malformed extension body"),
-    Code.PATH_LEN_IN_NON_CRITICAL_BC: CodeInfo(
-        _NON, True, "pathLenConstraint in non-critical basicConstraints"
-    ),
-    Code.PATH_LEN_IN_LEAF: CodeInfo(_NON, True, "pathLenConstraint in leaf certificate"),
-    Code.NEGATIVE_PATH_LEN: CodeInfo(_CRIT, True, "Negative pathLenConstraint"),
-    Code.WRONG_KEY_CERT_SIGN_ENCODING: CodeInfo(_NON, True, "keyCertSign encoding"),
-    Code.EMPTY_KEY_USAGE: CodeInfo(_NON, True, "Empty keyUsage"),
-    Code.KEY_CERT_SIGN_WITHOUT_BASIC_CONSTRAINTS: CodeInfo(
-        _CRIT, True, "keyCertSign without basicConstraints"
-    ),
-    Code.KEY_CERT_SIGN_IN_LEAF: CodeInfo(_CRIT, True, "keyCertSign in leaf certificate"),
-    Code.KEY_USAGE_VIOLATION_ON_PK_ALGORITHM: CodeInfo(
-        _CRIT, True, "keyUsage violation on public key algorithm"
-    ),
-    Code.BAD_DNS_URI_EMAIL_FORMAT: CodeInfo(_CRIT, True, "Bad DNS/URI/email format"),
-    Code.EMPTY_GENERAL_NAMES: CodeInfo(_NON, True, "Empty generalNames"),
-    Code.MISSING_SUBJECT_KEY_ID: CodeInfo(_NON, True, "Missing subjectKeyIdentifier"),
-    Code.NOT_CRITICAL_BASIC_CONSTRAINTS: CodeInfo(
-        _NON, True, "Non-critical basicConstraints"
-    ),
-    Code.WRONG_OID: CodeInfo(_NON, True, "Wrong OID"),
-    Code.EMPTY_SEQUENCE_IN_INFO_ACCESS: CodeInfo(
-        _NON, True, "Empty sequence in information access"
-    ),
-    Code.SIGNATURE_ALGORITHM_MISMATCH: CodeInfo(
-        _CRIT, True, "Signature algorithm mismatch"
-    ),
-    Code.MISSING_KEY_IDENTIFIER_NOT_SELF_ISSUED: CodeInfo(
-        _NON, True, "Missing keyIdentifier in non-self-issued certificate"
-    ),
-    Code.MISSING_KEY_IDENTIFIER_SELF_ISSUED: CodeInfo(
-        _NON, False, "Missing keyIdentifier in self-issued certificate"
-    ),
-    Code.BAD_PEM_ARMOR: CodeInfo(_NON, True, "Bad PEM armor"),
-    Code.BAD_BASE64: CodeInfo(_NON, True, "Bad base64 payload"),
-    Code.UNRECOGNIZED_FORMAT: CodeInfo(_NON, True, "Unrecognized input format"),
-    Code.GENERIC_ERROR: CodeInfo(_NON, True, "Generic error"),
-}
-
-# Registry closure: every code has exactly one entry.  A missing entry
-# would otherwise only surface when that code is first emitted.
-assert set(REGISTRY) == set(Code), "diagnostic registry out of sync with Code enum"
-
-
-class UnknownCode(KeyError):
-    """Raised when severity or rejection class is asked for an unregistered code."""
-
-
-def _info(code: Code) -> CodeInfo:
-    try:
-        return REGISTRY[code]
-    except KeyError:
-        raise UnknownCode(code) from None
+    GENERIC_ERROR = "GENERIC_ERROR", _NON, True, "Generic error"
 
 
 def severity_of(code: Code) -> Severity:
-    return _info(code).severity
+    return code.severity
 
 
 def rejects(code: Code) -> bool:
     """True when the presence of this code makes the certificate rejected."""
-    return _info(code).rejects
+    return code.rejects
 
 
 def label_of(code: Code) -> str:
-    return _info(code).label
+    return code.label
 
 
 @dataclass

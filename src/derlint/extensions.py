@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .der import TlvNode, parse_tlv_tree
 from .diagnostics import Code, Diagnostic, RecognitionError, diag
@@ -310,6 +311,39 @@ def _expect(ctx: WalkContext, node: TlvNode, tag: int, constructed: bool, what: 
     return False
 
 
+def _elements(
+    ctx: WalkContext, node: TlvNode, what: str, path: str, on_empty: str, code: Code = Code.MALFORMED_EXTENSION_BODY
+) -> list[TlvNode] | None:
+    """The children of a non-empty SEQUENCE, or None after recording _expect's diagnostic or on_empty."""
+    if not _expect(ctx, node, TAG_SEQUENCE, True, what, path):
+        return None
+    if not node.children:
+        ctx.add(code, node, path, on_empty)
+        return None
+    return node.children
+
+
+def _tagged_fields(ctx: WalkContext, fields, what: str, max_tag: int, constructed: bool | None, path: str):
+    """Yield the context-tagged fields [0..max_tag] of what, in ascending tag order.
+
+    A field of another class, with a higher tag, with the wrong constructed
+    bit (constructed=None accepts either) or out of order is recorded, and
+    yields None: the caller stops there.
+    """
+    last = -1
+    for child in fields:
+        if child.tag_class != "context" or child.tag_number > max_tag or constructed not in (None, child.constructed):
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, f"unexpected field {child.describe_tag()} in {what}")
+            yield None
+            return
+        if child.tag_number <= last:
+            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, f"{what} fields out of order or repeated")
+            yield None
+            return
+        last = child.tag_number
+        yield child
+
+
 # --- individual bodies ------------------------------------------------------
 #
 # Each body parser takes the payload root, the walk context and the
@@ -329,22 +363,9 @@ def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -
     if not _expect(ctx, root, TAG_SEQUENCE, True, "authorityKeyIdentifier", path):
         return None
     value = AkiValue()
-    last_tag = -1
-    for child in root.children:
-        if child.tag_class != "context" or child.tag_number > 2:
-            ctx.add(
-                Code.MALFORMED_EXTENSION_BODY,
-                child,
-                path,
-                f"unexpected field {child.describe_tag()} in authorityKeyIdentifier",
-            )
+    for child in _tagged_fields(ctx, root.children, "authorityKeyIdentifier", 2, None, path):
+        if child is None:
             return value
-        if child.tag_number <= last_tag:
-            ctx.add(
-                Code.MALFORMED_EXTENSION_BODY, child, path, "authorityKeyIdentifier fields out of order or repeated"
-            )
-            return value
-        last_tag = child.tag_number
         if child.tag_number == 0:
             if child.constructed:
                 ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "keyIdentifier must be primitive")
@@ -421,12 +442,8 @@ def _body_basic_constraints(root: TlvNode, ctx: WalkContext, path: str) -> Basic
 
 def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> list[str]:
     policies: list[str] = []
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "certificatePolicies", path):
-        return policies
-    if not root.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, "certificatePolicies must name at least one policy")
-        return policies
-    for i, pi in enumerate(root.children):
+    infos = _elements(ctx, root, "certificatePolicies", path, "certificatePolicies must name at least one policy")
+    for i, pi in enumerate(infos or ()):
         sub = f"{path}.policy[{i}]"
         if not _expect(ctx, pi, TAG_SEQUENCE, True, "policyInformation", sub):
             continue
@@ -445,12 +462,8 @@ def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> li
 
 
 def _parse_policy_qualifiers(node: TlvNode, ctx: WalkContext, path: str) -> None:
-    if not _expect(ctx, node, TAG_SEQUENCE, True, "policyQualifiers", path):
-        return
-    if not node.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "empty policyQualifiers")
-        return
-    for j, pqi in enumerate(node.children):
+    qualifiers = _elements(ctx, node, "policyQualifiers", path, "empty policyQualifiers")
+    for j, pqi in enumerate(qualifiers or ()):
         sub = f"{path}.qualifier[{j}]"
         if not _expect(ctx, pqi, TAG_SEQUENCE, True, "policyQualifierInfo", sub):
             continue
@@ -464,8 +477,8 @@ def _parse_policy_qualifiers(node: TlvNode, ctx: WalkContext, path: str) -> None
         if qid == _OID_QT_CPS:
             if qualifier.is_universal(TAG_IA5_STRING, False):
                 text = ctx.decode(validate_charset, qualifier, sub)
-                if text is not None:
-                    _check_uri(text, qualifier, ctx, sub)
+                if text is not None and not valid_uri(text):
+                    ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, qualifier, sub, f"URI without scheme: {text!r}")
             else:
                 ctx.add(Code.MALFORMED_EXTENSION_BODY, qualifier, sub, "CPS qualifier must be an IA5String")
         elif qid == _OID_QT_UNOTICE:
@@ -502,12 +515,8 @@ def _parse_user_notice(node: TlvNode, ctx: WalkContext, path: str) -> None:
 
 def _body_policy_mappings(root: TlvNode, ctx: WalkContext, path: str) -> list[tuple[str, str]]:
     out: list[tuple[str, str]] = []
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "policyMappings", path):
-        return out
-    if not root.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, "policyMappings must hold at least one mapping")
-        return out
-    for i, pair in enumerate(root.children):
+    pairs = _elements(ctx, root, "policyMappings", path, "policyMappings must hold at least one mapping")
+    for i, pair in enumerate(pairs or ()):
         sub = f"{path}.mapping[{i}]"
         if not _expect(ctx, pair, TAG_SEQUENCE, True, "policy mapping", sub):
             continue
@@ -532,35 +541,20 @@ def _body_policy_mappings(root: TlvNode, ctx: WalkContext, path: str) -> list[tu
 
 def _general_names_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> list[GeneralNameValue]:
     names: list[GeneralNameValue] = []
-    if not _expect(ctx, root, TAG_SEQUENCE, True, what, path):
-        return names
-    if not root.children:
-        ctx.add(Code.EMPTY_GENERAL_NAMES, root, path, f"empty {what}")
-        return names
-    for i, gn in enumerate(root.children):
+    kids = _elements(ctx, root, what, path, f"empty {what}", Code.EMPTY_GENERAL_NAMES)
+    for i, gn in enumerate(kids or ()):
         value = parse_general_name(gn, ctx, f"{path}.name[{i}]")
         if value is not None:
             names.append(value)
     return names
 
 
-def _body_subject_alt_name(root: TlvNode, ctx: WalkContext, path: str) -> list[GeneralNameValue]:
-    return _general_names_body(root, ctx, path, "subjectAltName")
-
-
-def _body_issuer_alt_name(root: TlvNode, ctx: WalkContext, path: str) -> list[GeneralNameValue]:
-    return _general_names_body(root, ctx, path, "issuerAltName")
-
-
 def _body_subject_directory_attributes(root: TlvNode, ctx: WalkContext, path: str) -> int:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "subjectDirectoryAttributes", path):
+    empty = "subjectDirectoryAttributes must hold at least one attribute"
+    attrs = _elements(ctx, root, "subjectDirectoryAttributes", path, empty)
+    if attrs is None:
         return 0
-    if not root.children:
-        ctx.add(
-            Code.MALFORMED_EXTENSION_BODY, root, path, "subjectDirectoryAttributes must hold at least one attribute"
-        )
-        return 0
-    for i, attr in enumerate(root.children):
+    for i, attr in enumerate(attrs):
         sub = f"{path}.attribute[{i}]"
         if not _expect(ctx, attr, TAG_SEQUENCE, True, "attribute", sub):
             continue
@@ -575,31 +569,15 @@ def _body_subject_directory_attributes(root: TlvNode, ctx: WalkContext, path: st
         if not values.children:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, values, sub, "attribute with no values")
         # Value syntax depends on the attribute type; values stay opaque.
-    return len(root.children)
+    return len(attrs)
 
 
 def _body_name_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "nameConstraints", path):
-        return
-    if not root.children:
-        ctx.add(
-            Code.MALFORMED_EXTENSION_BODY, root, path, "nameConstraints with neither permitted nor excluded subtrees"
-        )
-        return
-    last = -1
-    for child in root.children:
-        if child.tag_class != "context" or child.tag_number > 1 or not child.constructed:
-            ctx.add(
-                Code.MALFORMED_EXTENSION_BODY,
-                child,
-                path,
-                f"unexpected field {child.describe_tag()} in nameConstraints",
-            )
+    empty = "nameConstraints with neither permitted nor excluded subtrees"
+    fields = _elements(ctx, root, "nameConstraints", path, empty)
+    for child in _tagged_fields(ctx, fields or (), "nameConstraints", 1, True, path):
+        if child is None:
             return
-        if child.tag_number <= last:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "nameConstraints fields out of order or repeated")
-            return
-        last = child.tag_number
         which = "permittedSubtrees" if child.tag_number == 0 else "excludedSubtrees"
         if not child.children:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, f"empty {which}")
@@ -609,23 +587,13 @@ def _body_name_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None:
 
 
 def _parse_general_subtree(node: TlvNode, ctx: WalkContext, path: str) -> None:
-    if not _expect(ctx, node, TAG_SEQUENCE, True, "generalSubtree", path):
+    kids = _elements(ctx, node, "generalSubtree", path, "empty generalSubtree")
+    if kids is None:
         return
-    if not node.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "empty generalSubtree")
-        return
-    parse_general_name(node.children[0], ctx, path, in_name_constraints=True)
-    last = -1
-    for extra in node.children[1:]:
-        if extra.tag_class != "context" or extra.tag_number > 1 or extra.constructed:
-            ctx.add(
-                Code.MALFORMED_EXTENSION_BODY, extra, path, f"unexpected field {extra.describe_tag()} in generalSubtree"
-            )
+    parse_general_name(kids[0], ctx, path, in_name_constraints=True)
+    for extra in _tagged_fields(ctx, kids[1:], "generalSubtree", 1, False, path):
+        if extra is None:
             return
-        if extra.tag_number <= last:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, extra, path, "generalSubtree fields out of order or repeated")
-            return
-        last = extra.tag_number
         value = ctx.decode(decode_integer, extra, path)
         if value is None:
             continue
@@ -636,25 +604,10 @@ def _parse_general_subtree(node: TlvNode, ctx: WalkContext, path: str) -> None:
 
 
 def _body_policy_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "policyConstraints", path):
-        return
-    if not root.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, "policyConstraints with no fields")
-        return
-    last = -1
-    for child in root.children:
-        if child.tag_class != "context" or child.tag_number > 1 or child.constructed:
-            ctx.add(
-                Code.MALFORMED_EXTENSION_BODY,
-                child,
-                path,
-                f"unexpected field {child.describe_tag()} in policyConstraints",
-            )
+    fields = _elements(ctx, root, "policyConstraints", path, "policyConstraints with no fields")
+    for child in _tagged_fields(ctx, fields or (), "policyConstraints", 1, False, path):
+        if child is None:
             return
-        if child.tag_number <= last:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "policyConstraints fields out of order or repeated")
-            return
-        last = child.tag_number
         value = ctx.decode(decode_integer, child, path)
         if value is not None and value < 0:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, f"negative skipCerts {value}")
@@ -662,12 +615,8 @@ def _body_policy_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None
 
 def _body_extended_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> list[str]:
     purposes: list[str] = []
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "extendedKeyUsage", path):
-        return purposes
-    if not root.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, "extendedKeyUsage must name at least one purpose")
-        return purposes
-    for i, child in enumerate(root.children):
+    kids = _elements(ctx, root, "extendedKeyUsage", path, "extendedKeyUsage must name at least one purpose")
+    for i, child in enumerate(kids or ()):
         sub = f"{path}.purpose[{i}]"
         if not child.is_universal(TAG_OID, False):
             ctx.add(Code.WRONG_OID, child, sub, f"key purpose must be an OID, found {child.describe_tag()}")
@@ -679,37 +628,16 @@ def _body_extended_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> list
 
 
 def _body_crl_distribution_points(root: TlvNode, ctx: WalkContext, path: str) -> None:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "cRLDistributionPoints", path):
-        return
-    if not root.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, "cRLDistributionPoints must hold at least one point")
-        return
-    for i, dp in enumerate(root.children):
+    points = _elements(ctx, root, "cRLDistributionPoints", path, "cRLDistributionPoints must hold at least one point")
+    for i, dp in enumerate(points or ()):
         _parse_distribution_point(dp, ctx, f"{path}.point[{i}]")
 
 
 def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> None:
-    if not _expect(ctx, node, TAG_SEQUENCE, True, "distributionPoint", path):
-        return
-    if not node.children:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "empty distributionPoint")
-        return
-    seen: set[int] = set()
-    last = -1
-    for child in node.children:
-        if child.tag_class != "context" or child.tag_number > 2:
-            ctx.add(
-                Code.MALFORMED_EXTENSION_BODY,
-                child,
-                path,
-                f"unexpected field {child.describe_tag()} in distributionPoint",
-            )
+    fields = _elements(ctx, node, "distributionPoint", path, "empty distributionPoint")
+    for child in _tagged_fields(ctx, fields or (), "distributionPoint", 2, None, path):
+        if child is None:
             return
-        if child.tag_number <= last:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "distributionPoint fields out of order or repeated")
-            return
-        last = child.tag_number
-        seen.add(child.tag_number)
         if child.tag_number == 0:
             if not child.constructed or len(child.children) != 1:
                 ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "distributionPoint name must hold one choice")
@@ -751,7 +679,7 @@ def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> Non
                 ctx.add(Code.EMPTY_GENERAL_NAMES, child, path, "empty cRLIssuer")
             for k, gn in enumerate(child.children):
                 parse_general_name(gn, ctx, f"{path}.cRLIssuer[{k}]")
-    if seen == {1}:
+    if fields is not None and len(fields) == 1 and fields[0].is_context(1):
         ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "distributionPoint with only a reasons field")
 
 
@@ -765,12 +693,8 @@ def _body_inhibit_any_policy(root: TlvNode, ctx: WalkContext, path: str) -> int 
 
 
 def _info_access_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> None:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, what, path):
-        return
-    if not root.children:
-        ctx.add(Code.EMPTY_SEQUENCE_IN_INFO_ACCESS, root, path, f"empty {what}")
-        return
-    for i, ad in enumerate(root.children):
+    descriptions = _elements(ctx, root, what, path, f"empty {what}", Code.EMPTY_SEQUENCE_IN_INFO_ACCESS)
+    for i, ad in enumerate(descriptions or ()):
         sub = f"{path}.accessDescription[{i}]"
         if not _expect(ctx, ad, TAG_SEQUENCE, True, "accessDescription", sub):
             continue
@@ -781,22 +705,14 @@ def _info_access_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> 
         parse_general_name(ad.children[1], ctx, sub)
 
 
-def _body_authority_info_access(root: TlvNode, ctx: WalkContext, path: str) -> None:
-    _info_access_body(root, ctx, path, "authorityInfoAccess")
-
-
-def _body_subject_info_access(root: TlvNode, ctx: WalkContext, path: str) -> None:
-    _info_access_body(root, ctx, path, "subjectInfoAccess")
-
-
 _BODY_PARSERS = {
     "authority-key-identifier": _body_authority_key_identifier,
     "subject-key-identifier": _body_subject_key_identifier,
     "key-usage": _body_key_usage,
     "certificate-policies": _body_certificate_policies,
     "policy-mappings": _body_policy_mappings,
-    "subject-alt-name": _body_subject_alt_name,
-    "issuer-alt-name": _body_issuer_alt_name,
+    "subject-alt-name": partial(_general_names_body, what="subjectAltName"),
+    "issuer-alt-name": partial(_general_names_body, what="issuerAltName"),
     "subject-directory-attributes": _body_subject_directory_attributes,
     "basic-constraints": _body_basic_constraints,
     "name-constraints": _body_name_constraints,
@@ -805,8 +721,8 @@ _BODY_PARSERS = {
     "crl-distribution-points": _body_crl_distribution_points,
     "inhibit-any-policy": _body_inhibit_any_policy,
     "freshest-crl": _body_crl_distribution_points,
-    "authority-info-access": _body_authority_info_access,
-    "subject-info-access": _body_subject_info_access,
+    "authority-info-access": partial(_info_access_body, what="authorityInfoAccess"),
+    "subject-info-access": partial(_info_access_body, what="subjectInfoAccess"),
 }
 
 
@@ -840,9 +756,12 @@ def valid_uri(text: str) -> bool:
     return bool(_SCHEME_RE.match(scheme))
 
 
-def _check_uri(text: str, node: TlvNode, ctx: WalkContext, path: str) -> None:
-    if not valid_uri(text):
-        ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, f"URI without scheme: {text!r}")
+# The IA5String choices of GeneralName: tag -> (kind, syntax check).
+_STRING_NAMES = {
+    1: ("rfc822Name", valid_email),
+    2: ("dNSName", valid_dns_name),
+    6: ("uniformResourceIdentifier", valid_uri),
+}
 
 
 def parse_general_name(
@@ -883,8 +802,8 @@ def parse_general_name(
             return None
         return GeneralNameValue(kind="otherName")
 
-    if tag in (1, 2, 6):  # rfc822Name, dNSName, uniformResourceIdentifier
-        kind = {1: "rfc822Name", 2: "dNSName", 6: "uniformResourceIdentifier"}[tag]
+    if tag in _STRING_NAMES:
+        kind, valid = _STRING_NAMES[tag]
         if node.constructed:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, f"{kind} must be primitive")
             return None
@@ -894,12 +813,7 @@ def parse_general_name(
                 ctx.add(Code.CHAR_SET_VIOLATION, node.content_offset + i, path, f"byte 0x{b:02x} in {kind}")
                 return GeneralNameValue(kind=kind)
         text = content.decode("ascii")
-        ok = {
-            "rfc822Name": valid_email,
-            "dNSName": valid_dns_name,
-            "uniformResourceIdentifier": valid_uri,
-        }[kind](text)
-        if not ok:
+        if not valid(text):
             ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, f"malformed {kind}: {text!r}")
         return GeneralNameValue(kind=kind, text=text)
 
@@ -923,7 +837,8 @@ def parse_general_name(
         last = -1
         saw_party = False
         for child in node.children:
-            if child.tag_class != "context" or child.tag_number > 1 or not child.constructed or len(child.children) != 1:
+            explicit = child.tag_class == "context" and child.tag_number <= 1 and child.constructed
+            if not explicit or len(child.children) != 1:
                 ctx.add(
                     Code.MALFORMED_EXTENSION_BODY,
                     child,

@@ -93,7 +93,6 @@ class ParsedTbs:
 
 @dataclass
 class ParsedCertificate:
-    raw: bytes = b""
     node: TlvNode | None = None
     tbs: ParsedTbs | None = None
     outer_algorithm: AlgorithmId | None = None
@@ -308,7 +307,8 @@ def _check_pss_params(params: TlvNode, ctx: WalkContext, path: str) -> None:
         last = child.tag_number
         inner = child.children[0]
         if child.tag_number in (0, 1):
-            if not inner.is_universal(TAG_SEQUENCE, True) or not 1 <= len(inner.children) <= 2 or not inner.children[0].is_universal(TAG_OID, False):
+            algorithm = inner.is_universal(TAG_SEQUENCE, True) and 1 <= len(inner.children) <= 2
+            if not algorithm or not inner.children[0].is_universal(TAG_OID, False):
                 ctx.add(malformed, inner, path, "PSS algorithm slot must hold an AlgorithmIdentifier")
                 return
             ctx.oid(inner.children[0], path, wrong_oid=malformed)
@@ -633,10 +633,9 @@ def parse_certificate(data: bytes | TlvNode, registry: Registry | None = None) -
 
     if isinstance(data, TlvNode):
         node = data
-        result.raw = node.raw
     else:
-        result.raw = bytes(data)
-        node = ctx.decode(parse_tlv_tree, result.raw, "certificate")
+        # bytes(): Registry.by_der looks up node content, which a bytearray's slices would leave unhashable.
+        node = ctx.decode(parse_tlv_tree, bytes(data), "certificate")
         if node is None:
             return result
     result.node = node
@@ -698,7 +697,8 @@ def _post_checks(result: ParsedCertificate, ctx: WalkContext) -> None:
         key_family = tbs.spki.key_family if tbs.spki else None
         check_key_usage_rules(extset, key_family, ctx)
 
-    if tbs.inner_algorithm is not None and result.outer_algorithm is not None and tbs.subject is not None and tbs.issuer is not None:
+    parts = (tbs.inner_algorithm, result.outer_algorithm, tbs.subject, tbs.issuer)
+    if all(part is not None for part in parts):
         aki = extset.get(OID_AUTHORITY_KEY_IDENTIFIER) if extset else None
         aki_key = aki is not None and isinstance(aki.body, AkiValue) and aki.body.key_id is not None
         run_cross_checks(

@@ -217,7 +217,7 @@ def lint(doc: InputDocument, options: LintOptions | None = None) -> CertificateR
 
     started = time.perf_counter_ns()
     if len(doc.data) > options.max_size:
-        parsed = ParsedCertificate(raw=doc.data)
+        parsed = ParsedCertificate()
         parsed.diagnostics.append(
             diag(
                 Code.LENGTH_TOO_LARGE,
