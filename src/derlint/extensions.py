@@ -37,6 +37,7 @@ from .values import (
     TAG_SET,
     TAG_UTF8_STRING,
     TAG_VISIBLE_STRING,
+    _OUTSIDE_ALPHABET,
     decode_bit_string,
     decode_boolean,
     decode_integer,
@@ -454,7 +455,9 @@ def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> li
             ctx.add(Code.WRONG_OID, pi.children[0], sub, "policyIdentifier must be an OID")
         else:
             policy = ctx.oid(pi.children[0], sub)
-            if policy is not None:
+            if policy in policies:  # RFC 5280 4.2.1.4: each policy OID at most once
+                ctx.add(Code.MALFORMED_EXTENSION_BODY, pi.children[0], sub, f"policy {policy} named twice")
+            elif policy is not None:
                 policies.append(policy)
         if len(pi.children) == 2:
             _parse_policy_qualifiers(pi.children[1], ctx, sub)
@@ -728,32 +731,30 @@ _BODY_PARSERS = {
 
 # --- GeneralName ------------------------------------------------------------
 
-# Host name labels: 1-63 alphanumerics and hyphens, no hyphen at either
-# end, full name capped at 253 octets.
-_LABEL_RE = re.compile(r"^[A-Za-z0-9](?:[A-Za-z0-9-]{0,61}[A-Za-z0-9])?$")
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*$")
+# Host names: dot-separated labels of 1-63 alphanumerics and hyphens, no
+# hyphen at either end of a label, the whole name capped at 253 octets.
+# Every pattern here is used with fullmatch: "$" would also match before a
+# trailing newline, and "www\n.example.com" would pass.
+_LABEL = r"[A-Za-z0-9](?:[A-Za-z0-9-]{0,61}[A-Za-z0-9])?"
+_DNS_NAME = re.compile(rf"(?:{_LABEL}\.)*{_LABEL}")
+_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*")
+_LOCAL_PART = re.compile(r"[\x21-\x3f\x41-\x7e]+")  # printable ASCII except "@"
 
 
 def valid_dns_name(text: str) -> bool:
-    if not text or len(text) > 253:
-        return False
-    return all(_LABEL_RE.match(label) for label in text.split("."))
+    return len(text) <= 253 and _DNS_NAME.fullmatch(text) is not None
 
 
 def valid_email(text: str) -> bool:
     if text.count("@") != 1:
         return False
     local, domain = text.split("@")
-    if not local or not valid_dns_name(domain):
-        return False
-    return all(0x21 <= ord(ch) <= 0x7E and ch != "@" for ch in local)
+    return _LOCAL_PART.fullmatch(local) is not None and valid_dns_name(domain)
 
 
 def valid_uri(text: str) -> bool:
     scheme, sep, rest = text.partition(":")
-    if not sep or not rest:
-        return False
-    return bool(_SCHEME_RE.match(scheme))
+    return bool(sep and rest) and _SCHEME.fullmatch(scheme) is not None
 
 
 # The IA5String choices of GeneralName: tag -> (kind, syntax check).
@@ -808,10 +809,11 @@ def parse_general_name(
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, f"{kind} must be primitive")
             return None
         content = node.content
-        for i, b in enumerate(content):
-            if b == 0x00 or b > 0x7F:
-                ctx.add(Code.CHAR_SET_VIOLATION, node.content_offset + i, path, f"byte 0x{b:02x} in {kind}")
-                return GeneralNameValue(kind=kind)
+        bad = _OUTSIDE_ALPHABET["ia5"].search(content)
+        if bad is not None:
+            message = f"byte 0x{content[bad.start()]:02x} in {kind}"
+            ctx.add(Code.CHAR_SET_VIOLATION, node.content_offset + bad.start(), path, message)
+            return GeneralNameValue(kind=kind)
         text = content.decode("ascii")
         if not valid(text):
             ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, f"malformed {kind}: {text!r}")

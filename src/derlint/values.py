@@ -9,6 +9,7 @@ non-canonical spelling rather than normalizing it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .der import TlvNode
@@ -202,9 +203,12 @@ def decode_bit_string(node: TlvNode, *, named: bool = False) -> BitStringValue:
 
 # Character sets -----------------------------------------------------------
 
-_PRINTABLE = frozenset(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789 '()+,-./:=?"
-)
+# The first octet outside each single-byte alphabet; NUL is outside all three.
+_OUTSIDE_ALPHABET = {
+    "printable": re.compile(rb"[^A-Za-z0-9 '()+,\-./:=?]"),
+    "ia5": re.compile(rb"[\x00\x80-\xff]"),
+    "visible": re.compile(rb"[^\x20-\x7e]"),
+}
 
 STRING_KIND_BY_TAG = {
     TAG_UTF8_STRING: "utf8",
@@ -242,26 +246,15 @@ def validate_charset(node: TlvNode, permitted: frozenset[int] | None = None) -> 
     kind = STRING_KIND_BY_TAG[node.tag_number]
     content = node.content
 
-    if kind == "printable":
-        for i, b in enumerate(content):
-            if b not in _PRINTABLE:
-                raise RecognitionError(
-                    Code.CHAR_SET_VIOLATION,
-                    offset=off + i,
-                    message=f"byte 0x{b:02x} outside PrintableString alphabet",
-                )
-        return content.decode("ascii")
-
-    if kind in ("ia5", "visible"):
-        low = 0x20 if kind == "visible" else 0x00
-        high = 0x7E if kind == "visible" else 0x7F
-        for i, b in enumerate(content):
-            if b == 0x00 or not low <= b <= high:
-                raise RecognitionError(
-                    Code.CHAR_SET_VIOLATION,
-                    offset=off + i,
-                    message=f"byte 0x{b:02x} outside {kind} range",
-                )
+    if kind in _OUTSIDE_ALPHABET:
+        bad = _OUTSIDE_ALPHABET[kind].search(content)
+        if bad is not None:
+            alphabet = "PrintableString alphabet" if kind == "printable" else f"{kind} range"
+            raise RecognitionError(
+                Code.CHAR_SET_VIOLATION,
+                offset=off + bad.start(),
+                message=f"byte 0x{content[bad.start()]:02x} outside {alphabet}",
+            )
         return content.decode("ascii")
 
     if kind == "utf8":

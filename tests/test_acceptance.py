@@ -410,7 +410,12 @@ def test_09_runtime_scales_linearly():
     """Minimum parse time over geometrically growing certificates fits a
     line, and the per-KiB cost stays within a factor of three.  Times are
     process CPU time with the garbage collector off, and the minimum of
-    the repetitions is the least noisy estimate of each size's cost."""
+    the repetitions is the least noisy estimate of each size's cost.  The
+    sizes are timed round-robin, each round parsing every size once, so a
+    stretch in which the host runs slow lands on all sizes alike.  Rounds
+    alternate between ascending and descending order: in one direction
+    only, the smallest size would always follow the largest and run with
+    cold caches."""
     problems = []
 
     small = len(certs.scaling_cert(10))
@@ -418,29 +423,29 @@ def test_09_runtime_scales_linearly():
     per_entry = (large - small) / 100.0
     base = small - 10 * per_entry
 
-    sizes = []
-    best = []
+    documents = []
     for exponent in range(0, 9):
         target = 1024 * (2**exponent)
         entries = max(1, round((target - base) / per_entry))
         data = certs.scaling_cert(entries)
-        parsed = parse_certificate(data)
-        if not parsed.accepted:
+        if parse_certificate(data).accepted:
+            documents.append(data)
+        else:
             problems.append(f"scaling certificate of {len(data)} bytes rejected")
-            continue
-        repetitions = 15 if len(data) < 16 * 1024 else 11
-        parse_certificate(data)
-        samples = []
-        gc.disable()
-        try:
-            for _ in range(repetitions):
+
+    sizes = [len(data) for data in documents]
+    samples = [[] for _ in documents]
+    ascending = list(zip(documents, samples))
+    gc.disable()
+    try:
+        for round_number in range(15):
+            for data, timings in ascending if round_number % 2 == 0 else reversed(ascending):
                 t0 = time.process_time_ns()
                 parse_certificate(data)
-                samples.append(time.process_time_ns() - t0)
-        finally:
-            gc.enable()
-        sizes.append(len(data))
-        best.append(min(samples))
+                timings.append(time.process_time_ns() - t0)
+    finally:
+        gc.enable()
+    best = [min(timings) for timings in samples]
 
     if len(sizes) == 9:
         n = len(sizes)

@@ -1,5 +1,8 @@
 """Extension block: entry framing, body grammars, GeneralName, usage rules."""
 
+import random
+import re
+
 import pytest
 
 from derlint.der import parse_tlv_tree
@@ -11,10 +14,12 @@ from derlint.extensions import (
     WalkContext,
     check_key_usage_rules,
     parse_extensions,
+    parse_general_name,
     valid_dns_name,
     valid_email,
     valid_uri,
 )
+from derlint.ingest import lint_bytes
 from derlint.registry import default_registry
 
 from support import certs
@@ -177,6 +182,20 @@ class TestBodies:
         extset, codes = run_body(OID_CP, enc.seq(pi))
         assert codes == []
         assert extset.entries[0].body == ["2.23.140.1.2.1"]
+
+    def test_certificate_policies_duplicate_policy(self):
+        # RFC 5280 4.2.1.4: a policy OID appears at most once.
+        first = enc.seq(enc.oid("2.23.140.1.2.1"))
+        other = enc.seq(enc.oid("2.23.140.1.2.2"))
+        wrapper = parse_tlv_tree(enc.ctx(3, enc.seq(certs.extension(OID_CP, enc.seq(first, other, first)))))
+        ctx = WalkContext(REG)
+        extset = parse_extensions(wrapper, ctx, "exts")
+        assert [(d.code, d.grammar_path, d.message) for d in ctx.diags] == [
+            (Code.MALFORMED_EXTENSION_BODY, "exts[0].extnValue.policy[2]", "policy 2.23.140.1.2.1 named twice")
+        ]
+        third_oid = wrapper.raw.rindex(enc.oid("2.23.140.1.2.1"))
+        assert ctx.diags[0].byte_offset == third_oid
+        assert extset.entries[0].body == ["2.23.140.1.2.1", "2.23.140.1.2.2"]
 
     def test_certificate_policies_empty(self):
         codes = codes_only(OID_CP, enc.seq())
@@ -347,6 +366,96 @@ class TestGeneralNames:
         gn = enc.ctx(5, enc.ctx(0, enc.utf8("assigner")))
         assert self.gn_codes(gn) == [Code.MALFORMED_EXTENSION_BODY]
 
+    @pytest.mark.parametrize(
+        "tag, base", [(1, b"user@example.com"), (2, b"www.example.com"), (6, b"https://example.com/x")]
+    )
+    def test_ia5_choices_match_per_byte_reference(self, tag, base):
+        # Every byte value at the first, a middle and the last position,
+        # with the name behind a NULL so that offsets are not trivial.
+        for position in (0, len(base) // 2, len(base) - 1):
+            for b in range(256):
+                content = base[:position] + bytes([b]) + base[position + 1 :]
+                node = parse_tlv_tree(enc.seq(enc.null(), enc.ctx_prim(tag, content))).children[1]
+                ctx = WalkContext(REG)
+                value = parse_general_name(node, ctx, "gn")
+                got = ((value.kind, value.text), [(d.code, d.byte_offset, d.message) for d in ctx.diags])
+                assert got == reference_general_name(node), (position, b)
+
+    def test_newline_in_dns_name_rejects_the_leaf(self):
+        for name in ("www\n.example.com", "www.example.com\n"):
+            spec = certs.CertSpec(exts=(certs.aki(), certs.san([name])))
+            report = lint_bytes(certs.build(spec))
+            assert report.outcome == "rejected", name
+            assert [d.code for d in report.diagnostics] == [Code.BAD_DNS_URI_EMAIL_FORMAT], name
+
+
+# The syntax checks as they were before the compiled matchers: a split per
+# label and one regex call per label, anchored with \Z rather than "$" so
+# that a trailing newline does not pass.
+_REF_LABEL = re.compile(r"[A-Za-z0-9](?:[A-Za-z0-9-]{0,61}[A-Za-z0-9])?\Z")
+_REF_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*\Z")
+
+
+def reference_dns_name(text: str) -> bool:
+    if not text or len(text) > 253:
+        return False
+    return all(_REF_LABEL.match(label) for label in text.split("."))
+
+
+def reference_email(text: str) -> bool:
+    if text.count("@") != 1:
+        return False
+    local, domain = text.split("@")
+    if not local or not reference_dns_name(domain):
+        return False
+    return all(0x21 <= ord(ch) <= 0x7E and ch != "@" for ch in local)
+
+
+def reference_uri(text: str) -> bool:
+    scheme, sep, rest = text.partition(":")
+    if not sep or not rest:
+        return False
+    return bool(_REF_SCHEME.match(scheme))
+
+
+def reference_general_name(node):
+    """The per-byte IA5 loop parse_general_name ran before its compiled
+    matcher: ((kind, text), [(code, offset, message)])."""
+    kind, valid = {
+        1: ("rfc822Name", reference_email),
+        2: ("dNSName", reference_dns_name),
+        6: ("uniformResourceIdentifier", reference_uri),
+    }[node.tag_number]
+    content = node.content
+    for i, b in enumerate(content):
+        if b == 0x00 or b > 0x7F:
+            return (kind, None), [(Code.CHAR_SET_VIOLATION, node.content_offset + i, f"byte 0x{b:02x} in {kind}")]
+    text = content.decode("ascii")
+    if not valid(text):
+        return (kind, text), [(Code.BAD_DNS_URI_EMAIL_FORMAT, node.header_offset, f"malformed {kind}: {text!r}")]
+    return (kind, text), []
+
+
+def seeded_host_names(seed: int, count: int):
+    """Strings over [A-Za-z0-9._-\\n ] with lengths near 1, the 63-octet
+    label cap and the 253-octet name cap, from sparse to dense dots and noise."""
+    rng = random.Random(seed)
+    alnum = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+    for _ in range(count):
+        length = rng.choice([rng.randint(1, 8), rng.randint(61, 66), rng.randint(125, 130), rng.randint(250, 256)])
+        dots = rng.choice([0.0, 0.01, 0.03, 0.15])
+        noise = rng.choice([0.0, 0.0, 0.003, 0.02])
+        chars = []
+        for _ in range(length):
+            roll = rng.random()
+            if roll < noise:
+                chars.append(rng.choice("-_\n "))
+            elif roll < noise + dots:
+                chars.append(".")
+            else:
+                chars.append(rng.choice(alnum))
+        yield "".join(chars)
+
 
 class TestValidators:
     def test_dns(self):
@@ -378,6 +487,24 @@ class TestValidators:
         assert not valid_uri("example.com/path")
         assert not valid_uri("https:")
         assert not valid_uri("1http://x")
+
+    def test_newline_is_not_a_line_end(self):
+        assert not valid_dns_name("foo\n.example.com")
+        assert not valid_dns_name("example.com\n")
+        assert not valid_uri("http\n:x")
+        assert not valid_email("a@b\n.com")
+
+    def test_match_split_per_label_reference(self):
+        outcomes = {True: 0, False: 0}
+        for text in seeded_host_names(0xD25, 4000):
+            expected = reference_dns_name(text)
+            outcomes[expected] += 1
+            assert valid_dns_name(text) == expected, repr(text)
+            at = text[:5] + "@" + text[5:]
+            assert valid_email(at) == reference_email(at), repr(at)
+            colon = text[:5] + ":" + text[5:]
+            assert valid_uri(colon) == reference_uri(colon), repr(colon)
+        assert min(outcomes.values()) >= 1000, outcomes
 
 
 class TestUsageRules:

@@ -175,6 +175,39 @@ class TestCharsets:
     def test_non_string_tag(self):
         assert err_code(validate_charset, node_of(enc.integer(5))) is Code.WRONG_STRING_TYPE
 
+    @pytest.mark.parametrize("tag", [19, 22, 26])
+    def test_single_byte_alphabets_match_per_byte_reference(self, tag):
+        # Every byte value at the first, a middle and the last position,
+        # with the string behind a NULL so that offsets are not trivial.
+        base = b"Hello.example"
+        for position in (0, len(base) // 2, len(base) - 1):
+            for b in range(256):
+                content = base[:position] + bytes([b]) + base[position + 1 :]
+                node = parse_tlv_tree(enc.seq(enc.null(), bytes([tag, len(content)]) + content)).children[1]
+                try:
+                    got = validate_charset(node)
+                except RecognitionError as err:
+                    got = (err.code, err.offset, err.message)
+                assert got == reference_charset(tag, content, node.content_offset), (position, b)
+
+
+def reference_charset(tag: int, content: bytes, off: int):
+    """The per-byte loops validate_charset ran before its compiled matchers:
+    the decoded text, or the (code, offset, message) of the first bad byte."""
+    if tag == 19:
+        alphabet = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789 '()+,-./:=?")
+        for i, b in enumerate(content):
+            if b not in alphabet:
+                return (Code.CHAR_SET_VIOLATION, off + i, f"byte 0x{b:02x} outside PrintableString alphabet")
+        return content.decode("ascii")
+    kind = "visible" if tag == 26 else "ia5"
+    low = 0x20 if kind == "visible" else 0x00
+    high = 0x7E if kind == "visible" else 0x7F
+    for i, b in enumerate(content):
+        if b == 0x00 or not low <= b <= high:
+            return (Code.CHAR_SET_VIOLATION, off + i, f"byte 0x{b:02x} outside {kind} range")
+    return content.decode("ascii")
+
 
 class TestCalendar:
     def test_leap_years_match_stdlib(self):
