@@ -738,7 +738,7 @@ _BODY_PARSERS = {
 _LABEL = r"[A-Za-z0-9](?:[A-Za-z0-9-]{0,61}[A-Za-z0-9])?"
 _DNS_NAME = re.compile(rf"(?:{_LABEL}\.)*{_LABEL}")
 _SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*")
-_LOCAL_PART = re.compile(r"[\x21-\x3f\x41-\x7e]+")  # printable ASCII except "@"
+_LOCAL_PART = re.compile(r"[\x21-\x7e]+")  # printable ASCII without space
 
 
 def valid_dns_name(text: str) -> bool:
