@@ -26,7 +26,6 @@ from .diagnostics import (
     RecognitionError,
     Severity,
     UnmappedMessage,
-    aggregate,
     classify_external_message,
     diag,
     label_of,
@@ -56,7 +55,6 @@ from .grammar import (
     parse_certificate,
 )
 from .ingest import (
-    BatchResult,
     CertificateReport,
     InputDocument,
     LintOptions,
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgorithmId",
     "AnalysisResult",
-    "BatchResult",
     "Category",
     "CertificateReport",
     "ChainOutcomeRecord",
@@ -97,7 +94,6 @@ __all__ = [
     "UnmappedMessage",
     "ValidityInfo",
     "WalkContext",
-    "aggregate",
     "analyze",
     "classify_differential",
     "classify_external_message",

@@ -18,8 +18,11 @@ import sys
 from .der import CONTENT_MAX
 from .differential import analyze, cross_tabulate, load_report_lines, read_records
 from .diagnostics import Histogram
-from .ingest import CertificateReport, LintOptions, lint, load_input, run_batch
+from .ingest import CertificateReport, LintOptions, lint, load_documents, run_batch
 from .registry import load_registry
+
+# Unused here (stdin goes through load_documents); perfbench's traced run wraps this name.
+from .ingest import load_input  # noqa: F401
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -37,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--no-timing", action="store_true", help="omit parse timings from reports")
     p_lint.add_argument("--max-size", type=int, default=CONTENT_MAX, metavar="BYTES", help="largest accepted input")
     p_lint.add_argument("--registry", metavar="FILE", help="alternate algorithm registry")
-    p_lint.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel workers for batches")
 
     p_diff = sub.add_parser("diff", help="analyze chain validation outcomes from external validators")
     p_diff.add_argument("--records", required=True, metavar="CSV", help="chain outcome table")
@@ -67,9 +69,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.max_size <= 0:
         print("derlint: --max-size must be positive", file=sys.stderr)
         return EXIT_ERROR
-    if args.jobs <= 0:
-        print("derlint: --jobs must be positive", file=sys.stderr)
-        return EXIT_ERROR
 
     options = LintOptions(
         fmt=args.format,
@@ -78,32 +77,30 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         timing=not args.no_timing,
     )
 
-    io_failed = False
     if args.paths:
-        batch = run_batch(args.paths, options, jobs=args.jobs)
-        reports = batch.reports
-        histogram = batch.histogram
-        for path, message in batch.io_errors:
+        results = run_batch(args.paths, options)
+    else:
+        docs = load_documents(sys.stdin.buffer.read(), "<stdin>", options.fmt)
+        results = (lint(doc, options) for doc in docs)
+
+    # Each report is printed as soon as it is linted; only the counts are kept.
+    histogram = Histogram()
+    io_failed = False
+    for result in results:
+        if isinstance(result, tuple):
+            path, message = result
             print(f"derlint: {path}: {message}", file=sys.stderr)
             io_failed = True
-    else:
-        raw = sys.stdin.buffer.read()
-        try:
-            doc = load_input(raw, "<stdin>", options.fmt)
-        except ValueError as exc:
-            print(f"derlint: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        reports = [lint(doc, options)]
-        histogram = Histogram()
-        histogram.add(reports[0].diagnostics)
+            continue
+        histogram.add(result.diagnostics)
+        if args.report == "json":
+            print(json.dumps(result.to_json_dict()))
+        else:
+            _print_text_report(result, sys.stdout)
 
     if args.report == "json":
-        for report in reports:
-            print(json.dumps(report.to_json_dict()))
         print(json.dumps({"summary": histogram.to_json_dict()}))
     else:
-        for report in reports:
-            _print_text_report(report, sys.stdout)
         print(f"{histogram.accepted} accepted, {histogram.rejected} rejected of {histogram.total}")
 
     if io_failed:

@@ -42,8 +42,6 @@ absolute document offset, and the region end acts as the input end.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .diagnostics import Code, RecognitionError
 
 # State space layout.  Counting states occupy [0, CONTENT_MAX]; the length
@@ -147,11 +145,6 @@ def decode_length(state: LengthAutomatonState) -> int:
     return state
 
 
-class Span(NamedTuple):
-    start: int
-    end: int
-
-
 _TAG_CLASSES = ("universal", "application", "context", "private")
 # (class, constructed, number) of each one-octet identifier; None marks the high-tag-number escape.
 _LOW_TAGS = [None if b & 0x1F == 0x1F else (_TAG_CLASSES[b >> 6], b & 0x20 != 0, b & 0x1F) for b in range(256)]
@@ -160,10 +153,9 @@ _LOW_TAGS = [None if b & 0x1F == 0x1F else (_TAG_CLASSES[b >> 6], b & 0x20 != 0,
 class TlvNode:
     """One element of the parsed tree, with exact offsets into buffer.
 
-    content_offset + content_length == raw_span.end always holds; for a
-    constructed node the children tile [content_offset, raw_span.end)
-    exactly, in input order.  content and raw are slices of buffer made
-    on demand.
+    For a constructed node the children tile [content_offset,
+    content_offset + content_length) exactly, in input order.  content
+    and raw are slices of buffer made on demand.
     """
 
     __slots__ = (
@@ -183,10 +175,6 @@ class TlvNode:
         self.content_length = content_length
         self.children: list[TlvNode] = []
         self.buffer = buffer
-
-    @property
-    def raw_span(self) -> Span:
-        return Span(self.header_offset, self.content_offset + self.content_length)
 
     @property
     def content(self) -> bytes:
@@ -282,7 +270,6 @@ def parse_tlv_tree(
     end: int | None = None,
     *,
     max_depth: int = MAX_DEPTH,
-    max_size: int = CONTENT_MAX,
 ) -> TlvNode:
     """Parse one complete DER element from the region data[start:end].
 
@@ -296,11 +283,11 @@ def parse_tlv_tree(
         end = len(data)
     if start == end:
         raise RecognitionError(Code.TRUNCATED_INPUT, offset=start, message="empty input")
-    if end - start > max_size:
+    if end - start > CONTENT_MAX:
         raise RecognitionError(
             Code.LENGTH_TOO_LARGE,
             offset=start,
-            message=f"input of {end - start} bytes exceeds cap {max_size}",
+            message=f"input of {end - start} bytes exceeds cap {CONTENT_MAX}",
         )
     low_tags = _LOW_TAGS
     # limit is where the innermost open element ends (the region end at

@@ -211,14 +211,10 @@ class RecognitionError(Exception):
         self.message = message or label_of(code)
         super().__init__(f"{code.value} at offset {offset}: {self.message}")
 
-    def to_diagnostic(self, path: str = "") -> Diagnostic:
-        d = diag(self.code, path=path, offset=self.offset, message=self.message)
-        return d
-
 
 @dataclass
 class Histogram:
-    """Counts of diagnostics across a batch, mergeable across workers."""
+    """Counts of diagnostics across a batch."""
 
     total: int = 0
     accepted: int = 0
@@ -234,17 +230,6 @@ class Histogram:
         for d in diagnostics:
             self.counts[d.code] = self.counts.get(d.code, 0) + 1
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        out = Histogram(
-            total=self.total + other.total,
-            accepted=self.accepted + other.accepted,
-            rejected=self.rejected + other.rejected,
-            counts=dict(self.counts),
-        )
-        for code, n in other.counts.items():
-            out.counts[code] = out.counts.get(code, 0) + n
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "total": self.total,
@@ -252,14 +237,6 @@ class Histogram:
             "rejected": self.rejected,
             "counts": {c.value: n for c, n in sorted(self.counts.items(), key=lambda kv: kv[0].value)},
         }
-
-
-def aggregate(results) -> Histogram:
-    """Fold an iterable of per-certificate diagnostic lists into a Histogram."""
-    h = Histogram()
-    for diagnostics in results:
-        h.add(diagnostics)
-    return h
 
 
 @dataclass(frozen=True)

@@ -159,9 +159,6 @@ class KeyUsageValue:
     def has(self, bit: int) -> bool:
         return bit in self.bits
 
-    def names(self) -> list[str]:
-        return [KEY_USAGE_BITS[b] for b in sorted(self.bits) if b < len(KEY_USAGE_BITS)]
-
 
 @dataclass
 class BasicConstraintsValue:
@@ -757,11 +754,21 @@ def valid_uri(text: str) -> bool:
     return bool(sep and rest) and _SCHEME.fullmatch(scheme) is not None
 
 
-# The IA5String choices of GeneralName: tag -> (kind, syntax check).
+def _valid_host_constraint(text: str) -> bool:
+    """A host, or a domain written with a leading period (RFC 5280 4.2.1.10)."""
+    return valid_dns_name(text[1:] if text.startswith(".") else text)
+
+
+def _valid_mail_constraint(text: str) -> bool:
+    """A mailbox, a host or a domain (RFC 5280 4.2.1.10)."""
+    return valid_email(text) or _valid_host_constraint(text)
+
+
+# The IA5String choices of GeneralName: tag -> (kind, syntax check, syntax check inside nameConstraints).
 _STRING_NAMES = {
-    1: ("rfc822Name", valid_email),
-    2: ("dNSName", valid_dns_name),
-    6: ("uniformResourceIdentifier", valid_uri),
+    1: ("rfc822Name", valid_email, _valid_mail_constraint),
+    2: ("dNSName", valid_dns_name, valid_dns_name),
+    6: ("uniformResourceIdentifier", valid_uri, _valid_host_constraint),
 }
 
 
@@ -774,7 +781,8 @@ def parse_general_name(
     """Parse and validate one GeneralName choice.
 
     Inside nameConstraints an iPAddress carries an address plus netmask,
-    doubling its length; everywhere else it is a bare address.
+    doubling its length, a URI names a host or a domain, and an
+    rfc822Name a mailbox, a host or a domain.
     """
     if node.tag_class != "context":
         ctx.add(
@@ -804,7 +812,7 @@ def parse_general_name(
         return GeneralNameValue(kind="otherName")
 
     if tag in _STRING_NAMES:
-        kind, valid = _STRING_NAMES[tag]
+        kind, valid, valid_constraint = _STRING_NAMES[tag]
         if node.constructed:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, f"{kind} must be primitive")
             return None
@@ -815,7 +823,7 @@ def parse_general_name(
             ctx.add(Code.CHAR_SET_VIOLATION, node.content_offset + bad.start(), path, message)
             return GeneralNameValue(kind=kind)
         text = content.decode("ascii")
-        if not valid(text):
+        if not (valid_constraint if in_name_constraints else valid)(text):
             ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, f"malformed {kind}: {text!r}")
         return GeneralNameValue(kind=kind, text=text)
 

@@ -14,12 +14,12 @@ import binascii
 import hashlib
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .der import CONTENT_MAX
-from .diagnostics import Code, Diagnostic, Histogram, diag
-from .grammar import ParsedCertificate, parse_certificate
+from .diagnostics import Code, Diagnostic, diag, rejects
+from .grammar import parse_certificate
 from .registry import Registry
 
 _BEGIN = "-----BEGIN CERTIFICATE-----"
@@ -203,40 +203,23 @@ def lint(doc: InputDocument, options: LintOptions | None = None) -> CertificateR
     """Run the recognizer over one document and build its report."""
     options = options or LintOptions()
     digest = hashlib.sha256(doc.data).hexdigest()
-
+    started = time.perf_counter_ns()
     if doc.container_error is not None:
         diagnostics = [doc.container_error]
-        return CertificateReport(
-            doc_id=doc.doc_id,
-            sha256=digest,
-            outcome="rejected",
-            size_bytes=len(doc.data),
-            parse_time_micros=0 if options.timing else None,
-            diagnostics=diagnostics,
-        )
-
-    started = time.perf_counter_ns()
-    if len(doc.data) > options.max_size:
-        parsed = ParsedCertificate()
-        parsed.diagnostics.append(
-            diag(
-                Code.LENGTH_TOO_LARGE,
-                path="certificate",
-                offset=options.max_size,
-                message=f"input of {len(doc.data)} bytes exceeds the {options.max_size} byte bound",
-            )
-        )
+    elif len(doc.data) > options.max_size:
+        message = f"input of {len(doc.data)} bytes exceeds the {options.max_size} byte bound"
+        diagnostics = [diag(Code.LENGTH_TOO_LARGE, path="certificate", offset=options.max_size, message=message)]
     else:
-        parsed = parse_certificate(doc.data, options.registry)
+        diagnostics = parse_certificate(doc.data, options.registry).diagnostics
     elapsed_micros = (time.perf_counter_ns() - started) // 1000
 
     return CertificateReport(
         doc_id=doc.doc_id,
         sha256=digest,
-        outcome="accepted" if parsed.accepted else "rejected",
+        outcome="rejected" if any(rejects(d.code) for d in diagnostics) else "accepted",
         size_bytes=len(doc.data),
         parse_time_micros=elapsed_micros if options.timing else None,
-        diagnostics=parsed.diagnostics,
+        diagnostics=diagnostics,
     )
 
 
@@ -245,63 +228,34 @@ def lint_bytes(data: bytes, doc_id: str = "<input>", options: LintOptions | None
     return lint(load_input(data, doc_id, options.fmt), options)
 
 
-@dataclass
-class BatchResult:
-    reports: list[CertificateReport] = field(default_factory=list)
-    histogram: Histogram = field(default_factory=Histogram)
-    io_errors: list[tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def any_rejected(self) -> bool:
-        return any(r.outcome == "rejected" for r in self.reports)
-
-
-def _collect_paths(inputs: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
+def _collect_paths(inputs: list[str]) -> list[str]:
     files: list[str] = []
-    errors: list[tuple[str, str]] = []
     for item in inputs:
         if os.path.isdir(item):
-            for dirpath, dirnames, filenames in os.walk(item):
-                dirnames.sort()
-                for name in sorted(filenames):
-                    files.append(os.path.join(dirpath, name))
-        elif os.path.exists(item):
-            files.append(item)
+            for dirpath, _, filenames in os.walk(item):
+                files.extend(os.path.join(dirpath, name) for name in filenames)
         else:
-            errors.append((item, "no such file or directory"))
-    return files, errors
+            files.append(item)
+    return sorted(files)
 
 
-def run_batch(inputs: list[str], options: LintOptions | None = None, jobs: int = 1) -> BatchResult:
-    """Lint every file under the given paths.
+def run_batch(inputs: list[str], options: LintOptions | None = None) -> Iterator[CertificateReport | tuple[str, str]]:
+    """Lint every file under the given paths, one file at a time.
 
-    Reports come in path order, and the documents of a multi-block PEM
-    file in block order.  A file that cannot be read is recorded as an
-    IO error and skipped; it never aborts the batch.
+    Yields reports in path order, and the documents of a multi-block PEM
+    file in block order.  A file that is missing or cannot be read
+    yields (path, message) in its place; it never aborts the batch.
     """
     options = options or LintOptions()
-    result = BatchResult()
-    files, missing = _collect_paths(inputs)
-    files.sort()
-    result.io_errors.extend(missing)
-
-    docs: list[InputDocument] = []
-    for path in files:
+    for path in _collect_paths(inputs):
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            result.io_errors.append((path, str(exc)))
+        except FileNotFoundError:
+            yield path, "no such file or directory"
             continue
-        docs.extend(load_documents(raw, path, options.fmt))
-
-    if jobs > 1 and len(docs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda d: lint(d, options), docs))
-    else:
-        reports = [lint(d, options) for d in docs]
-
-    result.reports = reports
-    for report in reports:
-        result.histogram.add(report.diagnostics)
-    return result
+        except OSError as exc:
+            yield path, str(exc)
+            continue
+        for doc in load_documents(raw, path, options.fmt):
+            yield lint(doc, options)

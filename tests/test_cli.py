@@ -124,22 +124,27 @@ class TestLint:
         assert status == cli.EXIT_OK
         assert json_lines(out)[0]["outcome"] == "accepted"
 
+    def test_stdin_multi_block_pem(self, capsys, monkeypatch):
+        import base64
+        import textwrap
+
+        pem = ""
+        for der in (certs.base_cert(), certs.base_cert() + b"\x00"):
+            b64 = textwrap.fill(base64.b64encode(der).decode(), width=64)
+            pem += f"-----BEGIN CERTIFICATE-----\n{b64}\n-----END CERTIFICATE-----\n"
+        fake = types.SimpleNamespace(buffer=io.BytesIO(pem.encode()))
+        monkeypatch.setattr(cli.sys, "stdin", fake)
+        status, out, err = run(capsys, ["lint"])
+        assert status == cli.EXIT_REJECTED
+        assert err == ""
+        *reports, summary = json_lines(out)
+        assert [(r["id"], r["outcome"]) for r in reports] == [("<stdin>#1", "accepted"), ("<stdin>#2", "rejected")]
+        assert summary["summary"]["total"] == 2
+
     def test_max_size_must_be_positive(self, capsys, good_file):
         status, _, err = run(capsys, ["lint", "--max-size", "0", str(good_file)])
         assert status == cli.EXIT_ERROR
         assert "--max-size" in err
-
-    def test_jobs_must_be_positive(self, capsys, good_file):
-        status, _, err = run(capsys, ["lint", "--jobs", "-1", str(good_file)])
-        assert status == cli.EXIT_ERROR
-        assert "--jobs" in err
-
-    def test_parallel_jobs_match_serial(self, capsys, good_file, bad_file):
-        _, serial, _ = run(capsys, ["lint", "--no-timing", str(good_file), str(bad_file)])
-        _, parallel, _ = run(
-            capsys, ["lint", "--no-timing", "--jobs", "3", str(good_file), str(bad_file)]
-        )
-        assert serial == parallel
 
     def test_unreadable_registry(self, capsys, tmp_path, good_file):
         status, _, err = run(
@@ -170,6 +175,10 @@ class TestLint:
         assert status == cli.EXIT_REJECTED
         codes = {d["code"] for d in json_lines(out)[0]["diagnostics"]}
         assert "WRONG_ALGORITHM" in codes
+
+    def test_jobs_option_is_gone(self, capsys, good_file):
+        with pytest.raises(SystemExit):
+            cli.main(["lint", "--jobs", "2", str(good_file)])
 
     def test_unknown_format_rejected_by_argparse(self, capsys, good_file):
         with pytest.raises(SystemExit):

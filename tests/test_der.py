@@ -145,7 +145,7 @@ class TestParseTlvTree:
         assert node.content == b"abc"
         assert node.header_offset == 0
         assert node.content_offset == 2
-        assert node.raw_span == (0, 5)
+        assert node.content_offset + node.content_length == 5
 
     def test_nested_offsets(self):
         data = enc.seq(enc.integer(5), enc.seq(enc.null()))
@@ -162,9 +162,9 @@ class TestParseTlvTree:
         node = parse_tlv_tree(data)
         pos = node.content_offset
         for child in node.children:
-            assert child.raw_span.start == pos
-            pos = child.raw_span.end
-        assert pos == node.raw_span.end
+            assert child.header_offset == pos
+            pos = child.content_offset + child.content_length
+        assert pos == node.content_offset + node.content_length
 
     def test_high_tag_number(self):
         data = enc.tlv(31, b"z")
@@ -273,7 +273,7 @@ class TestParseTlvTree:
         data = enc.seq(enc.octet_string(b"xyz"))
         node = parse_tlv_tree(data)
         (child,) = node.children
-        assert child.raw_span.end == node.raw_span.end == len(data)
+        assert child.content_offset + child.content_length == node.content_offset + node.content_length == len(data)
 
     def test_zero_length_constructed_child(self):
         data = enc.seq(enc.seq(), enc.null())

