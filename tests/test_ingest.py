@@ -5,8 +5,7 @@ import textwrap
 
 import pytest
 
-from derlint.diagnostics import Code
-from derlint.diagnostics import Histogram
+from derlint.diagnostics import Code, Histogram
 from derlint.ingest import (
     CertificateReport,
     LintOptions,
