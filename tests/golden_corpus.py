@@ -18,7 +18,14 @@ catalog in ``support``:
   bodies for each of the 17 registered extension grammars (empty, out of
   order, repeated, wrong class, wrong constructed bit, a trailing field)
   and RSASSA-PSS parameter variants, each followed by eight seeded
-  one-byte flips inside the body or the parameters.
+  one-byte flips inside the body or the parameters;
+* a tag-mismatch block with its own seed, after the shape block: one
+  certificate for each universal-tag slot no line above reaches (the
+  critical flag, the key algorithm parameters, the key and signature
+  bits, version and validity), for the unused-bit and empty key and
+  signature checks, and for two malformed nameRelativeToCRLIssuer
+  choices, each followed by eight seeded one-byte flips inside the
+  replaced field.
 
 Each document becomes one JSON line, ``[id, outcome, [[code, severity,
 byte_offset, path, message], ...]]``, with no timing.  Regenerate the
@@ -45,6 +52,7 @@ FLIPS = 8
 RANDOM_INPUTS = 2_000
 RANDOM_MAX_LEN = 600
 SHAPE_SEED = 0x5EA9E
+TAG_SEED = 0x7A65
 
 
 def _directory_name_seeds() -> list[tuple[str, bytes]]:
@@ -390,6 +398,75 @@ def _extension_shape_seeds() -> list[tuple[str, bytes, int, int]]:
     return out
 
 
+_DSA = "1.2.840.10040.4.1"
+_KEA = "2.16.840.1.101.2.1.1.22"
+_EC = "1.2.840.10045.2.1"
+_GOST = "1.2.643.2.2.19"
+
+
+def _spki(alg_oid: str, params: bytes, key: bytes) -> bytes:
+    return enc.seq(enc.seq(enc.oid(alg_oid), params), enc.bit_string(key))
+
+
+def _tag_mismatch_variants() -> dict[str, tuple[str, bytes]]:
+    """label -> (CertSpec field, its replacement); the last element of a replaced exts tuple is the one flipped."""
+    value = enc.integer(int.from_bytes(b"\x5f" * 32, "big") | 1)
+    modulus = enc.integer(int.from_bytes(b"\xc3" * 256, "big") | 1)
+    rsa_alg = enc.seq(enc.oid(certs.OID_RSA_ENC), enc.null())
+    signature = bytes(range(1, 65))
+
+    def domain(middle: bytes) -> bytes:
+        return enc.seq(enc.integer(7), middle, enc.integer(5))
+
+    def point(name: bytes) -> bytes:
+        return certs.extension("2.5.29.31", enc.seq(enc.seq(enc.ctx(0, enc.ctx(1, *name)))))
+
+    critical = enc.seq(enc.oid(certs.OID_SKI), enc.integer(1), enc.octet_string(enc.octet_string(certs.KEYID)))
+    return {
+        "critical-not-boolean": ("exts", (certs.aki(), critical)),
+        "named-curve-not-oid": ("spki", _spki(_EC, enc.null(), b"\x04" + b"\x11" * 64)),
+        "dss-parameter-not-integer": ("spki", _spki(_DSA, domain(enc.null()), value)),
+        "dh-parameter-not-integer": ("spki", _spki(certs.OID_DH, domain(enc.octet_string(b"\x02")), value)),
+        "kea-domain-not-octet-string": ("spki", _spki(_KEA, enc.integer(1), value)),
+        "gost-parameter-not-oid": (
+            "spki",
+            _spki(_GOST, enc.seq(enc.oid("1.2.643.2.2.35.1"), enc.integer(1)), enc.octet_string(b"\x11" * 64)),
+        ),
+        "rsa-exponent-not-integer": ("spki", enc.seq(rsa_alg, enc.bit_string(enc.seq(modulus, enc.null())))),
+        "public-value-not-integer": (
+            "spki",
+            _spki(certs.OID_DH, domain(enc.integer(2)), enc.octet_string(b"\x5f" * 32)),
+        ),
+        "gost-key-not-octet-string": (
+            "spki",
+            _spki(_GOST, enc.seq(enc.oid("1.2.643.2.2.35.1"), enc.oid("1.2.643.2.2.30.1")), enc.integer(5)),
+        ),
+        "signature-value-not-bit-string": ("sig_value", enc.octet_string(signature)),
+        "version-not-integer": ("version", enc.ctx(0, enc.octet_string(b"\x02"))),
+        "validity-not-sequence": ("validity", enc.set_of(enc.utctime("200101000000Z"), enc.utctime("300101000000Z"))),
+        "key-bits-unused": (
+            "spki",
+            enc.seq(rsa_alg, enc.bit_string(enc.seq(modulus, enc.integer(65537)) + b"\x80", 7)),
+        ),
+        "signature-bits-unused": ("sig_value", enc.bit_string(signature, 6)),
+        "empty-public-key": ("spki", enc.seq(rsa_alg, enc.bit_string(b""))),
+        "empty-signature": ("sig_value", enc.bit_string(b"")),
+        "relative-name-empty": ("exts", (certs.aki(), point(()))),
+        "relative-name-integer-type": ("exts", (certs.aki(), point((enc.seq(enc.integer(1), enc.null()),)))),
+    }
+
+
+def _tag_mismatch_seeds() -> list[tuple[str, bytes, int, int]]:
+    """(id, certificate, start, end): each seed with the region its flips hit."""
+    out = []
+    for label, (slot, value) in _tag_mismatch_variants().items():
+        data = certs.build(replace(certs.CertSpec(), **{slot: value}))
+        region = value[-1] if slot == "exts" else value
+        start = data.index(region)
+        out.append((f"tag-{label}", data, start, start + len(region)))
+    return out
+
+
 def seeds() -> list[tuple[str, bytes]]:
     out = [(f"fixture-{f.name}", f.data) for f in certs.planted_fixtures()]
     out += [
@@ -417,8 +494,15 @@ def documents() -> list[tuple[str, bytes]]:
     for i in range(RANDOM_INPUTS):
         blob = rng.randbytes(rng.randrange(0, RANDOM_MAX_LEN))
         out.append((f"random-{i}", enc.seq(blob) if i % 2 else blob))
-    rng = random.Random(SHAPE_SEED)
-    for name, data, start, end in _extension_shape_seeds():
+    out += _with_region_flips(random.Random(SHAPE_SEED), _extension_shape_seeds())
+    out += _with_region_flips(random.Random(TAG_SEED), _tag_mismatch_seeds())
+    return out
+
+
+def _with_region_flips(rng: random.Random, region_seeds) -> list[tuple[str, bytes]]:
+    """Each (id, certificate, start, end) seed, then FLIPS one-byte flips inside [start, end)."""
+    out = []
+    for name, data, start, end in region_seeds:
         out.append((name, data))
         for k in range(FLIPS):
             pos = rng.randrange(start, end)
