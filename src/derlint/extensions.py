@@ -91,6 +91,7 @@ class WalkContext:
     Every node the walk sees, payload nodes included, carries absolute
     offsets into the whole document, so a diagnostic keeps the offset it
     was found at.  add() is the one way the walk records a diagnostic;
+    expect() records a node whose tag is not the slot's universal tag, and
     decode(), oid() and payload() turn a decoder's or a re-entered payload's
     RecognitionError into one.
     """
@@ -105,6 +106,13 @@ class WalkContext:
         """Record a diagnostic at a node's header, at an offset, or nowhere (None)."""
         offset = at.header_offset if isinstance(at, TlvNode) else at
         self.diags.append(diag(code, path=path, offset=offset, message=message))
+
+    def expect(self, code: Code, node: TlvNode, tag: int, constructed: bool, path: str, what: str) -> bool:
+        """True when node carries the universal tag; otherwise records "{what}, found {its tag}" and returns False."""
+        if node.is_universal(tag, constructed):
+            return True
+        self.add(code, node, path, f"{what}, found {node.describe_tag()}")
+        return False
 
     def decode(self, fn, node, path: str, *args, wrong_oid: Code = Code.WRONG_OID, **kwargs):
         """fn(node, ...), or None after recording its error.
@@ -245,8 +253,7 @@ def parse_extensions(
 
 
 def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: str) -> ExtensionEntry | None:
-    if not node.is_universal(TAG_SEQUENCE, True):
-        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"extension must be a SEQUENCE, found {node.describe_tag()}")
+    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, "extension must be a SEQUENCE"):
         return None
     kids = node.children
     if not 2 <= len(kids) <= 3:
@@ -254,34 +261,22 @@ def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: st
         return None
 
     oid_str: str | None = None
-    if not kids[0].is_universal(TAG_OID, False):
-        ctx.add(Code.WRONG_EXTN_ID, kids[0], f"{path}.extnID", f"extnID must be an OID, found {kids[0].describe_tag()}")
-    else:
+    if ctx.expect(Code.WRONG_EXTN_ID, kids[0], TAG_OID, False, f"{path}.extnID", "extnID must be an OID"):
         oid_str = ctx.oid(kids[0], f"{path}.extnID", wrong_oid=Code.WRONG_EXTN_ID)
 
     critical = False
     value_node = kids[-1]
     if len(kids) == 3:
-        if not kids[1].is_universal(TAG_BOOLEAN, False):
-            ctx.add(
-                Code.STRUCTURAL_MISMATCH,
-                kids[1],
-                f"{path}.critical",
-                f"critical must be a BOOLEAN, found {kids[1].describe_tag()}",
-            )
+        sub = f"{path}.critical"
+        if not ctx.expect(Code.STRUCTURAL_MISMATCH, kids[1], TAG_BOOLEAN, False, sub, "critical must be a BOOLEAN"):
             return None
-        critical = ctx.decode(decode_boolean, kids[1], f"{path}.critical")
+        critical = ctx.decode(decode_boolean, kids[1], sub)
         if critical is False:
-            ctx.add(Code.DEFAULT_VALUE_ENCODED, kids[1], f"{path}.critical", "critical FALSE explicitly encoded")
+            ctx.add(Code.DEFAULT_VALUE_ENCODED, kids[1], sub, "critical FALSE explicitly encoded")
 
     body_path = f"{path}.extnValue"
-    if not value_node.is_universal(TAG_OCTET_STRING, False):
-        ctx.add(
-            Code.STRUCTURAL_MISMATCH,
-            value_node,
-            body_path,
-            f"extnValue must be a primitive OCTET STRING, found {value_node.describe_tag()}",
-        )
+    what = "extnValue must be a primitive OCTET STRING"
+    if not ctx.expect(Code.STRUCTURAL_MISMATCH, value_node, TAG_OCTET_STRING, False, body_path, what):
         return None
 
     entry = ExtensionEntry(index=index, oid=oid_str, critical=bool(critical), node=node)
@@ -300,13 +295,8 @@ def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: st
 
 
 def _expect(ctx: WalkContext, node: TlvNode, tag: int, constructed: bool, what: str, path: str) -> bool:
-    if node.is_universal(tag, constructed):
-        return True
-    shape = "constructed" if constructed else "primitive"
-    ctx.add(
-        Code.MALFORMED_EXTENSION_BODY, node, path, f"{what}: expected {shape} tag {tag}, found {node.describe_tag()}"
-    )
-    return False
+    what = f"{what}: expected {'constructed' if constructed else 'primitive'} tag {tag}"
+    return ctx.expect(Code.MALFORMED_EXTENSION_BODY, node, tag, constructed, path, what)
 
 
 def _elements(
@@ -340,6 +330,14 @@ def _tagged_fields(ctx: WalkContext, fields, what: str, max_tag: int, constructe
             return
         last = child.tag_number
         yield child
+
+
+def _non_negative(ctx: WalkContext, node: TlvNode, path: str, what: str) -> int | None:
+    """The INTEGER's value, or None after recording its error; a value below zero is also recorded."""
+    value = ctx.decode(decode_integer, node, path)
+    if value is not None and value < 0:
+        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, f"negative {what} {value}")
+    return value
 
 
 # --- individual bodies ------------------------------------------------------
@@ -594,13 +592,8 @@ def _parse_general_subtree(node: TlvNode, ctx: WalkContext, path: str) -> None:
     for extra in _tagged_fields(ctx, kids[1:], "generalSubtree", 1, False, path):
         if extra is None:
             return
-        value = ctx.decode(decode_integer, extra, path)
-        if value is None:
-            continue
-        if extra.tag_number == 0 and value == 0:
+        if _non_negative(ctx, extra, path, "subtree bound") == 0 and extra.tag_number == 0:
             ctx.add(Code.DEFAULT_VALUE_ENCODED, extra, path, "minimum 0 explicitly encoded")
-        if value < 0:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, extra, path, f"negative subtree bound {value}")
 
 
 def _body_policy_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None:
@@ -608,9 +601,7 @@ def _body_policy_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None
     for child in _tagged_fields(ctx, fields or (), "policyConstraints", 1, False, path):
         if child is None:
             return
-        value = ctx.decode(decode_integer, child, path)
-        if value is not None and value < 0:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, f"negative skipCerts {value}")
+        _non_negative(ctx, child, path, "skipCerts")
 
 
 def _body_extended_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> list[str]:
@@ -618,12 +609,10 @@ def _body_extended_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> list
     kids = _elements(ctx, root, "extendedKeyUsage", path, "extendedKeyUsage must name at least one purpose")
     for i, child in enumerate(kids or ()):
         sub = f"{path}.purpose[{i}]"
-        if not child.is_universal(TAG_OID, False):
-            ctx.add(Code.WRONG_OID, child, sub, f"key purpose must be an OID, found {child.describe_tag()}")
-            continue
-        purpose = ctx.oid(child, sub)
-        if purpose is not None:
-            purposes.append(purpose)
+        if ctx.expect(Code.WRONG_OID, child, TAG_OID, False, sub, "key purpose must be an OID"):
+            purpose = ctx.oid(child, sub)
+            if purpose is not None:
+                purposes.append(purpose)
     return purposes
 
 
@@ -686,10 +675,7 @@ def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> Non
 def _body_inhibit_any_policy(root: TlvNode, ctx: WalkContext, path: str) -> int | None:
     if not _expect(ctx, root, TAG_INTEGER, False, "inhibitAnyPolicy", path):
         return None
-    value = ctx.decode(decode_integer, root, path)
-    if value is not None and value < 0:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, f"negative skipCerts {value}")
-    return value
+    return _non_negative(ctx, root, path, "skipCerts")
 
 
 def _info_access_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> None:

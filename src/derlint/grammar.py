@@ -125,10 +125,8 @@ def parse_algorithm_identifier(
     'spki' for the public key algorithm; the registry decides which OIDs
     are allowed and what the parameters field must contain for each.
     """
-    if not node.is_universal(TAG_SEQUENCE, True):
-        ctx.add(
-            Code.STRUCTURAL_MISMATCH, node, path, f"AlgorithmIdentifier must be a SEQUENCE, found {node.describe_tag()}"
-        )
+    what = "AlgorithmIdentifier must be a SEQUENCE"
+    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, what):
         return None
     out = AlgorithmId(raw=node.raw, node=node)
     kids = node.children
@@ -136,13 +134,7 @@ def parse_algorithm_identifier(
         ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"AlgorithmIdentifier with {len(kids)} fields")
         return out
 
-    if not kids[0].is_universal(TAG_OID, False):
-        ctx.add(
-            Code.WRONG_ALGORITHM,
-            kids[0],
-            f"{path}.algorithm",
-            f"algorithm must be an OID, found {kids[0].describe_tag()}",
-        )
+    if not ctx.expect(Code.WRONG_ALGORITHM, kids[0], TAG_OID, False, f"{path}.algorithm", "algorithm must be an OID"):
         return out
     out.oid = ctx.oid(kids[0], f"{path}.algorithm", wrong_oid=Code.WRONG_ALGORITHM)
     if out.oid is None:
@@ -178,11 +170,10 @@ def _check_parameters(
         return
 
     if grammar == "null":
+        need = f"{alg.oid} requires NULL parameters"
         if params is None:
-            ctx.add(Code.MISSING_PARAMETERS, holder, path, f"{alg.oid} requires NULL parameters")
-        elif not params.is_universal(TAG_NULL, False):
-            ctx.add(malformed, params, path, f"{alg.oid} requires NULL parameters, found {params.describe_tag()}")
-        elif params.content_length != 0:
+            ctx.add(Code.MISSING_PARAMETERS, holder, path, need)
+        elif ctx.expect(malformed, params, TAG_NULL, False, path, need) and params.content_length != 0:
             ctx.add(malformed, params, path, "NULL with content octets")
         return
 
@@ -190,8 +181,7 @@ def _check_parameters(
         if params is None:
             ctx.add(Code.MISSING_PARAMETERS, holder, path, f"{alg.oid} requires a named curve")
             return
-        if not params.is_universal(TAG_OID, False):
-            ctx.add(malformed, params, path, f"named curve must be an OID, found {params.describe_tag()}")
+        if not ctx.expect(malformed, params, TAG_OID, False, path, "named curve must be an OID"):
             return
         curve = ctx.oid(params, path, wrong_oid=malformed)
         if curve is None:
@@ -211,8 +201,7 @@ def _check_parameters(
             ctx.add(malformed, params, path, "domain parameters must be a SEQUENCE of three INTEGERs")
             return
         for part in params.children:
-            if not part.is_universal(TAG_INTEGER, False):
-                ctx.add(malformed, part, path, f"domain parameter must be an INTEGER, found {part.describe_tag()}")
+            if not ctx.expect(malformed, part, TAG_INTEGER, False, path, "domain parameter must be an INTEGER"):
                 return
             ctx.decode(decode_integer, part, path)
         return
@@ -222,11 +211,8 @@ def _check_parameters(
         return
 
     if grammar == "kea-params":
-        if not params.is_universal(TAG_OCTET_STRING, False):
-            ctx.add(
-                malformed, params, path, f"domain identifier must be an OCTET STRING, found {params.describe_tag()}"
-            )
-        elif params.content_length == 0:
+        what = "domain identifier must be an OCTET STRING"
+        if ctx.expect(malformed, params, TAG_OCTET_STRING, False, path, what) and params.content_length == 0:
             ctx.add(Code.EMPTY_VALUE_FIELD, params, path, "empty domain identifier")
         return
 
@@ -235,8 +221,7 @@ def _check_parameters(
             ctx.add(malformed, params, path, "parameters must be a SEQUENCE of two or three OIDs")
             return
         for part in params.children:
-            if not part.is_universal(TAG_OID, False):
-                ctx.add(malformed, part, path, f"parameter must be an OID, found {part.describe_tag()}")
+            if not ctx.expect(malformed, part, TAG_OID, False, path, "parameter must be an OID"):
                 return
             ctx.oid(part, path, wrong_oid=malformed)
         return
@@ -258,8 +243,7 @@ def _check_dh_params(params: TlvNode, ctx: WalkContext, path: str) -> None:
         ctx.add(malformed, params, path, "domain parameters need prime, base and subprime")
         return
     for part in kids[:3]:
-        if not part.is_universal(TAG_INTEGER, False):
-            ctx.add(malformed, part, path, f"domain parameter must be an INTEGER, found {part.describe_tag()}")
+        if not ctx.expect(malformed, part, TAG_INTEGER, False, path, "domain parameter must be an INTEGER"):
             return
         ctx.decode(decode_integer, part, path)
     rest = kids[3:]
@@ -329,13 +313,8 @@ def parse_spki(
     ctx: WalkContext,
     path: str = "tbsCertificate.subjectPublicKeyInfo",
 ) -> SpkiInfo | None:
-    if not node.is_universal(TAG_SEQUENCE, True):
-        ctx.add(
-            Code.STRUCTURAL_MISMATCH,
-            node,
-            path,
-            f"subjectPublicKeyInfo must be a SEQUENCE, found {node.describe_tag()}",
-        )
+    what = "subjectPublicKeyInfo must be a SEQUENCE"
+    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, what):
         return None
     out = SpkiInfo(node=node)
     if len(node.children) != 2:
@@ -347,13 +326,8 @@ def parse_spki(
         out.key_family = ctx.reg.lookup("keyfamily", out.algorithm.oid)
 
     key_path = f"{path}.subjectPublicKey"
-    if not key_node.is_universal(TAG_BIT_STRING, False):
-        ctx.add(
-            Code.STRUCTURAL_MISMATCH,
-            key_node,
-            key_path,
-            f"subjectPublicKey must be a primitive BIT STRING, found {key_node.describe_tag()}",
-        )
+    what = "subjectPublicKey must be a primitive BIT STRING"
+    if not ctx.expect(Code.STRUCTURAL_MISMATCH, key_node, TAG_BIT_STRING, False, key_path, what):
         return out
     bs = ctx.decode(decode_bit_string, key_node, key_path)
     if bs is None:
@@ -381,8 +355,7 @@ def parse_spki(
 
 def _positive_integer(node: TlvNode, what: str, code: Code, ctx: WalkContext, path: str) -> None:
     """A key or signature INTEGER: tagged as one, minimal, above zero."""
-    if not node.is_universal(TAG_INTEGER, False):
-        ctx.add(code, node, path, f"{what} must be an INTEGER, found {node.describe_tag()}")
+    if not ctx.expect(code, node, TAG_INTEGER, False, path, f"{what} must be an INTEGER"):
         return
     value = ctx.decode(decode_integer, node, path)
     if value is not None and value <= 0:
@@ -436,9 +409,8 @@ def _check_key_bits(
         return
 
     if grammar == "octet-key":
-        if not root.is_universal(TAG_OCTET_STRING, False):
-            ctx.add(malformed, root, path, f"key must be an OCTET STRING, found {root.describe_tag()}")
-        elif root.content_length == 0:
+        what = "key must be an OCTET STRING"
+        if ctx.expect(malformed, root, TAG_OCTET_STRING, False, path, what) and root.content_length == 0:
             ctx.add(Code.EMPTY_VALUE_FIELD, root, path, "empty key octets")
         return
 
@@ -454,13 +426,8 @@ def parse_signature_value(
     ctx: WalkContext,
     path: str = "signatureValue",
 ) -> None:
-    if not node.is_universal(TAG_BIT_STRING, False):
-        ctx.add(
-            Code.STRUCTURAL_MISMATCH,
-            node,
-            path,
-            f"signatureValue must be a primitive BIT STRING, found {node.describe_tag()}",
-        )
+    what = "signatureValue must be a primitive BIT STRING"
+    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_BIT_STRING, False, path, what):
         return
     bs = ctx.decode(decode_bit_string, node, path)
     if bs is None:
@@ -502,8 +469,7 @@ def _parse_version(node: TlvNode, tbs: ParsedTbs, ctx: WalkContext) -> None:
         ctx.add(Code.STRUCTURAL_MISMATCH, node, path, "version wrapper must hold one INTEGER")
         return
     inner = node.children[0]
-    if not inner.is_universal(TAG_INTEGER, False):
-        ctx.add(Code.STRUCTURAL_MISMATCH, inner, path, f"version must be an INTEGER, found {inner.describe_tag()}")
+    if not ctx.expect(Code.STRUCTURAL_MISMATCH, inner, TAG_INTEGER, False, path, "version must be an INTEGER"):
         return
     value = ctx.decode(decode_integer, inner, path)
     if value is None:
@@ -536,8 +502,7 @@ def _parse_validity(node: TlvNode, ctx: WalkContext) -> ValidityInfo:
 def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
     path = "tbsCertificate"
     tbs = ParsedTbs()
-    if not node.is_universal(TAG_SEQUENCE, True):
-        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"tbsCertificate must be a SEQUENCE, found {node.describe_tag()}")
+    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, "tbsCertificate must be a SEQUENCE"):
         raise _Abort
     kids = node.children
     idx = 0
@@ -557,17 +522,11 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
         return got
 
     serial_node = need("serialNumber")
-    if serial_node.is_universal(TAG_INTEGER, False):
-        tbs.serial = ctx.decode(decode_integer, serial_node, f"{path}.serialNumber")
+    sub = f"{path}.serialNumber"
+    if ctx.expect(Code.STRUCTURAL_MISMATCH, serial_node, TAG_INTEGER, False, sub, "serialNumber must be an INTEGER"):
+        tbs.serial = ctx.decode(decode_integer, serial_node, sub)
         if tbs.serial is not None and tbs.serial <= 0:
-            ctx.add(Code.NON_POSITIVE_SERIAL, serial_node, f"{path}.serialNumber", f"serial number {tbs.serial}")
-    else:
-        ctx.add(
-            Code.STRUCTURAL_MISMATCH,
-            serial_node,
-            f"{path}.serialNumber",
-            f"serialNumber must be an INTEGER, found {serial_node.describe_tag()}",
-        )
+            ctx.add(Code.NON_POSITIVE_SERIAL, serial_node, sub, f"serial number {tbs.serial}")
 
     alg_node = need("signature")
     tbs.inner_algorithm = parse_algorithm_identifier(alg_node, "signature", ctx, f"{path}.signature")
@@ -576,15 +535,9 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
     tbs.issuer = parse_name(issuer_node, ctx, f"{path}.issuer", role="issuer")
 
     validity_node = need("validity")
-    if validity_node.is_universal(TAG_SEQUENCE, True):
+    what = "validity must be a SEQUENCE"
+    if ctx.expect(Code.STRUCTURAL_MISMATCH, validity_node, TAG_SEQUENCE, True, f"{path}.validity", what):
         tbs.validity = _parse_validity(validity_node, ctx)
-    else:
-        ctx.add(
-            Code.STRUCTURAL_MISMATCH,
-            validity_node,
-            f"{path}.validity",
-            f"validity must be a SEQUENCE, found {validity_node.describe_tag()}",
-        )
 
     subject_node = need("subject")
     tbs.subject = parse_name(subject_node, ctx, f"{path}.subject", role="subject")
@@ -640,13 +593,8 @@ def parse_certificate(data: bytes | TlvNode, registry: Registry | None = None) -
             return result
     result.node = node
 
-    if not node.is_universal(TAG_SEQUENCE, True):
-        ctx.add(
-            Code.STRUCTURAL_MISMATCH,
-            node,
-            "certificate",
-            f"certificate must be a SEQUENCE, found {node.describe_tag()}",
-        )
+    what = "certificate must be a SEQUENCE"
+    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, "certificate", what):
         return result
     if len(node.children) != 3:
         ctx.add(

@@ -69,8 +69,7 @@ def parse_name(
     which the certificate walk checks once extensions are known; this
     function just reports emptiness in the returned NameInfo.
     """
-    if not node.is_universal(TAG_SEQUENCE, True):
-        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"name must be a SEQUENCE, found {node.describe_tag()}")
+    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, "name must be a SEQUENCE"):
         # empty specifically means a SEQUENCE with zero RDNs; a node of
         # the wrong shape is neither empty nor usable.
         return NameInfo(raw=node.raw, empty=False)
@@ -83,8 +82,7 @@ def parse_name(
 
     for i, rdn in enumerate(node.children):
         rdn_path = f"{path}.rdn[{i}]"
-        if not rdn.is_universal(TAG_SET, True):
-            ctx.add(Code.INVALID_DN, rdn, rdn_path, f"RDN must be a SET, found {rdn.describe_tag()}")
+        if not ctx.expect(Code.INVALID_DN, rdn, TAG_SET, True, rdn_path, "RDN must be a SET"):
             continue
         if not rdn.children:
             ctx.add(Code.INVALID_DN, rdn, rdn_path, "empty RDN set")
@@ -105,9 +103,7 @@ def _parse_atv(atv: TlvNode, ctx: WalkContext, path: str, info: NameInfo) -> Non
         return
     type_node, value_node = atv.children
     oid_str: str | None = None
-    if not type_node.is_universal(TAG_OID, False):
-        ctx.add(Code.INVALID_DN, type_node, path, f"attribute type must be an OID, found {type_node.describe_tag()}")
-    else:
+    if ctx.expect(Code.INVALID_DN, type_node, TAG_OID, False, path, "attribute type must be an OID"):
         # A malformed type OID makes the whole attribute unusable.
         oid_str = ctx.oid(type_node, path, wrong_oid=Code.INVALID_DN)
 
