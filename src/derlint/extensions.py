@@ -23,7 +23,7 @@ from functools import partial
 
 from .der import TlvNode, parse_tlv_tree
 from .diagnostics import Code, Diagnostic, RecognitionError, diag
-from .names import parse_name
+from .names import parse_name, parse_rdn
 from .registry import Registry
 from .values import (
     TAG_BIT_STRING,
@@ -638,14 +638,7 @@ def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> Non
                 for k, gn in enumerate(choice.children):
                     parse_general_name(gn, ctx, f"{path}.fullName[{k}]")
             elif choice.is_context(1, True):
-                for atv in choice.children:
-                    if not atv.is_universal(TAG_SEQUENCE, True) or len(atv.children) != 2:
-                        ctx.add(
-                            Code.MALFORMED_EXTENSION_BODY,
-                            atv,
-                            path,
-                            "relative name attribute must be a two-element SEQUENCE",
-                        )
+                parse_rdn(choice, ctx, f"{path}.nameRelativeToCRLIssuer", [])
             else:
                 ctx.add(
                     Code.MALFORMED_EXTENSION_BODY,

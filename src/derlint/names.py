@@ -82,22 +82,29 @@ def parse_name(
 
     for i, rdn in enumerate(node.children):
         rdn_path = f"{path}.rdn[{i}]"
-        if not ctx.expect(Code.INVALID_DN, rdn, TAG_SET, True, rdn_path, "RDN must be a SET"):
-            continue
-        if not rdn.children:
-            ctx.add(Code.INVALID_DN, rdn, rdn_path, "empty RDN set")
-            continue
-        # SET OF elements must come in ascending encoding order.
-        for a, b in zip(rdn.children, rdn.children[1:]):
-            if a.raw > b.raw:
-                ctx.add(Code.INVALID_DN, b, rdn_path, "SET OF elements out of order")
-                break
-        for j, atv in enumerate(rdn.children):
-            _parse_atv(atv, ctx, f"{rdn_path}.attr[{j}]", info)
+        if ctx.expect(Code.INVALID_DN, rdn, TAG_SET, True, rdn_path, "RDN must be a SET"):
+            parse_rdn(rdn, ctx, rdn_path, info.attributes)
     return info
 
 
-def _parse_atv(atv: TlvNode, ctx: WalkContext, path: str, info: NameInfo) -> None:
+def parse_rdn(rdn: TlvNode, ctx: WalkContext, path: str, attributes: list) -> None:
+    """Walk one RDN's SET OF attributes, appending each (type, text) to attributes.
+
+    The caller checks the tag: nameRelativeToCRLIssuer carries an RDN under [1].
+    """
+    if not rdn.children:
+        ctx.add(Code.INVALID_DN, rdn, path, "empty RDN set")
+        return
+    # SET OF elements must come in ascending encoding order.
+    for a, b in zip(rdn.children, rdn.children[1:]):
+        if a.raw > b.raw:
+            ctx.add(Code.INVALID_DN, b, path, "SET OF elements out of order")
+            break
+    for j, atv in enumerate(rdn.children):
+        _parse_atv(atv, ctx, f"{path}.attr[{j}]", attributes)
+
+
+def _parse_atv(atv: TlvNode, ctx: WalkContext, path: str, attributes: list) -> None:
     if not atv.is_universal(TAG_SEQUENCE, True) or len(atv.children) != 2:
         ctx.add(Code.INVALID_DN, atv, path, "attribute must be a two-element SEQUENCE")
         return
@@ -114,7 +121,7 @@ def _parse_atv(atv: TlvNode, ctx: WalkContext, path: str, info: NameInfo) -> Non
             ctx.add(Code.WRONG_OID_IN_DN, type_node.content_offset, path, f"unknown naming attribute {oid_str}")
 
     text = _validate_attribute_value(value_node, kind, ctx, path)
-    info.attributes.append((oid_str, text))
+    attributes.append((oid_str, text))
 
 
 def _validate_attribute_value(value_node: TlvNode, kind: str | None, ctx: WalkContext, path: str) -> str | None:

@@ -305,6 +305,21 @@ class TestBodies:
     def test_crl_dp_empty_point(self):
         assert codes_only(OID_CRL_DP, enc.seq(enc.seq())) == [Code.MALFORMED_EXTENSION_BODY]
 
+    def test_crl_dp_name_relative_to_issuer_is_walked_as_an_rdn(self):
+        def relative(*attributes: bytes) -> bytes:
+            return enc.seq(enc.seq(enc.ctx(0, enc.ctx(1, *attributes))))
+
+        cn = enc.seq(enc.oid(certs.OID_CN), enc.utf8("CRL"))
+        ou = enc.seq(enc.oid("2.5.4.11"), enc.utf8("Ops"))
+        assert codes_only(OID_CRL_DP, relative(cn, ou)) == []
+        assert codes_only(OID_CRL_DP, relative()) == [Code.INVALID_DN]
+        assert codes_only(OID_CRL_DP, relative(ou, cn)) == [Code.INVALID_DN]
+        integer_type = relative(enc.seq(enc.integer(1), enc.null()))
+        assert codes_only(OID_CRL_DP, integer_type) == [Code.INVALID_DN, Code.WRONG_STRING_TYPE]
+        ctx = WalkContext(REG)
+        parse_extensions(parse_tlv_tree(enc.ctx(3, enc.seq(certs.extension(OID_CRL_DP, relative())))), ctx, "exts")
+        assert [d.grammar_path for d in ctx.diags] == ["exts[0].extnValue.point[0].nameRelativeToCRLIssuer"]
+
     def test_inhibit_any_policy(self):
         extset, codes = run_body(OID_IAP, enc.integer(3), critical=True)
         assert codes == []
