@@ -169,12 +169,7 @@ def decode_bit_string(node: TlvNode, *, named: bool = False) -> BitStringValue:
         )
     named_set: frozenset[int] | None = None
     if named:
-        if len(bits) == 0:
-            if unused != 0:
-                raise RecognitionError(
-                    Code.BAD_BIT_STRING_ENCODING, offset=off, message="unused bits in empty BIT STRING"
-                )
-        else:
+        if bits:
             last = bits[-1]
             if last == 0:
                 raise RecognitionError(
