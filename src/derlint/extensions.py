@@ -108,8 +108,11 @@ class WalkContext:
         self.diags.append(diag(code, path=path, offset=offset, message=message))
 
     def expect(self, code: Code, node: TlvNode, tag: int, constructed: bool, path: str, what: str) -> bool:
-        """True when node carries the universal tag; otherwise records "{what}, found {its tag}" and returns False."""
-        if node.is_universal(tag, constructed):
+        """True when node carries the universal tag; otherwise records "{what}, found {its tag}" and returns False.
+
+        The test is node.is_universal(tag, constructed) written out: one call less at most nodes of a walk.
+        """
+        if node.tag_number == tag and node.constructed == constructed and node.tag_class == "universal":
             return True
         self.add(code, node, path, f"{what}, found {node.describe_tag()}")
         return False
