@@ -418,8 +418,8 @@ def _tag_mismatch_variants() -> dict[str, tuple[str, bytes]]:
     def domain(middle: bytes) -> bytes:
         return enc.seq(enc.integer(7), middle, enc.integer(5))
 
-    def point(name: bytes) -> bytes:
-        return certs.extension("2.5.29.31", enc.seq(enc.seq(enc.ctx(0, enc.ctx(1, *name)))))
+    def relative_name(*attributes: bytes) -> bytes:
+        return certs.extension("2.5.29.31", enc.seq(enc.seq(enc.ctx(0, enc.ctx(1, *attributes)))))
 
     critical = enc.seq(enc.oid(certs.OID_SKI), enc.integer(1), enc.octet_string(enc.octet_string(certs.KEYID)))
     return {
@@ -451,8 +451,8 @@ def _tag_mismatch_variants() -> dict[str, tuple[str, bytes]]:
         "signature-bits-unused": ("sig_value", enc.bit_string(signature, 6)),
         "empty-public-key": ("spki", enc.seq(rsa_alg, enc.bit_string(b""))),
         "empty-signature": ("sig_value", enc.bit_string(b"")),
-        "relative-name-empty": ("exts", (certs.aki(), point(()))),
-        "relative-name-integer-type": ("exts", (certs.aki(), point((enc.seq(enc.integer(1), enc.null()),)))),
+        "relative-name-empty": ("exts", (certs.aki(), relative_name())),
+        "relative-name-integer-type": ("exts", (certs.aki(), relative_name(enc.seq(enc.integer(1), enc.null())))),
     }
 
 
