@@ -381,7 +381,8 @@ def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -
             if not child.children:
                 ctx.add(Code.EMPTY_GENERAL_NAMES, child, path, "empty authorityCertIssuer")
             for gn in child.children:
-                parse_general_name(gn, ctx, f"{path}.authorityCertIssuer")
+                if not _plain_name(gn):
+                    parse_general_name(gn, ctx, f"{path}.authorityCertIssuer")
         else:
             if child.constructed:
                 ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "authorityCertSerialNumber must be primitive")
@@ -540,14 +541,11 @@ def _body_policy_mappings(root: TlvNode, ctx: WalkContext, path: str) -> list[tu
     return out
 
 
-def _general_names_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> list[GeneralNameValue]:
-    names: list[GeneralNameValue] = []
+def _general_names_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> None:
     kids = _elements(ctx, root, what, path, f"empty {what}", Code.EMPTY_GENERAL_NAMES)
     for i, gn in enumerate(kids or ()):
-        value = parse_general_name(gn, ctx, f"{path}.name[{i}]")
-        if value is not None:
-            names.append(value)
-    return names
+        if not _plain_name(gn):
+            parse_general_name(gn, ctx, f"{path}.name[{i}]")
 
 
 def _body_subject_directory_attributes(root: TlvNode, ctx: WalkContext, path: str) -> int:
@@ -639,7 +637,8 @@ def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> Non
                 if not choice.children:
                     ctx.add(Code.EMPTY_GENERAL_NAMES, choice, path, "empty fullName")
                 for k, gn in enumerate(choice.children):
-                    parse_general_name(gn, ctx, f"{path}.fullName[{k}]")
+                    if not _plain_name(gn):
+                        parse_general_name(gn, ctx, f"{path}.fullName[{k}]")
             elif choice.is_context(1, True):
                 parse_rdn(choice, ctx, f"{path}.nameRelativeToCRLIssuer", [])
             else:
@@ -663,7 +662,8 @@ def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> Non
             if not child.children:
                 ctx.add(Code.EMPTY_GENERAL_NAMES, child, path, "empty cRLIssuer")
             for k, gn in enumerate(child.children):
-                parse_general_name(gn, ctx, f"{path}.cRLIssuer[{k}]")
+                if not _plain_name(gn):
+                    parse_general_name(gn, ctx, f"{path}.cRLIssuer[{k}]")
     if fields is not None and len(fields) == 1 and fields[0].is_context(1):
         ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "distributionPoint with only a reasons field")
 
@@ -684,7 +684,8 @@ def _info_access_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> 
             ctx.add(Code.MALFORMED_EXTENSION_BODY, ad, sub, "accessDescription must be (OID, GeneralName)")
             continue
         ctx.oid(ad.children[0], sub)
-        parse_general_name(ad.children[1], ctx, sub)
+        if not _plain_name(ad.children[1]):
+            parse_general_name(ad.children[1], ctx, sub)
 
 
 _BODY_PARSERS = {
@@ -717,7 +718,28 @@ _BODY_PARSERS = {
 _LABEL = r"[A-Za-z0-9](?:[A-Za-z0-9-]{0,61}[A-Za-z0-9])?"
 _DNS_NAME = re.compile(rf"(?:{_LABEL}\.)*{_LABEL}")
 _SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*")
-_LOCAL_PART = re.compile(r"[\x21-\x7e]+")  # printable ASCII without space
+_LOCAL_PART = re.compile(r"[\x21-\x3f\x41-\x7e]+")  # printable ASCII without space or "@"
+
+# The same grammar over content octets, by GeneralName tag.  A URI's rest is any IA5 octet but NUL, and the
+# other two allow no octet outside IA5, so a match is also a passed IA5 check.
+_PLAIN_NAMES = {
+    1: re.compile(f"{_LOCAL_PART.pattern}@{_DNS_NAME.pattern}".encode()),
+    2: re.compile(_DNS_NAME.pattern.encode()),
+    6: re.compile(rf"{_SCHEME.pattern}:[\x01-\x7f]+".encode()),
+}
+
+
+def _plain_name(node: TlvNode) -> bool:
+    """True for an rfc822Name, dNSName or URI of at most 253 octets that parse_general_name accepts silently.
+
+    It matches the content octets in place, with no slice, decode or path; on False, run parse_general_name.
+    """
+    pattern = _PLAIN_NAMES.get(node.tag_number)
+    start = node.content_offset
+    return (
+        pattern is not None and node.tag_class == "context" and not node.constructed and node.content_length <= 253
+        and pattern.fullmatch(node.buffer, start, start + node.content_length) is not None
+    )
 
 
 def valid_dns_name(text: str) -> bool:
@@ -725,10 +747,8 @@ def valid_dns_name(text: str) -> bool:
 
 
 def valid_email(text: str) -> bool:
-    if text.count("@") != 1:
-        return False
-    local, domain = text.split("@")
-    return _LOCAL_PART.fullmatch(local) is not None and valid_dns_name(domain)
+    local, at, domain = text.partition("@")
+    return bool(at) and _LOCAL_PART.fullmatch(local) is not None and valid_dns_name(domain)
 
 
 def valid_uri(text: str) -> bool:

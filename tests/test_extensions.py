@@ -12,6 +12,7 @@ from derlint.extensions import (
     BasicConstraintsValue,
     KeyUsageValue,
     WalkContext,
+    _plain_name,
     check_key_usage_rules,
     parse_extensions,
     parse_general_name,
@@ -535,6 +536,138 @@ class TestValidators:
             colon = text[:5] + ":" + text[5:]
             assert valid_uri(colon) == reference_uri(colon), repr(colon)
         assert min(outcomes.values()) >= 1000, outcomes
+
+
+def ia5_name_contents(rng: random.Random, tag: int):
+    """Edge cases and seeded mutations of IA5 GeneralName contents for one tag."""
+    label63, label64 = b"a" * 63, b"b" * 64
+    host253 = b".".join([label63, label63, label63, b"c" * 61])
+    hosts = [b"", b"a", label63, label64, host253, host253 + b"d", b"x." + label64, b"-a.example", b"a..b"]
+    if tag == 2:
+        edges = hosts
+    elif tag == 1:
+        edges = [b"user@" + h for h in hosts] + [b"user" + hosts[1], b"a@b@example.com", b"@example.com"]
+        domain = host253[:200]
+        edges += [b"u" * 52 + b"@" + domain, b"u" * 53 + b"@" + domain]  # 253 and 254 octets
+    else:
+        edges = [b"http:", b"h:x", b"http://" + host253[:246], b"http://" + host253[:247], b"1http://x", b":x"]
+        edges += [b"urn:" + bytes(range(1, 128)), b"http" + host253]
+    special = [b"\x00", b"\x7f", b"\x80", b"\xff", b"\n", b"@", b":", b".", b"-", b" ", b"a"]
+    base = {1: b"user.name+tag@mail.example.com", 2: b"www.example.com", 6: b"https://example.com/a?b=c"}[tag]
+    yield from edges
+    for _ in range(1500):
+        content = bytearray(rng.choice(edges[1:] + [base] * 4))
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            content.insert(rng.randint(0, len(content)), rng.choice(special)[0])
+        if content and rng.random() < 0.2:
+            del content[rng.randrange(len(content))]
+        yield bytes(content)
+
+
+class TestPlainName:
+    """_plain_name, the in-place check every GeneralNames loop runs before parse_general_name."""
+
+    @pytest.mark.parametrize(
+        "tag, valid", [(1, valid_email), (2, valid_dns_name), (6, valid_uri)], ids=["rfc822", "dns", "uri"]
+    )
+    def test_true_exactly_when_the_ia5_check_and_the_validator_accept(self, tag, valid):
+        # Within the 253-octet cap; a longer name always takes parse_general_name's full check.
+        outcomes = {True: 0, False: 0}
+        for content in ia5_name_contents(random.Random(0x8A5 + tag), tag):
+            # Octets past the name's end bound must not count: a "\n" or a label there changes no verdict.
+            header = enc.ctx_prim(tag, content)
+            node = parse_tlv_tree(header + b"\n.example", 0, len(header))
+            ia5 = all(0 < b < 0x80 for b in content)
+            expected = len(content) <= 253 and ia5 and valid(content.decode("ascii"))
+            outcomes[expected] += 1
+            assert _plain_name(node) == expected, content
+            if expected:
+                ctx = WalkContext(REG)
+                parse_general_name(node, ctx, "gn")
+                assert ctx.diags == [], content
+        assert min(outcomes.values()) >= 200, outcomes
+
+    def test_long_names_and_other_shapes_take_the_full_check(self):
+        long_uri = enc.ctx_prim(6, b"http://" + b"a" * 247)
+        others = [
+            long_uri,
+            enc.ctx(2, enc.ia5("www.example.com")),
+            enc.tlv(2, b"www.example.com"),
+            enc.ctx_prim(7, b"www."),
+            enc.ctx_prim(8, b"www.example.com"),
+        ]
+        assert valid_uri("http://" + "a" * 247)
+        for data in others:
+            assert not _plain_name(parse_tlv_tree(data)), data.hex()
+
+
+class TestGeneralNameDiagnostics:
+    def test_exact_diagnostics_among_many_plain_names(self, monkeypatch):
+        import derlint.extensions as extensions
+
+        names = []
+        for i in range(200):
+            kind = i % 3
+            if kind == 0:
+                names.append(enc.ctx_prim(2, b"host%d.example.com" % i))
+            elif kind == 1:
+                names.append(enc.ctx_prim(1, b"user%d@example.org" % i))
+            else:
+                names.append(enc.ctx_prim(6, b"https://example.net/%d" % i))
+        names[150] = enc.ctx_prim(2, b"host150.ex\xe9mple.com")
+        names[151] = enc.ctx_prim(2, b"-host151.example.com")
+        good_uri = enc.ctx_prim(6, b"http://crl.example.com/ca.crl")
+        bad_crl = enc.ctx_prim(6, b"crl.example.com/ca.crl")
+        dp = enc.seq(enc.ctx(0, enc.ctx(0, good_uri, bad_crl)))
+        ocsp = enc.seq(enc.oid(OID_OCSP), enc.ctx_prim(6, b"http://ocsp.example.com"))
+        bad_issuers = enc.ctx_prim(6, b"ca.example.com/ca.crt")
+        ca_issuers = enc.seq(enc.oid("1.3.6.1.5.5.7.48.2"), bad_issuers)
+        exts = (
+            certs.aki(),
+            certs.extension(certs.OID_SAN, enc.seq(*names)),
+            certs.extension(OID_CRL_DP, enc.seq(dp)),
+            certs.extension(certs.OID_AIA, enc.seq(ocsp, ca_issuers)),
+        )
+        data = certs.build(certs.CertSpec(exts=exts))
+
+        walked = []
+
+        def counted(node, ctx, path, in_name_constraints=False):
+            walked.append(path)
+            return parse_general_name(node, ctx, path, in_name_constraints)
+
+        monkeypatch.setattr(extensions, "parse_general_name", counted)
+        report = lint_bytes(data)
+        ext = "tbsCertificate.extensions"
+        got = [(d.code, d.byte_offset, d.grammar_path, d.message) for d in report.diagnostics]
+        assert got == [
+            (
+                Code.CHAR_SET_VIOLATION,
+                data.index(b"host150.ex") + 10,
+                f"{ext}[1].extnValue.name[150]",
+                "byte 0xe9 in dNSName",
+            ),
+            (
+                Code.BAD_DNS_URI_EMAIL_FORMAT,
+                data.index(names[151]),
+                f"{ext}[1].extnValue.name[151]",
+                "malformed dNSName: '-host151.example.com'",
+            ),
+            (
+                Code.BAD_DNS_URI_EMAIL_FORMAT,
+                data.index(bad_crl),
+                f"{ext}[2].extnValue.point[0].fullName[1]",
+                "malformed uniformResourceIdentifier: 'crl.example.com/ca.crl'",
+            ),
+            (
+                Code.BAD_DNS_URI_EMAIL_FORMAT,
+                data.index(bad_issuers),
+                f"{ext}[3].extnValue.accessDescription[1]",
+                "malformed uniformResourceIdentifier: 'ca.example.com/ca.crt'",
+            ),
+        ]
+        # The 198 good SAN names, the good fullName and the OCSP location are matched in place and walk nothing.
+        assert walked == [d[2] for d in got]
 
 
 class TestUsageRules:

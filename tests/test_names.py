@@ -3,9 +3,11 @@
 from derlint.der import parse_tlv_tree
 from derlint.diagnostics import Code
 from derlint.extensions import WalkContext
+from derlint.ingest import lint_bytes
 from derlint.names import parse_name
 from derlint.registry import default_registry
 
+from support import certs
 from support import encoder as enc
 
 REG = default_registry()
@@ -122,3 +124,20 @@ def test_charset_violation_in_value():
 def test_serial_number_attribute_printable():
     _, codes = walk(enc.seq(enc.set_of(atv(OID_SERIAL, enc.printable("12345")))))
     assert codes == []
+
+
+def test_organization_identifier_is_a_directory_string():
+    # X.520 organizationIdentifier (2.5.4.97), an UnboundedDirectoryString used by EV certificates.
+    subject = enc.seq(
+        enc.set_of(atv(OID_C, enc.printable("DE"))),
+        enc.set_of(atv("2.5.4.97", enc.utf8("VATDE-123456789"))),
+        enc.set_of(atv(OID_CN, enc.utf8("Beispiel"))),
+    )
+    info, codes = walk(subject)
+    assert codes == []
+    assert ("2.5.4.97", "VATDE-123456789") in info.attributes
+    report = lint_bytes(certs.build(certs.CertSpec(subject=subject)))
+    assert report.outcome == "accepted"
+    assert report.diagnostics == []
+    _, codes = walk(enc.seq(enc.set_of(atv("2.5.4.97", enc.integer(7)))))
+    assert codes == [Code.WRONG_STRING_TYPE]
