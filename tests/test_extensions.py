@@ -587,24 +587,19 @@ class TestPlainName:
                 assert ctx.diags == [], content
         assert min(outcomes.values()) >= 200, outcomes
 
-    def test_long_names_and_other_shapes_take_the_full_check(self):
-        long_uri = enc.ctx_prim(6, b"http://" + b"a" * 247)
+    def test_other_shapes_take_the_full_check(self):
         others = [
-            long_uri,
             enc.ctx(2, enc.ia5("www.example.com")),
             enc.tlv(2, b"www.example.com"),
             enc.ctx_prim(7, b"www."),
             enc.ctx_prim(8, b"www.example.com"),
         ]
-        assert valid_uri("http://" + "a" * 247)
         for data in others:
             assert not _plain_name(parse_tlv_tree(data)), data.hex()
 
 
 class TestGeneralNameDiagnostics:
     def test_exact_diagnostics_among_many_plain_names(self, monkeypatch):
-        import derlint.extensions as extensions
-
         names = []
         for i in range(200):
             kind = i % 3
@@ -636,7 +631,7 @@ class TestGeneralNameDiagnostics:
             walked.append(path)
             return parse_general_name(node, ctx, path, in_name_constraints)
 
-        monkeypatch.setattr(extensions, "parse_general_name", counted)
+        monkeypatch.setattr("derlint.extensions.parse_general_name", counted)
         report = lint_bytes(data)
         ext = "tbsCertificate.extensions"
         got = [(d.code, d.byte_offset, d.grammar_path, d.message) for d in report.diagnostics]
