@@ -575,8 +575,8 @@ class TestPlainName:
         outcomes = {True: 0, False: 0}
         for content in ia5_name_contents(random.Random(0x8A5 + tag), tag):
             # Octets past the name's end bound must not count: a "\n" or a label there changes no verdict.
-            header = enc.ctx_prim(tag, content)
-            node = parse_tlv_tree(header + b"\n.example", 0, len(header))
+            encoded = enc.ctx_prim(tag, content)
+            node = parse_tlv_tree(encoded + b"\n.example", 0, len(encoded))
             ia5 = all(0 < b < 0x80 for b in content)
             expected = len(content) <= 253 and ia5 and valid(content.decode("ascii"))
             outcomes[expected] += 1
