@@ -25,7 +25,12 @@ catalog in ``support``:
   bits, version and validity), for the unused-bit and empty key and
   signature checks, and for two malformed nameRelativeToCRLIssuer
   choices, each followed by eight seeded one-byte flips inside the
-  replaced field.
+  replaced field;
+* a reach block with its own seed, after the tag block: one certificate
+  for each diagnostic of the walk (grammar.py, names.py, extensions.py)
+  that no line above reaches, each followed by eight seeded one-byte
+  flips inside the replaced field.  test_golden.py checks that the
+  corpus runs every such diagnostic.
 
 Each document becomes one JSON line, ``[id, outcome, [[code, severity,
 byte_offset, path, message], ...]]``, with no timing.  Regenerate the
@@ -53,6 +58,7 @@ RANDOM_INPUTS = 2_000
 RANDOM_MAX_LEN = 600
 SHAPE_SEED = 0x5EA9E
 TAG_SEED = 0x7A65
+REACH_SEED = 0x2EAC4
 
 
 def _directory_name_seeds() -> list[tuple[str, bytes]]:
@@ -467,6 +473,69 @@ def _tag_mismatch_seeds() -> list[tuple[str, bytes, int, int]]:
     return out
 
 
+_P256 = "1.2.840.10045.3.1.7"
+
+
+def _reach_variants() -> dict[str, tuple[certs.CertSpec, bytes]]:
+    """label -> (certificate, the field its flips hit): one per walk diagnostic no line above reaches."""
+    base = certs.CertSpec()
+    value = enc.integer(int.from_bytes(b"\x5f" * 32, "big") | 1)
+    gost_params = enc.seq(enc.oid("1.2.643.2.2.35.1"), enc.oid("1.2.643.2.2.30.1"))
+    dh_params = (enc.integer(7), enc.integer(2), enc.integer(5), enc.integer(3))
+    seed_and_counter = enc.seq(enc.bit_string(b"\x01"), enc.integer(1))
+
+    def field(**fields) -> tuple[certs.CertSpec, bytes]:
+        (slot, replacement), *_ = fields.items()
+        region = replacement[-1] if slot == "exts" else replacement
+        return replace(base, **fields), region
+
+    def dh(*parts: bytes) -> tuple[certs.CertSpec, bytes]:
+        return field(spki=_spki(certs.OID_DH, enc.seq(*dh_params, *parts), value))
+
+    def ext(oid_str: str, body: bytes) -> tuple[certs.CertSpec, bytes]:
+        return field(exts=(certs.aki(), certs.extension(oid_str, body)))
+
+    policy = enc.seq(enc.oid(_POLICY))
+    attribute_b, attribute_a = (enc.seq(enc.oid(certs.OID_CN), enc.printable(text)) for text in "ba")
+    return {
+        "algorithm-three-fields": field(inner_alg=enc.seq(enc.oid(certs.OID_SHA256_RSA), enc.null(), enc.null())),
+        "absent-parameters-present": field(inner_alg=enc.seq(enc.oid(certs.OID_ECDSA_SHA256), enc.integer(1))),
+        "null-with-content": field(inner_alg=enc.seq(enc.oid(certs.OID_SHA256_RSA), enc.tlv(5, b"\x00"))),
+        "named-curve-missing": field(spki=enc.seq(enc.seq(enc.oid(_EC)), enc.bit_string(b"\x04" + b"\x11" * 64))),
+        "curve-unregistered": field(spki=_spki(_EC, enc.oid("1.2.3.4"), b"\x04" + b"\x11" * 64)),
+        "parameters-missing": field(spki=enc.seq(enc.seq(enc.oid(_DSA)), enc.bit_string(value))),
+        "dss-two-parameters": field(spki=_spki(_DSA, enc.seq(enc.integer(7), enc.integer(5)), value)),
+        "dh-two-parameters": field(spki=_spki(certs.OID_DH, enc.seq(enc.integer(7), enc.integer(2)), value)),
+        "kea-domain-empty": field(spki=_spki(_KEA, enc.octet_string(b""), value)),
+        "dh-validation-one-field": dh(enc.seq(enc.bit_string(b"\x01"))),
+        "dh-seed-not-bit-string": dh(enc.seq(enc.octet_string(b"\x01"), enc.integer(1))),
+        "dh-counter-not-integer": dh(enc.seq(enc.bit_string(b"\x01"), enc.null())),
+        "dh-after-validation": dh(seed_and_counter, enc.null()),
+        "ec-point-form": field(spki=_spki(_EC, enc.oid(_P256), b"\x05" + b"\x11" * 64)),
+        "ec-point-length": field(spki=_spki(_EC, enc.oid(_P256), b"\x04" + b"\x11" * 10)),
+        "gost-key-empty": field(spki=_spki(_GOST, gost_params, enc.octet_string(b""))),
+        "version-two-integers": field(version=enc.ctx(0, enc.integer(2), enc.integer(2))),
+        "version-1-encoded": field(version=enc.ctx(0, enc.integer(0))),
+        "tbs-ends-early": (replace(base, spki=b"", exts=None), certs.SUBJECT),
+        "issuer-uid-constructed": field(issuer_uid=enc.ctx(1, enc.bit_string(b"\x01"))),
+        "extensions-primitive": field(subject_uid=enc.ctx_prim(3, enc.seq()), exts=None),
+        "extension-one-field": field(exts=(certs.aki(), enc.seq(enc.oid(certs.OID_SKI)))),
+        "policy-twice": ext("2.5.29.32", enc.seq(policy, policy)),
+        "edi-party-primitive": ext(certs.OID_SAN, enc.seq(enc.ctx_prim(5, b"Party"))),
+        "rdn-out-of-order": field(subject=enc.seq(enc.set_of(attribute_b, attribute_a))),
+    }
+
+
+def _reach_seeds() -> list[tuple[str, bytes, int, int]]:
+    """(id, certificate, start, end): each seed with the region its flips hit."""
+    out = []
+    for label, (spec, region) in _reach_variants().items():
+        data = certs.build(spec)
+        start = data.index(region)
+        out.append((f"reach-{label}", data, start, start + len(region)))
+    return out
+
+
 def seeds() -> list[tuple[str, bytes]]:
     out = [(f"fixture-{f.name}", f.data) for f in certs.planted_fixtures()]
     out += [
@@ -496,6 +565,7 @@ def documents() -> list[tuple[str, bytes]]:
         out.append((f"random-{i}", enc.seq(blob) if i % 2 else blob))
     out += _with_region_flips(random.Random(SHAPE_SEED), _extension_shape_seeds())
     out += _with_region_flips(random.Random(TAG_SEED), _tag_mismatch_seeds())
+    out += _with_region_flips(random.Random(REACH_SEED), _reach_seeds())
     return out
 
 
