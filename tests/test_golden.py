@@ -5,9 +5,16 @@ message unchanged.  See golden_corpus.py for the corpus and for how to
 regenerate the file after a deliberate output change.
 """
 
+import ast
 import json
+import sys
+from pathlib import Path
 
 import golden_corpus
+
+import derlint.extensions
+import derlint.grammar
+import derlint.names
 
 
 def test_corpus_is_large_enough():
@@ -63,3 +70,36 @@ def test_extension_shape_diagnostics_are_locked():
         for tag in ("universal", "context"):
             assert any(m.startswith(f"unexpected field {tag} ") and m.endswith(f" in {what}") for m in messages), what
     assert {(d[0], d[4]) for d in body} >= EMPTY_BODY_MESSAGES
+
+
+def _add_sites() -> set[tuple[str, int]]:
+    """(file, line) of every ctx.add( call in the walk modules."""
+    sites = set()
+    for module in (derlint.grammar, derlint.names, derlint.extensions):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Attribute) and func.attr == "add" and getattr(func.value, "id", None) == "ctx":
+                sites.add((module.__file__, node.lineno))
+    return sites
+
+
+def test_corpus_reaches_every_walk_diagnostic():
+    """Each diagnostic the walk can record is locked by at least one golden line."""
+    sites = _add_sites()
+    files = {path for path, _ in sites}
+    ran = set()
+
+    def line_tracer(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return line_tracer
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line_tracer if frame.f_code.co_filename in files else None)
+    try:
+        golden_corpus.render()
+    finally:
+        sys.settrace(previous)
+    assert len(sites) > 100
+    missed = sorted(f"{Path(path).name}:{line}" for path, line in sites - ran)
+    assert not missed, f"ctx.add sites no golden document runs: {missed}"
