@@ -50,7 +50,6 @@ from .grammar import (
     ParsedCertificate,
     ParsedTbs,
     SpkiInfo,
-    ValidityInfo,
     parse_algorithm_identifier,
     parse_certificate,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "SpkiInfo",
     "TlvNode",
     "UnmappedMessage",
-    "ValidityInfo",
     "WalkContext",
     "analyze",
     "classify_differential",

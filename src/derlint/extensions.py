@@ -174,7 +174,6 @@ class KeyUsageValue:
 @dataclass
 class BasicConstraintsValue:
     ca: bool = False
-    ca_explicit: bool = False
     path_len: int | None = None
 
 
@@ -183,12 +182,6 @@ class AkiValue:
     key_id: bytes | None = None
     has_issuer: bool = False
     has_serial: bool = False
-
-
-@dataclass
-class GeneralNameValue:
-    kind: str
-    text: str | None = None
 
 
 @dataclass
@@ -349,13 +342,9 @@ def _non_negative(ctx: WalkContext, node: TlvNode, path: str, what: str) -> int 
 # extnValue path.
 
 
-def _body_subject_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -> bytes | None:
-    if not _expect(ctx, root, TAG_OCTET_STRING, False, "subjectKeyIdentifier", path):
-        return None
-    if root.content_length == 0:
+def _body_subject_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -> None:
+    if _expect(ctx, root, TAG_OCTET_STRING, False, "subjectKeyIdentifier", path) and root.content_length == 0:
         ctx.add(Code.EMPTY_VALUE_FIELD, root, path, "empty key identifier")
-        return None
-    return root.content
 
 
 def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -> AkiValue | None:
@@ -419,7 +408,6 @@ def _body_basic_constraints(root: TlvNode, ctx: WalkContext, path: str) -> Basic
     value = BasicConstraintsValue()
     kids = list(root.children)
     if kids and kids[0].is_universal(TAG_BOOLEAN, False):
-        value.ca_explicit = True
         ca = ctx.decode(decode_boolean, kids[0], f"{path}.cA")
         if ca is False:
             ctx.add(Code.DEFAULT_VALUE_ENCODED, kids[0], f"{path}.cA", "cA FALSE explicitly encoded")
@@ -440,7 +428,7 @@ def _body_basic_constraints(root: TlvNode, ctx: WalkContext, path: str) -> Basic
     return value
 
 
-def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> list[str]:
+def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> None:
     policies: list[str] = []
     infos = _elements(ctx, root, "certificatePolicies", path, "certificatePolicies must name at least one policy")
     for i, pi in enumerate(infos or ()):
@@ -460,7 +448,6 @@ def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> li
                 policies.append(policy)
         if len(pi.children) == 2:
             _parse_policy_qualifiers(pi.children[1], ctx, sub)
-    return policies
 
 
 def _parse_policy_qualifiers(node: TlvNode, ctx: WalkContext, path: str) -> None:
@@ -515,8 +502,7 @@ def _parse_user_notice(node: TlvNode, ctx: WalkContext, path: str) -> None:
         ctx.add(Code.MALFORMED_EXTENSION_BODY, kids[0], path, "unexpected field in userNotice")
 
 
-def _body_policy_mappings(root: TlvNode, ctx: WalkContext, path: str) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
+def _body_policy_mappings(root: TlvNode, ctx: WalkContext, path: str) -> None:
     pairs = _elements(ctx, root, "policyMappings", path, "policyMappings must hold at least one mapping")
     for i, pair in enumerate(pairs or ()):
         sub = f"{path}.mapping[{i}]"
@@ -527,18 +513,12 @@ def _body_policy_mappings(root: TlvNode, ctx: WalkContext, path: str) -> list[tu
                 Code.MALFORMED_EXTENSION_BODY, pair, sub, "mapping must be (issuerDomainPolicy, subjectDomainPolicy)"
             )
             continue
-        oids = []
         for part in pair.children:
             if not part.is_universal(TAG_OID, False):
                 ctx.add(Code.WRONG_OID, part, sub, "mapping member must be an OID")
                 break
-            oid = ctx.oid(part, sub)
-            if oid is None:
+            if ctx.oid(part, sub) is None:
                 break
-            oids.append(oid)
-        if len(oids) == 2:
-            out.append((oids[0], oids[1]))
-    return out
 
 
 def _general_names_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> None:
@@ -548,12 +528,10 @@ def _general_names_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -
             parse_general_name(gn, ctx, f"{path}.name[{i}]")
 
 
-def _body_subject_directory_attributes(root: TlvNode, ctx: WalkContext, path: str) -> int:
+def _body_subject_directory_attributes(root: TlvNode, ctx: WalkContext, path: str) -> None:
     empty = "subjectDirectoryAttributes must hold at least one attribute"
     attrs = _elements(ctx, root, "subjectDirectoryAttributes", path, empty)
-    if attrs is None:
-        return 0
-    for i, attr in enumerate(attrs):
+    for i, attr in enumerate(attrs or ()):
         sub = f"{path}.attribute[{i}]"
         if not _expect(ctx, attr, TAG_SEQUENCE, True, "attribute", sub):
             continue
@@ -568,7 +546,6 @@ def _body_subject_directory_attributes(root: TlvNode, ctx: WalkContext, path: st
         if not values.children:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, values, sub, "attribute with no values")
         # Value syntax depends on the attribute type; values stay opaque.
-    return len(attrs)
 
 
 def _body_name_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None:
@@ -605,16 +582,12 @@ def _body_policy_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None
         _non_negative(ctx, child, path, "skipCerts")
 
 
-def _body_extended_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> list[str]:
-    purposes: list[str] = []
+def _body_extended_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> None:
     kids = _elements(ctx, root, "extendedKeyUsage", path, "extendedKeyUsage must name at least one purpose")
     for i, child in enumerate(kids or ()):
         sub = f"{path}.purpose[{i}]"
         if ctx.expect(Code.WRONG_OID, child, TAG_OID, False, sub, "key purpose must be an OID"):
-            purpose = ctx.oid(child, sub)
-            if purpose is not None:
-                purposes.append(purpose)
-    return purposes
+            ctx.oid(child, sub)
 
 
 def _body_crl_distribution_points(root: TlvNode, ctx: WalkContext, path: str) -> None:
@@ -640,7 +613,7 @@ def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> Non
                     if not _plain_name(gn):
                         parse_general_name(gn, ctx, f"{path}.fullName[{k}]")
             elif choice.is_context(1, True):
-                parse_rdn(choice, ctx, f"{path}.nameRelativeToCRLIssuer", [])
+                parse_rdn(choice, ctx, f"{path}.nameRelativeToCRLIssuer")
             else:
                 ctx.add(
                     Code.MALFORMED_EXTENSION_BODY,
@@ -668,10 +641,9 @@ def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> Non
         ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "distributionPoint with only a reasons field")
 
 
-def _body_inhibit_any_policy(root: TlvNode, ctx: WalkContext, path: str) -> int | None:
-    if not _expect(ctx, root, TAG_INTEGER, False, "inhibitAnyPolicy", path):
-        return None
-    return _non_negative(ctx, root, path, "skipCerts")
+def _body_inhibit_any_policy(root: TlvNode, ctx: WalkContext, path: str) -> None:
+    if _expect(ctx, root, TAG_INTEGER, False, "inhibitAnyPolicy", path):
+        _non_negative(ctx, root, path, "skipCerts")
 
 
 def _info_access_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> None:
@@ -779,8 +751,8 @@ def parse_general_name(
     ctx: WalkContext,
     path: str,
     in_name_constraints: bool = False,
-) -> GeneralNameValue | None:
-    """Parse and validate one GeneralName choice.
+) -> None:
+    """Check one GeneralName choice.
 
     Inside nameConstraints an iPAddress carries an address plus netmask,
     doubling its length, a URI names a host or a domain, and an
@@ -793,59 +765,57 @@ def parse_general_name(
             path,
             f"GeneralName must be context-tagged, found {node.describe_tag()}",
         )
-        return None
+        return
 
     tag = node.tag_number
     if tag == 0:  # otherName
         if not node.constructed or len(node.children) != 2:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "otherName must be (type-id, [0] value)")
-            return None
+            return
         type_node, value_wrap = node.children
         if not type_node.is_universal(TAG_OID, False):
             ctx.add(Code.WRONG_OID, type_node, path, "otherName type-id must be an OID")
-            return None
+            return
         if ctx.oid(type_node, path) is None:
-            return None
+            return
         if not value_wrap.is_context(0, True) or len(value_wrap.children) != 1:
             ctx.add(
                 Code.MALFORMED_EXTENSION_BODY, value_wrap, path, "otherName value must be one explicitly tagged element"
             )
-            return None
-        return GeneralNameValue(kind="otherName")
+        return
 
     if tag in _STRING_NAMES:
         kind, valid, valid_constraint = _STRING_NAMES[tag]
         if node.constructed:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, f"{kind} must be primitive")
-            return None
+            return
         content = node.content
         bad = _OUTSIDE_ALPHABET["ia5"].search(content)
         if bad is not None:
             message = f"byte 0x{content[bad.start()]:02x} in {kind}"
             ctx.add(Code.CHAR_SET_VIOLATION, node.content_offset + bad.start(), path, message)
-            return GeneralNameValue(kind=kind)
+            return
         text = content.decode("ascii")
         if not (valid_constraint if in_name_constraints else valid)(text):
             ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, f"malformed {kind}: {text!r}")
-        return GeneralNameValue(kind=kind, text=text)
+        return
 
     if tag == 3:  # x400Address, parsed for shape only
         if not node.constructed:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "x400Address must be constructed")
-            return None
-        return GeneralNameValue(kind="x400Address")
+        return
 
     if tag == 4:  # directoryName, explicit because Name is a CHOICE
         if not node.constructed or len(node.children) != 1:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "directoryName must hold one Name")
-            return None
+            return
         parse_name(node.children[0], ctx, path, role="general")
-        return GeneralNameValue(kind="directoryName")
+        return
 
     if tag == 5:  # ediPartyName
         if not node.constructed:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "ediPartyName must be constructed")
-            return None
+            return
         last = -1
         saw_party = False
         for child in node.children:
@@ -857,38 +827,35 @@ def parse_general_name(
                     path,
                     "ediPartyName field must be an explicitly tagged DirectoryString",
                 )
-                return None
+                return
             if child.tag_number <= last:
                 ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "ediPartyName fields out of order or repeated")
-                return None
+                return
             last = child.tag_number
             saw_party = saw_party or child.tag_number == 1
             ctx.decode(validate_charset, child.children[0], path, _DISPLAY_TEXT_TAGS)
         if not saw_party:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "ediPartyName without partyName")
-        return GeneralNameValue(kind="ediPartyName")
+        return
 
     if tag == 7:  # iPAddress
         if node.constructed:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "iPAddress must be primitive")
-            return None
+            return
         allowed = (8, 32) if in_name_constraints else (4, 16)
         if node.content_length not in allowed:
             message = f"iPAddress of {node.content_length} octets, expected {allowed[0]} or {allowed[1]}"
             ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, message)
-        return GeneralNameValue(kind="iPAddress")
+        return
 
     if tag == 8:  # registeredID
         if node.constructed:
             ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "registeredID must be primitive")
-            return None
-        text = ctx.oid(node, path)
-        if text is None:
-            return None
-        return GeneralNameValue(kind="registeredID", text=text)
+        else:
+            ctx.oid(node, path)
+        return
 
     ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, f"unknown GeneralName tag [{tag}]")
-    return None
 
 
 # --- cross-extension rules ---------------------------------------------------

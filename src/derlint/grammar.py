@@ -42,7 +42,6 @@ from .values import (
     TAG_OID,
     TAG_SEQUENCE,
     TAG_UTC_TIME,
-    TimeValue,
     decode_bit_string,
     decode_integer,
     validate_time,
@@ -62,27 +61,16 @@ class AlgorithmId:
 
 
 @dataclass
-class ValidityInfo:
-    not_before: TimeValue | None = None
-    not_after: TimeValue | None = None
-
-
-@dataclass
 class SpkiInfo:
     algorithm: AlgorithmId | None = None
     key_family: str | None = None
-    key_bits: bytes | None = None
-    node: TlvNode | None = None
 
 
 @dataclass
 class ParsedTbs:
     version: int = 0
-    version_present: bool = False
-    serial: int | None = None
     inner_algorithm: AlgorithmId | None = None
     issuer: NameInfo | None = None
-    validity: ValidityInfo | None = None
     subject: NameInfo | None = None
     spki: SpkiInfo | None = None
     has_issuer_uid: bool = False
@@ -93,7 +81,6 @@ class ParsedTbs:
 
 @dataclass
 class ParsedCertificate:
-    node: TlvNode | None = None
     tbs: ParsedTbs | None = None
     outer_algorithm: AlgorithmId | None = None
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -316,7 +303,7 @@ def parse_spki(
     what = "subjectPublicKeyInfo must be a SEQUENCE"
     if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, what):
         return None
-    out = SpkiInfo(node=node)
+    out = SpkiInfo()
     if len(node.children) != 2:
         ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"subjectPublicKeyInfo with {len(node.children)} fields")
         return out
@@ -339,7 +326,6 @@ def parse_spki(
             key_path,
             f"key bits must fill whole octets, {bs.unused_bits} unused",
         )
-    out.key_bits = bs.bits
     if len(bs.bits) == 0:
         ctx.add(Code.EMPTY_VALUE_FIELD, key_node, key_path, "empty public key")
         return out
@@ -464,7 +450,6 @@ def parse_signature_value(
 
 def _parse_version(node: TlvNode, tbs: ParsedTbs, ctx: WalkContext) -> None:
     path = "tbsCertificate.version"
-    tbs.version_present = True
     if not node.constructed or len(node.children) != 1:
         ctx.add(Code.STRUCTURAL_MISMATCH, node, path, "version wrapper must hold one INTEGER")
         return
@@ -481,22 +466,17 @@ def _parse_version(node: TlvNode, tbs: ParsedTbs, ctx: WalkContext) -> None:
     tbs.version = value
 
 
-def _parse_validity(node: TlvNode, ctx: WalkContext) -> ValidityInfo:
+def _parse_validity(node: TlvNode, ctx: WalkContext) -> None:
     path = "tbsCertificate.validity"
-    out = ValidityInfo()
     if len(node.children) != 2:
         ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"validity with {len(node.children)} fields")
-        return out
-    labels = ("notBefore", "notAfter")
-    times: list[TimeValue | None] = [None, None]
-    for i, (label, child) in enumerate(zip(labels, node.children)):
+        return
+    for label, child in zip(("notBefore", "notAfter"), node.children):
         sub = f"{path}.{label}"
         if not (child.is_universal(TAG_UTC_TIME, False) or child.is_universal(TAG_GENERALIZED_TIME, False)):
             ctx.add(Code.STRUCTURAL_MISMATCH, child, sub, f"{label} must be a time, found {child.describe_tag()}")
             continue
-        times[i] = ctx.decode(validate_time, child, sub)
-    out.not_before, out.not_after = times
-    return out
+        ctx.decode(validate_time, child, sub)
 
 
 def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
@@ -524,9 +504,9 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
     serial_node = need("serialNumber")
     sub = f"{path}.serialNumber"
     if ctx.expect(Code.STRUCTURAL_MISMATCH, serial_node, TAG_INTEGER, False, sub, "serialNumber must be an INTEGER"):
-        tbs.serial = ctx.decode(decode_integer, serial_node, sub)
-        if tbs.serial is not None and tbs.serial <= 0:
-            ctx.add(Code.NON_POSITIVE_SERIAL, serial_node, sub, f"serial number {tbs.serial}")
+        serial = ctx.decode(decode_integer, serial_node, sub)
+        if serial is not None and serial <= 0:
+            ctx.add(Code.NON_POSITIVE_SERIAL, serial_node, sub, f"serial number {serial}")
 
     alg_node = need("signature")
     tbs.inner_algorithm = parse_algorithm_identifier(alg_node, "signature", ctx, f"{path}.signature")
@@ -537,7 +517,7 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
     validity_node = need("validity")
     what = "validity must be a SEQUENCE"
     if ctx.expect(Code.STRUCTURAL_MISMATCH, validity_node, TAG_SEQUENCE, True, f"{path}.validity", what):
-        tbs.validity = _parse_validity(validity_node, ctx)
+        _parse_validity(validity_node, ctx)
 
     subject_node = need("subject")
     tbs.subject = parse_name(subject_node, ctx, f"{path}.subject", role="subject")
@@ -591,7 +571,6 @@ def parse_certificate(data: bytes | TlvNode, registry: Registry | None = None) -
         node = ctx.decode(parse_tlv_tree, bytes(data), "certificate")
         if node is None:
             return result
-    result.node = node
 
     what = "certificate must be a SEQUENCE"
     if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, "certificate", what):

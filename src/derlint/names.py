@@ -12,7 +12,7 @@ structurally checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .der import TlvNode
@@ -53,8 +53,6 @@ class NameInfo:
 
     raw: bytes
     empty: bool
-    rdn_count: int = 0
-    attributes: list[tuple[str | None, str | None]] = field(default_factory=list)
 
 
 def parse_name(
@@ -74,7 +72,7 @@ def parse_name(
         # the wrong shape is neither empty nor usable.
         return NameInfo(raw=node.raw, empty=False)
 
-    info = NameInfo(raw=node.raw, empty=not node.children, rdn_count=len(node.children))
+    info = NameInfo(raw=node.raw, empty=not node.children)
     if info.empty:
         if role == "issuer":
             ctx.add(Code.EMPTY_ISSUER_DN, node, path)
@@ -83,12 +81,12 @@ def parse_name(
     for i, rdn in enumerate(node.children):
         rdn_path = f"{path}.rdn[{i}]"
         if ctx.expect(Code.INVALID_DN, rdn, TAG_SET, True, rdn_path, "RDN must be a SET"):
-            parse_rdn(rdn, ctx, rdn_path, info.attributes)
+            parse_rdn(rdn, ctx, rdn_path)
     return info
 
 
-def parse_rdn(rdn: TlvNode, ctx: WalkContext, path: str, attributes: list) -> None:
-    """Walk one RDN's SET OF attributes, appending each (type, text) to attributes.
+def parse_rdn(rdn: TlvNode, ctx: WalkContext, path: str) -> None:
+    """Walk one RDN's SET OF attributes.
 
     The caller checks the tag: nameRelativeToCRLIssuer carries an RDN under [1].
     """
@@ -101,10 +99,10 @@ def parse_rdn(rdn: TlvNode, ctx: WalkContext, path: str, attributes: list) -> No
             ctx.add(Code.INVALID_DN, b, path, "SET OF elements out of order")
             break
     for j, atv in enumerate(rdn.children):
-        _parse_atv(atv, ctx, f"{path}.attr[{j}]", attributes)
+        _parse_atv(atv, ctx, f"{path}.attr[{j}]")
 
 
-def _parse_atv(atv: TlvNode, ctx: WalkContext, path: str, attributes: list) -> None:
+def _parse_atv(atv: TlvNode, ctx: WalkContext, path: str) -> None:
     if not atv.is_universal(TAG_SEQUENCE, True) or len(atv.children) != 2:
         ctx.add(Code.INVALID_DN, atv, path, "attribute must be a two-element SEQUENCE")
         return
@@ -120,11 +118,10 @@ def _parse_atv(atv: TlvNode, ctx: WalkContext, path: str, attributes: list) -> N
         if kind is None:
             ctx.add(Code.WRONG_OID_IN_DN, type_node.content_offset, path, f"unknown naming attribute {oid_str}")
 
-    text = _validate_attribute_value(value_node, kind, ctx, path)
-    attributes.append((oid_str, text))
+    _validate_attribute_value(value_node, kind, ctx, path)
 
 
-def _validate_attribute_value(value_node: TlvNode, kind: str | None, ctx: WalkContext, path: str) -> str | None:
+def _validate_attribute_value(value_node: TlvNode, kind: str | None, ctx: WalkContext, path: str) -> None:
     is_string = (
         value_node.tag_class == "universal"
         and not value_node.constructed
@@ -133,9 +130,8 @@ def _validate_attribute_value(value_node: TlvNode, kind: str | None, ctx: WalkCo
     if is_string and value_node.content_length == 0:
         ctx.add(Code.EMPTY_STRING, value_node, path)
     permitted = _PERMITTED_BY_KIND.get(kind) if kind else None
-    text = ctx.decode(validate_charset, value_node, path, permitted)
+    ctx.decode(validate_charset, value_node, path, permitted)
     if is_string and permitted is not None and value_node.tag_number not in permitted:
         # Wrong kind for this slot, but still a string: check its own
         # character set so smuggled NULs and friends do not hide.
-        text = ctx.decode(validate_charset, value_node, path)
-    return text
+        ctx.decode(validate_charset, value_node, path)

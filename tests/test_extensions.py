@@ -40,6 +40,7 @@ OID_SIA = "1.3.6.1.5.5.7.1.11"
 OID_CPS = "1.3.6.1.5.5.7.2.1"
 OID_UNOTICE = "1.3.6.1.5.5.7.2.2"
 OID_OCSP = "1.3.6.1.5.5.7.48.1"
+NON_MINIMAL_OID = enc.raw_oid(b"\x2a\x80\x03")  # 1.2.3 with a padded second arc
 
 
 def run_exts(*ext_bytes: bytes):
@@ -113,7 +114,8 @@ class TestBodies:
     def test_ski(self):
         extset, codes = run_body(certs.OID_SKI, enc.octet_string(certs.KEYID))
         assert codes == []
-        assert extset.entries[0].body == certs.KEYID
+        assert extset.entries[0].known
+        assert codes_only(certs.OID_SKI, enc.octet_string(b"")) == [Code.EMPTY_VALUE_FIELD]
 
     def test_aki_key_id_only(self):
         extset, codes = run_body(certs.OID_AKI, enc.seq(enc.ctx_prim(0, b"\x01\x02")))
@@ -165,7 +167,7 @@ class TestBodies:
         assert codes == []
         bc = extset.entries[0].body
         assert isinstance(bc, BasicConstraintsValue)
-        assert bc.ca and bc.ca_explicit and bc.path_len == 3
+        assert bc.ca and bc.path_len == 3
 
     def test_basic_constraints_explicit_false(self):
         codes = codes_only(certs.OID_BC, enc.seq(enc.boolean(False)), critical=True)
@@ -179,9 +181,9 @@ class TestBodies:
         cps = enc.seq(enc.oid(OID_CPS), enc.ia5("https://example.com/cps"))
         notice = enc.seq(enc.oid(OID_UNOTICE), enc.seq(enc.utf8("read me")))
         pi = enc.seq(enc.oid("2.23.140.1.2.1"), enc.seq(cps, notice))
-        extset, codes = run_body(OID_CP, enc.seq(pi))
-        assert codes == []
-        assert extset.entries[0].body == ["2.23.140.1.2.1"]
+        assert codes_only(OID_CP, enc.seq(pi)) == []
+        # The policy identifier is decoded: a non-minimal arc is flagged.
+        assert codes_only(OID_CP, enc.seq(enc.seq(NON_MINIMAL_OID))) == [Code.WRONG_OID]
 
     def test_certificate_policies_duplicate_policy(self):
         # RFC 5280 4.2.1.4: a policy OID appears at most once.
@@ -189,13 +191,12 @@ class TestBodies:
         other = enc.seq(enc.oid("2.23.140.1.2.2"))
         wrapper = parse_tlv_tree(enc.ctx(3, enc.seq(certs.extension(OID_CP, enc.seq(first, other, first)))))
         ctx = WalkContext(REG)
-        extset = parse_extensions(wrapper, ctx, "exts")
+        parse_extensions(wrapper, ctx, "exts")
         assert [(d.code, d.grammar_path, d.message) for d in ctx.diags] == [
             (Code.MALFORMED_EXTENSION_BODY, "exts[0].extnValue.policy[2]", "policy 2.23.140.1.2.1 named twice")
         ]
         third_oid = wrapper.raw.rindex(enc.oid("2.23.140.1.2.1"))
         assert ctx.diags[0].byte_offset == third_oid
-        assert extset.entries[0].body == ["2.23.140.1.2.1", "2.23.140.1.2.2"]
 
     def test_certificate_policies_empty(self):
         codes = codes_only(OID_CP, enc.seq())
@@ -221,9 +222,10 @@ class TestBodies:
 
     def test_policy_mappings(self):
         pair = enc.seq(enc.oid("1.2.3"), enc.oid("1.2.4"))
-        extset, codes = run_body(OID_PM, enc.seq(pair))
-        assert codes == []
-        assert extset.entries[0].body == [("1.2.3", "1.2.4")]
+        assert codes_only(OID_PM, enc.seq(pair)) == []
+        # Both members are decoded: a non-minimal arc in either is flagged.
+        for bad in (enc.seq(NON_MINIMAL_OID, enc.oid("1.2.4")), enc.seq(enc.oid("1.2.3"), NON_MINIMAL_OID)):
+            assert codes_only(OID_PM, enc.seq(bad)) == [Code.WRONG_OID]
 
     def test_policy_mappings_wrong_member(self):
         pair = enc.seq(enc.oid("1.2.3"), enc.integer(1))
@@ -285,9 +287,11 @@ class TestBodies:
         assert codes_only("2.5.29.36", body, critical=True) == [Code.MALFORMED_EXTENSION_BODY]
 
     def test_extended_key_usage(self):
-        extset, codes = run_body(certs.OID_EKU, enc.seq(enc.oid(certs.OID_KP_SERVER_AUTH)))
-        assert codes == []
-        assert extset.entries[0].body == [certs.OID_KP_SERVER_AUTH]
+        assert codes_only(certs.OID_EKU, enc.seq(enc.oid(certs.OID_KP_SERVER_AUTH))) == []
+        # Each purpose is decoded: a non-minimal arc is flagged.
+        assert codes_only(certs.OID_EKU, enc.seq(enc.oid(certs.OID_KP_SERVER_AUTH), NON_MINIMAL_OID)) == [
+            Code.WRONG_OID
+        ]
 
     def test_extended_key_usage_empty(self):
         assert codes_only(certs.OID_EKU, enc.seq()) == [Code.MALFORMED_EXTENSION_BODY]
@@ -322,9 +326,7 @@ class TestBodies:
         assert [d.grammar_path for d in ctx.diags] == ["exts[0].extnValue.point[0].nameRelativeToCRLIssuer"]
 
     def test_inhibit_any_policy(self):
-        extset, codes = run_body(OID_IAP, enc.integer(3), critical=True)
-        assert codes == []
-        assert extset.entries[0].body == 3
+        assert codes_only(OID_IAP, enc.integer(3), critical=True) == []
         assert codes_only(OID_IAP, enc.integer(-1), critical=True) == [Code.MALFORMED_EXTENSION_BODY]
 
     def test_info_access(self):
@@ -408,8 +410,8 @@ class TestGeneralNames:
                 content = base[:position] + bytes([b]) + base[position + 1 :]
                 node = parse_tlv_tree(enc.seq(enc.null(), enc.ctx_prim(tag, content))).children[1]
                 ctx = WalkContext(REG)
-                value = parse_general_name(node, ctx, "gn")
-                got = ((value.kind, value.text), [(d.code, d.byte_offset, d.message) for d in ctx.diags])
+                parse_general_name(node, ctx, "gn")
+                got = [(d.code, d.byte_offset, d.message) for d in ctx.diags]
                 assert got == reference_general_name(node), (position, b)
 
     def test_newline_in_dns_name_rejects_the_leaf(self):
@@ -451,7 +453,7 @@ def reference_uri(text: str) -> bool:
 
 def reference_general_name(node):
     """The per-byte IA5 loop parse_general_name ran before its compiled
-    matcher: ((kind, text), [(code, offset, message)])."""
+    matcher: [(code, offset, message)]."""
     kind, valid = {
         1: ("rfc822Name", reference_email),
         2: ("dNSName", reference_dns_name),
@@ -460,11 +462,11 @@ def reference_general_name(node):
     content = node.content
     for i, b in enumerate(content):
         if b == 0x00 or b > 0x7F:
-            return (kind, None), [(Code.CHAR_SET_VIOLATION, node.content_offset + i, f"byte 0x{b:02x} in {kind}")]
+            return [(Code.CHAR_SET_VIOLATION, node.content_offset + i, f"byte 0x{b:02x} in {kind}")]
     text = content.decode("ascii")
     if not valid(text):
-        return (kind, text), [(Code.BAD_DNS_URI_EMAIL_FORMAT, node.header_offset, f"malformed {kind}: {text!r}")]
-    return (kind, text), []
+        return [(Code.BAD_DNS_URI_EMAIL_FORMAT, node.header_offset, f"malformed {kind}: {text!r}")]
+    return []
 
 
 def seeded_host_names(seed: int, count: int):
