@@ -161,17 +161,15 @@ def analyze(records: Iterable[ChainOutcomeRecord]) -> AnalysisResult:
     cannot be classified and is reported as missing instead.
     """
     by_key: dict[tuple[str, str], ChainOutcomeRecord] = {}
-    ordered: list[ChainOutcomeRecord] = []
     for record in records:
         _check_chain_id(record.chain_id)
         key = (record.chain_id, record.validator_id)
         if key in by_key:
             raise ValueError(f"duplicate outcome for chain {record.chain_id!r} under {record.validator_id!r}")
         by_key[key] = record
-        ordered.append(record)
 
     result = AnalysisResult()
-    for record in ordered:
+    for record in by_key.values():
         parent_id = parent_chain_id(record.chain_id)
         parent_label: str | None = None
         if parent_id is not None:
@@ -288,8 +286,13 @@ def load_report_lines(text: str) -> dict[str, list[str]]:
             raise ValueError(f"line {line_number}: not JSON: {exc}") from None
         if not isinstance(obj, dict) or "id" not in obj:
             continue
+        entries = obj.get("diagnostics", [])
+        if not isinstance(obj["id"], str):
+            raise ValueError(f"line {line_number}: report id must be a string, found {obj['id']!r}")
+        if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+            raise ValueError(f"line {line_number}: diagnostics must be a list of objects")
         codes = []
-        for entry in obj.get("diagnostics", []):
+        for entry in entries:
             name = entry.get("code", "")
             try:
                 code = Code(name)

@@ -289,13 +289,20 @@ class TestDiff:
 
     def test_bad_reports_file(self, capsys, tmp_path, records_file):
         reports_path = tmp_path / "reports.jsonl"
-        reports_path.write_text("not json\n")
-        status, _, err = run(
-            capsys,
-            ["diff", "--records", str(records_file), "--reports", str(reports_path)],
-        )
-        assert status == cli.EXIT_ERROR
-        assert "reports" in err
+        bad_lines = [
+            "not json",
+            '{"id": "a", "diagnostics": [1]}',
+            '{"id": "a", "diagnostics": 5}',
+            '{"id": ["a"], "diagnostics": []}',
+        ]
+        for line in bad_lines:
+            reports_path.write_text(line + "\n")
+            status, _, err = run(
+                capsys,
+                ["diff", "--records", str(records_file), "--reports", str(reports_path)],
+            )
+            assert status == cli.EXIT_ERROR, line
+            assert err.startswith("derlint: reports: line 1: "), err
 
 
 class TestParser:
