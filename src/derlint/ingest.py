@@ -149,16 +149,8 @@ def load_documents(raw: bytes, doc_id: str, fmt: str = "auto") -> list[InputDocu
         elif head[:1] == b"\x30":
             fmt = "der"
         else:
-            return [
-                InputDocument(
-                    doc_id=doc_id,
-                    container_error=diag(
-                        Code.UNRECOGNIZED_FORMAT,
-                        path="container",
-                        message="input is neither armored text nor a DER SEQUENCE",
-                    ),
-                )
-            ]
+            error = _armor_error(Code.UNRECOGNIZED_FORMAT, "input is neither armored text nor a DER SEQUENCE")
+            return [InputDocument(doc_id=doc_id, container_error=error)]
 
     if fmt == "der":
         return [InputDocument(doc_id=doc_id, data=raw)]
@@ -166,20 +158,12 @@ def load_documents(raw: bytes, doc_id: str, fmt: str = "auto") -> list[InputDocu
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError:
-        return [
-            InputDocument(
-                doc_id=doc_id,
-                container_error=diag(Code.BAD_PEM_ARMOR, path="container", message="armored input must be ASCII"),
-            )
-        ]
+        error = _armor_error(Code.BAD_PEM_ARMOR, "armored input must be ASCII")
+        return [InputDocument(doc_id=doc_id, container_error=error)]
     blocks = _split_pem(text)
     if not blocks:
-        return [
-            InputDocument(
-                doc_id=doc_id,
-                container_error=diag(Code.BAD_PEM_ARMOR, path="container", message="no armored block found"),
-            )
-        ]
+        error = _armor_error(Code.BAD_PEM_ARMOR, "no armored block found")
+        return [InputDocument(doc_id=doc_id, container_error=error)]
     many = len(blocks) > 1
     docs = []
     for k, block in enumerate(blocks, 1):
