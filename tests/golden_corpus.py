@@ -30,7 +30,7 @@ catalog in ``support``:
   for each diagnostic of the walk (grammar.py, names.py, extensions.py)
   that no line above reaches, each followed by eight seeded one-byte
   flips inside the replaced field.  test_golden.py checks that the
-  corpus runs every such diagnostic.
+  corpus runs every ctx.add site and fails every tag check of the walk.
 
 Each document becomes one JSON line, ``[id, outcome, [[code, severity,
 byte_offset, path, message], ...]]``, with no timing.  Regenerate the
@@ -462,78 +462,68 @@ def _tag_mismatch_variants() -> dict[str, tuple[str, bytes]]:
     }
 
 
-def _tag_mismatch_seeds() -> list[tuple[str, bytes, int, int]]:
-    """(id, certificate, start, end): each seed with the region its flips hit."""
+def _replaced_field_seeds(prefix: str, variants: dict[str, dict]) -> list[tuple[str, bytes, int, int]]:
+    """(id, certificate, start, end) for each label's CertSpec replacements.
+
+    The flips hit the first replaced field, or the last element of a replaced exts tuple.
+    """
     out = []
-    for label, (slot, value) in _tag_mismatch_variants().items():
-        data = certs.build(replace(certs.CertSpec(), **{slot: value}))
+    for label, fields in variants.items():
+        data = certs.build(replace(certs.CertSpec(), **fields))
+        slot, value = next(iter(fields.items()))
         region = value[-1] if slot == "exts" else value
         start = data.index(region)
-        out.append((f"tag-{label}", data, start, start + len(region)))
+        out.append((f"{prefix}-{label}", data, start, start + len(region)))
     return out
 
 
 _P256 = "1.2.840.10045.3.1.7"
 
 
-def _reach_variants() -> dict[str, tuple[certs.CertSpec, bytes]]:
-    """label -> (certificate, the field its flips hit): one per walk diagnostic no line above reaches."""
-    base = certs.CertSpec()
+def _reach_variants() -> dict[str, dict]:
+    """label -> CertSpec replacements: one certificate per walk diagnostic no line above reaches."""
     value = enc.integer(int.from_bytes(b"\x5f" * 32, "big") | 1)
     gost_params = enc.seq(enc.oid("1.2.643.2.2.35.1"), enc.oid("1.2.643.2.2.30.1"))
     dh_params = (enc.integer(7), enc.integer(2), enc.integer(5), enc.integer(3))
-    seed_and_counter = enc.seq(enc.bit_string(b"\x01"), enc.integer(1))
 
-    def field(**fields) -> tuple[certs.CertSpec, bytes]:
-        (slot, replacement), *_ = fields.items()
-        region = replacement[-1] if slot == "exts" else replacement
-        return replace(base, **fields), region
+    def dh(*parts: bytes) -> dict:
+        return {"spki": _spki(certs.OID_DH, enc.seq(*dh_params, *parts), value)}
 
-    def dh(*parts: bytes) -> tuple[certs.CertSpec, bytes]:
-        return field(spki=_spki(certs.OID_DH, enc.seq(*dh_params, *parts), value))
-
-    def ext(oid_str: str, body: bytes) -> tuple[certs.CertSpec, bytes]:
-        return field(exts=(certs.aki(), certs.extension(oid_str, body)))
+    def ext(oid_str: str, body: bytes) -> dict:
+        return {"exts": (certs.aki(), certs.extension(oid_str, body))}
 
     policy = enc.seq(enc.oid(_POLICY))
+    notice = enc.seq(enc.oid("1.3.6.1.5.5.7.2.2"), enc.seq(enc.seq(enc.utf8("Org"), enc.set_of(enc.integer(1)))))
     attribute_b, attribute_a = (enc.seq(enc.oid(certs.OID_CN), enc.printable(text)) for text in "ba")
     return {
-        "algorithm-three-fields": field(inner_alg=enc.seq(enc.oid(certs.OID_SHA256_RSA), enc.null(), enc.null())),
-        "absent-parameters-present": field(inner_alg=enc.seq(enc.oid(certs.OID_ECDSA_SHA256), enc.integer(1))),
-        "null-with-content": field(inner_alg=enc.seq(enc.oid(certs.OID_SHA256_RSA), enc.tlv(5, b"\x00"))),
-        "named-curve-missing": field(spki=enc.seq(enc.seq(enc.oid(_EC)), enc.bit_string(b"\x04" + b"\x11" * 64))),
-        "curve-unregistered": field(spki=_spki(_EC, enc.oid("1.2.3.4"), b"\x04" + b"\x11" * 64)),
-        "parameters-missing": field(spki=enc.seq(enc.seq(enc.oid(_DSA)), enc.bit_string(value))),
-        "dss-two-parameters": field(spki=_spki(_DSA, enc.seq(enc.integer(7), enc.integer(5)), value)),
-        "dh-two-parameters": field(spki=_spki(certs.OID_DH, enc.seq(enc.integer(7), enc.integer(2)), value)),
-        "kea-domain-empty": field(spki=_spki(_KEA, enc.octet_string(b""), value)),
+        "algorithm-three-fields": {"inner_alg": enc.seq(enc.oid(certs.OID_SHA256_RSA), enc.null(), enc.null())},
+        "absent-parameters-present": {"inner_alg": enc.seq(enc.oid(certs.OID_ECDSA_SHA256), enc.integer(1))},
+        "null-with-content": {"inner_alg": enc.seq(enc.oid(certs.OID_SHA256_RSA), enc.tlv(5, b"\x00"))},
+        "named-curve-missing": {"spki": enc.seq(enc.seq(enc.oid(_EC)), enc.bit_string(b"\x04" + b"\x11" * 64))},
+        "curve-unregistered": {"spki": _spki(_EC, enc.oid("1.2.3.4"), b"\x04" + b"\x11" * 64)},
+        "parameters-missing": {"spki": enc.seq(enc.seq(enc.oid(_DSA)), enc.bit_string(value))},
+        "dss-two-parameters": {"spki": _spki(_DSA, enc.seq(enc.integer(7), enc.integer(5)), value)},
+        "dh-two-parameters": {"spki": _spki(certs.OID_DH, enc.seq(enc.integer(7), enc.integer(2)), value)},
+        "kea-domain-empty": {"spki": _spki(_KEA, enc.octet_string(b""), value)},
         "dh-validation-one-field": dh(enc.seq(enc.bit_string(b"\x01"))),
         "dh-seed-not-bit-string": dh(enc.seq(enc.octet_string(b"\x01"), enc.integer(1))),
         "dh-counter-not-integer": dh(enc.seq(enc.bit_string(b"\x01"), enc.null())),
-        "dh-after-validation": dh(seed_and_counter, enc.null()),
-        "ec-point-form": field(spki=_spki(_EC, enc.oid(_P256), b"\x05" + b"\x11" * 64)),
-        "ec-point-length": field(spki=_spki(_EC, enc.oid(_P256), b"\x04" + b"\x11" * 10)),
-        "gost-key-empty": field(spki=_spki(_GOST, gost_params, enc.octet_string(b""))),
-        "version-two-integers": field(version=enc.ctx(0, enc.integer(2), enc.integer(2))),
-        "version-1-encoded": field(version=enc.ctx(0, enc.integer(0))),
-        "tbs-ends-early": (replace(base, spki=b"", exts=None), certs.SUBJECT),
-        "issuer-uid-constructed": field(issuer_uid=enc.ctx(1, enc.bit_string(b"\x01"))),
-        "extensions-primitive": field(subject_uid=enc.ctx_prim(3, enc.seq()), exts=None),
-        "extension-one-field": field(exts=(certs.aki(), enc.seq(enc.oid(certs.OID_SKI)))),
+        "dh-after-validation": dh(enc.seq(enc.bit_string(b"\x01"), enc.integer(1)), enc.null()),
+        "ec-point-form": {"spki": _spki(_EC, enc.oid(_P256), b"\x05" + b"\x11" * 64)},
+        "ec-point-length": {"spki": _spki(_EC, enc.oid(_P256), b"\x04" + b"\x11" * 10)},
+        "gost-key-empty": {"spki": _spki(_GOST, gost_params, enc.octet_string(b""))},
+        "version-two-integers": {"version": enc.ctx(0, enc.integer(2), enc.integer(2))},
+        "version-1-encoded": {"version": enc.ctx(0, enc.integer(0))},
+        # The subject is listed first, unchanged, so the flips hit it.
+        "tbs-ends-early": {"subject": certs.SUBJECT, "spki": b"", "exts": None},
+        "issuer-uid-constructed": {"issuer_uid": enc.ctx(1, enc.bit_string(b"\x01"))},
+        "extensions-primitive": {"subject_uid": enc.ctx_prim(3, enc.seq()), "exts": None},
+        "extension-one-field": {"exts": (certs.aki(), enc.seq(enc.oid(certs.OID_SKI)))},
         "policy-twice": ext("2.5.29.32", enc.seq(policy, policy)),
         "edi-party-primitive": ext(certs.OID_SAN, enc.seq(enc.ctx_prim(5, b"Party"))),
-        "rdn-out-of-order": field(subject=enc.seq(enc.set_of(attribute_b, attribute_a))),
+        "rdn-out-of-order": {"subject": enc.seq(enc.set_of(attribute_b, attribute_a))},
+        "notice-numbers-not-sequence": ext("2.5.29.32", enc.seq(enc.seq(enc.oid(_POLICY), enc.seq(notice)))),
     }
-
-
-def _reach_seeds() -> list[tuple[str, bytes, int, int]]:
-    """(id, certificate, start, end): each seed with the region its flips hit."""
-    out = []
-    for label, (spec, region) in _reach_variants().items():
-        data = certs.build(spec)
-        start = data.index(region)
-        out.append((f"reach-{label}", data, start, start + len(region)))
-    return out
 
 
 def seeds() -> list[tuple[str, bytes]]:
@@ -564,8 +554,9 @@ def documents() -> list[tuple[str, bytes]]:
         blob = rng.randbytes(rng.randrange(0, RANDOM_MAX_LEN))
         out.append((f"random-{i}", enc.seq(blob) if i % 2 else blob))
     out += _with_region_flips(random.Random(SHAPE_SEED), _extension_shape_seeds())
-    out += _with_region_flips(random.Random(TAG_SEED), _tag_mismatch_seeds())
-    out += _with_region_flips(random.Random(REACH_SEED), _reach_seeds())
+    tag_variants = {label: {slot: value} for label, (slot, value) in _tag_mismatch_variants().items()}
+    out += _with_region_flips(random.Random(TAG_SEED), _replaced_field_seeds("tag", tag_variants))
+    out += _with_region_flips(random.Random(REACH_SEED), _replaced_field_seeds("reach", _reach_variants()))
     return out
 
 

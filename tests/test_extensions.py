@@ -40,7 +40,7 @@ OID_SIA = "1.3.6.1.5.5.7.1.11"
 OID_CPS = "1.3.6.1.5.5.7.2.1"
 OID_UNOTICE = "1.3.6.1.5.5.7.2.2"
 OID_OCSP = "1.3.6.1.5.5.7.48.1"
-NON_MINIMAL_OID = enc.raw_oid(b"\x2a\x80\x03")  # 1.2.3 with a padded second arc
+NON_MINIMAL_OID = enc.raw_oid(b"\x2a\x80\x03")  # 1.2.3, its last arc padded with a 0x80 octet
 
 
 def run_exts(*ext_bytes: bytes):

@@ -72,26 +72,36 @@ def test_extension_shape_diagnostics_are_locked():
     assert {(d[0], d[4]) for d in body} >= EMPTY_BODY_MESSAGES
 
 
-def _add_sites() -> set[tuple[str, int]]:
-    """(file, line) of every ctx.add( call in the walk modules."""
+def _call_sites(*names: str) -> set[tuple[str, int]]:
+    """(file, line) of every call to ctx.<name> or <name> in the walk modules."""
     sites = set()
     for module in (derlint.grammar, derlint.names, derlint.extensions):
         for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
             func = getattr(node, "func", None)
-            if isinstance(func, ast.Attribute) and func.attr == "add" and getattr(func.value, "id", None) == "ctx":
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "ctx":
+                name = func.attr
+            else:
+                name = getattr(func, "id", None)
+            if name in names:
                 sites.add((module.__file__, node.lineno))
     return sites
 
 
 def test_corpus_reaches_every_walk_diagnostic():
-    """Each diagnostic the walk can record is locked by at least one golden line."""
-    sites = _add_sites()
-    files = {path for path, _ in sites}
-    ran = set()
+    """Each diagnostic the walk can record is locked by at least one golden line.
+
+    Every ctx.add line must run, and every tag check (ctx.expect, _expect) must fail at least once.
+    """
+    add_sites = _call_sites("add")
+    expect_sites = _call_sites("expect", "_expect")
+    files = {path for path, _ in add_sites}
+    ran, failed = set(), set()
 
     def line_tracer(frame, event, arg):
         if event == "line":
             ran.add((frame.f_code.co_filename, frame.f_lineno))
+        elif event == "return" and arg is False and frame.f_code.co_name in ("expect", "_expect"):
+            failed.add((frame.f_back.f_code.co_filename, frame.f_back.f_lineno))
         return line_tracer
 
     previous = sys.gettrace()
@@ -100,6 +110,6 @@ def test_corpus_reaches_every_walk_diagnostic():
         golden_corpus.render()
     finally:
         sys.settrace(previous)
-    assert len(sites) > 100
-    missed = sorted(f"{Path(path).name}:{line}" for path, line in sites - ran)
-    assert not missed, f"ctx.add sites no golden document runs: {missed}"
+    assert len(add_sites) > 100 and len(expect_sites) > 30
+    missed = sorted(f"{Path(path).name}:{line}" for path, line in (add_sites - ran) | (expect_sites - failed))
+    assert not missed, f"diagnostic sites no golden document reaches: {missed}"
