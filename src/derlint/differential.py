@@ -286,9 +286,9 @@ def load_report_lines(text: str) -> dict[str, list[str]]:
             raise ValueError(f"line {line_number}: not JSON: {exc}") from None
         if not isinstance(obj, dict) or "id" not in obj:
             continue
-        entries = obj.get("diagnostics", [])
         if not isinstance(obj["id"], str):
             raise ValueError(f"line {line_number}: report id must be a string, found {obj['id']!r}")
+        entries = obj.get("diagnostics", [])
         if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
             raise ValueError(f"line {line_number}: diagnostics must be a list of objects")
         codes = []
