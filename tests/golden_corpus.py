@@ -27,10 +27,11 @@ catalog in ``support``:
   choices, each followed by eight seeded one-byte flips inside the
   replaced field;
 * a reach block with its own seed, after the tag block: one certificate
-  for each diagnostic of the walk (grammar.py, names.py, extensions.py)
-  that no line above reaches, each followed by eight seeded one-byte
-  flips inside the replaced field.  test_golden.py checks that the
-  corpus runs every ctx.add site and fails every tag check of the walk.
+  for each diagnostic site of the walk (grammar.py, names.py,
+  extensions.py) that no line above reaches, each followed by eight
+  seeded one-byte flips inside the replaced field.  test_golden.py
+  checks that the corpus runs every ctx.add line and makes every tag
+  check, decoder call, OID read and payload re-entry of the walk fail.
 
 Each document becomes one JSON line, ``[id, outcome, [[code, severity,
 byte_offset, path, message], ...]]``, with no timing.  Regenerate the
@@ -478,12 +479,14 @@ def _replaced_field_seeds(prefix: str, variants: dict[str, dict]) -> list[tuple[
 
 
 _P256 = "1.2.840.10045.3.1.7"
+_NOTICE = "1.3.6.1.5.5.7.2.2"
 
 
 def _reach_variants() -> dict[str, dict]:
     """label -> CertSpec replacements: one certificate per walk diagnostic no line above reaches."""
     value = enc.integer(int.from_bytes(b"\x5f" * 32, "big") | 1)
     gost_params = enc.seq(enc.oid("1.2.643.2.2.35.1"), enc.oid("1.2.643.2.2.30.1"))
+    gost_key = enc.octet_string(b"\x11" * 64)
     dh_params = (enc.integer(7), enc.integer(2), enc.integer(5), enc.integer(3))
 
     def dh(*parts: bytes) -> dict:
@@ -493,7 +496,17 @@ def _reach_variants() -> dict[str, dict]:
         return {"exts": (certs.aki(), certs.extension(oid_str, body))}
 
     policy = enc.seq(enc.oid(_POLICY))
-    notice = enc.seq(enc.oid("1.3.6.1.5.5.7.2.2"), enc.seq(enc.seq(enc.utf8("Org"), enc.set_of(enc.integer(1)))))
+
+    def notice(numbers: bytes) -> dict:
+        ref = enc.seq(enc.utf8("Org"), numbers)
+        return ext("2.5.29.32", enc.seq(enc.seq(enc.oid(_POLICY), enc.seq(enc.seq(enc.oid(_NOTICE), enc.seq(ref))))))
+
+    pss = enc.oid(_PSS)
+    ski_value = enc.octet_string(enc.octet_string(certs.KEYID))
+    # Decoder failures: a non-minimal INTEGER, or an OID whose last arc is padded with 0x80.
+    padded = enc.tlv(2, b"\x00\x01")
+    padded_serial = enc.ctx_prim(2, b"\x00\x01")
+    padded_oid = enc.raw_oid(b"\x2a\x80\x03")
     attribute_b, attribute_a = (enc.seq(enc.oid(certs.OID_CN), enc.printable(text)) for text in "ba")
     return {
         "algorithm-three-fields": {"inner_alg": enc.seq(enc.oid(certs.OID_SHA256_RSA), enc.null(), enc.null())},
@@ -522,7 +535,32 @@ def _reach_variants() -> dict[str, dict]:
         "policy-twice": ext("2.5.29.32", enc.seq(policy, policy)),
         "edi-party-primitive": ext(certs.OID_SAN, enc.seq(enc.ctx_prim(5, b"Party"))),
         "rdn-out-of-order": {"subject": enc.seq(enc.set_of(attribute_b, attribute_a))},
-        "notice-numbers-not-sequence": ext("2.5.29.32", enc.seq(enc.seq(enc.oid(_POLICY), enc.seq(notice)))),
+        "notice-numbers-not-sequence": notice(enc.set_of(enc.integer(1))),
+        "curve-padded": {"spki": _spki(_EC, padded_oid, b"\x04" + b"\x11" * 64)},
+        "dss-parameter-padded": {"spki": _spki(_DSA, enc.seq(padded, enc.integer(2), enc.integer(3)), value)},
+        "gost-parameter-padded": {"spki": _spki(_GOST, enc.seq(padded_oid, enc.oid("1.2.643.2.2.30.1")), gost_key)},
+        "dh-parameter-padded": {"spki": _spki(certs.OID_DH, enc.seq(padded, enc.integer(2), enc.integer(5)), value)},
+        "dh-j-padded": {"spki": _spki(certs.OID_DH, enc.seq(*dh_params[:3], padded), value)},
+        "dh-seed-empty": dh(enc.seq(enc.tlv(3, b""), enc.integer(1))),
+        "dh-counter-padded": dh(enc.seq(enc.bit_string(b"\x01"), padded)),
+        "pss-algorithm-padded": {"inner_alg": enc.seq(pss, enc.seq(enc.ctx(0, enc.seq(padded_oid))))},
+        "pss-integer-padded": {"inner_alg": enc.seq(pss, enc.seq(enc.ctx(2, padded)))},
+        "rsa-modulus-padded": {"spki": _spki(certs.OID_RSA_ENC, enc.null(), enc.seq(padded, value))},
+        "signature-payload-truncated": {
+            "sig_value": enc.bit_string(b"\x30\x05\x02\x01\x01"),
+            "inner_alg": certs.ecdsa_alg(),
+            "outer_alg": certs.ecdsa_alg(),
+        },
+        "version-padded": {"version": enc.ctx(0, enc.tlv(2, b"\x00\x02"))},
+        "issuer-uid-empty": {"issuer_uid": enc.ctx_prim(1, b"")},
+        "critical-non-der": {"exts": (certs.aki(), enc.seq(enc.oid(certs.OID_SKI), enc.tlv(1, b"\x01"), ski_value))},
+        "aki-serial-padded": {"exts": (certs.extension(certs.OID_AKI, enc.seq(enc.ctx(1, _DNS), padded_serial)),)},
+        "path-len-padded": ext(certs.OID_BC, enc.seq(enc.boolean(True), padded)),
+        "qualifier-id-padded": ext("2.5.29.32", enc.seq(enc.seq(enc.oid(_POLICY), enc.seq(enc.seq(padded_oid, _DNS))))),
+        "notice-number-padded": notice(enc.seq(padded)),
+        "mapping-member-padded": ext("2.5.29.33", enc.seq(enc.seq(padded_oid, enc.oid("1.2.3.4")))),
+        "registered-id-padded": ext(certs.OID_SAN, enc.seq(enc.ctx_prim(8, _content(padded_oid)))),
+        "wrong-kind-bad-utf8": {"subject": enc.seq(enc.set_of(enc.seq(enc.oid("2.5.4.5"), enc.tlv(12, b"\xff"))))},
     }
 
 

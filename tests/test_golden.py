@@ -90,17 +90,19 @@ def _call_sites(*names: str) -> set[tuple[str, int]]:
 def test_corpus_reaches_every_walk_diagnostic():
     """Each diagnostic the walk can record is locked by at least one golden line.
 
-    Every ctx.add line must run, and every tag check (ctx.expect, _expect) must fail at least once.
+    Every ctx.add line must run, and every other call that records a diagnostic must fail at least once:
+    a tag check (ctx.expect, _expect) returns False, and ctx.decode, ctx.oid or ctx.payload returns None.
     """
     add_sites = _call_sites("add")
-    expect_sites = _call_sites("expect", "_expect")
+    failing_sites = _call_sites("expect", "_expect", "decode", "oid", "payload")
+    failure = {"expect": False, "_expect": False, "decode": None, "oid": None, "payload": None}
     files = {path for path, _ in add_sites}
     ran, failed = set(), set()
 
     def line_tracer(frame, event, arg):
         if event == "line":
             ran.add((frame.f_code.co_filename, frame.f_lineno))
-        elif event == "return" and arg is False and frame.f_code.co_name in ("expect", "_expect"):
+        elif event == "return" and frame.f_code.co_name in failure and arg is failure[frame.f_code.co_name]:
             failed.add((frame.f_back.f_code.co_filename, frame.f_back.f_lineno))
         return line_tracer
 
@@ -110,6 +112,6 @@ def test_corpus_reaches_every_walk_diagnostic():
         golden_corpus.render()
     finally:
         sys.settrace(previous)
-    assert len(add_sites) > 100 and len(expect_sites) > 30
-    missed = sorted(f"{Path(path).name}:{line}" for path, line in (add_sites - ran) | (expect_sites - failed))
+    assert len(add_sites) > 100 and len(failing_sites) > 80
+    missed = sorted(f"{Path(path).name}:{line}" for path, line in (add_sites - ran) | (failing_sites - failed))
     assert not missed, f"diagnostic sites no golden document reaches: {missed}"
