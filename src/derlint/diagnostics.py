@@ -16,6 +16,7 @@ without touching code.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -247,25 +248,20 @@ class UnmappedMessage:
     message: str
 
 
-_MESSAGE_TABLE: dict[tuple[str, str], Category] | None = None
-
-
+@functools.cache
 def _load_message_table() -> dict[tuple[str, str], Category]:
-    global _MESSAGE_TABLE
-    if _MESSAGE_TABLE is None:
-        table: dict[tuple[str, str], Category] = {}
-        text = resources.files("derlint.data").joinpath("library_messages.txt").read_text()
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(";")]
-            if len(parts) != 3:
-                raise ValueError(f"library_messages.txt:{lineno}: expected 3 fields")
-            validator, message, category = parts
-            table[(validator.lower(), message)] = Category(category)
-        _MESSAGE_TABLE = table
-    return _MESSAGE_TABLE
+    table: dict[tuple[str, str], Category] = {}
+    text = resources.files("derlint.data").joinpath("library_messages.txt").read_text()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(";")]
+        if len(parts) != 3:
+            raise ValueError(f"library_messages.txt:{lineno}: expected 3 fields")
+        validator, message, category = parts
+        table[(validator.lower(), message)] = Category(category)
+    return table
 
 
 def classify_external_message(validator: str, message: str) -> Category | UnmappedMessage:

@@ -135,13 +135,17 @@ class WalkContext:
     def oid(self, node: TlvNode, path: str, wrong_oid: Code = Code.WRONG_OID) -> str | None:
         """The dotted form of an OID node, or None after recording its error as decode() does.
 
-        Registered OIDs come from the registry's by_der table undecoded.
+        A registered OID is decoded once per registry: its content octets
+        then name it through the registry's by_der table.
         """
-        text = self.reg.by_der.get(node.content)
+        content = node.content
+        text = self.reg.by_der.get(content)
         if text is None:
             arcs = self.decode(decode_oid, node, path, wrong_oid=wrong_oid)
             if arcs is not None:
                 text = dotted(arcs)
+                if text in self.reg.oids:
+                    self.reg.by_der[content] = text
         return text
 
     def payload(self, node: TlvNode, skip: int, path: str, fallback: Code | None = None) -> TlvNode | None:
@@ -180,8 +184,6 @@ class BasicConstraintsValue:
 @dataclass
 class AkiValue:
     key_id: bytes | None = None
-    has_issuer: bool = False
-    has_serial: bool = False
 
 
 @dataclass
@@ -351,6 +353,7 @@ def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -
     if not _expect(ctx, root, TAG_SEQUENCE, True, "authorityKeyIdentifier", path):
         return None
     value = AkiValue()
+    has_issuer = has_serial = False
     for child in _tagged_fields(ctx, root.children, "authorityKeyIdentifier", 2, None, path):
         if child is None:
             return value
@@ -366,7 +369,7 @@ def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -
             if not child.constructed:
                 ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "authorityCertIssuer must be constructed")
                 continue
-            value.has_issuer = True
+            has_issuer = True
             if not child.children:
                 ctx.add(Code.EMPTY_GENERAL_NAMES, child, path, "empty authorityCertIssuer")
             for gn in child.children:
@@ -376,9 +379,9 @@ def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -
             if child.constructed:
                 ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "authorityCertSerialNumber must be primitive")
                 continue
-            value.has_serial = True
+            has_serial = True
             ctx.decode(decode_integer, child, f"{path}.authorityCertSerialNumber")
-    if value.has_issuer != value.has_serial:
+    if has_issuer != has_serial:
         ctx.add(
             Code.MALFORMED_EXTENSION_BODY,
             root,

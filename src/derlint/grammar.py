@@ -555,22 +555,19 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
 # --- whole certificates ------------------------------------------------------
 
 
-def parse_certificate(data: bytes | TlvNode, registry: Registry | None = None) -> ParsedCertificate:
+def parse_certificate(data: bytes | bytearray | memoryview, registry: Registry | None = None) -> ParsedCertificate:
     """Recognize one DER certificate, collecting every diagnostic found.
 
-    Accepts raw bytes or an already parsed tag tree.  The result's
-    accepted flag is derived from the diagnostics alone.
+    Accepts bytes-like data.  The result's accepted flag is derived from
+    the diagnostics alone.
     """
     ctx = WalkContext(registry if registry is not None else default_registry())
     result = ParsedCertificate(diagnostics=ctx.diags)
 
-    if isinstance(data, TlvNode):
-        node = data
-    else:
-        # bytes(): Registry.by_der looks up node content, which a bytearray's slices would leave unhashable.
-        node = ctx.decode(parse_tlv_tree, bytes(data), "certificate")
-        if node is None:
-            return result
+    # bytes(): Registry.by_der is keyed by node content, which a bytearray's slices would leave unhashable.
+    node = ctx.decode(parse_tlv_tree, bytes(data), "certificate")
+    if node is None:
+        return result
 
     what = "certificate must be a SEQUENCE"
     if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, "certificate", what):

@@ -83,7 +83,8 @@ def _split_pem(text: str) -> list[bytes | Diagnostic]:
     diagnostic that block (or the surrounding layout) produced.
     """
     out: list[bytes | Diagnostic] = []
-    lines = text.split("\n")
+    # A final newline ends the last line; it does not open a blank one.
+    lines = text.removesuffix("\n").split("\n")
     i = 0
     n = len(lines)
     while i < n:

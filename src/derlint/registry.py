@@ -20,26 +20,22 @@ An OID may appear under several roles (a public key algorithm has spki,
 keybits and keyfamily lines).  Duplicate (OID, role) pairs are an error.
 The bundled file covers exactly the algorithm identifiers the certificate
 profile standards spell out in full, plus the standard extension and
-naming attribute OIDs; deployments can point DERLINT_REGISTRY or
---registry at an extended copy.
+naming attribute OIDs; deployments pass an extended copy explicitly
+(--registry, or load_registry(path)).  Nothing else selects the
+registry, so a verdict depends only on the input octets and the
+registry the caller passes.
 
-by_der maps the DER content octets of each registered OID to its dotted
-form, so the walk names registered OIDs without decoding them.  It holds
-only OIDs whose encoding decodes back to exactly the registered text; no
-decoded OID can equal any other entry.
+by_der starts empty.  The walk adds the DER content octets of an OID it
+has decoded, keyed to the dotted form, when that form is in oids, so
+a registered OID is decoded once per registry and the table never holds
+more than the registry file names.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
-
-from .der import TlvNode
-from .diagnostics import RecognitionError
-from .values import TAG_OID, decode_oid, dotted
-
-ENV_REGISTRY = "DERLINT_REGISTRY"
 
 _VALID_GRAMMARS = {
     "signature": {"null", "absent", "rsa-pss-params"},
@@ -78,7 +74,7 @@ class Registry:
     """Parsed registry, one mapping per role."""
 
     by_role: dict[str, dict[str, str]] = field(default_factory=dict)
-    source: str = "<builtin>"
+    oids: set[str] = field(default_factory=set)
     by_der: dict[bytes, str] = field(default_factory=dict)
 
     def lookup(self, role: str, oid: str) -> str | None:
@@ -92,7 +88,7 @@ class Registry:
 
 
 def parse_registry(text: str, source: str = "<string>") -> Registry:
-    reg = Registry(source=source)
+    reg = Registry()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,39 +109,12 @@ def parse_registry(text: str, source: str = "<string>") -> Registry:
         if oid in bucket:
             raise ValueError(f"{source}:{lineno}: duplicate entry for ({oid}, {role})")
         bucket[oid] = grammar
-    for oid in {oid for bucket in reg.by_role.values() for oid in bucket}:
-        content = _oid_content(oid)
-        if content is not None:
-            reg.by_der[content] = oid
+        reg.oids.add(oid)
     return reg
 
 
-def _oid_content(oid: str) -> bytes | None:
-    """The DER content octets of a dotted OID, or None if none decode back to exactly oid."""
-    try:
-        arcs = [int(arc) for arc in oid.split(".")]
-        values = (40 * arcs[0] + arcs[1], *arcs[2:])
-    except (ValueError, IndexError):
-        return None
-    content = bytearray()
-    for value in values:
-        septets = [value & 0x7F]
-        while value > 0x7F:
-            value >>= 7
-            septets.append(0x80 | (value & 0x7F))
-        content += bytes(reversed(septets))
-    node = TlvNode("universal", False, TAG_OID, 0, 0, len(content), bytes(content))
-    try:
-        decoded = dotted(decode_oid(node))
-    except RecognitionError:
-        return None
-    return node.buffer if decoded == oid else None
-
-
 def load_registry(path: str | None = None) -> Registry:
-    """Load the registry from path, DERLINT_REGISTRY, or the bundled file."""
-    if path is None:
-        path = os.environ.get(ENV_REGISTRY) or None
+    """Load the registry from path, or the bundled file when path is None."""
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_registry(fh.read(), source=path)
@@ -153,12 +122,7 @@ def load_registry(path: str | None = None) -> Registry:
     return parse_registry(text, source="<builtin>")
 
 
-_DEFAULT: Registry | None = None
-
-
+@functools.cache
 def default_registry() -> Registry:
-    """The bundled registry (or the env-var override), loaded once."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_registry()
-    return _DEFAULT
+    """The bundled registry, loaded once."""
+    return load_registry()

@@ -72,15 +72,38 @@ class TestPem:
         assert container_codes(docs) == [Code.UNRECOGNIZED_FORMAT]
 
     def test_unclosed_block(self):
-        raw = (BEGIN + "\nAAAA\n").encode()
-        docs = load_documents(raw, "x.pem")
-        assert container_codes(docs) == [Code.BAD_PEM_ARMOR]
+        # The newline that ends the last line is not a blank line inside the block.
+        for raw in (BEGIN + "\nAAAA", BEGIN + "\nAAAA\n", BEGIN + "\r\nAAAA\r\n"):
+            docs = load_documents(raw.encode(), "x.pem", "pem")
+            assert container_codes(docs) == [Code.BAD_PEM_ARMOR]
+            assert docs[0].container_error.message == "armored block never closed"
 
     def test_blank_line_inside_block(self):
         body = pem_of(certs.base_cert()).splitlines()
         body.insert(2, "")
         docs = load_documents("\n".join(body).encode(), "x.pem")
         assert Code.BAD_PEM_ARMOR in [c for c in container_codes(docs) if c]
+
+    def test_blank_line_before_end_of_unclosed_block(self):
+        docs = load_documents((BEGIN + "\nAAAA\n\n").encode(), "x.pem", "pem")
+        assert container_codes(docs) == [Code.BAD_PEM_ARMOR]
+        assert docs[0].container_error.message == "blank line inside an armored block (line 3)"
+
+    def test_begin_line_inside_block(self):
+        docs = load_documents((BEGIN + "\nAAAA\n" + BEGIN + "\n").encode(), "x.pem", "pem")
+        assert container_codes(docs) == [Code.BAD_PEM_ARMOR]
+        assert docs[0].container_error.message == f"unexpected armor line {BEGIN!r} (line 3)"
+
+    def test_non_canonical_base64_body(self):
+        # QUJDRB== decodes to ABCD, but the canonical encoding of ABCD is QUJDRA==.
+        docs = load_documents((BEGIN + "\nQUJDRB==\n" + END + "\n").encode(), "x.pem")
+        assert container_codes(docs) == [Code.BAD_BASE64]
+        assert docs[0].container_error.message == "base64 body is not canonical"
+
+    def test_blank_only_input_in_pem_mode(self):
+        docs = load_documents(b"\n \r\n\n", "x.pem", fmt="pem")
+        assert container_codes(docs) == [Code.BAD_PEM_ARMOR]
+        assert docs[0].container_error.message == "no armored block found"
 
     def test_overlong_line(self):
         raw = pem_of(certs.base_cert(), width=70).encode()
@@ -119,6 +142,10 @@ class TestFormatDetection:
     def test_empty_input(self):
         docs = load_documents(b"", "x")
         assert container_codes(docs) == [Code.UNRECOGNIZED_FORMAT]
+
+    def test_unknown_format_raises(self):
+        with pytest.raises(ValueError, match="^unknown input format 'xml'$"):
+            load_documents(certs.base_cert(), "x", fmt="xml")
 
     def test_der_mode_forces_der(self):
         raw = pem_of(certs.base_cert()).encode()

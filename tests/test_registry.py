@@ -1,17 +1,23 @@
-"""The OID registry's table of registered OIDs by their DER content octets."""
+"""The OID registry, and the walk's table of registered OIDs by their DER content octets."""
 
+from dataclasses import replace
+
+from derlint import extensions
 from derlint.der import parse_tlv_tree
 from derlint.diagnostics import Code
 from derlint.extensions import WalkContext, parse_extensions
-from derlint.grammar import parse_algorithm_identifier
+from derlint.grammar import parse_algorithm_identifier, parse_certificate
 from derlint.names import parse_name
 from derlint.registry import default_registry, load_registry, parse_registry
+from derlint.values import decode_oid, dotted
 
+from support import certs
 from support import encoder as enc
 
 SHA256_RSA = "1.2.840.113549.1.1.11"
 OID_CN = "2.5.4.3"
 OID_BASIC_CONSTRAINTS = "2.5.29.19"
+UNREGISTERED = "1.3.6.1.4.1.55555.99"
 
 
 def content_of(oid_text: str) -> bytes:
@@ -28,10 +34,36 @@ def codes(ctx: WalkContext) -> list[Code]:
     return [d.code for d in ctx.diags]
 
 
-def test_every_bundled_oid_is_keyed_by_its_encoding():
+def cert_with_unregistered_extension() -> bytes:
+    return certs.build(replace(certs.CertSpec(), exts=(certs.aki(), certs.extension(UNREGISTERED, enc.null()))))
+
+
+def test_walk_keys_registered_oids_by_their_encoding():
     reg = load_registry()
-    oids = {oid for bucket in reg.by_role.values() for oid in bucket}
-    assert reg.by_der == {content_of(oid): oid for oid in oids}
+    assert reg.by_der == {}
+    for data in (certs.base_cert(), cert_with_unregistered_extension()):
+        parse_certificate(data, reg)
+    assert OID_CN in reg.by_der.values() and SHA256_RSA in reg.by_der.values()
+    for content, text in reg.by_der.items():
+        assert dotted(decode_oid(parse_tlv_tree(enc.raw_oid(content)))) == text
+        assert text in reg.oids
+    assert content_of(UNREGISTERED) not in reg.by_der
+
+
+def test_second_walk_decodes_only_unregistered_oids(monkeypatch):
+    reg = load_registry()
+    data = cert_with_unregistered_extension()
+    first = parse_certificate(data, reg).diagnostics
+    decoded = []
+
+    def recording(node):
+        arcs = decode_oid(node)
+        decoded.append(dotted(arcs))
+        return arcs
+
+    monkeypatch.setattr(extensions, "decode_oid", recording)
+    assert parse_certificate(data, reg).diagnostics == first
+    assert decoded == [UNREGISTERED]
 
 
 def test_oids_that_cannot_round_trip_stay_out():
@@ -40,6 +72,9 @@ def test_oids_that_cannot_round_trip_stay_out():
     reg = parse_registry("1.50.3 ; attribute ; ia5\n1.2.4294967296 ; attribute ; ia5\n1.2.4294967295 ; attribute ; ia5\n")
     assert reg.lookup("attribute", "1.50.3") == "ia5"
     assert reg.lookup("attribute", "1.2.4294967296") == "ia5"
+    for text in ("1.50.3", "1.2.4294967296", "1.2.4294967295"):
+        name = enc.seq(enc.set_of(enc.seq(enc.oid(text), enc.ia5("x"))))
+        parse_name(parse_tlv_tree(name), WalkContext(reg), "name")
     assert reg.by_der == {content_of("1.2.4294967295"): "1.2.4294967295"}
 
 
@@ -47,12 +82,12 @@ def test_extra_registry_oid_joins_the_table():
     extra = "1.3.6.1.4.1.55555.7"
     text = f"{OID_BASIC_CONSTRAINTS} ; extension ; basic-constraints\n{extra} ; extension ; key-usage\n"
     reg = parse_registry(text)
-    assert reg.by_der[content_of(extra)] == extra
     ctx = WalkContext(reg)
     body = enc.bit_string(b"\x80", unused=7)
     exts = parse_extensions(parse_tlv_tree(enc.ctx(3, enc.seq(enc.seq(enc.oid(extra), enc.octet_string(body))))), ctx)
     assert codes(ctx) == []
     assert exts.entries[0].oid == extra and exts.entries[0].known
+    assert reg.by_der[content_of(extra)] == extra
 
 
 def test_non_minimal_registered_oid_keeps_the_slot_code():

@@ -191,6 +191,34 @@ class TestCharsets:
                 assert got == reference_charset(tag, content, node.content_offset), (position, b)
 
 
+_BAD = Code.CHAR_SET_VIOLATION
+
+
+@pytest.mark.parametrize(
+    "decoder, data, expected",
+    [
+        # TeletexString: any octet but NUL, decoded as latin-1.
+        (validate_charset, b"\x14\x03a\xe9b", "a\xe9b"),
+        (validate_charset, b"\x14\x03a\x00b", (_BAD, 3, "embedded NUL")),
+        # UniversalString: whole UCS-4 units of valid, non-surrogate code points; each bad unit
+        # follows a valid "A" so its offset is not the content's.
+        (validate_charset, b"\x1c\x03abc", (_BAD, 2, "UniversalString length not a multiple of 4")),
+        (validate_charset, b"\x1c\x08\x00\x00\x00A\x00\x00\x00\x00", (_BAD, 6, "code point out of range")),
+        (validate_charset, b"\x1c\x08\x00\x00\x00A\x00\x11\x00\x00", (_BAD, 6, "code point out of range")),
+        (validate_charset, b"\x1c\x08\x00\x00\x00A\x00\x00\xd8\x00", (_BAD, 6, "code point out of range")),
+        (validate_charset, b"\x1c\x04\x00\x01\xf6\x00", "\U0001f600"),
+        (decode_bit_string, b"\x03\x01\x03", (Code.BAD_BIT_STRING_ENCODING, 2, "unused bits in empty BIT STRING")),
+    ],
+)
+def test_decoder_branch(decoder, data, expected):
+    """The decoded value, or the (code, offset, message) of the error, for one branch of a decoder."""
+    try:
+        got = decoder(node_of(data))
+    except RecognitionError as err:
+        got = (err.code, err.offset, err.message)
+    assert got == expected
+
+
 def reference_charset(tag: int, content: bytes, off: int):
     """The per-byte loops validate_charset ran before its compiled matchers:
     the decoded text, or the (code, offset, message) of the first bad byte."""
