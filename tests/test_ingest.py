@@ -74,7 +74,7 @@ class TestPem:
     def test_unclosed_block(self):
         # The newline that ends the last line is not a blank line inside the block.
         for raw in (BEGIN + "\nAAAA", BEGIN + "\nAAAA\n", BEGIN + "\r\nAAAA\r\n"):
-            docs = load_documents(raw.encode(), "x.pem", "pem")
+            docs = load_documents(raw.encode(), "x.pem", fmt="pem")
             assert container_codes(docs) == [Code.BAD_PEM_ARMOR]
             assert docs[0].container_error.message == "armored block never closed"
 
@@ -85,12 +85,12 @@ class TestPem:
         assert Code.BAD_PEM_ARMOR in [c for c in container_codes(docs) if c]
 
     def test_blank_line_before_end_of_unclosed_block(self):
-        docs = load_documents((BEGIN + "\nAAAA\n\n").encode(), "x.pem", "pem")
+        docs = load_documents((BEGIN + "\nAAAA\n\n").encode(), "x.pem", fmt="pem")
         assert container_codes(docs) == [Code.BAD_PEM_ARMOR]
         assert docs[0].container_error.message == "blank line inside an armored block (line 3)"
 
     def test_begin_line_inside_block(self):
-        docs = load_documents((BEGIN + "\nAAAA\n" + BEGIN + "\n").encode(), "x.pem", "pem")
+        docs = load_documents((BEGIN + "\nAAAA\n" + BEGIN + "\n").encode(), "x.pem", fmt="pem")
         assert container_codes(docs) == [Code.BAD_PEM_ARMOR]
         assert docs[0].container_error.message == f"unexpected armor line {BEGIN!r} (line 3)"
 
