@@ -158,14 +158,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "diff":
-        return _cmd_diff(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_ERROR
+    args = _build_parser().parse_args(argv)
+    return _cmd_lint(args) if args.command == "lint" else _cmd_diff(args)
 
 
 if __name__ == "__main__":

@@ -259,7 +259,8 @@ def _read_length(data: bytes, pos: int, limit: int, at_input_end: bool) -> tuple
         try:
             state = delta_length(state, data[pos])
         except RecognitionError as err:
-            raise RecognitionError(err.code, offset=pos, message=err.message) from None
+            err.offset = pos
+            raise
         pos += 1
     return decode_length(state), pos
 

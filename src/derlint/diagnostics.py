@@ -137,11 +137,6 @@ class Code(enum.Enum):
     BAD_BASE64 = "BAD_BASE64", _NON, True, "Bad base64 payload"
     UNRECOGNIZED_FORMAT = "UNRECOGNIZED_FORMAT", _NON, True, "Unrecognized input format"
 
-    # Catch-all for records that fit no better class.  Never raised by the
-    # recognizer itself; kept so externally sourced reports can be folded
-    # into the same histogram.
-    GENERIC_ERROR = "GENERIC_ERROR", _NON, True, "Generic error"
-
 
 def severity_of(code: Code) -> Severity:
     return code.severity
@@ -167,10 +162,14 @@ class Diagnostic:
     """
 
     code: Code
-    severity: Severity
     byte_offset: int | None = None
     grammar_path: str = ""
     message: str = ""
+
+    @property
+    def severity(self) -> Severity:
+        """The severity class of the code; a diagnostic stores no severity of its own."""
+        return self.code.severity
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,14 +188,8 @@ def diag(
     offset: int | None = None,
     message: str = "",
 ) -> Diagnostic:
-    """Build a Diagnostic with severity filled in from the registry."""
-    return Diagnostic(
-        code=code,
-        severity=severity_of(code),
-        byte_offset=offset,
-        grammar_path=path,
-        message=message or label_of(code),
-    )
+    """Build a Diagnostic whose message defaults to the code's label."""
+    return Diagnostic(code, offset, path, message or code.label)
 
 
 class RecognitionError(Exception):
@@ -209,8 +202,10 @@ class RecognitionError(Exception):
     def __init__(self, code: Code, offset: int | None = None, message: str = ""):
         self.code = code
         self.offset = offset
-        self.message = message or label_of(code)
-        super().__init__(f"{code.value} at offset {offset}: {self.message}")
+        self.message = message or code.label
+
+    def __str__(self) -> str:
+        return f"{self.code.value} at offset {self.offset}: {self.message}"
 
 
 @dataclass

@@ -51,15 +51,7 @@ class ChainVerdict:
     parent_label: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "chain_id": self.chain_id,
-            "leaf_cert_id": self.leaf_cert_id,
-            "validator_id": self.validator_id,
-            "verdict": self.verdict,
-            "rule_applied": self.rule_applied,
-            "leaf_label": self.leaf_label,
-            "parent_label": self.parent_label,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -142,14 +134,7 @@ class AnalysisResult:
     def to_json_dict(self) -> dict:
         return {
             "verdicts": [v.to_json_dict() for v in self.verdicts],
-            "missing_parent_chains": [
-                {
-                    "chain_id": m.chain_id,
-                    "validator_id": m.validator_id,
-                    "parent_chain_id": m.parent_chain_id,
-                }
-                for m in self.missing
-            ],
+            "missing_parent_chains": [dict(vars(m)) for m in self.missing],
         }
 
 
@@ -221,10 +206,7 @@ class CrossTab:
             },
             "agreements": self.agreements,
             "accepted_here_rejected_there": self.accepted_here_rejected_there,
-            "unjoined": [
-                {"chain_id": u.chain_id, "validator_id": u.validator_id, "leaf_cert_id": u.leaf_cert_id}
-                for u in self.unjoined
-            ],
+            "unjoined": [dict(vars(u)) for u in self.unjoined],
         }
 
 

@@ -53,11 +53,10 @@ from .values import decode_oid, dotted  # noqa: F401
 
 @dataclass
 class AlgorithmId:
+    node: TlvNode
     oid: str | None = None
     grammar: str | None = None
     curve_oid: str | None = None
-    raw: bytes = b""
-    node: TlvNode | None = None
 
 
 @dataclass
@@ -115,7 +114,7 @@ def parse_algorithm_identifier(
     what = "AlgorithmIdentifier must be a SEQUENCE"
     if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, what):
         return None
-    out = AlgorithmId(raw=node.raw, node=node)
+    out = AlgorithmId(node)
     kids = node.children
     if not 1 <= len(kids) <= 2:
         ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"AlgorithmIdentifier with {len(kids)} fields")
@@ -627,13 +626,13 @@ def _post_checks(result: ParsedCertificate, ctx: WalkContext) -> None:
         aki_key = aki is not None and isinstance(aki.body, AkiValue) and aki.body.key_id is not None
         run_cross_checks(
             CsCheckInput(
-                inner_alg_raw=tbs.inner_algorithm.raw,
-                outer_alg_raw=result.outer_algorithm.raw,
+                inner_alg_raw=tbs.inner_algorithm.node.raw,
+                outer_alg_raw=result.outer_algorithm.node.raw,
                 subject_raw=tbs.subject.raw,
                 issuer_raw=tbs.issuer.raw,
                 has_aki=aki is not None,
                 aki_has_key_id=aki_key,
-                inner_alg_offset=tbs.inner_algorithm.node.header_offset if tbs.inner_algorithm.node else None,
+                inner_alg_offset=tbs.inner_algorithm.node.header_offset,
                 aki_offset=aki.node.header_offset if aki else None,
             ),
             ctx.diags,

@@ -13,6 +13,7 @@ import gc
 import hashlib
 import itertools
 import random
+import statistics
 import time
 
 import pytest
@@ -407,15 +408,17 @@ def test_08_algorithm_agreement_perturbations():
 
 
 def test_09_runtime_scales_linearly():
-    """Minimum parse time over geometrically growing certificates fits a
-    line, and the per-KiB cost stays within a factor of three.  Times are
-    process CPU time with the garbage collector off, and the minimum of
-    the repetitions is the least noisy estimate of each size's cost.  The
-    sizes are timed round-robin, each round parsing every size once, so a
-    stretch in which the host runs slow lands on all sizes alike.  Rounds
-    alternate between ascending and descending order: in one direction
-    only, the smallest size would always follow the largest and run with
-    cold caches."""
+    """Parse time over geometrically growing certificates fits a line, and
+    the per-KiB cost stays within a factor of three.  Times are process CPU
+    time with the garbage collector off.  The sizes are timed round-robin,
+    each round parsing every size once, and each time is taken as its share
+    of its round's total: a round lasts tens of milliseconds, so the host's
+    speed cancels out of the shares even where it changes between rounds
+    (it was seen to swing twofold within one run).  The median share over
+    the rounds estimates each size's relative cost; a round that straddles
+    a change of speed is an outlier it ignores.  Rounds alternate between
+    ascending and descending order: in one direction only, the smallest
+    size would always follow the largest and run with cold caches."""
     problems = []
 
     small = len(certs.scaling_cert(10))
@@ -436,34 +439,36 @@ def test_09_runtime_scales_linearly():
     sizes = [len(data) for data in documents]
     samples = [[] for _ in documents]
     ascending = list(zip(documents, samples))
+    rounds = range(15)
     gc.disable()
     try:
-        for round_number in range(15):
+        for round_number in rounds:
             for data, timings in ascending if round_number % 2 == 0 else reversed(ascending):
                 t0 = time.process_time_ns()
                 parse_certificate(data)
                 timings.append(time.process_time_ns() - t0)
     finally:
         gc.enable()
-    best = [min(timings) for timings in samples]
+    totals = [sum(timings[r] for timings in samples) for r in rounds]
+    shares = [statistics.median(timings[r] / totals[r] for r in rounds) for timings in samples]
 
     if len(sizes) == 9:
         n = len(sizes)
         mean_x = sum(sizes) / n
-        mean_y = sum(best) / n
+        mean_y = sum(shares) / n
         sxx = sum((x - mean_x) ** 2 for x in sizes)
-        sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(sizes, best))
+        sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(sizes, shares))
         slope = sxy / sxx
         intercept = mean_y - slope * mean_x
-        ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(sizes, best))
-        ss_tot = sum((y - mean_y) ** 2 for y in best)
+        ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(sizes, shares))
+        ss_tot = sum((y - mean_y) ** 2 for y in shares)
         r_squared = 1.0 - ss_res / ss_tot
         if slope <= 0:
             problems.append(f"fitted slope {slope:.4f} is not positive")
         if r_squared < 0.95:
             problems.append(f"linear fit R^2 = {r_squared:.4f}, need at least 0.95")
 
-        costs = [m / (s / 1024) for s, m in zip(sizes, best)]
+        costs = [m / (s / 1024) for s, m in zip(sizes, shares)]
         spread = max(costs) / min(costs)
         if spread > 3.0:
             problems.append(f"per-KiB cost spread {spread:.2f}x exceeds 3x")

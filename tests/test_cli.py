@@ -153,12 +153,14 @@ class TestLint:
         assert status == cli.EXIT_ERROR
         assert "registry" in err
 
-    def test_malformed_registry(self, capsys, tmp_path, good_file):
-        reg = tmp_path / "reg.txt"
-        reg.write_text("this is ; not-a-role ; valid\n")
-        status, _, err = run(capsys, ["lint", "--registry", str(reg), str(good_file)])
-        assert status == cli.EXIT_ERROR
-        assert "registry" in err
+    def test_malformed_registry(self, capsys, tmp_path, good_file, monkeypatch):
+        (tmp_path / "bad.txt").write_text("1.2.3 ; signature ; null\n# again\n1.2.3 ; signature ; absent\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, ["lint", "--registry", "bad.txt", str(good_file)]) == (
+            cli.EXIT_ERROR,
+            "",
+            "derlint: registry: bad.txt:3: duplicate entry for (1.2.3, signature)\n",
+        )
 
     def test_registry_override_is_used(self, capsys, tmp_path, good_file):
         from importlib import resources
@@ -303,6 +305,38 @@ class TestDiff:
             )
             assert status == cli.EXIT_ERROR, line
             assert err.startswith("derlint: reports: line 1: "), err
+
+    def test_json_output_bytes(self, capsys, tmp_path):
+        # Compared as text, so a reordered key fails where a parsed comparison would not.
+        records = tmp_path / "records.csv"
+        records.write_text(
+            CSV_HEADER + "\n"
+            "root,root,openssl,VALID\n"
+            "root>leaf,leaf,openssl,VALID\n"
+            "root>leaf3,leaf3,openssl,Expired\n"
+            "orphan>leaf2,leaf2,gnutls,Expired\n"
+        )
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text(
+            '{"id": "leaf", "diagnostics": [{"code": "TRAILING_BYTES"}]}\n{"id": "leaf3", "diagnostics": []}\n'
+        )
+        argv = ["diff", "--records", str(records), "--reports", str(reports), "--report", "json"]
+        assert run(capsys, argv) == (
+            cli.EXIT_OK,
+            '{"verdicts": ['
+            '{"chain_id": "root", "leaf_cert_id": "root", "validator_id": "openssl", "verdict": "valid", '
+            '"rule_applied": "leaf-valid", "leaf_label": "VALID", "parent_label": null}, '
+            '{"chain_id": "root>leaf", "leaf_cert_id": "leaf", "validator_id": "openssl", "verdict": "valid", '
+            '"rule_applied": "leaf-valid", "leaf_label": "VALID", "parent_label": "VALID"}, '
+            '{"chain_id": "root>leaf3", "leaf_cert_id": "leaf3", "validator_id": "openssl", "verdict": "invalid", '
+            '"rule_applied": "distinct-error", "leaf_label": "Expired", "parent_label": "VALID"}], '
+            '"missing_parent_chains": [{"chain_id": "orphan>leaf2", "validator_id": "gnutls", '
+            '"parent_chain_id": "orphan"}], '
+            '"crosstab": {"disagreements": {"openssl": 1}, "by_code": {"openssl": {"TRAILING_BYTES": 1}}, '
+            '"agreements": 0, "accepted_here_rejected_there": 1, '
+            '"unjoined": [{"chain_id": "root", "validator_id": "openssl", "leaf_cert_id": "root"}]}}\n',
+            "",
+        )
 
 
 class TestParser:

@@ -78,7 +78,6 @@ EXPECTED = {
     "BAD_PEM_ARMOR": ("non-critical", True),
     "BAD_BASE64": ("non-critical", True),
     "UNRECOGNIZED_FORMAT": ("non-critical", True),
-    "GENERIC_ERROR": ("non-critical", True),
     "NON_POSITIVE_SERIAL": ("non-critical", False),
     "MISSING_KEY_IDENTIFIER_SELF_ISSUED": ("non-critical", False),
 }

@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import pytest
+
 from derlint import extensions
 from derlint.der import parse_tlv_tree
 from derlint.diagnostics import Code
@@ -108,3 +110,25 @@ def test_non_minimal_registered_oid_keeps_the_slot_code():
     ext = enc.seq(non_minimal(OID_BASIC_CONSTRAINTS), enc.octet_string(enc.seq()))
     parse_extensions(parse_tlv_tree(enc.ctx(3, enc.seq(ext))), ctx)
     assert codes(ctx) == [Code.WRONG_EXTN_ID]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# header\n\n1.2.3 ; signature\n", "bad.txt:3: expected 'oid ; role ; grammar'"),
+        ("1.2.3 ; signature ; null ; extra\n", "bad.txt:1: expected 'oid ; role ; grammar'"),
+        ("1.2.3 ; gadget ; null\n", "bad.txt:1: unknown role 'gadget'"),
+        ("1.2.3 ; curve ; point-x\n", "bad.txt:1: curve grammar must be point-N"),
+        ("1.2.3 ; curve ; width-32\n", "bad.txt:1: curve grammar must be point-N"),
+        ("1.2.3 ; signature ; rsa-key\n", "bad.txt:1: unknown grammar 'rsa-key' for role signature"),
+        (
+            "1.2.3 ; signature ; null\n1.2.3 ; spki ; null\n1.2.3 ; signature ; absent\n",
+            "bad.txt:3: duplicate entry for (1.2.3, signature)",
+        ),
+    ],
+)
+def test_registry_errors_name_their_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_registry(text, source="bad.txt")
+    assert str(exc.value) == message
+
