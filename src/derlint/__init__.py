@@ -28,9 +28,7 @@ from .diagnostics import (
     UnmappedMessage,
     classify_external_message,
     diag,
-    label_of,
     rejects,
-    severity_of,
 )
 from .differential import (
     AnalysisResult,
@@ -100,7 +98,6 @@ __all__ = [
     "default_registry",
     "delta_length",
     "diag",
-    "label_of",
     "lint",
     "lint_bytes",
     "load_documents",
@@ -115,6 +112,5 @@ __all__ = [
     "recognize_toy",
     "rejects",
     "run_batch",
-    "severity_of",
     "toy_delta",
 ]

@@ -21,15 +21,15 @@ delta_length is that function, the executable specification of length
 decoding.
 
 parse_tlv_tree adds nesting back in offset form: one left-to-right scan
-over a region [start, end) of a buffer, with an explicit stack holding
-the end offset of each open constructed element.  The offset where a
-level ends stands for its counter of octets still owed, so nothing is
-decremented: a child whose end passes its parent's is rejected as soon
-as its length is known, the top level closes when the scan reaches its
-end (a child ending with its parent closes both), and the stack height
-is the depth the cap applies to.  Every header consumes at least two
-octets, so the scan terminates; it does not recurse, so no input can
-exhaust the Python stack.
+over a region [start, end) of a buffer, with an explicit stack of
+(end offset, child list) pairs, one per open constructed element.  The
+offset where a level ends stands for its counter of octets still owed,
+so nothing is decremented: a child whose end passes its parent's is
+rejected as soon as its length is known, the top level closes when the
+scan reaches its end (a child ending with its parent closes both), and
+the stack height is the depth the cap applies to.  Every header
+consumes at least two octets, so the scan terminates; it does not
+recurse, so no input can exhaust the Python stack.
 
 The common header, a low tag number with a short, 0x81 or 0x82 length,
 is decoded inline and must agree with delta_length (the tests check
@@ -38,6 +38,8 @@ readers built on delta_length, which own every header error's code,
 offset and message.  Payloads inside an OCTET STRING or BIT STRING are
 parsed as regions of the whole document, so every node and error has an
 absolute document offset, and the region end acts as the input end.
+The scan is the only place a TlvNode is built: it stores the node's
+slots directly, since the class has no constructor.
 """
 
 from __future__ import annotations
@@ -154,27 +156,24 @@ class TlvNode:
     """One element of the parsed tree, with exact offsets into buffer.
 
     For a constructed node the children tile [content_offset,
-    content_offset + content_length) exactly, in input order.  content
-    and raw are slices of buffer made on demand.
+    content_offset + content_length) exactly, in input order; a primitive
+    node's children is an empty list.  content and raw are slices of
+    buffer made on demand.  Nodes are built only by parse_tlv_tree, which
+    stores the slots itself; there is no public constructor.
     """
 
     __slots__ = (
         "tag_class", "constructed", "tag_number", "header_offset",
         "content_offset", "content_length", "children", "buffer",
     )
-
-    def __init__(
-        self, tag_class: str, constructed: bool, tag_number: int, header_offset: int, content_offset: int,
-        content_length: int, buffer: bytes,
-    ):
-        self.tag_class = tag_class
-        self.constructed = constructed
-        self.tag_number = tag_number
-        self.header_offset = header_offset
-        self.content_offset = content_offset
-        self.content_length = content_length
-        self.children: list[TlvNode] = []
-        self.buffer = buffer
+    tag_class: str
+    constructed: bool
+    tag_number: int
+    header_offset: int
+    content_offset: int
+    content_length: int
+    children: list[TlvNode]
+    buffer: bytes
 
     @property
     def content(self) -> bytes:
@@ -291,11 +290,11 @@ def parse_tlv_tree(
             message=f"input of {end - start} bytes exceeds cap {CONTENT_MAX}",
         )
     low_tags = _LOW_TAGS
+    new = object.__new__
     # limit is where the innermost open element ends (the region end at
-    # the top level) and kids is its child list; opening an element saves
-    # both on these stacks, closing it restores them.
-    outer_limits: list[int] = []
-    outer_kids: list[list[TlvNode]] = []
+    # the top level) and kids is its child list; opening an element pushes
+    # the pair (limit, kids) on outer, closing it pops them back.
+    outer: list[tuple[int, list[TlvNode]]] = []
     limit = end
     top: list[TlvNode] = []
     kids = top
@@ -333,23 +332,30 @@ def parse_tlv_tree(
             raise RecognitionError(
                 Code.CHILD_OVERFLOW, offset=header, message=f"declared length {length} overruns parent extent"
             )
-        node = TlvNode(tag_class, constructed, tag_number, header, pos, length, data)
+        # Slots stored inline: a constructor call would cost a Python frame per node.
+        node = new(TlvNode)
+        node.tag_class = tag_class
+        node.constructed = constructed
+        node.tag_number = tag_number
+        node.header_offset = header
+        node.content_offset = pos
+        node.content_length = length
+        node.children = []
+        node.buffer = data
         kids.append(node)
         if constructed:
-            if len(outer_limits) >= max_depth:
+            if len(outer) >= max_depth:
                 raise RecognitionError(Code.NESTING_TOO_DEEP, offset=header)
             if length:
-                outer_limits.append(limit)
-                outer_kids.append(kids)
+                outer.append((limit, kids))
                 limit = stop
                 kids = node.children
                 continue
         pos = stop
         # Close every element that ends here; the root closing ends the scan.
-        while pos == limit and outer_limits:
-            limit = outer_limits.pop()
-            kids = outer_kids.pop()
-        if not outer_limits:
+        while pos == limit and outer:
+            limit, kids = outer.pop()
+        if not outer:
             break
     if pos != end:
         raise RecognitionError(Code.TRAILING_BYTES, offset=pos, message=f"{end - pos} byte(s) after element")

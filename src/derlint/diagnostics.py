@@ -138,17 +138,9 @@ class Code(enum.Enum):
     UNRECOGNIZED_FORMAT = "UNRECOGNIZED_FORMAT", _NON, True, "Unrecognized input format"
 
 
-def severity_of(code: Code) -> Severity:
-    return code.severity
-
-
 def rejects(code: Code) -> bool:
     """True when the presence of this code makes the certificate rejected."""
     return code.rejects
-
-
-def label_of(code: Code) -> str:
-    return code.label
 
 
 @dataclass

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .der import TlvNode, parse_tlv_tree
-from .diagnostics import Code, Diagnostic, rejects
+from .diagnostics import Code, Diagnostic, RecognitionError, rejects
 from .extensions import (
     OID_AUTHORITY_KEY_IDENTIFIER,
     OID_SUBJECT_ALT_NAME,
@@ -564,8 +564,11 @@ def parse_certificate(data: bytes | bytearray | memoryview, registry: Registry |
     result = ParsedCertificate(diagnostics=ctx.diags)
 
     # bytes(): Registry.by_der is keyed by node content, which a bytearray's slices would leave unhashable.
-    node = ctx.decode(parse_tlv_tree, bytes(data), "certificate")
-    if node is None:
+    try:
+        node = parse_tlv_tree(bytes(data))
+    except RecognitionError as err:
+        # The scan raises no WRONG_OID, so its error is recorded as it stands.
+        ctx.add(err.code, err.offset, "certificate", err.message)
         return result
 
     what = "certificate must be a SEQUENCE"

@@ -30,7 +30,7 @@ from derlint.der import (
     parse_tlv_tree,
     recognize_toy,
 )
-from derlint.diagnostics import Code, RecognitionError, severity_of
+from derlint.diagnostics import Code, RecognitionError
 from derlint.differential import (
     RULE_CA_SHADOWED,
     RULE_DISTINCT_ERROR,
@@ -289,7 +289,7 @@ def test_05_planted_defect_catalog():
         if parsed.accepted != fixture.accepted:
             problems.append(f"{fixture.name}: acceptance flipped")
         expected_severity, expected_rejects = EXPECTED[fixture.code]
-        if severity_of(Code(fixture.code)).value != expected_severity:
+        if Code(fixture.code).severity.value != expected_severity:
             problems.append(f"{fixture.name}: severity drifted from the frozen table")
         for d in parsed.diagnostics:
             table_severity, _ = EXPECTED[d.code.value]

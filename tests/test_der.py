@@ -295,21 +295,27 @@ class TestParseTlvTree:
             data, _ = enc.encode_spec(spec)
             node = parse_tlv_tree(data)
             assert node.raw == data
-            assert _matches(spec, node)
+            assert _matches(spec, node, data)
 
 
-def _matches(spec: enc.TreeSpec, node: TlvNode) -> bool:
+def _matches(spec: enc.TreeSpec, node: TlvNode, data: bytes) -> bool:
+    """True when node and every node under it carry spec's tag, octets and shape, over the buffer data.
+
+    Each of the scanner's slot stores is read here, so a dropped or swapped one fails the match.
+    """
     if (spec.tag_class, spec.number, spec.constructed) != (
         node.tag_class,
         node.tag_number,
         node.constructed,
     ):
         return False
+    if node.raw != enc.encode_spec(spec)[0] or node.buffer is not data:
+        return False
     if spec.constructed:
         if len(spec.children) != len(node.children):
             return False
-        return all(_matches(s, n) for s, n in zip(spec.children, node.children))
-    return spec.content == node.content
+        return all(_matches(s, n, data) for s, n in zip(spec.children, node.children))
+    return spec.content == node.content and node.children == []
 
 
 def header_spec(data, pos: int, limit: int, at_input_end: bool):

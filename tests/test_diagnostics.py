@@ -13,9 +13,7 @@ from derlint.diagnostics import (
     UnmappedMessage,
     classify_external_message,
     diag,
-    label_of,
     rejects,
-    severity_of,
 )
 
 # The severity and rejection assignment for every code, frozen as data so
@@ -87,18 +85,18 @@ def test_every_code_has_expected_severity_and_rejection():
     assert {c.value for c in Code} == set(EXPECTED)
     for code in Code:
         want_sev, want_rejects = EXPECTED[code.value]
-        assert severity_of(code).value == want_sev, code
+        assert code.severity.value == want_sev, code
         assert rejects(code) == want_rejects, code
 
 
 def test_every_code_has_a_label():
     for code in Code:
-        label = label_of(code)
+        label = code.label
         assert label and label == label.strip()
 
 
 def test_labels_are_unique():
-    labels = [label_of(code) for code in Code]
+    labels = [code.label for code in Code]
     assert len(labels) == len(set(labels))
 
 

@@ -8,7 +8,7 @@ the frozen severity class, and acceptance must match the plan.
 
 import pytest
 
-from derlint.diagnostics import rejects, severity_of
+from derlint.diagnostics import rejects
 from derlint.grammar import parse_certificate
 
 from support import certs
@@ -52,7 +52,7 @@ def test_planted_severity_class(fixture, parsed_by_name):
     planted = [d for d in parsed.diagnostics if d.code.name == fixture.code]
     assert planted, "planted code missing"
     for d in planted:
-        assert severity_of(d.code).value == fixture.severity
+        assert d.code.severity.value == fixture.severity
         assert d.severity.value == fixture.severity
 
 
