@@ -28,7 +28,6 @@ from .diagnostics import (
     UnmappedMessage,
     classify_external_message,
     diag,
-    rejects,
 )
 from .differential import (
     AnalysisResult,
@@ -110,7 +109,6 @@ __all__ = [
     "parse_tlv_tree",
     "read_records",
     "recognize_toy",
-    "rejects",
     "run_batch",
     "toy_delta",
 ]

@@ -196,19 +196,21 @@ class TlvNode:
         return f"{self.tag_class} {self.tag_number} ({shape})"
 
 
+def _out_of_bytes(at_input_end: bool, offset: int, what: str) -> RecognitionError:
+    """A header cut short at offset: by the input's end, or by the enclosing element's."""
+    if at_input_end:
+        return RecognitionError(Code.TRUNCATED_INPUT, offset=offset, message=f"input ends inside {what}")
+    return RecognitionError(Code.CHILD_OVERFLOW, offset=offset, message=f"{what} run past parent extent")
+
+
 def _read_identifier(data: bytes, pos: int, limit: int, at_input_end: bool) -> tuple[str, bool, int, int]:
     """Parse identifier octets starting at pos, bounded by limit.
 
     High-tag-number form is decoded here per the encoding rules; whether a
     multi-byte tag is acceptable is the grammar's business, not ours.
     """
-    def _out_of_bytes(offset: int) -> RecognitionError:
-        if at_input_end:
-            return RecognitionError(Code.TRUNCATED_INPUT, offset=offset, message="input ends inside identifier octets")
-        return RecognitionError(Code.CHILD_OVERFLOW, offset=offset, message="identifier octets run past parent extent")
-
     if pos >= limit:
-        raise _out_of_bytes(pos)
+        raise _out_of_bytes(at_input_end, pos, "identifier octets")
     b0 = data[pos]
     tag_class = _TAG_CLASSES[b0 >> 6]
     constructed = bool(b0 & 0x20)
@@ -220,7 +222,7 @@ def _read_identifier(data: bytes, pos: int, limit: int, at_input_end: bool) -> t
         first = True
         while True:
             if pos >= limit:
-                raise _out_of_bytes(pos)
+                raise _out_of_bytes(at_input_end, pos, "identifier octets")
             b = data[pos]
             if first and b == 0x80:
                 raise RecognitionError(
@@ -248,13 +250,7 @@ def _read_length(data: bytes, pos: int, limit: int, at_input_end: bool) -> tuple
     state = Q0
     while not is_counting(state):
         if pos >= limit:
-            if at_input_end:
-                raise RecognitionError(
-                    Code.TRUNCATED_INPUT, offset=pos, message="input ends inside length octets"
-                )
-            raise RecognitionError(
-                Code.CHILD_OVERFLOW, offset=pos, message="length octets run past parent extent"
-            )
+            raise _out_of_bytes(at_input_end, pos, "length octets")
         try:
             state = delta_length(state, data[pos])
         except RecognitionError as err:

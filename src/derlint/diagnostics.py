@@ -138,11 +138,6 @@ class Code(enum.Enum):
     UNRECOGNIZED_FORMAT = "UNRECOGNIZED_FORMAT", _NON, True, "Unrecognized input format"
 
 
-def rejects(code: Code) -> bool:
-    """True when the presence of this code makes the certificate rejected."""
-    return code.rejects
-
-
 @dataclass
 class Diagnostic:
     """One recognized defect, anchored to an input location.
@@ -211,7 +206,7 @@ class Histogram:
 
     def add(self, diagnostics: list[Diagnostic]) -> None:
         self.total += 1
-        if any(rejects(d.code) for d in diagnostics):
+        if any(d.code.rejects for d in diagnostics):
             self.rejected += 1
         else:
             self.accepted += 1

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import Code, rejects
+from .diagnostics import Code
 
 CSV_COLUMNS = ("chain_id", "leaf_cert_id", "validator_id", "outcome_label")
 
@@ -280,7 +280,7 @@ def load_report_lines(text: str) -> dict[str, list[str]]:
                 code = Code(name)
             except ValueError:
                 raise ValueError(f"line {line_number}: unknown code {name!r}") from None
-            if rejects(code):
+            if code.rejects:
                 codes.append(code.value)
         if obj["id"] in out:
             raise ValueError(f"line {line_number}: duplicate report id {obj['id']!r}")

@@ -10,15 +10,18 @@ does not require extension OIDs to be unique while scanning; uniqueness
 is a separate post-check so a duplicated extension is reported as
 exactly that instead of a generic shape mismatch.
 
-All bodies listed in the extension registry are parsed in full.  Unknown
-extnIDs keep their payload opaque; their critical flag is surfaced so the
-caller can decide what an unrecognized critical extension means.
+parse_extensions returns the first entry for each extnID, keyed by its
+dotted OID.  All bodies listed in the extension registry are parsed in
+full; unknown extnIDs keep their payload opaque.  Each entry keeps its
+critical flag, and whether the registry knows an extnID is
+reg.lookup("extension", oid), so a caller can decide what an
+unrecognized critical extension means.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .der import TlvNode, parse_tlv_tree
@@ -117,35 +120,34 @@ class WalkContext:
         self.add(code, node, path, f"{what}, found {node.describe_tag()}")
         return False
 
-    def decode(self, fn, node, path: str, *args, wrong_oid: Code = Code.WRONG_OID, **kwargs):
+    def decode(self, fn, node, path: str, *args, **kwargs):
         """fn(node, ...), or None after recording its error.
 
-        No decoder returns None, so None marks the failure.  wrong_oid is
-        the slot's code for a non-minimal OID arc.
+        No decoder returns None, so None marks the failure.
         """
         try:
             return fn(node, *args, **kwargs)
         except RecognitionError as err:
-            code = err.code
-            if code is Code.WRONG_OID:
-                code = wrong_oid
-            self.add(code, err.offset, path, err.message)
+            self.add(err.code, err.offset, path, err.message)
             return None
 
     def oid(self, node: TlvNode, path: str, wrong_oid: Code = Code.WRONG_OID) -> str | None:
-        """The dotted form of an OID node, or None after recording its error as decode() does.
+        """The dotted form of an OID node, or None after recording its error.
 
-        A registered OID is decoded once per registry: its content octets
-        then name it through the registry's by_der table.
+        A non-minimal arc (WRONG_OID) is recorded as the slot's wrong_oid
+        code.  A registered OID is decoded once per registry: its content
+        octets then name it through the registry's by_der table.
         """
         content = node.content
         text = self.reg.by_der.get(content)
         if text is None:
-            arcs = self.decode(decode_oid, node, path, wrong_oid=wrong_oid)
-            if arcs is not None:
-                text = dotted(arcs)
-                if text in self.reg.oids:
-                    self.reg.by_der[content] = text
+            try:
+                text = dotted(decode_oid(node))
+            except RecognitionError as err:
+                self.add(wrong_oid if err.code is Code.WRONG_OID else err.code, err.offset, path, err.message)
+                return None
+            if text in self.reg.oids:
+                self.reg.by_der[content] = text
         return text
 
     def payload(self, node: TlvNode, skip: int, path: str, fallback: Code | None = None) -> TlvNode | None:
@@ -171,9 +173,6 @@ class WalkContext:
 class KeyUsageValue:
     bits: frozenset[int]
 
-    def has(self, bit: int) -> bool:
-        return bit in self.bits
-
 
 @dataclass
 class BasicConstraintsValue:
@@ -193,60 +192,36 @@ class ExtensionEntry:
     critical: bool
     node: TlvNode
     body: object | None = None
-    known: bool = False
-
-
-@dataclass
-class ExtensionSet:
-    entries: list[ExtensionEntry] = field(default_factory=list)
-
-    def get(self, oid: str) -> ExtensionEntry | None:
-        for e in self.entries:
-            if e.oid == oid:
-                return e
-        return None
-
-    def has(self, oid: str) -> bool:
-        return self.get(oid) is not None
-
-    def unknown_critical_oids(self) -> list[str]:
-        return [e.oid for e in self.entries if e.critical and not e.known and e.oid]
 
 
 def parse_extensions(
     wrapper: TlvNode,
     ctx: WalkContext,
     path: str = "tbsCertificate.extensions",
-) -> ExtensionSet | None:
-    """Parse the [3] EXPLICIT extensions wrapper into an ExtensionSet.
+) -> dict[str, ExtensionEntry] | None:
+    """Parse the [3] EXPLICIT extensions wrapper into the first entry for each extnID.
 
     Returns None when the wrapper itself has the wrong shape.  Individual
-    extension entries that fail to parse are recorded and skipped; the
-    rest of the block is still examined.
+    extension entries that fail to parse, or whose extnID does not
+    decode, are recorded and left out; the rest of the block is still
+    examined.
     """
     if len(wrapper.children) != 1 or not wrapper.children[0].is_universal(TAG_SEQUENCE, True):
         ctx.add(Code.STRUCTURAL_MISMATCH, wrapper, path, "extensions wrapper must hold exactly one SEQUENCE")
         return None
     seq = wrapper.children[0]
-    out = ExtensionSet()
+    out: dict[str, ExtensionEntry] = {}
     if not seq.children:
         ctx.add(Code.EMPTY_EXTENSION_SEQUENCE, seq, path)
         return out
-    for i, node in enumerate(seq.children):
-        entry = _parse_extension_entry(node, i, ctx, f"{path}[{i}]")
-        if entry is not None:
-            out.entries.append(entry)
-    # Uniqueness is checked over the finished scan: report the second and
-    # later occurrences of each OID.
-    seen: set[str] = set()
-    for e in out.entries:
-        if e.oid is None:
-            continue
-        if e.oid in seen:
+    entries = [_parse_extension_entry(node, i, ctx, f"{path}[{i}]") for i, node in enumerate(seq.children)]
+    # Uniqueness is checked over the finished scan: the first occurrence of
+    # each OID is kept, and the second and later ones are reported.
+    for e in entries:
+        if e is not None and e.oid is not None and out.setdefault(e.oid, e) is not e:
             ctx.add(
                 Code.DUPLICATED_EXTENSION, e.node, f"{path}[{e.index}]", f"extension {e.oid} appears more than once"
             )
-        seen.add(e.oid)
     return out
 
 
@@ -285,7 +260,6 @@ def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: st
     grammar = ctx.reg.lookup("extension", oid_str) if oid_str else None
     if grammar is None:
         return entry
-    entry.known = True
     body_root = ctx.payload(value_node, 0, body_path)
     if body_root is not None:
         entry.body = _BODY_PARSERS[grammar](body_root, ctx, body_path)
@@ -865,7 +839,7 @@ def parse_general_name(
 
 
 def check_key_usage_rules(
-    extset: ExtensionSet,
+    extset: dict[str, ExtensionEntry],
     key_family: str | None,
     ctx: WalkContext,
     path: str = "tbsCertificate.extensions",
@@ -884,7 +858,7 @@ def check_key_usage_rules(
     ku = ku_entry.body if ku_entry and isinstance(ku_entry.body, KeyUsageValue) else None
     bc = bc_entry.body if bc_entry and isinstance(bc_entry.body, BasicConstraintsValue) else None
 
-    if ku is not None and ku.has(BIT_KEY_CERT_SIGN):
+    if ku is not None and BIT_KEY_CERT_SIGN in ku.bits:
         where = f"{path}[{ku_entry.index}]"
         if bc_entry is None:
             ctx.add(
@@ -918,7 +892,7 @@ def check_key_usage_rules(
                         where,
                         "pathLenConstraint in a non-critical basicConstraints",
                     )
-            if not extset.has(OID_SUBJECT_KEY_IDENTIFIER):
+            if OID_SUBJECT_KEY_IDENTIFIER not in extset:
                 ctx.add(
                     Code.MISSING_SUBJECT_KEY_ID,
                     bc_entry.node,

@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .der import TlvNode, parse_tlv_tree
-from .diagnostics import Code, Diagnostic, RecognitionError, rejects
+from .diagnostics import Code, Diagnostic, RecognitionError
 from .extensions import (
     OID_AUTHORITY_KEY_IDENTIFIER,
     OID_SUBJECT_ALT_NAME,
     AkiValue,
-    ExtensionSet,
+    ExtensionEntry,
     WalkContext,
     check_key_usage_rules,
     parse_extensions,
@@ -72,9 +72,8 @@ class ParsedTbs:
     issuer: NameInfo | None = None
     subject: NameInfo | None = None
     spki: SpkiInfo | None = None
-    has_issuer_uid: bool = False
-    has_subject_uid: bool = False
-    extensions: ExtensionSet | None = None
+    has_unique_id: bool = False
+    extensions: dict[str, ExtensionEntry] | None = None
     extensions_present: bool = False
 
 
@@ -86,7 +85,7 @@ class ParsedCertificate:
 
     @property
     def accepted(self) -> bool:
-        return not any(rejects(d.code) for d in self.diagnostics)
+        return not any(d.code.rejects for d in self.diagnostics)
 
     def codes(self) -> list[Code]:
         return [d.code for d in self.diagnostics]
@@ -312,30 +311,36 @@ def parse_spki(
         out.key_family = ctx.reg.lookup("keyfamily", out.algorithm.oid)
 
     key_path = f"{path}.subjectPublicKey"
-    what = "subjectPublicKey must be a primitive BIT STRING"
-    if not ctx.expect(Code.STRUCTURAL_MISMATCH, key_node, TAG_BIT_STRING, False, key_path, what):
-        return out
-    bs = ctx.decode(decode_bit_string, key_node, key_path)
-    if bs is None:
-        return out
-    if bs.unused_bits != 0:
-        ctx.add(
-            Code.BAD_BIT_STRING_ENCODING,
-            key_node.content_offset,
-            key_path,
-            f"key bits must fill whole octets, {bs.unused_bits} unused",
-        )
-    if len(bs.bits) == 0:
-        ctx.add(Code.EMPTY_VALUE_FIELD, key_node, key_path, "empty public key")
-        return out
-
-    if out.algorithm is None or out.algorithm.oid is None:
+    bits = _bit_string_octets(key_node, ctx, key_path, "subjectPublicKey", "key", "public key")
+    if bits is None or out.algorithm is None or out.algorithm.oid is None:
         return out
     keybits_grammar = ctx.reg.lookup("keybits", out.algorithm.oid)
     if keybits_grammar is None:
         return out
-    _check_key_bits(keybits_grammar, key_node, bs.bits, out, ctx, key_path)
+    _check_key_bits(keybits_grammar, key_node, bits, out, ctx, key_path)
     return out
+
+
+def _bit_string_octets(node: TlvNode, ctx: WalkContext, path: str, slot: str, noun: str, empty: str) -> bytes | None:
+    """The octets a primitive BIT STRING slot carries, or None after recording why it carries none.
+
+    slot names the field in the tag message, noun its bits, and empty what
+    an empty one lacks.  Unused bits are recorded, and the octets still
+    returned.
+    """
+    what = f"{slot} must be a primitive BIT STRING"
+    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_BIT_STRING, False, path, what):
+        return None
+    bs = ctx.decode(decode_bit_string, node, path)
+    if bs is None:
+        return None
+    if bs.unused_bits != 0:
+        message = f"{noun} bits must fill whole octets, {bs.unused_bits} unused"
+        ctx.add(Code.BAD_BIT_STRING_ENCODING, node.content_offset, path, message)
+    if not bs.bits:
+        ctx.add(Code.EMPTY_VALUE_FIELD, node, path, f"empty {empty}")
+        return None
+    return bs.bits
 
 
 def _positive_integer(node: TlvNode, what: str, code: Code, ctx: WalkContext, path: str) -> None:
@@ -411,23 +416,8 @@ def parse_signature_value(
     ctx: WalkContext,
     path: str = "signatureValue",
 ) -> None:
-    what = "signatureValue must be a primitive BIT STRING"
-    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_BIT_STRING, False, path, what):
-        return
-    bs = ctx.decode(decode_bit_string, node, path)
-    if bs is None:
-        return
-    if bs.unused_bits != 0:
-        ctx.add(
-            Code.BAD_BIT_STRING_ENCODING,
-            node.content_offset,
-            path,
-            f"signature bits must fill whole octets, {bs.unused_bits} unused",
-        )
-    if len(bs.bits) == 0:
-        ctx.add(Code.EMPTY_VALUE_FIELD, node, path, "empty signature")
-        return
-    if outer is None or outer.oid is None:
+    bits = _bit_string_octets(node, ctx, path, "signatureValue", "signature", "signature")
+    if bits is None or outer is None or outer.oid is None:
         return
     grammar = ctx.reg.lookup("sigvalue", outer.oid)
     if grammar in (None, "opaque"):
@@ -524,11 +514,11 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
     spki_node = need("subjectPublicKeyInfo")
     tbs.spki = parse_spki(spki_node, ctx, f"{path}.subjectPublicKeyInfo")
 
-    for tag_number, attr, label in ((1, "has_issuer_uid", "issuerUniqueID"), (2, "has_subject_uid", "subjectUniqueID")):
+    for tag_number, label in ((1, "issuerUniqueID"), (2, "subjectUniqueID")):
         if idx < len(kids) and kids[idx].is_context(tag_number):
             uid = kids[idx]
             idx += 1
-            setattr(tbs, attr, True)
+            tbs.has_unique_id = True
             sub = f"{path}.{label}"
             if uid.constructed:
                 ctx.add(Code.STRUCTURAL_MISMATCH, uid, sub, f"{label} must be primitive")
@@ -567,7 +557,6 @@ def parse_certificate(data: bytes | bytearray | memoryview, registry: Registry |
     try:
         node = parse_tlv_tree(bytes(data))
     except RecognitionError as err:
-        # The scan raises no WRONG_OID, so its error is recorded as it stands.
         ctx.add(err.code, err.offset, "certificate", err.message)
         return result
 
@@ -603,7 +592,7 @@ def _post_checks(result: ParsedCertificate, ctx: WalkContext) -> None:
             "tbsCertificate.extensions",
             f"extensions present in a version {tbs.version + 1} certificate",
         )
-    if (tbs.has_issuer_uid or tbs.has_subject_uid) and tbs.version == 0:
+    if tbs.has_unique_id and tbs.version == 0:
         ctx.add(
             Code.UNIQUE_ID_REQUIRES_V2_PLUS,
             None,
@@ -631,8 +620,8 @@ def _post_checks(result: ParsedCertificate, ctx: WalkContext) -> None:
             CsCheckInput(
                 inner_alg_raw=tbs.inner_algorithm.node.raw,
                 outer_alg_raw=result.outer_algorithm.node.raw,
-                subject_raw=tbs.subject.raw,
-                issuer_raw=tbs.issuer.raw,
+                subject_raw=tbs.subject.node.raw,
+                issuer_raw=tbs.issuer.node.raw,
                 has_aki=aki is not None,
                 aki_has_key_id=aki_key,
                 inner_alg_offset=tbs.inner_algorithm.node.header_offset,

@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .der import CONTENT_MAX
-from .diagnostics import Code, Diagnostic, diag, rejects
+from .diagnostics import Code, Diagnostic, diag
 from .grammar import parse_certificate
 from .registry import Registry
 
@@ -201,7 +201,7 @@ def lint(doc: InputDocument, options: LintOptions | None = None) -> CertificateR
     return CertificateReport(
         doc_id=doc.doc_id,
         sha256=digest,
-        outcome="rejected" if any(rejects(d.code) for d in diagnostics) else "accepted",
+        outcome="rejected" if any(d.code.rejects for d in diagnostics) else "accepted",
         size_bytes=len(doc.data),
         parse_time_micros=elapsed_micros if options.timing else None,
         diagnostics=diagnostics,

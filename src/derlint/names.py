@@ -51,7 +51,7 @@ _PERMITTED_BY_KIND = {
 class NameInfo:
     """Summary of a parsed Name, enough for the cross-field checks."""
 
-    raw: bytes
+    node: TlvNode
     empty: bool
 
 
@@ -70,9 +70,9 @@ def parse_name(
     if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, "name must be a SEQUENCE"):
         # empty specifically means a SEQUENCE with zero RDNs; a node of
         # the wrong shape is neither empty nor usable.
-        return NameInfo(raw=node.raw, empty=False)
+        return NameInfo(node, empty=False)
 
-    info = NameInfo(raw=node.raw, empty=not node.children)
+    info = NameInfo(node, empty=not node.children)
     if info.empty:
         if role == "issuer":
             ctx.add(Code.EMPTY_ISSUER_DN, node, path)

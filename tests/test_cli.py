@@ -1,7 +1,9 @@
 """End-to-end tests for the command line front end."""
 
+import errno
 import io
 import json
+import os
 import types
 
 import pytest
@@ -89,6 +91,20 @@ class TestLint:
         assert "absent.der" in err
         # The readable file is still reported.
         assert json_lines(out)[0]["outcome"] == "rejected"
+
+    def test_unopenable_file_is_io_error(self, capsys, tmp_path, good_file):
+        # A symlink loop is listed but cannot be opened: an OSError other than FileNotFoundError.
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        status, out, err = run(capsys, ["lint", str(tmp_path)])
+        assert status == cli.EXIT_ERROR == 2
+        loops = [tmp_path / "a", tmp_path / "b"]
+        assert err.splitlines() == [
+            f"derlint: {link}: {OSError(errno.ELOOP, os.strerror(errno.ELOOP), str(link))}" for link in loops
+        ]
+        report, summary = json_lines(out)
+        assert report["id"] == str(good_file) and report["outcome"] == "accepted"
+        assert summary["summary"]["total"] == 1
 
     def test_text_report(self, capsys, bad_file):
         status, out, _ = run(capsys, ["lint", "--report", "text", str(bad_file)])

@@ -9,11 +9,11 @@ from derlint.diagnostics import (
     Code,
     Diagnostic,
     Histogram,
+    RecognitionError,
     Severity,
     UnmappedMessage,
     classify_external_message,
     diag,
-    rejects,
 )
 
 # The severity and rejection assignment for every code, frozen as data so
@@ -86,7 +86,7 @@ def test_every_code_has_expected_severity_and_rejection():
     for code in Code:
         want_sev, want_rejects = EXPECTED[code.value]
         assert code.severity.value == want_sev, code
-        assert rejects(code) == want_rejects, code
+        assert code.rejects == want_rejects, code
 
 
 def test_every_code_has_a_label():
@@ -114,6 +114,14 @@ def test_diag_constructor_and_json():
     assert payload["byte_offset"] == 42
     assert payload["path"] == "certificate"
     json.dumps(payload)
+
+
+def test_recognition_error_text():
+    err = RecognitionError(Code.TRAILING_BYTES, offset=7, message="1 byte(s) after element")
+    assert str(err) == "TRAILING_BYTES at offset 7: 1 byte(s) after element"
+    err = RecognitionError(Code.WRONG_OID, offset=None, message="leading 0x80 continuation octet")
+    assert str(err) == "WRONG_OID at offset None: leading 0x80 continuation octet"
+    assert str(RecognitionError(Code.NESTING_TOO_DEEP, offset=3)) == "NESTING_TOO_DEEP at offset 3: Nesting depth cap exceeded"
 
 
 def test_histogram_counts():

@@ -69,11 +69,12 @@ class TestFraming:
     def test_empty_sequence(self):
         extset, codes = run_exts()
         assert codes == [Code.EMPTY_EXTENSION_SEQUENCE]
-        assert extset is not None and not extset.entries
+        assert extset == {}
 
     def test_duplicates_reported_each_extra_occurrence(self):
-        _, codes = run_exts(certs.ski(), certs.ski(), certs.ski())
+        extset, codes = run_exts(certs.ski(), certs.ski(), certs.ski())
         assert codes.count(Code.DUPLICATED_EXTENSION) == 2
+        assert extset[certs.OID_SKI].index == 0
 
     def test_duplicates_found_in_either_order(self):
         _, codes = run_exts(certs.aki(), certs.ski(), certs.aki())
@@ -84,13 +85,8 @@ class TestFraming:
     def test_unknown_extension_kept_opaque(self):
         extset, codes = run_body("1.2.3.4.99", enc.octet_string(b"anything"))
         assert codes == []
-        entry = extset.entries[0]
-        assert not entry.known
-        assert entry.body is None
-
-    def test_unknown_critical_listed(self):
-        extset, _ = run_exts(certs.extension("1.2.3.4.99", b"x", critical=True))
-        assert extset.unknown_critical_oids() == ["1.2.3.4.99"]
+        assert REG.lookup("extension", "1.2.3.4.99") is None
+        assert extset["1.2.3.4.99"].body is None
 
     def test_explicit_noncritical_flagged(self):
         codes = codes_only(certs.OID_SKI, enc.octet_string(b"k"), critical=False)
@@ -104,6 +100,10 @@ class TestFraming:
     def test_entry_wrong_field_count(self):
         _, codes = run_exts(enc.seq(enc.oid(certs.OID_SKI)))
         assert codes == [Code.STRUCTURAL_MISMATCH]
+        # An entry whose extnID does not decode is recorded and left out; a later entry still counts.
+        extset, codes = run_exts(enc.seq(NON_MINIMAL_OID, enc.octet_string(b"x")), certs.ski())
+        assert codes == [Code.WRONG_EXTN_ID]
+        assert list(extset) == [certs.OID_SKI] and extset[certs.OID_SKI].index == 1
 
     def test_body_trailing_bytes_remapped(self):
         codes = codes_only(certs.OID_SKI, enc.octet_string(b"k") + b"\x00")
@@ -114,13 +114,13 @@ class TestBodies:
     def test_ski(self):
         extset, codes = run_body(certs.OID_SKI, enc.octet_string(certs.KEYID))
         assert codes == []
-        assert extset.entries[0].known
+        assert extset[certs.OID_SKI].body is None
         assert codes_only(certs.OID_SKI, enc.octet_string(b"")) == [Code.EMPTY_VALUE_FIELD]
 
     def test_aki_key_id_only(self):
         extset, codes = run_body(certs.OID_AKI, enc.seq(enc.ctx_prim(0, b"\x01\x02")))
         assert codes == []
-        body = extset.entries[0].body
+        body = extset[certs.OID_AKI].body
         assert isinstance(body, AkiValue)
         assert body.key_id == b"\x01\x02"
 
@@ -147,14 +147,14 @@ class TestBodies:
     def test_key_usage_bits(self):
         extset, codes = run_body(certs.OID_KU, enc.named_bit_string({0, 5}), critical=True)
         assert codes == []
-        ku = extset.entries[0].body
+        ku = extset[certs.OID_KU].body
         assert isinstance(ku, KeyUsageValue)
-        assert ku.has(5) and ku.has(0) and not ku.has(2)
+        assert 5 in ku.bits and 0 in ku.bits and 2 not in ku.bits
 
     def test_key_usage_decipher_only_bit8(self):
         extset, codes = run_body(certs.OID_KU, enc.named_bit_string({8}), critical=True)
         assert codes == []
-        assert extset.entries[0].body.has(8)
+        assert 8 in extset[certs.OID_KU].body.bits
 
     def test_key_usage_bit_out_of_range(self):
         codes = codes_only(certs.OID_KU, enc.named_bit_string({9}), critical=True)
@@ -163,7 +163,7 @@ class TestBodies:
     def test_basic_constraints_values(self):
         extset, codes = run_body(certs.OID_BC, enc.seq(enc.boolean(True), enc.integer(3)), critical=True)
         assert codes == []
-        bc = extset.entries[0].body
+        bc = extset[certs.OID_BC].body
         assert isinstance(bc, BasicConstraintsValue)
         assert bc.ca and bc.path_len == 3
 

@@ -56,8 +56,8 @@ class TestBaseCertificate:
         tbs = parsed.tbs
         assert tbs.version == 2
         assert tbs.inner_algorithm.oid == certs.OID_SHA256_RSA
-        assert tbs.issuer.raw == certs.ISSUER
-        assert tbs.subject.raw == certs.SUBJECT
+        assert tbs.issuer.node.raw == certs.ISSUER
+        assert tbs.subject.node.raw == certs.SUBJECT
         assert tbs.spki.key_family == "rsa"
         assert tbs.extensions is not None
         assert parsed.outer_algorithm.oid == certs.OID_SHA256_RSA

@@ -33,7 +33,7 @@ def test_single_cn():
     info, codes = walk(data)
     assert codes == []
     assert not info.empty
-    assert info.raw == data
+    assert info.node.raw == data
 
 
 def test_multiple_rdns_and_attributes():
