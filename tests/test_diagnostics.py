@@ -121,7 +121,8 @@ def test_recognition_error_text():
     assert str(err) == "TRAILING_BYTES at offset 7: 1 byte(s) after element"
     err = RecognitionError(Code.WRONG_OID, offset=None, message="leading 0x80 continuation octet")
     assert str(err) == "WRONG_OID at offset None: leading 0x80 continuation octet"
-    assert str(RecognitionError(Code.NESTING_TOO_DEEP, offset=3)) == "NESTING_TOO_DEEP at offset 3: Nesting depth cap exceeded"
+    err = RecognitionError(Code.NESTING_TOO_DEEP, offset=3)
+    assert str(err) == "NESTING_TOO_DEEP at offset 3: Nesting depth cap exceeded"
 
 
 def test_histogram_counts():
