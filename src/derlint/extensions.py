@@ -87,6 +87,14 @@ _DISPLAY_TEXT_TAGS = frozenset(
     {TAG_IA5_STRING, TAG_VISIBLE_STRING, TAG_BMP_STRING, TAG_UTF8_STRING}
 )
 
+# The codes an accepted walk passes, bound once: a Code.X read costs over ten global reads (EnumType.__getattr__).
+_MISMATCH, _MALFORMED_BODY, _WRONG_EXTN_ID = Code.STRUCTURAL_MISMATCH, Code.MALFORMED_EXTENSION_BODY, Code.WRONG_EXTN_ID
+_WRONG_OID, _EMPTY_NAMES, _EMPTY_ACCESS = Code.WRONG_OID, Code.EMPTY_GENERAL_NAMES, Code.EMPTY_SEQUENCE_IN_INFO_ACCESS
+
+# The text of a one-octet sub-identifier, by its value: the first one folds two arcs, a later one adds ".N".
+_FIRST_ARCS = tuple(f"{min(v // 40, 2)}.{v - 40 * min(v // 40, 2)}" for v in range(128))
+_LATER_ARCS = tuple(f".{v}" for v in range(128))
+
 
 class WalkContext:
     """What one certificate walk shares: the registry and the diagnostic sink.
@@ -131,21 +139,27 @@ class WalkContext:
             self.add(err.code, err.offset, path, err.message)
             return None
 
-    def oid(self, node: TlvNode, path: str, wrong_oid: Code = Code.WRONG_OID) -> str | None:
+    def oid(self, node: TlvNode, path: str, wrong_oid: Code = _WRONG_OID) -> str | None:
         """The dotted form of an OID node, or None after recording its error.
 
         A non-minimal arc (WRONG_OID) is recorded as the slot's wrong_oid
         code.  A registered OID is decoded once per registry: its content
-        octets then name it through the registry's by_der table.
+        octets then name it through the registry's by_der table.  In
+        non-empty all-ASCII content each octet is one whole sub-identifier,
+        which no decoder error can befall, so the text is built from the
+        octets; any other content goes through decode_oid and its errors.
         """
         content = node.content
         text = self.reg.by_der.get(content)
         if text is None:
-            try:
-                text = dotted(decode_oid(node))
-            except RecognitionError as err:
-                self.add(wrong_oid if err.code is Code.WRONG_OID else err.code, err.offset, path, err.message)
-                return None
+            if content.isascii() and content:
+                text = _FIRST_ARCS[content[0]] + "".join(map(_LATER_ARCS.__getitem__, content[1:]))
+            else:
+                try:
+                    text = dotted(decode_oid(node))
+                except RecognitionError as err:
+                    self.add(wrong_oid if err.code is _WRONG_OID else err.code, err.offset, path, err.message)
+                    return None
             if text in self.reg.oids:
                 self.reg.by_der[content] = text
         return text
@@ -188,7 +202,6 @@ class AkiValue:
 @dataclass
 class ExtensionEntry:
     index: int
-    oid: str | None
     critical: bool
     node: TlvNode
     body: object | None = None
@@ -207,41 +220,43 @@ def parse_extensions(
     examined.
     """
     if len(wrapper.children) != 1 or not wrapper.children[0].is_universal(TAG_SEQUENCE, True):
-        ctx.add(Code.STRUCTURAL_MISMATCH, wrapper, path, "extensions wrapper must hold exactly one SEQUENCE")
+        ctx.add(_MISMATCH, wrapper, path, "extensions wrapper must hold exactly one SEQUENCE")
         return None
     seq = wrapper.children[0]
     out: dict[str, ExtensionEntry] = {}
     if not seq.children:
         ctx.add(Code.EMPTY_EXTENSION_SEQUENCE, seq, path)
         return out
-    entries = [_parse_extension_entry(node, i, ctx, f"{path}[{i}]") for i, node in enumerate(seq.children)]
+    found = [_parse_extension_entry(node, i, ctx, f"{path}[{i}]") for i, node in enumerate(seq.children)]
     # Uniqueness is checked over the finished scan: the first occurrence of
     # each OID is kept, and the second and later ones are reported.
-    for e in entries:
-        if e is not None and e.oid is not None and out.setdefault(e.oid, e) is not e:
+    for oid_str, e in filter(None, found):
+        if out.setdefault(oid_str, e) is not e:
             ctx.add(
-                Code.DUPLICATED_EXTENSION, e.node, f"{path}[{e.index}]", f"extension {e.oid} appears more than once"
+                Code.DUPLICATED_EXTENSION, e.node, f"{path}[{e.index}]", f"extension {oid_str} appears more than once"
             )
     return out
 
 
-def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: str) -> ExtensionEntry | None:
-    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, "extension must be a SEQUENCE"):
+def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: str) -> tuple[str, ExtensionEntry] | None:
+    """(extnID, entry), or None when the entry has the wrong shape or its extnID does not decode."""
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, True, path, "extension must be a SEQUENCE"):
         return None
     kids = node.children
     if not 2 <= len(kids) <= 3:
-        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"extension with {len(kids)} fields")
+        ctx.add(_MISMATCH, node, path, f"extension with {len(kids)} fields")
         return None
 
     oid_str: str | None = None
-    if ctx.expect(Code.WRONG_EXTN_ID, kids[0], TAG_OID, False, f"{path}.extnID", "extnID must be an OID"):
-        oid_str = ctx.oid(kids[0], f"{path}.extnID", wrong_oid=Code.WRONG_EXTN_ID)
+    id_path = f"{path}.extnID"
+    if ctx.expect(_WRONG_EXTN_ID, kids[0], TAG_OID, False, id_path, "extnID must be an OID"):
+        oid_str = ctx.oid(kids[0], id_path, wrong_oid=_WRONG_EXTN_ID)
 
     critical = False
     value_node = kids[-1]
     if len(kids) == 3:
         sub = f"{path}.critical"
-        if not ctx.expect(Code.STRUCTURAL_MISMATCH, kids[1], TAG_BOOLEAN, False, sub, "critical must be a BOOLEAN"):
+        if not ctx.expect(_MISMATCH, kids[1], TAG_BOOLEAN, False, sub, "critical must be a BOOLEAN"):
             return None
         critical = ctx.decode(decode_boolean, kids[1], sub)
         if critical is False:
@@ -249,30 +264,30 @@ def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: st
 
     body_path = f"{path}.extnValue"
     what = "extnValue must be a primitive OCTET STRING"
-    if not ctx.expect(Code.STRUCTURAL_MISMATCH, value_node, TAG_OCTET_STRING, False, body_path, what):
+    if not ctx.expect(_MISMATCH, value_node, TAG_OCTET_STRING, False, body_path, what):
         return None
 
-    entry = ExtensionEntry(index=index, oid=oid_str, critical=bool(critical), node=node)
+    body = None
     if value_node.content_length == 0:
         ctx.add(Code.EMPTY_VALUE_FIELD, value_node, body_path, "empty extnValue")
-        return entry
-
-    grammar = ctx.reg.lookup("extension", oid_str) if oid_str else None
-    if grammar is None:
-        return entry
-    body_root = ctx.payload(value_node, 0, body_path)
-    if body_root is not None:
-        entry.body = _BODY_PARSERS[grammar](body_root, ctx, body_path)
-    return entry
+    elif oid_str is not None and (grammar := ctx.reg.lookup("extension", oid_str)) is not None:
+        body_root = ctx.payload(value_node, 0, body_path)
+        if body_root is not None:
+            body = _BODY_PARSERS[grammar](body_root, ctx, body_path)
+    return None if oid_str is None else (oid_str, ExtensionEntry(index, bool(critical), node, body))
 
 
 def _expect(ctx: WalkContext, node: TlvNode, tag: int, constructed: bool, what: str, path: str) -> bool:
-    what = f"{what}: expected {'constructed' if constructed else 'primitive'} tag {tag}"
-    return ctx.expect(Code.MALFORMED_EXTENSION_BODY, node, tag, constructed, path, what)
+    """ctx.expect under MALFORMED_EXTENSION_BODY, its message formatted only when the tag is wrong."""
+    if node.tag_number == tag and node.constructed == constructed and node.tag_class == "universal":
+        return True
+    shape = "constructed" if constructed else "primitive"
+    ctx.add(_MALFORMED_BODY, node, path, f"{what}: expected {shape} tag {tag}, found {node.describe_tag()}")
+    return False
 
 
 def _elements(
-    ctx: WalkContext, node: TlvNode, what: str, path: str, on_empty: str, code: Code = Code.MALFORMED_EXTENSION_BODY
+    ctx: WalkContext, node: TlvNode, what: str, path: str, on_empty: str, code: Code = _MALFORMED_BODY
 ) -> list[TlvNode] | None:
     """The children of a non-empty SEQUENCE, or None after recording _expect's diagnostic or on_empty."""
     if not _expect(ctx, node, TAG_SEQUENCE, True, what, path):
@@ -293,11 +308,11 @@ def _tagged_fields(ctx: WalkContext, fields, what: str, max_tag: int, constructe
     last = -1
     for child in fields:
         if child.tag_class != "context" or child.tag_number > max_tag or constructed not in (None, child.constructed):
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, f"unexpected field {child.describe_tag()} in {what}")
+            ctx.add(_MALFORMED_BODY, child, path, f"unexpected field {child.describe_tag()} in {what}")
             yield None
             return
         if child.tag_number <= last:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, f"{what} fields out of order or repeated")
+            ctx.add(_MALFORMED_BODY, child, path, f"{what} fields out of order or repeated")
             yield None
             return
         last = child.tag_number
@@ -308,7 +323,7 @@ def _non_negative(ctx: WalkContext, node: TlvNode, path: str, what: str) -> int 
     """The INTEGER's value, or None after recording its error; a value below zero is also recorded."""
     value = ctx.decode(decode_integer, node, path)
     if value is not None and value < 0:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, f"negative {what} {value}")
+        ctx.add(_MALFORMED_BODY, node, path, f"negative {what} {value}")
     return value
 
 
@@ -333,7 +348,7 @@ def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -
             return value
         if child.tag_number == 0:
             if child.constructed:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "keyIdentifier must be primitive")
+                ctx.add(_MALFORMED_BODY, child, path, "keyIdentifier must be primitive")
                 continue
             if child.content_length == 0:
                 ctx.add(Code.EMPTY_VALUE_FIELD, child, path, "empty keyIdentifier")
@@ -341,23 +356,23 @@ def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -
             value.key_id = child.content
         elif child.tag_number == 1:
             if not child.constructed:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "authorityCertIssuer must be constructed")
+                ctx.add(_MALFORMED_BODY, child, path, "authorityCertIssuer must be constructed")
                 continue
             has_issuer = True
             if not child.children:
-                ctx.add(Code.EMPTY_GENERAL_NAMES, child, path, "empty authorityCertIssuer")
+                ctx.add(_EMPTY_NAMES, child, path, "empty authorityCertIssuer")
             for gn in child.children:
                 if not _plain_name(gn):
                     parse_general_name(gn, ctx, f"{path}.authorityCertIssuer")
         else:
             if child.constructed:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "authorityCertSerialNumber must be primitive")
+                ctx.add(_MALFORMED_BODY, child, path, "authorityCertSerialNumber must be primitive")
                 continue
             has_serial = True
             ctx.decode(decode_integer, child, f"{path}.authorityCertSerialNumber")
     if has_issuer != has_serial:
         ctx.add(
-            Code.MALFORMED_EXTENSION_BODY,
+            _MALFORMED_BODY,
             root,
             path,
             "authorityCertIssuer and authorityCertSerialNumber must appear together",
@@ -372,7 +387,7 @@ def _body_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> KeyUsageValue
     if bs is None:
         return None
     if bs.named_bits and max(bs.named_bits) >= len(KEY_USAGE_BITS):
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, root, path, f"keyUsage bit {max(bs.named_bits)} beyond the named range")
+        ctx.add(_MALFORMED_BODY, root, path, f"keyUsage bit {max(bs.named_bits)} beyond the named range")
         return None
     if not bs.named_bits:
         ctx.add(Code.EMPTY_KEY_USAGE, root, path)
@@ -397,7 +412,7 @@ def _body_basic_constraints(root: TlvNode, ctx: WalkContext, path: str) -> Basic
         kids = kids[1:]
     if kids:
         ctx.add(
-            Code.MALFORMED_EXTENSION_BODY,
+            _MALFORMED_BODY,
             kids[0],
             path,
             f"unexpected field {kids[0].describe_tag()} in basicConstraints",
@@ -413,14 +428,14 @@ def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> No
         if not _expect(ctx, pi, TAG_SEQUENCE, True, "policyInformation", sub):
             continue
         if not 1 <= len(pi.children) <= 2:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, pi, sub, "policyInformation with wrong field count")
+            ctx.add(_MALFORMED_BODY, pi, sub, "policyInformation with wrong field count")
             continue
         if not pi.children[0].is_universal(TAG_OID, False):
-            ctx.add(Code.WRONG_OID, pi.children[0], sub, "policyIdentifier must be an OID")
+            ctx.add(_WRONG_OID, pi.children[0], sub, "policyIdentifier must be an OID")
         else:
             policy = ctx.oid(pi.children[0], sub)
             if policy in policies:  # RFC 5280 4.2.1.4: each policy OID at most once
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, pi.children[0], sub, f"policy {policy} named twice")
+                ctx.add(_MALFORMED_BODY, pi.children[0], sub, f"policy {policy} named twice")
             elif policy is not None:
                 policies.append(policy)
         if len(pi.children) == 2:
@@ -434,7 +449,7 @@ def _parse_policy_qualifiers(node: TlvNode, ctx: WalkContext, path: str) -> None
         if not _expect(ctx, pqi, TAG_SEQUENCE, True, "policyQualifierInfo", sub):
             continue
         if len(pqi.children) != 2 or not pqi.children[0].is_universal(TAG_OID, False):
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, pqi, sub, "policyQualifierInfo must be (OID, qualifier)")
+            ctx.add(_MALFORMED_BODY, pqi, sub, "policyQualifierInfo must be (OID, qualifier)")
             continue
         qid = ctx.oid(pqi.children[0], sub)
         if qid is None:
@@ -446,11 +461,11 @@ def _parse_policy_qualifiers(node: TlvNode, ctx: WalkContext, path: str) -> None
                 if text is not None and not valid_uri(text):
                     ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, qualifier, sub, f"URI without scheme: {text!r}")
             else:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, qualifier, sub, "CPS qualifier must be an IA5String")
+                ctx.add(_MALFORMED_BODY, qualifier, sub, "CPS qualifier must be an IA5String")
         elif qid == _OID_QT_UNOTICE:
             _parse_user_notice(qualifier, ctx, sub)
         else:
-            ctx.add(Code.WRONG_OID, pqi.children[0], sub, f"unknown policy qualifier {qid}")
+            ctx.add(_WRONG_OID, pqi.children[0], sub, f"unknown policy qualifier {qid}")
 
 
 def _parse_user_notice(node: TlvNode, ctx: WalkContext, path: str) -> None:
@@ -458,25 +473,25 @@ def _parse_user_notice(node: TlvNode, ctx: WalkContext, path: str) -> None:
         return
     kids = list(node.children)
     if len(kids) > 2:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "userNotice with too many fields")
+        ctx.add(_MALFORMED_BODY, node, path, "userNotice with too many fields")
         return
     if kids and kids[0].is_universal(TAG_SEQUENCE, True):
         ref = kids.pop(0)
         if len(ref.children) != 2:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, ref, path, "noticeRef must be (organization, noticeNumbers)")
+            ctx.add(_MALFORMED_BODY, ref, path, "noticeRef must be (organization, noticeNumbers)")
         else:
             ctx.decode(validate_charset, ref.children[0], path, _DISPLAY_TEXT_TAGS)
             numbers = ref.children[1]
             if _expect(ctx, numbers, TAG_SEQUENCE, True, "noticeNumbers", path):
                 for n in numbers.children:
                     if not n.is_universal(TAG_INTEGER, False):
-                        ctx.add(Code.MALFORMED_EXTENSION_BODY, n, path, "noticeNumbers entry must be an INTEGER")
+                        ctx.add(_MALFORMED_BODY, n, path, "noticeNumbers entry must be an INTEGER")
                         continue
                     ctx.decode(decode_integer, n, path)
     if kids:
         ctx.decode(validate_charset, kids.pop(0), path, _DISPLAY_TEXT_TAGS)
     if kids:
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, kids[0], path, "unexpected field in userNotice")
+        ctx.add(_MALFORMED_BODY, kids[0], path, "unexpected field in userNotice")
 
 
 def _body_policy_mappings(root: TlvNode, ctx: WalkContext, path: str) -> None:
@@ -487,19 +502,19 @@ def _body_policy_mappings(root: TlvNode, ctx: WalkContext, path: str) -> None:
             continue
         if len(pair.children) != 2:
             ctx.add(
-                Code.MALFORMED_EXTENSION_BODY, pair, sub, "mapping must be (issuerDomainPolicy, subjectDomainPolicy)"
+                _MALFORMED_BODY, pair, sub, "mapping must be (issuerDomainPolicy, subjectDomainPolicy)"
             )
             continue
         for part in pair.children:
             if not part.is_universal(TAG_OID, False):
-                ctx.add(Code.WRONG_OID, part, sub, "mapping member must be an OID")
+                ctx.add(_WRONG_OID, part, sub, "mapping member must be an OID")
                 break
             if ctx.oid(part, sub) is None:
                 break
 
 
 def _general_names_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> None:
-    kids = _elements(ctx, root, what, path, f"empty {what}", Code.EMPTY_GENERAL_NAMES)
+    kids = _elements(ctx, root, what, path, f"empty {what}", _EMPTY_NAMES)
     for i, gn in enumerate(kids or ()):
         if not _plain_name(gn):
             parse_general_name(gn, ctx, f"{path}.name[{i}]")
@@ -513,15 +528,15 @@ def _body_subject_directory_attributes(root: TlvNode, ctx: WalkContext, path: st
         if not _expect(ctx, attr, TAG_SEQUENCE, True, "attribute", sub):
             continue
         if len(attr.children) != 2 or not attr.children[0].is_universal(TAG_OID, False):
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, attr, sub, "attribute must be (OID, SET OF values)")
+            ctx.add(_MALFORMED_BODY, attr, sub, "attribute must be (OID, SET OF values)")
             continue
         ctx.oid(attr.children[0], sub)
         values = attr.children[1]
         if not values.is_universal(TAG_SET, True):
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, values, sub, "attribute values must be a SET")
+            ctx.add(_MALFORMED_BODY, values, sub, "attribute values must be a SET")
             continue
         if not values.children:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, values, sub, "attribute with no values")
+            ctx.add(_MALFORMED_BODY, values, sub, "attribute with no values")
         # Value syntax depends on the attribute type; values stay opaque.
 
 
@@ -533,7 +548,7 @@ def _body_name_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None:
             return
         which = "permittedSubtrees" if child.tag_number == 0 else "excludedSubtrees"
         if not child.children:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, f"empty {which}")
+            ctx.add(_MALFORMED_BODY, child, path, f"empty {which}")
             continue
         for i, subtree in enumerate(child.children):
             _parse_general_subtree(subtree, ctx, f"{path}.{which}[{i}]")
@@ -563,7 +578,7 @@ def _body_extended_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> None
     kids = _elements(ctx, root, "extendedKeyUsage", path, "extendedKeyUsage must name at least one purpose")
     for i, child in enumerate(kids or ()):
         sub = f"{path}.purpose[{i}]"
-        if ctx.expect(Code.WRONG_OID, child, TAG_OID, False, sub, "key purpose must be an OID"):
+        if ctx.expect(_WRONG_OID, child, TAG_OID, False, sub, "key purpose must be an OID"):
             ctx.oid(child, sub)
 
 
@@ -580,12 +595,12 @@ def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> Non
             return
         if child.tag_number == 0:
             if not child.constructed or len(child.children) != 1:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "distributionPoint name must hold one choice")
+                ctx.add(_MALFORMED_BODY, child, path, "distributionPoint name must hold one choice")
                 continue
             choice = child.children[0]
             if choice.is_context(0, True):
                 if not choice.children:
-                    ctx.add(Code.EMPTY_GENERAL_NAMES, choice, path, "empty fullName")
+                    ctx.add(_EMPTY_NAMES, choice, path, "empty fullName")
                 for k, gn in enumerate(choice.children):
                     if not _plain_name(gn):
                         parse_general_name(gn, ctx, f"{path}.fullName[{k}]")
@@ -593,29 +608,29 @@ def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> Non
                 parse_rdn(choice, ctx, f"{path}.nameRelativeToCRLIssuer")
             else:
                 ctx.add(
-                    Code.MALFORMED_EXTENSION_BODY,
+                    _MALFORMED_BODY,
                     choice,
                     path,
                     f"unknown distributionPointName choice {choice.describe_tag()}",
                 )
         elif child.tag_number == 1:
             if child.constructed:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "reasons must be a primitive BIT STRING")
+                ctx.add(_MALFORMED_BODY, child, path, "reasons must be a primitive BIT STRING")
                 continue
             bs = ctx.decode(decode_bit_string, child, path, named=True)
             if bs is not None and bs.named_bits and max(bs.named_bits) >= _REASON_FLAG_COUNT:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "reason flag beyond the named range")
+                ctx.add(_MALFORMED_BODY, child, path, "reason flag beyond the named range")
         else:
             if not child.constructed:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "cRLIssuer must be constructed")
+                ctx.add(_MALFORMED_BODY, child, path, "cRLIssuer must be constructed")
                 continue
             if not child.children:
-                ctx.add(Code.EMPTY_GENERAL_NAMES, child, path, "empty cRLIssuer")
+                ctx.add(_EMPTY_NAMES, child, path, "empty cRLIssuer")
             for k, gn in enumerate(child.children):
                 if not _plain_name(gn):
                     parse_general_name(gn, ctx, f"{path}.cRLIssuer[{k}]")
     if fields is not None and len(fields) == 1 and fields[0].is_context(1):
-        ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "distributionPoint with only a reasons field")
+        ctx.add(_MALFORMED_BODY, node, path, "distributionPoint with only a reasons field")
 
 
 def _body_inhibit_any_policy(root: TlvNode, ctx: WalkContext, path: str) -> None:
@@ -624,13 +639,13 @@ def _body_inhibit_any_policy(root: TlvNode, ctx: WalkContext, path: str) -> None
 
 
 def _info_access_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> None:
-    descriptions = _elements(ctx, root, what, path, f"empty {what}", Code.EMPTY_SEQUENCE_IN_INFO_ACCESS)
+    descriptions = _elements(ctx, root, what, path, f"empty {what}", _EMPTY_ACCESS)
     for i, ad in enumerate(descriptions or ()):
         sub = f"{path}.accessDescription[{i}]"
         if not _expect(ctx, ad, TAG_SEQUENCE, True, "accessDescription", sub):
             continue
         if len(ad.children) != 2 or not ad.children[0].is_universal(TAG_OID, False):
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, ad, sub, "accessDescription must be (OID, GeneralName)")
+            ctx.add(_MALFORMED_BODY, ad, sub, "accessDescription must be (OID, GeneralName)")
             continue
         ctx.oid(ad.children[0], sub)
         if not _plain_name(ad.children[1]):
@@ -737,7 +752,7 @@ def parse_general_name(
     """
     if node.tag_class != "context":
         ctx.add(
-            Code.MALFORMED_EXTENSION_BODY,
+            _MALFORMED_BODY,
             node,
             path,
             f"GeneralName must be context-tagged, found {node.describe_tag()}",
@@ -747,24 +762,24 @@ def parse_general_name(
     tag = node.tag_number
     if tag == 0:  # otherName
         if not node.constructed or len(node.children) != 2:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "otherName must be (type-id, [0] value)")
+            ctx.add(_MALFORMED_BODY, node, path, "otherName must be (type-id, [0] value)")
             return
         type_node, value_wrap = node.children
         if not type_node.is_universal(TAG_OID, False):
-            ctx.add(Code.WRONG_OID, type_node, path, "otherName type-id must be an OID")
+            ctx.add(_WRONG_OID, type_node, path, "otherName type-id must be an OID")
             return
         if ctx.oid(type_node, path) is None:
             return
         if not value_wrap.is_context(0, True) or len(value_wrap.children) != 1:
             ctx.add(
-                Code.MALFORMED_EXTENSION_BODY, value_wrap, path, "otherName value must be one explicitly tagged element"
+                _MALFORMED_BODY, value_wrap, path, "otherName value must be one explicitly tagged element"
             )
         return
 
     if tag in _STRING_NAMES:
         kind, valid, valid_constraint = _STRING_NAMES[tag]
         if node.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, f"{kind} must be primitive")
+            ctx.add(_MALFORMED_BODY, node, path, f"{kind} must be primitive")
             return
         content = node.content
         bad = _OUTSIDE_ALPHABET["ia5"].search(content)
@@ -779,19 +794,19 @@ def parse_general_name(
 
     if tag == 3:  # x400Address, parsed for shape only
         if not node.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "x400Address must be constructed")
+            ctx.add(_MALFORMED_BODY, node, path, "x400Address must be constructed")
         return
 
     if tag == 4:  # directoryName, explicit because Name is a CHOICE
         if not node.constructed or len(node.children) != 1:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "directoryName must hold one Name")
+            ctx.add(_MALFORMED_BODY, node, path, "directoryName must hold one Name")
             return
         parse_name(node.children[0], ctx, path, role="general")
         return
 
     if tag == 5:  # ediPartyName
         if not node.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "ediPartyName must be constructed")
+            ctx.add(_MALFORMED_BODY, node, path, "ediPartyName must be constructed")
             return
         last = -1
         saw_party = False
@@ -799,25 +814,25 @@ def parse_general_name(
             explicit = child.tag_class == "context" and child.tag_number <= 1 and child.constructed
             if not explicit or len(child.children) != 1:
                 ctx.add(
-                    Code.MALFORMED_EXTENSION_BODY,
+                    _MALFORMED_BODY,
                     child,
                     path,
                     "ediPartyName field must be an explicitly tagged DirectoryString",
                 )
                 return
             if child.tag_number <= last:
-                ctx.add(Code.MALFORMED_EXTENSION_BODY, child, path, "ediPartyName fields out of order or repeated")
+                ctx.add(_MALFORMED_BODY, child, path, "ediPartyName fields out of order or repeated")
                 return
             last = child.tag_number
             saw_party = saw_party or child.tag_number == 1
             ctx.decode(validate_charset, child.children[0], path, _DISPLAY_TEXT_TAGS)
         if not saw_party:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "ediPartyName without partyName")
+            ctx.add(_MALFORMED_BODY, node, path, "ediPartyName without partyName")
         return
 
     if tag == 7:  # iPAddress
         if node.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "iPAddress must be primitive")
+            ctx.add(_MALFORMED_BODY, node, path, "iPAddress must be primitive")
             return
         allowed = (8, 32) if in_name_constraints else (4, 16)
         if node.content_length not in allowed:
@@ -827,12 +842,12 @@ def parse_general_name(
 
     if tag == 8:  # registeredID
         if node.constructed:
-            ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, "registeredID must be primitive")
+            ctx.add(_MALFORMED_BODY, node, path, "registeredID must be primitive")
         else:
             ctx.oid(node, path)
         return
 
-    ctx.add(Code.MALFORMED_EXTENSION_BODY, node, path, f"unknown GeneralName tag [{tag}]")
+    ctx.add(_MALFORMED_BODY, node, path, f"unknown GeneralName tag [{tag}]")
 
 
 # --- cross-extension rules ---------------------------------------------------

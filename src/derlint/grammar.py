@@ -50,6 +50,12 @@ from .values import (
 # Unused here (WalkContext.oid reads OIDs); perfbench's traced run wraps these names.
 from .values import decode_oid, dotted  # noqa: F401
 
+# The codes an accepted walk passes, bound once: a Code.X read costs over ten global reads (EnumType.__getattr__).
+_MISMATCH, _WRONG_ALGORITHM = Code.STRUCTURAL_MISMATCH, Code.WRONG_ALGORITHM
+_MALFORMED_PARAMS, _MALFORMED_KEY, _MALFORMED_SIG = (
+    Code.MALFORMED_PARAMETERS, Code.MALFORMED_PUBLIC_KEY, Code.MALFORMED_SIGNATURE_STRUCTURE
+)
+
 
 @dataclass
 class AlgorithmId:
@@ -111,23 +117,23 @@ def parse_algorithm_identifier(
     are allowed and what the parameters field must contain for each.
     """
     what = "AlgorithmIdentifier must be a SEQUENCE"
-    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, what):
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, True, path, what):
         return None
     out = AlgorithmId(node)
     kids = node.children
     if not 1 <= len(kids) <= 2:
-        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"AlgorithmIdentifier with {len(kids)} fields")
+        ctx.add(_MISMATCH, node, path, f"AlgorithmIdentifier with {len(kids)} fields")
         return out
 
-    if not ctx.expect(Code.WRONG_ALGORITHM, kids[0], TAG_OID, False, f"{path}.algorithm", "algorithm must be an OID"):
+    if not ctx.expect(_WRONG_ALGORITHM, kids[0], TAG_OID, False, f"{path}.algorithm", "algorithm must be an OID"):
         return out
-    out.oid = ctx.oid(kids[0], f"{path}.algorithm", wrong_oid=Code.WRONG_ALGORITHM)
+    out.oid = ctx.oid(kids[0], f"{path}.algorithm", wrong_oid=_WRONG_ALGORITHM)
     if out.oid is None:
         return out
 
     out.grammar = ctx.reg.lookup(role, out.oid)
     if out.grammar is None:
-        ctx.add(Code.WRONG_ALGORITHM, kids[0], f"{path}.algorithm", f"{out.oid} is not a registered {role} algorithm")
+        ctx.add(_WRONG_ALGORITHM, kids[0], f"{path}.algorithm", f"{out.oid} is not a registered {role} algorithm")
         return out
 
     params = kids[1] if len(kids) == 2 else None
@@ -143,7 +149,6 @@ def _check_parameters(
     path: str,
 ) -> None:
     grammar = alg.grammar
-    malformed = Code.MALFORMED_PARAMETERS
 
     if grammar == "absent":
         if params is None:
@@ -151,28 +156,28 @@ def _check_parameters(
         if params.is_universal(TAG_NULL, False):
             ctx.add(Code.UNEXPECTED_NULL_IN_ALGORITHM_P, params, path, f"{alg.oid} takes no parameters, NULL present")
         else:
-            ctx.add(malformed, params, path, f"{alg.oid} takes no parameters, found {params.describe_tag()}")
+            ctx.add(_MALFORMED_PARAMS, params, path, f"{alg.oid} takes no parameters, found {params.describe_tag()}")
         return
 
     if grammar == "null":
         need = f"{alg.oid} requires NULL parameters"
         if params is None:
             ctx.add(Code.MISSING_PARAMETERS, holder, path, need)
-        elif ctx.expect(malformed, params, TAG_NULL, False, path, need) and params.content_length != 0:
-            ctx.add(malformed, params, path, "NULL with content octets")
+        elif ctx.expect(_MALFORMED_PARAMS, params, TAG_NULL, False, path, need) and params.content_length != 0:
+            ctx.add(_MALFORMED_PARAMS, params, path, "NULL with content octets")
         return
 
     if grammar == "named-curve":
         if params is None:
             ctx.add(Code.MISSING_PARAMETERS, holder, path, f"{alg.oid} requires a named curve")
             return
-        if not ctx.expect(malformed, params, TAG_OID, False, path, "named curve must be an OID"):
+        if not ctx.expect(_MALFORMED_PARAMS, params, TAG_OID, False, path, "named curve must be an OID"):
             return
-        curve = ctx.oid(params, path, wrong_oid=malformed)
+        curve = ctx.oid(params, path, wrong_oid=_MALFORMED_PARAMS)
         if curve is None:
             return
         if ctx.reg.lookup("curve", curve) is None:
-            ctx.add(Code.WRONG_ALGORITHM, params, path, f"{curve} is not a registered curve")
+            ctx.add(_WRONG_ALGORITHM, params, path, f"{curve} is not a registered curve")
             return
         alg.curve_oid = curve
         return
@@ -183,10 +188,10 @@ def _check_parameters(
 
     if grammar == "dss-params":
         if not params.is_universal(TAG_SEQUENCE, True) or len(params.children) != 3:
-            ctx.add(malformed, params, path, "domain parameters must be a SEQUENCE of three INTEGERs")
+            ctx.add(_MALFORMED_PARAMS, params, path, "domain parameters must be a SEQUENCE of three INTEGERs")
             return
         for part in params.children:
-            if not ctx.expect(malformed, part, TAG_INTEGER, False, path, "domain parameter must be an INTEGER"):
+            if not ctx.expect(_MALFORMED_PARAMS, part, TAG_INTEGER, False, path, "domain parameter must be an INTEGER"):
                 return
             ctx.decode(decode_integer, part, path)
         return
@@ -197,18 +202,18 @@ def _check_parameters(
 
     if grammar == "kea-params":
         what = "domain identifier must be an OCTET STRING"
-        if ctx.expect(malformed, params, TAG_OCTET_STRING, False, path, what) and params.content_length == 0:
+        if ctx.expect(_MALFORMED_PARAMS, params, TAG_OCTET_STRING, False, path, what) and params.content_length == 0:
             ctx.add(Code.EMPTY_VALUE_FIELD, params, path, "empty domain identifier")
         return
 
     if grammar == "gost-params":
         if not params.is_universal(TAG_SEQUENCE, True) or not 2 <= len(params.children) <= 3:
-            ctx.add(malformed, params, path, "parameters must be a SEQUENCE of two or three OIDs")
+            ctx.add(_MALFORMED_PARAMS, params, path, "parameters must be a SEQUENCE of two or three OIDs")
             return
         for part in params.children:
-            if not ctx.expect(malformed, part, TAG_OID, False, path, "parameter must be an OID"):
+            if not ctx.expect(_MALFORMED_PARAMS, part, TAG_OID, False, path, "parameter must be an OID"):
                 return
-            ctx.oid(part, path, wrong_oid=malformed)
+            ctx.oid(part, path, wrong_oid=_MALFORMED_PARAMS)
         return
 
     if grammar == "rsa-pss-params":
@@ -219,16 +224,15 @@ def _check_parameters(
 
 
 def _check_dh_params(params: TlvNode, ctx: WalkContext, path: str) -> None:
-    malformed = Code.MALFORMED_PARAMETERS
     if not params.is_universal(TAG_SEQUENCE, True):
-        ctx.add(malformed, params, path, "domain parameters must be a SEQUENCE")
+        ctx.add(_MALFORMED_PARAMS, params, path, "domain parameters must be a SEQUENCE")
         return
     kids = list(params.children)
     if len(kids) < 3:
-        ctx.add(malformed, params, path, "domain parameters need prime, base and subprime")
+        ctx.add(_MALFORMED_PARAMS, params, path, "domain parameters need prime, base and subprime")
         return
     for part in kids[:3]:
-        if not ctx.expect(malformed, part, TAG_INTEGER, False, path, "domain parameter must be an INTEGER"):
+        if not ctx.expect(_MALFORMED_PARAMS, part, TAG_INTEGER, False, path, "domain parameter must be an INTEGER"):
             return
         ctx.decode(decode_integer, part, path)
     rest = kids[3:]
@@ -238,19 +242,19 @@ def _check_dh_params(params: TlvNode, ctx: WalkContext, path: str) -> None:
     if rest:
         vp = rest.pop(0)
         if not vp.is_universal(TAG_SEQUENCE, True) or len(vp.children) != 2:
-            ctx.add(malformed, vp, path, "validation parameters must be (seed, pgenCounter)")
+            ctx.add(_MALFORMED_PARAMS, vp, path, "validation parameters must be (seed, pgenCounter)")
         else:
             seed, counter = vp.children
             if not seed.is_universal(TAG_BIT_STRING, False):
-                ctx.add(malformed, seed, path, "seed must be a BIT STRING")
+                ctx.add(_MALFORMED_PARAMS, seed, path, "seed must be a BIT STRING")
             else:
                 ctx.decode(decode_bit_string, seed, path)
             if not counter.is_universal(TAG_INTEGER, False):
-                ctx.add(malformed, counter, path, "pgenCounter must be an INTEGER")
+                ctx.add(_MALFORMED_PARAMS, counter, path, "pgenCounter must be an INTEGER")
             else:
                 ctx.decode(decode_integer, counter, path)
     if rest:
-        ctx.add(malformed, rest[0], path, f"unexpected field {rest[0].describe_tag()} in domain parameters")
+        ctx.add(_MALFORMED_PARAMS, rest[0], path, f"unexpected field {rest[0].describe_tag()} in domain parameters")
 
 
 def _check_pss_params(params: TlvNode, ctx: WalkContext, path: str) -> None:
@@ -261,33 +265,32 @@ def _check_pss_params(params: TlvNode, ctx: WalkContext, path: str) -> None:
     INTEGERs.  The hash and mask OIDs live in their own registries and
     stay unchecked here.
     """
-    malformed = Code.MALFORMED_PARAMETERS
     if not params.is_universal(TAG_SEQUENCE, True):
-        ctx.add(malformed, params, path, "PSS parameters must be a SEQUENCE")
+        ctx.add(_MALFORMED_PARAMS, params, path, "PSS parameters must be a SEQUENCE")
         return
     last = -1
     for child in params.children:
         if child.tag_class != "context" or child.tag_number > 3 or not child.constructed or len(child.children) != 1:
-            ctx.add(malformed, child, path, f"unexpected field {child.describe_tag()} in PSS parameters")
+            ctx.add(_MALFORMED_PARAMS, child, path, f"unexpected field {child.describe_tag()} in PSS parameters")
             return
         if child.tag_number <= last:
-            ctx.add(malformed, child, path, "PSS parameter fields out of order or repeated")
+            ctx.add(_MALFORMED_PARAMS, child, path, "PSS parameter fields out of order or repeated")
             return
         last = child.tag_number
         inner = child.children[0]
         if child.tag_number in (0, 1):
             algorithm = inner.is_universal(TAG_SEQUENCE, True) and 1 <= len(inner.children) <= 2
             if not algorithm or not inner.children[0].is_universal(TAG_OID, False):
-                ctx.add(malformed, inner, path, "PSS algorithm slot must hold an AlgorithmIdentifier")
+                ctx.add(_MALFORMED_PARAMS, inner, path, "PSS algorithm slot must hold an AlgorithmIdentifier")
                 return
-            ctx.oid(inner.children[0], path, wrong_oid=malformed)
+            ctx.oid(inner.children[0], path, wrong_oid=_MALFORMED_PARAMS)
         else:
             if not inner.is_universal(TAG_INTEGER, False):
-                ctx.add(malformed, inner, path, "PSS integer slot must hold an INTEGER")
+                ctx.add(_MALFORMED_PARAMS, inner, path, "PSS integer slot must hold an INTEGER")
                 return
             value = ctx.decode(decode_integer, inner, path)
             if value is not None and value < 0:
-                ctx.add(malformed, inner, path, f"negative PSS parameter {value}")
+                ctx.add(_MALFORMED_PARAMS, inner, path, f"negative PSS parameter {value}")
 
 
 # --- subject public key info -------------------------------------------------
@@ -299,11 +302,11 @@ def parse_spki(
     path: str = "tbsCertificate.subjectPublicKeyInfo",
 ) -> SpkiInfo | None:
     what = "subjectPublicKeyInfo must be a SEQUENCE"
-    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, what):
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, True, path, what):
         return None
     out = SpkiInfo()
     if len(node.children) != 2:
-        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"subjectPublicKeyInfo with {len(node.children)} fields")
+        ctx.add(_MISMATCH, node, path, f"subjectPublicKeyInfo with {len(node.children)} fields")
         return out
     alg_node, key_node = node.children
     out.algorithm = parse_algorithm_identifier(alg_node, "spki", ctx, f"{path}.algorithm")
@@ -329,7 +332,7 @@ def _bit_string_octets(node: TlvNode, ctx: WalkContext, path: str, slot: str, no
     returned.
     """
     what = f"{slot} must be a primitive BIT STRING"
-    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_BIT_STRING, False, path, what):
+    if not ctx.expect(_MISMATCH, node, TAG_BIT_STRING, False, path, what):
         return None
     bs = ctx.decode(decode_bit_string, node, path)
     if bs is None:
@@ -360,7 +363,6 @@ def _check_key_bits(
     ctx: WalkContext,
     path: str,
 ) -> None:
-    malformed = Code.MALFORMED_PUBLIC_KEY
     if grammar == "ec-point":
         # The point starts after the BIT STRING's unused-bits octet.
         point_offset = key_node.content_offset + 1
@@ -371,36 +373,36 @@ def _check_key_bits(
         elif first in (0x02, 0x03):
             expect = None if width is None else 1 + width
         else:
-            ctx.add(malformed, point_offset, path, f"unknown point form 0x{first:02x}")
+            ctx.add(_MALFORMED_KEY, point_offset, path, f"unknown point form 0x{first:02x}")
             return
         if expect is not None and len(bits) != expect:
             ctx.add(
-                malformed,
+                _MALFORMED_KEY,
                 point_offset,
                 path,
                 f"point of {len(bits)} octets, form 0x{first:02x} on this curve takes {expect}",
             )
         return
 
-    root = ctx.payload(key_node, 1, path, malformed)
+    root = ctx.payload(key_node, 1, path, _MALFORMED_KEY)
     if root is None:
         return
 
     if grammar == "rsa-key":
         if not root.is_universal(TAG_SEQUENCE, True) or len(root.children) != 2:
-            ctx.add(malformed, root, path, "key must be a SEQUENCE of modulus and exponent")
+            ctx.add(_MALFORMED_KEY, root, path, "key must be a SEQUENCE of modulus and exponent")
             return
-        _positive_integer(root.children[0], "modulus", malformed, ctx, path)
-        _positive_integer(root.children[1], "exponent", malformed, ctx, path)
+        _positive_integer(root.children[0], "modulus", _MALFORMED_KEY, ctx, path)
+        _positive_integer(root.children[1], "exponent", _MALFORMED_KEY, ctx, path)
         return
 
     if grammar == "integer-key":
-        _positive_integer(root, "public value", malformed, ctx, path)
+        _positive_integer(root, "public value", _MALFORMED_KEY, ctx, path)
         return
 
     if grammar == "octet-key":
         what = "key must be an OCTET STRING"
-        if ctx.expect(malformed, root, TAG_OCTET_STRING, False, path, what) and root.content_length == 0:
+        if ctx.expect(_MALFORMED_KEY, root, TAG_OCTET_STRING, False, path, what) and root.content_length == 0:
             ctx.add(Code.EMPTY_VALUE_FIELD, root, path, "empty key octets")
         return
 
@@ -423,15 +425,14 @@ def parse_signature_value(
     if grammar in (None, "opaque"):
         return
 
-    malformed = Code.MALFORMED_SIGNATURE_STRUCTURE
-    root = ctx.payload(node, 1, path, malformed)
+    root = ctx.payload(node, 1, path, _MALFORMED_SIG)
     if root is None:
         return
     if not root.is_universal(TAG_SEQUENCE, True) or len(root.children) != 2:
-        ctx.add(malformed, root, path, "signature must be a SEQUENCE of two INTEGERs")
+        ctx.add(_MALFORMED_SIG, root, path, "signature must be a SEQUENCE of two INTEGERs")
         return
     for what, part in zip(("r", "s"), root.children):
-        _positive_integer(part, what, malformed, ctx, path)
+        _positive_integer(part, what, _MALFORMED_SIG, ctx, path)
 
 
 # --- tbsCertificate ----------------------------------------------------------
@@ -440,10 +441,10 @@ def parse_signature_value(
 def _parse_version(node: TlvNode, tbs: ParsedTbs, ctx: WalkContext) -> None:
     path = "tbsCertificate.version"
     if not node.constructed or len(node.children) != 1:
-        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, "version wrapper must hold one INTEGER")
+        ctx.add(_MISMATCH, node, path, "version wrapper must hold one INTEGER")
         return
     inner = node.children[0]
-    if not ctx.expect(Code.STRUCTURAL_MISMATCH, inner, TAG_INTEGER, False, path, "version must be an INTEGER"):
+    if not ctx.expect(_MISMATCH, inner, TAG_INTEGER, False, path, "version must be an INTEGER"):
         return
     value = ctx.decode(decode_integer, inner, path)
     if value is None:
@@ -451,19 +452,19 @@ def _parse_version(node: TlvNode, tbs: ParsedTbs, ctx: WalkContext) -> None:
     if value == 0:
         ctx.add(Code.DEFAULT_VALUE_ENCODED, node, path, "version 1 is the default and must be left implicit")
     elif value not in (1, 2):
-        ctx.add(Code.STRUCTURAL_MISMATCH, inner, path, f"version value {value} out of range")
+        ctx.add(_MISMATCH, inner, path, f"version value {value} out of range")
     tbs.version = value
 
 
 def _parse_validity(node: TlvNode, ctx: WalkContext) -> None:
     path = "tbsCertificate.validity"
     if len(node.children) != 2:
-        ctx.add(Code.STRUCTURAL_MISMATCH, node, path, f"validity with {len(node.children)} fields")
+        ctx.add(_MISMATCH, node, path, f"validity with {len(node.children)} fields")
         return
     for label, child in zip(("notBefore", "notAfter"), node.children):
         sub = f"{path}.{label}"
         if not (child.is_universal(TAG_UTC_TIME, False) or child.is_universal(TAG_GENERALIZED_TIME, False)):
-            ctx.add(Code.STRUCTURAL_MISMATCH, child, sub, f"{label} must be a time, found {child.describe_tag()}")
+            ctx.add(_MISMATCH, child, sub, f"{label} must be a time, found {child.describe_tag()}")
             continue
         ctx.decode(validate_time, child, sub)
 
@@ -471,7 +472,7 @@ def _parse_validity(node: TlvNode, ctx: WalkContext) -> None:
 def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
     path = "tbsCertificate"
     tbs = ParsedTbs()
-    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, "tbsCertificate must be a SEQUENCE"):
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, True, path, "tbsCertificate must be a SEQUENCE"):
         raise _Abort
     kids = node.children
     idx = 0
@@ -484,7 +485,7 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
         nonlocal idx
         if idx >= len(kids):
             end = node.content_offset + node.content_length
-            ctx.add(Code.STRUCTURAL_MISMATCH, end, path, f"tbsCertificate ends before {label}")
+            ctx.add(_MISMATCH, end, path, f"tbsCertificate ends before {label}")
             raise _Abort
         got = kids[idx]
         idx += 1
@@ -492,7 +493,7 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
 
     serial_node = need("serialNumber")
     sub = f"{path}.serialNumber"
-    if ctx.expect(Code.STRUCTURAL_MISMATCH, serial_node, TAG_INTEGER, False, sub, "serialNumber must be an INTEGER"):
+    if ctx.expect(_MISMATCH, serial_node, TAG_INTEGER, False, sub, "serialNumber must be an INTEGER"):
         serial = ctx.decode(decode_integer, serial_node, sub)
         if serial is not None and serial <= 0:
             ctx.add(Code.NON_POSITIVE_SERIAL, serial_node, sub, f"serial number {serial}")
@@ -505,7 +506,7 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
 
     validity_node = need("validity")
     what = "validity must be a SEQUENCE"
-    if ctx.expect(Code.STRUCTURAL_MISMATCH, validity_node, TAG_SEQUENCE, True, f"{path}.validity", what):
+    if ctx.expect(_MISMATCH, validity_node, TAG_SEQUENCE, True, f"{path}.validity", what):
         _parse_validity(validity_node, ctx)
 
     subject_node = need("subject")
@@ -521,7 +522,7 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
             tbs.has_unique_id = True
             sub = f"{path}.{label}"
             if uid.constructed:
-                ctx.add(Code.STRUCTURAL_MISMATCH, uid, sub, f"{label} must be primitive")
+                ctx.add(_MISMATCH, uid, sub, f"{label} must be primitive")
                 continue
             ctx.decode(decode_bit_string, uid, sub)
 
@@ -530,13 +531,13 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
         idx += 1
         tbs.extensions_present = True
         if not wrapper.constructed:
-            ctx.add(Code.STRUCTURAL_MISMATCH, wrapper, f"{path}.extensions", "extensions wrapper must be constructed")
+            ctx.add(_MISMATCH, wrapper, f"{path}.extensions", "extensions wrapper must be constructed")
         else:
             tbs.extensions = parse_extensions(wrapper, ctx)
 
     if idx < len(kids):
         extra = kids[idx]
-        ctx.add(Code.STRUCTURAL_MISMATCH, extra, path, f"unexpected field {extra.describe_tag()} after position {idx}")
+        ctx.add(_MISMATCH, extra, path, f"unexpected field {extra.describe_tag()} after position {idx}")
 
     return tbs
 
@@ -561,11 +562,11 @@ def parse_certificate(data: bytes | bytearray | memoryview, registry: Registry |
         return result
 
     what = "certificate must be a SEQUENCE"
-    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, "certificate", what):
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, True, "certificate", what):
         return result
     if len(node.children) != 3:
         ctx.add(
-            Code.STRUCTURAL_MISMATCH, node, "certificate", f"certificate with {len(node.children)} fields, expected 3"
+            _MISMATCH, node, "certificate", f"certificate with {len(node.children)} fields, expected 3"
         )
         return result
 

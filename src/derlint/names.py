@@ -34,6 +34,9 @@ from .values import decode_oid, dotted  # noqa: F401
 if TYPE_CHECKING:
     from .extensions import WalkContext
 
+# The codes an accepted walk passes, bound once: a Code.X read costs over ten global reads (EnumType.__getattr__).
+_MISMATCH, _INVALID_DN = Code.STRUCTURAL_MISMATCH, Code.INVALID_DN
+
 # Universal tags a directory-string attribute may carry.  The full CHOICE
 # includes the three legacy kinds (Teletex, BMP, Universal); only the
 # first two are allowed in new certificates, so the rest trip a
@@ -67,7 +70,7 @@ def parse_name(
     which the certificate walk checks once extensions are known; this
     function just reports emptiness in the returned NameInfo.
     """
-    if not ctx.expect(Code.STRUCTURAL_MISMATCH, node, TAG_SEQUENCE, True, path, "name must be a SEQUENCE"):
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, True, path, "name must be a SEQUENCE"):
         # empty specifically means a SEQUENCE with zero RDNs; a node of
         # the wrong shape is neither empty nor usable.
         return NameInfo(node, empty=False)
@@ -80,7 +83,7 @@ def parse_name(
 
     for i, rdn in enumerate(node.children):
         rdn_path = f"{path}.rdn[{i}]"
-        if ctx.expect(Code.INVALID_DN, rdn, TAG_SET, True, rdn_path, "RDN must be a SET"):
+        if ctx.expect(_INVALID_DN, rdn, TAG_SET, True, rdn_path, "RDN must be a SET"):
             parse_rdn(rdn, ctx, rdn_path)
     return info
 
@@ -91,12 +94,12 @@ def parse_rdn(rdn: TlvNode, ctx: WalkContext, path: str) -> None:
     The caller checks the tag: nameRelativeToCRLIssuer carries an RDN under [1].
     """
     if not rdn.children:
-        ctx.add(Code.INVALID_DN, rdn, path, "empty RDN set")
+        ctx.add(_INVALID_DN, rdn, path, "empty RDN set")
         return
     # SET OF elements must come in ascending encoding order.
     for a, b in zip(rdn.children, rdn.children[1:]):
         if a.raw > b.raw:
-            ctx.add(Code.INVALID_DN, b, path, "SET OF elements out of order")
+            ctx.add(_INVALID_DN, b, path, "SET OF elements out of order")
             break
     for j, atv in enumerate(rdn.children):
         _parse_atv(atv, ctx, f"{path}.attr[{j}]")
@@ -104,13 +107,13 @@ def parse_rdn(rdn: TlvNode, ctx: WalkContext, path: str) -> None:
 
 def _parse_atv(atv: TlvNode, ctx: WalkContext, path: str) -> None:
     if not atv.is_universal(TAG_SEQUENCE, True) or len(atv.children) != 2:
-        ctx.add(Code.INVALID_DN, atv, path, "attribute must be a two-element SEQUENCE")
+        ctx.add(_INVALID_DN, atv, path, "attribute must be a two-element SEQUENCE")
         return
     type_node, value_node = atv.children
     oid_str: str | None = None
-    if ctx.expect(Code.INVALID_DN, type_node, TAG_OID, False, path, "attribute type must be an OID"):
+    if ctx.expect(_INVALID_DN, type_node, TAG_OID, False, path, "attribute type must be an OID"):
         # A malformed type OID makes the whole attribute unusable.
-        oid_str = ctx.oid(type_node, path, wrong_oid=Code.INVALID_DN)
+        oid_str = ctx.oid(type_node, path, wrong_oid=_INVALID_DN)
 
     kind: str | None = None
     if oid_str is not None:

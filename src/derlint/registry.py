@@ -26,9 +26,12 @@ registry, so a verdict depends only on the input octets and the
 registry the caller passes.
 
 by_der starts empty.  The walk adds the DER content octets of an OID it
-has decoded, keyed to the dotted form, when that form is in oids, so
-a registered OID is decoded once per registry and the table never holds
-more than the registry file names.
+has named, keyed to the dotted form, when that form is in oids, so a
+registered OID is decoded once per registry and the table never holds
+more than the registry file names.  An OID not in the table whose
+octets are all ASCII (one whole sub-identifier each, as in the OCSP,
+caIssuers, CPS, serverAuth and clientAuth OIDs) is named from its octets
+without the decoder's arc loop; any other is decoded in full.
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ class Registry:
     by_der: dict[bytes, str] = field(default_factory=dict)
 
     def lookup(self, role: str, oid: str) -> str | None:
-        return self.by_role.get(role, {}).get(oid)
+        table = self.by_role.get(role)
+        return None if table is None else table.get(oid)
 
     def curve_width(self, oid: str) -> int | None:
         name = self.lookup("curve", oid)

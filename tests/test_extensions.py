@@ -6,7 +6,7 @@ import re
 import pytest
 
 from derlint.der import parse_tlv_tree
-from derlint.diagnostics import Code
+from derlint.diagnostics import Code, RecognitionError
 from derlint.extensions import (
     AkiValue,
     BasicConstraintsValue,
@@ -21,7 +21,8 @@ from derlint.extensions import (
     valid_uri,
 )
 from derlint.ingest import lint_bytes
-from derlint.registry import default_registry
+from derlint.registry import Registry, default_registry
+from derlint.values import decode_oid, dotted
 
 from support import certs
 from support import encoder as enc
@@ -717,3 +718,49 @@ class TestUsageRules:
 
     def test_unknown_family_unrestricted(self):
         assert self.run_rules((certs.aki(), certs.key_usage({0})), family=None) == []
+
+
+class TestOidNaming:
+    """WalkContext.oid names all-ASCII content from its octets; every outcome must be decode_oid's."""
+
+    EMPTY = Registry()  # names no OID, so by_der stays empty and every call names its OID afresh
+
+    def outcomes(self, content: bytes):
+        """(decode_oid's outcome, WalkContext.oid's): the dotted text, or the diagnostic's fields."""
+        node = parse_tlv_tree(enc.seq(enc.null(), enc.raw_oid(content))).children[1]
+        try:
+            want = dotted(decode_oid(node))
+        except RecognitionError as err:
+            want = [(err.code, err.offset, "slot", err.message)]
+        ctx = WalkContext(self.EMPTY)
+        got = ctx.oid(node, "slot")
+        return want, [(d.code, d.byte_offset, d.grammar_path, d.message) for d in ctx.diags] if got is None else got
+
+    def test_ascii_contents_named_as_decoded(self):
+        rng = random.Random(0x01D)
+        contents = [bytes([a]) for a in range(128)] + [bytes([a, b]) for a in range(128) for b in range(128)]
+        contents += [bytes(rng.randrange(128) for _ in range(rng.randrange(3, 25))) for _ in range(2000)]
+        for content in contents:
+            want, got = self.outcomes(content)
+            assert isinstance(got, str) and got == want, content.hex()
+
+    def test_other_contents_keep_the_decoder_diagnostic(self):
+        rng = random.Random(0x01E)
+        contents = [
+            b"",  # EMPTY_VALUE_FIELD
+            b"\x80\x01",  # leading 0x80 in the first sub-identifier
+            b"\x2a\x80\x03",  # leading 0x80 in a later one
+            b"\x2a" + enc.encode_base128(1 << 35),  # arc overflow
+            b"\x55\x1d\x83",  # truncated: the last octet continues
+            enc.encode_oid_arcs([1, 2, 840, 113549, 1, 1, 11]),  # well formed, multi-octet arcs
+        ]
+        for _ in range(3000):
+            content = bytearray(rng.randrange(256) for _ in range(rng.randrange(1, 12)))
+            content[rng.randrange(len(content))] |= 0x80
+            contents.append(bytes(content))
+        texts = 0
+        for content in contents:
+            want, got = self.outcomes(content)
+            assert got == want, content.hex()
+            texts += isinstance(got, str)
+        assert 100 < texts < len(contents) - 100
