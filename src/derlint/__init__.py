@@ -35,6 +35,7 @@ from .differential import (
     ChainVerdict,
     CrossTab,
     MissingCaRecord,
+    UnjoinedRecord,
     analyze,
     classify_differential,
     cross_tabulate,
@@ -87,6 +88,7 @@ __all__ = [
     "Severity",
     "SpkiInfo",
     "TlvNode",
+    "UnjoinedRecord",
     "UnmappedMessage",
     "WalkContext",
     "analyze",

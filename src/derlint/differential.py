@@ -19,7 +19,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .diagnostics import Code
 
@@ -32,16 +32,14 @@ RULE_DISTINCT_ERROR = "distinct-error"
 _VALID_LABEL = "valid"
 
 
-@dataclass(frozen=True)
-class ChainOutcomeRecord:
+class ChainOutcomeRecord(NamedTuple):
     chain_id: str
     leaf_cert_id: str
     validator_id: str
     outcome_label: str
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
+class ChainVerdict(NamedTuple):
     chain_id: str
     leaf_cert_id: str
     validator_id: str
@@ -51,11 +49,10 @@ class ChainVerdict:
     parent_label: str | None = None
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class MissingCaRecord:
+class MissingCaRecord(NamedTuple):
     """A multi-segment chain whose parent chain was never measured."""
 
     chain_id: str
@@ -63,8 +60,7 @@ class MissingCaRecord:
     parent_chain_id: str
 
 
-@dataclass(frozen=True)
-class UnjoinedRecord:
+class UnjoinedRecord(NamedTuple):
     """A verdict whose leaf certificate has no report on our side."""
 
     chain_id: str
@@ -98,9 +94,11 @@ def classify_differential(leaf_label: str, parent_label: str | None) -> tuple[st
     return ("invalid", RULE_DISTINCT_ERROR)
 
 
-def _check_chain_id(chain_id: str) -> None:
-    if not chain_id or any(not seg for seg in chain_id.split(">")):
-        raise ValueError(f"malformed chain id {chain_id!r}")
+def _check_chain_id(chain_id: str, row: int | None = None) -> None:
+    """Refuse an empty id or one with an empty segment."""
+    if not chain_id or chain_id[0] == ">" or chain_id[-1] == ">" or ">>" in chain_id:
+        where = "" if row is None else f"row {row}: "
+        raise ValueError(f"{where}malformed chain id {chain_id!r}")
 
 
 def read_records(text: str) -> list[ChainOutcomeRecord]:
@@ -118,11 +116,11 @@ def read_records(text: str) -> list[ChainOutcomeRecord]:
             continue
         if len(row) != len(CSV_COLUMNS):
             raise ValueError(f"row {i}: expected {len(CSV_COLUMNS)} columns, found {len(row)}")
-        record = ChainOutcomeRecord(*(cell.strip() for cell in row))
-        _check_chain_id(record.chain_id)
-        if not record.validator_id or not record.outcome_label:
+        chain_id, leaf_cert_id, validator_id, outcome_label = map(str.strip, row)
+        _check_chain_id(chain_id, i)
+        if not validator_id or not outcome_label:
             raise ValueError(f"row {i}: validator and outcome must be non-empty")
-        records.append(record)
+        records.append(ChainOutcomeRecord(chain_id, leaf_cert_id, validator_id, outcome_label))
     return records
 
 
@@ -134,7 +132,7 @@ class AnalysisResult:
     def to_json_dict(self) -> dict:
         return {
             "verdicts": [v.to_json_dict() for v in self.verdicts],
-            "missing_parent_chains": [dict(vars(m)) for m in self.missing],
+            "missing_parent_chains": [m._asdict() for m in self.missing],
         }
 
 
@@ -145,46 +143,34 @@ def analyze(records: Iterable[ChainOutcomeRecord]) -> AnalysisResult:
     and raise.  An errored chain whose parent chain was not measured
     cannot be classified and is reported as missing instead.
     """
-    by_key: dict[tuple[str, str], ChainOutcomeRecord] = {}
-    for record in records:
-        _check_chain_id(record.chain_id)
-        key = (record.chain_id, record.validator_id)
-        if key in by_key:
-            raise ValueError(f"duplicate outcome for chain {record.chain_id!r} under {record.validator_id!r}")
-        by_key[key] = record
+    # One dict per validator, keyed by chain id: sorting validators, then
+    # chain ids, lists verdicts and missing chains in output order.
+    by_validator: dict[str, dict[str, tuple[str, str]]] = {}
+    for chain_id, leaf_cert_id, validator_id, outcome_label in records:
+        _check_chain_id(chain_id)
+        chains = by_validator.get(validator_id)
+        if chains is None:
+            chains = by_validator[validator_id] = {}
+        if chain_id in chains:
+            raise ValueError(f"duplicate outcome for chain {chain_id!r} under {validator_id!r}")
+        chains[chain_id] = (leaf_cert_id, outcome_label.strip())
 
     result = AnalysisResult()
-    for record in by_key.values():
-        parent_id = parent_chain_id(record.chain_id)
-        parent_label: str | None = None
-        if parent_id is not None:
-            parent = by_key.get((parent_id, record.validator_id))
-            if parent is None:
-                if not is_valid_label(record.outcome_label):
-                    result.missing.append(
-                        MissingCaRecord(
-                            chain_id=record.chain_id,
-                            validator_id=record.validator_id,
-                            parent_chain_id=parent_id,
-                        )
-                    )
-                    continue
+    for validator_id, chains in sorted(by_validator.items()):
+        for chain_id, (leaf_cert_id, leaf_label) in sorted(chains.items()):
+            parent_id = parent_chain_id(chain_id)
+            parent = None if parent_id is None else chains.get(parent_id)
+            if parent is not None:
+                parent_label = parent[1]
+            elif parent_id is not None and not is_valid_label(leaf_label):
+                result.missing.append(MissingCaRecord(chain_id, validator_id, parent_id))
+                continue
             else:
-                parent_label = parent.outcome_label
-        verdict, rule = classify_differential(record.outcome_label, parent_label)
-        result.verdicts.append(
-            ChainVerdict(
-                chain_id=record.chain_id,
-                leaf_cert_id=record.leaf_cert_id,
-                validator_id=record.validator_id,
-                verdict=verdict,
-                rule_applied=rule,
-                leaf_label=record.outcome_label.strip(),
-                parent_label=None if parent_label is None else parent_label.strip(),
+                parent_label = None
+            verdict, rule = classify_differential(leaf_label, parent_label)
+            result.verdicts.append(
+                ChainVerdict(chain_id, leaf_cert_id, validator_id, verdict, rule, leaf_label, parent_label)
             )
-        )
-    result.verdicts.sort(key=lambda v: (v.validator_id, v.chain_id))
-    result.missing.sort(key=lambda m: (m.validator_id, m.chain_id))
     return result
 
 
@@ -206,7 +192,7 @@ class CrossTab:
             },
             "agreements": self.agreements,
             "accepted_here_rejected_there": self.accepted_here_rejected_there,
-            "unjoined": [dict(vars(u)) for u in self.unjoined],
+            "unjoined": [u._asdict() for u in self.unjoined],
         }
 
 
@@ -225,13 +211,7 @@ def cross_tabulate(
     for verdict in verdicts:
         ours = rejecting_codes_by_leaf.get(verdict.leaf_cert_id)
         if ours is None:
-            out.unjoined.append(
-                UnjoinedRecord(
-                    chain_id=verdict.chain_id,
-                    validator_id=verdict.validator_id,
-                    leaf_cert_id=verdict.leaf_cert_id,
-                )
-            )
+            out.unjoined.append(UnjoinedRecord(verdict.chain_id, verdict.validator_id, verdict.leaf_cert_id))
             continue
         we_reject = len(ours) > 0
         they_accept = verdict.verdict == "valid"

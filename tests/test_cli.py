@@ -354,6 +354,55 @@ class TestDiff:
             "",
         )
 
+    def test_text_output_bytes(self, capsys, tmp_path):
+        # Rows out of order, a two-level chain, a padded label, two missing parents and an unjoined leaf.
+        records = tmp_path / "records.csv"
+        records.write_text(
+            CSV_HEADER + "\n"
+            "root,root,openssl,VALID\n"
+            "root>leaf,leaf,openssl,VALID\n"
+            "root>leaf3,leaf3,openssl,Expired\n"
+            "root>ica,ica,gnutls,Bad CA\n"
+            "root>ica>leaf,leaf,gnutls,Bad CA\n"
+            "root>ica>leaf3,leaf3,gnutls, valid \n"
+            "orphan>leaf2,leaf2,gnutls,Expired\n"
+            "root>ghost,ghost,openssl,VALID\n"
+        )
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text(
+            '{"id": "leaf", "diagnostics": [{"code": "TRAILING_BYTES"}, {"code": "NON_MINIMAL_LENGTH"}]}\n'
+            '{"id": "leaf3", "diagnostics": []}\n'
+            '{"id": "root", "diagnostics": []}\n'
+            '{"id": "ica", "diagnostics": [{"code": "TRAILING_BYTES"}]}\n'
+            '{"summary": {"total": 4}}\n'
+        )
+        argv = ["diff", "--report", "text", "--records", str(records), "--reports", str(reports)]
+        assert run(capsys, argv) == (
+            cli.EXIT_OK,
+            "gnutls root>ica>leaf: valid [ca-shadowed] leaf=Bad CA parent=Bad CA\n"
+            "gnutls root>ica>leaf3: valid [leaf-valid] leaf=valid parent=Bad CA\n"
+            "openssl root: valid [leaf-valid] leaf=VALID parent=-\n"
+            "openssl root>ghost: valid [leaf-valid] leaf=VALID parent=VALID\n"
+            "openssl root>leaf: valid [leaf-valid] leaf=VALID parent=VALID\n"
+            "openssl root>leaf3: invalid [distinct-error] leaf=Expired parent=VALID\n"
+            "gnutls orphan>leaf2: unresolved, parent chain orphan not measured\n"
+            "gnutls root>ica: unresolved, parent chain root not measured\n"
+            "gnutls: accepts 1 certificate(s) we reject\n"
+            "    NON_MINIMAL_LENGTH: 1\n"
+            "    TRAILING_BYTES: 1\n"
+            "openssl: accepts 1 certificate(s) we reject\n"
+            "    NON_MINIMAL_LENGTH: 1\n"
+            "    TRAILING_BYTES: 1\n"
+            "agreements: 2, accepted here but rejected there: 1, unjoined: 1\n",
+            "",
+        )
+
+    def test_malformed_chain_id_names_its_row(self, capsys, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_text(CSV_HEADER + "\nroot,root,openssl,VALID\n\nroot>>leaf,leaf,openssl,VALID\n")
+        status, out, err = run(capsys, ["diff", "--records", str(records)])
+        assert (status, out, err) == (cli.EXIT_ERROR, "", "derlint: records: row 4: malformed chain id 'root>>leaf'\n")
+
 
 class TestParser:
     def test_subcommand_required(self, capsys):

@@ -1,5 +1,12 @@
 """Tests for chain outcome records and the differential classifier."""
 
+import csv
+import io
+import itertools
+import json
+import os
+import random
+
 import pytest
 
 from derlint.differential import (
@@ -11,6 +18,7 @@ from derlint.differential import (
     ChainVerdict,
     MissingCaRecord,
     UnjoinedRecord,
+    _check_chain_id,
     analyze,
     classify_differential,
     cross_tabulate,
@@ -125,9 +133,30 @@ class TestReadRecords:
 
     @pytest.mark.parametrize("chain_id", ["", ">leaf", "root>", "root>>leaf"])
     def test_malformed_chain_id(self, chain_id):
-        text = CSV_HEADER + f'\n"{chain_id}",leaf,openssl,VALID\n'
-        with pytest.raises(ValueError, match="chain id"):
+        text = CSV_HEADER + f'\nroot,root,openssl,VALID\n"{chain_id}",leaf,openssl,VALID\n'
+        with pytest.raises(ValueError) as info:
             read_records(text)
+        assert str(info.value) == f"row 3: malformed chain id {chain_id!r}"
+
+    def test_analyze_names_no_row(self):
+        # Hand-built records have no row to name.
+        with pytest.raises(ValueError) as info:
+            analyze([ChainOutcomeRecord("root>>leaf", "leaf", "openssl", "VALID")])
+        assert str(info.value) == "malformed chain id 'root>>leaf'"
+
+
+@pytest.mark.parametrize("length", range(7))
+def test_check_chain_id_exhaustive(length):
+    for chars in itertools.product("a>", repeat=length):
+        chain_id = "".join(chars)
+        refused = "" in chain_id.split(">")
+        try:
+            _check_chain_id(chain_id)
+        except ValueError as exc:
+            assert refused, chain_id
+            assert str(exc) == f"malformed chain id {chain_id!r}"
+        else:
+            assert not refused, chain_id
 
 
 def record(chain_id, label, validator="openssl"):
@@ -309,3 +338,177 @@ class TestLoadReportLines:
         text = '{"id": "x", "diagnostics": []}\n{"id": "x", "diagnostics": []}\n'
         with pytest.raises(ValueError, match="duplicate report id"):
             load_report_lines(text)
+
+
+# --- equivalence with the record-by-record implementation ------------------------
+#
+# reference_analyze and reference_cross_tabulate are analyze and
+# cross_tabulate as they stood when each record was a frozen dataclass: one
+# dict keyed by (chain, validator) in input order, every label stripped
+# where it is read, and the outputs sorted by key afterwards.  Records are
+# plain dicts here, in the field order the JSON output has.
+
+
+def reference_check_chain_id(chain_id):
+    if not chain_id or any(not seg for seg in chain_id.split(">")):
+        raise ValueError(f"malformed chain id {chain_id!r}")
+
+
+def reference_analyze(records):
+    by_key = {}
+    for record in records:
+        reference_check_chain_id(record.chain_id)
+        key = (record.chain_id, record.validator_id)
+        if key in by_key:
+            raise ValueError(f"duplicate outcome for chain {record.chain_id!r} under {record.validator_id!r}")
+        by_key[key] = record
+    verdicts, missing = [], []
+    for record in by_key.values():
+        parent_id = parent_chain_id(record.chain_id)
+        parent_label = None
+        if parent_id is not None:
+            parent = by_key.get((parent_id, record.validator_id))
+            if parent is None:
+                if not is_valid_label(record.outcome_label):
+                    missing.append(
+                        {"chain_id": record.chain_id, "validator_id": record.validator_id, "parent_chain_id": parent_id}
+                    )
+                    continue
+            else:
+                parent_label = parent.outcome_label
+        verdict_label, rule = classify_differential(record.outcome_label, parent_label)
+        verdicts.append(
+            {
+                "chain_id": record.chain_id,
+                "leaf_cert_id": record.leaf_cert_id,
+                "validator_id": record.validator_id,
+                "verdict": verdict_label,
+                "rule_applied": rule,
+                "leaf_label": record.outcome_label.strip(),
+                "parent_label": None if parent_label is None else parent_label.strip(),
+            }
+        )
+    verdicts.sort(key=lambda v: (v["validator_id"], v["chain_id"]))
+    missing.sort(key=lambda m: (m["validator_id"], m["chain_id"]))
+    return {"verdicts": verdicts, "missing_parent_chains": missing}
+
+
+def reference_cross_tabulate(verdicts, rejecting_codes_by_leaf):
+    disagreements, by_code, unjoined = {}, {}, []
+    agreements = accepted_here_rejected_there = 0
+    for v in verdicts:
+        ours = rejecting_codes_by_leaf.get(v["leaf_cert_id"])
+        if ours is None:
+            unjoined.append(
+                {"chain_id": v["chain_id"], "validator_id": v["validator_id"], "leaf_cert_id": v["leaf_cert_id"]}
+            )
+            continue
+        we_reject = len(ours) > 0
+        they_accept = v["verdict"] == "valid"
+        if they_accept and we_reject:
+            disagreements[v["validator_id"]] = disagreements.get(v["validator_id"], 0) + 1
+            per_code = by_code.setdefault(v["validator_id"], {})
+            for code in ours:
+                per_code[code] = per_code.get(code, 0) + 1
+        elif we_reject != they_accept:
+            agreements += 1
+        else:
+            accepted_here_rejected_there += 1
+    unjoined.sort(key=lambda u: (u["validator_id"], u["chain_id"]))
+    return {
+        "disagreements": dict(sorted(disagreements.items())),
+        "by_code": {v: dict(sorted(codes.items())) for v, codes in sorted(by_code.items())},
+        "agreements": agreements,
+        "accepted_here_rejected_there": accepted_here_rejected_there,
+        "unjoined": unjoined,
+    }
+
+
+VALID_SPELLINGS = ("valid", "VALID", " Valid ", "vAlId\t", "  valid")
+ERROR_LABELS = ("Ex", " Ex ", "ex", "Ey", "Ez  ", "bad CA")
+
+
+def seeded_table(seed):
+    """About 2,400 hand-built records over four validators, in shuffled order.
+
+    Chains go up to four segments deep.  Some CA chains are left unmeasured
+    under some validators, so their errored children are orphans; labels
+    are padded and mixed in case; leaf ids with no report are unjoined.
+    """
+    rng = random.Random(seed)
+    chains = [f"r{i}" for i in range(4)]
+    for depth in range(3):
+        chains += [f"{rng.choice(chains)}>n{depth}-{j}" for j in range(12 * (depth + 1))]
+    chains += [f"{rng.choice(chains)}>leaf{j}" for j in range(520)]
+    records = []
+    for validator in ("openssl", "gnutls", "nss", "botan"):
+        for chain in chains:
+            if rng.random() < 0.08:
+                continue
+            label = rng.choice(VALID_SPELLINGS if rng.random() < 0.45 else ERROR_LABELS)
+            leaf = chain.rsplit(">", 1)[-1]
+            records.append(ChainOutcomeRecord(chain, leaf, validator, label))
+    rng.shuffle(records)
+    leaves = {r.leaf_cert_id for r in records}
+    codes = ([], [], ["TRAILING_BYTES"], ["NON_MINIMAL_LENGTH", "TRAILING_BYTES"])
+    reports = {leaf: rng.choice(codes) for leaf in sorted(leaves) if rng.random() < 0.9}
+    return records, reports
+
+
+def assert_same_json(got, expected):
+    # Shows where the texts part: pytest's own diff of texts this long runs for minutes.
+    got, expected = json.dumps(got), json.dumps(expected)
+    if got != expected:
+        at = len(os.path.commonprefix([got, expected]))
+        pytest.fail(f"JSON differs at {at}: {got[at - 60:at + 60]!r} != {expected[at - 60:at + 60]!r}")
+
+
+def first_error(fn, records):
+    try:
+        fn(records)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_hand_built_records(self, seed):
+        records, reports = seeded_table(seed)
+        assert len(records) >= 2000
+        expected = reference_analyze(records)
+        assert expected["missing_parent_chains"] and any(v["parent_label"] for v in expected["verdicts"])
+        result = analyze(records)
+        assert_same_json(result.to_json_dict(), expected)
+        crosstab = reference_cross_tabulate(expected["verdicts"], reports)
+        assert crosstab["unjoined"] and crosstab["disagreements"]
+        assert_same_json(cross_tabulate(result.verdicts, reports).to_json_dict(), crosstab)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_read_from_csv(self, seed):
+        records, reports = seeded_table(seed)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([CSV_COLUMNS, *records])
+        read = read_records(buf.getvalue())
+        assert read == [ChainOutcomeRecord(*(cell.strip() for cell in r)) for r in records]
+        expected = reference_analyze(read)
+        result = analyze(read)
+        assert_same_json(result.to_json_dict(), expected)
+        crosstab = reference_cross_tabulate(expected["verdicts"], reports)
+        assert_same_json(cross_tabulate(result.verdicts, reports).to_json_dict(), crosstab)
+
+    @pytest.mark.parametrize("seed", range(6, 16))
+    def test_same_first_error(self, seed):
+        records, _ = seeded_table(seed)
+        rng = random.Random(seed)
+        bad = list(records)
+        for _ in range(rng.randrange(1, 4)):
+            at = rng.randrange(1, len(bad))
+            if rng.random() < 0.5:
+                twin = rng.choice(bad[:at])
+                bad.insert(at, twin._replace(outcome_label="Ew"))
+            else:
+                bad.insert(at, ChainOutcomeRecord(rng.choice(["", ">x", "r0>", "r0>>x"]), "x", "openssl", "valid"))
+        message = first_error(reference_analyze, bad)
+        assert message is not None
+        assert first_error(analyze, bad) == message
