@@ -138,12 +138,6 @@ class TestReadRecords:
             read_records(text)
         assert str(info.value) == f"row 3: malformed chain id {chain_id!r}"
 
-    def test_analyze_names_no_row(self):
-        # Hand-built records have no row to name.
-        with pytest.raises(ValueError) as info:
-            analyze([ChainOutcomeRecord("root>>leaf", "leaf", "openssl", "VALID")])
-        assert str(info.value) == "malformed chain id 'root>>leaf'"
-
 
 @pytest.mark.parametrize("length", range(7))
 def test_check_chain_id_exhaustive(length):
