@@ -8,60 +8,7 @@ reported as a typed diagnostic with a severity class, and acceptance is
 simply the absence of rejecting diagnostics.
 """
 
-from .der import (
-    CONTENT_MAX,
-    MAX_DEPTH,
-    TlvNode,
-    decode_length,
-    delta_length,
-    parse_tlv_tree,
-    recognize_toy,
-    toy_delta,
-)
-from .diagnostics import (
-    Category,
-    Code,
-    Diagnostic,
-    Histogram,
-    RecognitionError,
-    Severity,
-    UnmappedMessage,
-    classify_external_message,
-    diag,
-)
-from .differential import (
-    AnalysisResult,
-    ChainOutcomeRecord,
-    ChainVerdict,
-    CrossTab,
-    MissingCaRecord,
-    UnjoinedRecord,
-    analyze,
-    classify_differential,
-    cross_tabulate,
-    parent_chain_id,
-    read_records,
-)
-from .extensions import WalkContext
-from .grammar import (
-    AlgorithmId,
-    ParsedCertificate,
-    ParsedTbs,
-    SpkiInfo,
-    parse_algorithm_identifier,
-    parse_certificate,
-)
-from .ingest import (
-    CertificateReport,
-    InputDocument,
-    LintOptions,
-    lint,
-    lint_bytes,
-    load_documents,
-    load_input,
-    run_batch,
-)
-from .registry import Registry, default_registry, load_registry, parse_registry
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -114,3 +61,31 @@ __all__ = [
     "run_batch",
     "toy_delta",
 ]
+
+
+# The module each exported name lives in.  A name is imported on first
+# access (PEP 562), so `derlint diff` loads the analyzer without the lint stack.
+_EXPORTS = {
+    "der": "CONTENT_MAX MAX_DEPTH TlvNode decode_length delta_length parse_tlv_tree recognize_toy toy_delta",
+    "diagnostics": "Category Code Diagnostic Histogram RecognitionError Severity UnmappedMessage "
+    "classify_external_message diag",
+    "differential": "AnalysisResult ChainOutcomeRecord ChainVerdict CrossTab MissingCaRecord UnjoinedRecord analyze "
+    "classify_differential cross_tabulate parent_chain_id read_records",
+    "extensions": "WalkContext",
+    "grammar": "AlgorithmId ParsedCertificate ParsedTbs SpkiInfo parse_algorithm_identifier parse_certificate",
+    "ingest": "CertificateReport InputDocument LintOptions lint lint_bytes load_documents load_input run_batch",
+    "registry": "Registry default_registry load_registry parse_registry",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

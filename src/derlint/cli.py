@@ -14,19 +14,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .der import CONTENT_MAX
 from .differential import analyze, cross_tabulate, load_report_lines, read_records
-from .diagnostics import Histogram
-from .ingest import CertificateReport, LintOptions, lint, load_documents, run_batch
-from .registry import load_registry
 
-# Unused here (stdin goes through load_documents); perfbench's traced run wraps this name.
-from .ingest import load_input  # noqa: F401
+if TYPE_CHECKING:
+    from .ingest import CertificateReport
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_ERROR = 2
+
+# The lint stack is imported only when lint runs, so diff loads just the
+# analyzer.  perfbench's traced run wraps these names here, so each is a
+# module attribute, resolved from ingest on first access.
+_INGEST_NAMES = ("lint", "load_input", "run_batch")
+
+
+def __getattr__(name: str):
+    if name not in _INGEST_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import ingest
+
+    value = globals()[name] = getattr(ingest, name)
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,6 +71,11 @@ def _print_text_report(report: CertificateReport, out) -> None:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    from .diagnostics import Histogram
+    from .ingest import LintOptions, load_documents
+    from .registry import load_registry
+
+    this = sys.modules[__name__]  # run_batch and lint are looked up as module attributes
     registry = None
     if args.registry:
         try:
@@ -78,10 +95,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     )
 
     if args.paths:
-        results = run_batch(args.paths, options)
+        results = this.run_batch(args.paths, options)
     else:
         docs = load_documents(sys.stdin.buffer.read(), "<stdin>", options.fmt)
-        results = (lint(doc, options) for doc in docs)
+        results = (this.lint(doc, options) for doc in docs)
 
     # Each report is printed as soon as it is linted; only the counts are kept.
     histogram = Histogram()
@@ -113,7 +130,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     try:
         with open(args.records, "r", encoding="utf-8") as fh:
-            records = read_records(fh.read())
+            records = read_records(fh)
     except (OSError, ValueError) as exc:
         print(f"derlint: records: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -127,7 +144,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if args.reports:
         try:
             with open(args.reports, "r", encoding="utf-8") as fh:
-                ours = load_report_lines(fh.read())
+                ours = load_report_lines(fh)
         except (OSError, ValueError) as exc:
             print(f"derlint: reports: {exc}", file=sys.stderr)
             return EXIT_ERROR

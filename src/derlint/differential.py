@@ -19,7 +19,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .diagnostics import Code
 
@@ -101,9 +101,9 @@ def _check_chain_id(chain_id: str, row: int | None = None) -> None:
         raise ValueError(f"{where}malformed chain id {chain_id!r}")
 
 
-def read_records(text: str) -> list[ChainOutcomeRecord]:
-    """Parse the outcome table from CSV with a fixed header."""
-    reader = csv.reader(io.StringIO(text))
+def read_records(source: str | TextIO) -> list[ChainOutcomeRecord]:
+    """Parse the outcome table from CSV with a fixed header, from a string or an open text file."""
+    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
     try:
         header = next(reader)
     except StopIteration:
@@ -145,31 +145,38 @@ def analyze(records: Iterable[ChainOutcomeRecord]) -> AnalysisResult:
     """
     # One dict per validator, keyed by chain id: sorting validators, then
     # chain ids, lists verdicts and missing chains in output order.
-    by_validator: dict[str, dict[str, tuple[str, str]]] = {}
+    # Each chain is (leaf id, stripped label, label is valid).
+    by_validator: dict[str, dict[str, tuple[str, str, bool]]] = {}
     for chain_id, leaf_cert_id, validator_id, outcome_label in records:
-        _check_chain_id(chain_id)
+        if not chain_id or chain_id[0] == ">" or chain_id[-1] == ">" or ">>" in chain_id:
+            _check_chain_id(chain_id)
         chains = by_validator.get(validator_id)
         if chains is None:
             chains = by_validator[validator_id] = {}
         if chain_id in chains:
             raise ValueError(f"duplicate outcome for chain {chain_id!r} under {validator_id!r}")
-        chains[chain_id] = (leaf_cert_id, outcome_label.strip())
+        label = outcome_label.strip()
+        chains[chain_id] = (leaf_cert_id, label, label.lower() == _VALID_LABEL)
 
+    # classify_differential and parent_chain_id inlined; TestEquivalence holds this copy to them.
     result = AnalysisResult()
+    verdicts, missing, new = result.verdicts, result.missing, tuple.__new__
     for validator_id, chains in sorted(by_validator.items()):
-        for chain_id, (leaf_cert_id, leaf_label) in sorted(chains.items()):
-            parent_id = parent_chain_id(chain_id)
-            parent = None if parent_id is None else chains.get(parent_id)
-            if parent is not None:
-                parent_label = parent[1]
-            elif parent_id is not None and not is_valid_label(leaf_label):
-                result.missing.append(MissingCaRecord(chain_id, validator_id, parent_id))
+        for chain_id, (leaf_cert_id, leaf_label, leaf_valid) in sorted(chains.items()):
+            parent_id, is_child, _ = chain_id.rpartition(">")
+            parent = chains.get(parent_id)  # a root's parent_id is "", never a chain id
+            parent_label = None if parent is None else parent[1]
+            if leaf_valid:
+                verdict, rule = "valid", RULE_LEAF_VALID
+            elif parent is None and is_child:
+                missing.append(new(MissingCaRecord, (chain_id, validator_id, parent_id)))
                 continue
+            elif parent_label == leaf_label:  # the same error on the parent chain: the CA triggers it
+                verdict, rule = "valid", RULE_CA_SHADOWED
             else:
-                parent_label = None
-            verdict, rule = classify_differential(leaf_label, parent_label)
-            result.verdicts.append(
-                ChainVerdict(chain_id, leaf_cert_id, validator_id, verdict, rule, leaf_label, parent_label)
+                verdict, rule = "invalid", RULE_DISTINCT_ERROR
+            verdicts.append(
+                new(ChainVerdict, (chain_id, leaf_cert_id, validator_id, verdict, rule, leaf_label, parent_label))
             )
     return result
 
@@ -230,15 +237,17 @@ def cross_tabulate(
     return out
 
 
-def load_report_lines(text: str) -> dict[str, list[str]]:
+def load_report_lines(source: str | TextIO) -> dict[str, list[str]]:
     """Read our own JSON Lines lint output into the cross_tabulate shape.
 
-    Returns a map from document id to the rejecting code names of that
-    report.  Lines that are not report objects (the trailing summary
-    line) are skipped.
+    source is the text or an open text file.  Returns a map from document
+    id to the rejecting code names of that report.  Lines that are not
+    report objects (the trailing summary line) are skipped.
     """
+    # Each file line is split again, so lines break where str.splitlines breaks them.
+    chunks = [source] if isinstance(source, str) else source
     out: dict[str, list[str]] = {}
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line_number, line in enumerate((line for chunk in chunks for line in chunk.splitlines()), start=1):
         line = line.strip()
         if not line:
             continue

@@ -403,6 +403,25 @@ class TestDiff:
         status, out, err = run(capsys, ["diff", "--records", str(records)])
         assert (status, out, err) == (cli.EXIT_ERROR, "", "derlint: records: row 4: malformed chain id 'root>>leaf'\n")
 
+    def test_bad_row_far_into_the_table(self, capsys, tmp_path):
+        # The bad row sits well past the first read of the file: no report is half written.
+        rows = [f"root>leaf{i},leaf{i},openssl,VALID" for i in range(3000)]
+        records = tmp_path / "records.csv"
+        records.write_text("\n".join([CSV_HEADER, "root,root,openssl,VALID", *rows, "root>x,x,openssl", *rows[:5]]))
+        assert run(capsys, ["diff", "--records", str(records)]) == (
+            cli.EXIT_ERROR,
+            "",
+            "derlint: records: row 3003: expected 4 columns, found 3\n",
+        )
+
+    def test_bad_report_line_far_into_the_file(self, capsys, tmp_path, records_file):
+        lines = [f'{{"id": "leaf{i}", "diagnostics": []}}' for i in range(3000)]
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text("\n".join([*lines, "{broken", *lines[:5]]) + "\n")
+        status, out, err = run(capsys, ["diff", "--records", str(records_file), "--reports", str(reports)])
+        assert (status, out) == (cli.EXIT_ERROR, "")
+        assert err.startswith("derlint: reports: line 3001: not JSON: ") and err.count("\n") == 1, err
+
 
 class TestParser:
     def test_subcommand_required(self, capsys):

@@ -138,6 +138,18 @@ class TestReadRecords:
             read_records(text)
         assert str(info.value) == f"row 3: malformed chain id {chain_id!r}"
 
+    def test_open_file_reads_as_its_text(self, tmp_path):
+        # CRLF rows, a quoted cell spanning two lines and a blank row: the same records and row numbers.
+        rows = [CSV_HEADER, "root,root,openssl,VALID", '"root>le\naf",leaf,openssl,Ex', "", "root>x,x,openssl,Ey"]
+        path = tmp_path / "records.csv"
+        path.write_bytes("\r\n".join(rows).encode())
+        with open(path, encoding="utf-8") as fh:
+            assert read_records(fh) == read_records(path.read_text(encoding="utf-8"))
+        path.write_bytes("\r\n".join(rows + ["root>y,y,openssl"]).encode())
+        with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as info:
+            read_records(fh)
+        assert str(info.value) == "row 6: expected 4 columns, found 3"
+
 
 @pytest.mark.parametrize("length", range(7))
 def test_check_chain_id_exhaustive(length):
@@ -332,6 +344,22 @@ class TestLoadReportLines:
         text = '{"id": "x", "diagnostics": []}\n{"id": "x", "diagnostics": []}\n'
         with pytest.raises(ValueError, match="duplicate report id"):
             load_report_lines(text)
+
+    @pytest.mark.parametrize("brk", ["\x0c", "\x1e", "\x85", "\u2028"])
+    def test_open_file_splits_lines_as_its_text(self, tmp_path, brk):
+        # str.splitlines also breaks at these, inside a JSON string too; a file read line by line must as well.
+        lines = ['{"id": "a", "diagnostics": []}', '{"id": "b' + brk + '", "diagnostics": []}', '{"summary": {}}']
+        path = tmp_path / "reports.jsonl"
+        path.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(ValueError) as from_text:
+            load_report_lines(path.read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as from_file:
+            load_report_lines(fh)
+        assert str(from_file.value) == str(from_text.value)
+        assert str(from_file.value).startswith("line 2: not JSON: ")
+        path.write_bytes(f"\r\n{lines[0]}{brk}\n{lines[2]}\r\n".encode())
+        with open(path, encoding="utf-8") as fh:
+            assert load_report_lines(fh) == load_report_lines(path.read_text(encoding="utf-8")) == {"a": []}
 
 
 # --- equivalence with the record-by-record implementation ------------------------
