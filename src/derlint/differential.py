@@ -145,8 +145,7 @@ def analyze(records: Iterable[ChainOutcomeRecord]) -> AnalysisResult:
     """
     # One dict per validator, keyed by chain id: sorting validators, then
     # chain ids, lists verdicts and missing chains in output order.
-    # Each chain is (leaf id, stripped label, label is valid).
-    by_validator: dict[str, dict[str, tuple[str, str, bool]]] = {}
+    by_validator: dict[str, dict[str, tuple[str, str]]] = {}
     for chain_id, leaf_cert_id, validator_id, outcome_label in records:
         if not chain_id or chain_id[0] == ">" or chain_id[-1] == ">" or ">>" in chain_id:
             _check_chain_id(chain_id)
@@ -155,18 +154,17 @@ def analyze(records: Iterable[ChainOutcomeRecord]) -> AnalysisResult:
             chains = by_validator[validator_id] = {}
         if chain_id in chains:
             raise ValueError(f"duplicate outcome for chain {chain_id!r} under {validator_id!r}")
-        label = outcome_label.strip()
-        chains[chain_id] = (leaf_cert_id, label, label.lower() == _VALID_LABEL)
+        chains[chain_id] = (leaf_cert_id, outcome_label.strip())
 
     # classify_differential and parent_chain_id inlined; TestEquivalence holds this copy to them.
     result = AnalysisResult()
     verdicts, missing, new = result.verdicts, result.missing, tuple.__new__
     for validator_id, chains in sorted(by_validator.items()):
-        for chain_id, (leaf_cert_id, leaf_label, leaf_valid) in sorted(chains.items()):
+        for chain_id, (leaf_cert_id, leaf_label) in sorted(chains.items()):
             parent_id, is_child, _ = chain_id.rpartition(">")
             parent = chains.get(parent_id)  # a root's parent_id is "", never a chain id
             parent_label = None if parent is None else parent[1]
-            if leaf_valid:
+            if leaf_label.lower() == _VALID_LABEL:
                 verdict, rule = "valid", RULE_LEAF_VALID
             elif parent is None and is_child:
                 missing.append(new(MissingCaRecord, (chain_id, validator_id, parent_id)))
