@@ -138,6 +138,29 @@ class TestReadRecords:
             read_records(text)
         assert str(info.value) == f"row 3: malformed chain id {chain_id!r}"
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "root,root,openssl,VALID",  # no final newline
+            'root,root,openssl,VALID\n"root>le\naf",leaf,openssl,Ex\n\n',
+            "root,root,openssl,VALID\r\nroot>x,x,openssl,Ex\r\n",
+            "root,root,openssl,VA\x0cLID\x85\u2028\n",
+            "root,root,openssl,VALID\rroot>x,x,openssl,Ex\n",
+            'root,root,openssl,"VALID\n',
+        ],
+    )
+    def test_text_reads_as_a_string_io(self, body):
+        # read_records(text) splits its own lines; io.StringIO(text) is how it read a string before.
+        text = CSV_HEADER + "\n" + body
+
+        def outcome(source):
+            try:
+                return read_records(source)
+            except Exception as exc:  # csv.Error is not a ValueError
+                return type(exc), str(exc)
+
+        assert outcome(text) == outcome(io.StringIO(text))
+
     def test_open_file_reads_as_its_text(self, tmp_path):
         # CRLF rows, a quoted cell spanning two lines and a blank row: the same records and row numbers.
         rows = [CSV_HEADER, "root,root,openssl,VALID", '"root>le\naf",leaf,openssl,Ex', "", "root>x,x,openssl,Ey"]
