@@ -150,7 +150,7 @@ class TestReadRecords:
         ],
     )
     def test_text_reads_as_a_string_io(self, body):
-        # read_records(text) splits its own lines; io.StringIO(text) is how it read a string before.
+        # The reference is csv reading io.StringIO(text), which splits a string only after each "\n".
         text = CSV_HEADER + "\n" + body
 
         def outcome(source):
