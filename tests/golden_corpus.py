@@ -31,7 +31,13 @@ catalog in ``support``:
   extensions.py) that no line above reaches, each followed by eight
   seeded one-byte flips inside the replaced field.  test_golden.py
   checks that the corpus runs every ctx.add line and makes every tag
-  check, decoder call, OID read and payload re-entry of the walk fail.
+  check, decoder call, OID read and payload re-entry of the walk fail;
+* a container block, after the reach block: armored texts built from the
+  base, CA and a few planted certificates (one, two and twelve blocks,
+  CRLF, explanatory text, comment lines, a private-key block, and each
+  armor and base64 defect), plus empty and whitespace-only input, each
+  read through load_documents under --format auto and pem, a few under
+  der as well, so the container layer is locked too.
 
 Each document becomes one JSON line, ``[id, outcome, [[code, severity,
 byte_offset, path, message], ...]]``, with no timing.  Regenerate the
@@ -42,12 +48,13 @@ committed file after a deliberate output change with:
 
 from __future__ import annotations
 
+import base64
 import json
 import random
 from dataclasses import replace
 from pathlib import Path
 
-from derlint.ingest import LintOptions, lint_bytes
+from derlint.ingest import LintOptions, lint, lint_bytes, load_documents
 from support import certs
 from support import encoder as enc
 
@@ -610,17 +617,72 @@ def _with_region_flips(rng: random.Random, region_seeds) -> list[tuple[str, byte
     return out
 
 
+def _armor(data: bytes, label: str = "CERTIFICATE", width: int = 64, eol: str = "\n") -> str:
+    body = base64.b64encode(data).decode("ascii")
+    lines = [f"-----BEGIN {label}-----", *(body[i : i + width] for i in range(0, len(body), width))]
+    return eol.join([*lines, f"-----END {label}-----"]) + eol
+
+
+def container_documents() -> list[tuple[str, bytes, tuple[str, ...]]]:
+    """(id, file bytes, formats): armored texts and their defects, each read under every listed format."""
+    base, ca = certs.base_cert(), certs.ca_cert_accepted()
+    fixtures = {f.name: f.data for f in certs.planted_fixtures()}
+    bundle = [base, ca, *(fixtures[n] for n in ("trailing_bytes", "invalid_date", "wrong_oid", "empty_key_usage"))]
+    key = enc.seq(enc.integer(0), enc.seq(enc.oid(certs.OID_RSA_ENC), enc.null()), enc.octet_string(b"\x01" * 32))
+    single = _armor(base)
+    lines = single.splitlines()
+    openssl_text = (
+        "Certificate:\n    Data:\n        Version: 3 (0x2)\n        Serial Number: 1 (0x1)\n"
+        "        Signature Algorithm: sha256WithRSAEncryption\n        Issuer: CN=Example CA\n"
+    )
+    certifi_comments = (
+        "\n# Issuer: CN=Example CA O=Example Org\n# Subject: CN=Example CA O=Example Org\n"
+        '# Label: "Example CA"\n# Serial: 1\n'
+    )
+    texts = {
+        "single": (single, ("auto", "pem", "der")),
+        "single-crlf": (_armor(base, eol="\r\n"), ("auto", "pem")),
+        "two-blocks": (_armor(base) + _armor(ca), ("auto", "pem")),
+        "twelve-blocks": ("".join(_armor(bundle[k % len(bundle)]) for k in range(12)), ("auto", "pem")),
+        "openssl-text": (openssl_text + single, ("auto", "pem", "der")),
+        "certifi-comments": (certifi_comments + single, ("auto", "pem")),
+        "key-before-certificate": (_armor(key, "PRIVATE KEY") + single, ("auto", "pem")),
+        "key-after-certificate": (single + _armor(key, "PRIVATE KEY"), ("auto", "pem")),
+        "no-end-line": ("\n".join(lines[:-1]) + "\n", ("auto", "pem")),
+        "blank-line-inside": ("\n".join([*lines[:3], "", *lines[3:]]) + "\n", ("auto", "pem")),
+        "line-of-76": (_armor(base, width=76), ("auto", "pem")),
+        "begin-inside": ("\n".join([*lines[:3], lines[0], *lines[3:]]) + "\n", ("auto", "pem")),
+        "bad-characters": (f"{lines[0]}\nnot*valid*base64\n{lines[-1]}\n", ("auto", "pem")),
+        "wrong-padding": (f"{lines[0]}\nQUJD0\n{lines[-1]}\n", ("auto", "pem")),
+        "non-canonical": (f"{lines[0]}\nQUJDRB==\n{lines[-1]}\n", ("auto", "pem")),
+        "non-ascii": ("\n".join([lines[0], "\u00e9" + lines[1][1:], *lines[2:]]) + "\n", ("auto", "pem")),
+        "blank-lines-between": (single + "\n \r\n" + _armor(ca) + "\n\n", ("auto", "pem")),
+        "text-after-block": (single + "-- mail signature --\n", ("auto", "pem")),
+        "empty-block": (f"{lines[0]}\n{lines[-1]}\n", ("auto", "pem")),
+        "wrong-end-label": ("\n".join([*lines[:-1], "-----END PRIVATE KEY-----"]) + "\n", ("auto", "pem")),
+        "bad-block-then-good": (f"{lines[0]}\nQUJDRB==\n{lines[-1]}\n" + _armor(ca), ("auto", "pem")),
+        "final-cr": (single.removesuffix("\n") + "\r", ("auto", "pem")),
+        "empty": ("", ("auto", "pem", "der")),
+        "whitespace-only": ("\n \r\n\t\n", ("auto", "pem", "der")),
+    }
+    return [(f"container/{label}", text.encode("utf-8"), formats) for label, (text, formats) in texts.items()]
+
+
+def _line(report) -> str:
+    diagnostics = [
+        [d.code.value, d.severity.value, d.byte_offset, d.grammar_path, d.message] for d in report.diagnostics
+    ]
+    return json.dumps([report.doc_id, report.outcome, diagnostics], separators=(",", ":"))
+
+
 def render() -> str:
     """The golden file's text for the current derlint."""
     options = LintOptions(fmt="der", timing=False)
-    lines = []
-    for doc_id, data in documents():
-        report = lint_bytes(data, doc_id, options)
-        diagnostics = [
-            [d.code.value, d.severity.value, d.byte_offset, d.grammar_path, d.message]
-            for d in report.diagnostics
-        ]
-        lines.append(json.dumps([doc_id, report.outcome, diagnostics], separators=(",", ":")))
+    lines = [_line(lint_bytes(data, doc_id, options)) for doc_id, data in documents()]
+    for doc_id, raw, formats in container_documents():
+        for fmt in formats:
+            options = LintOptions(fmt=fmt, timing=False)
+            lines += [_line(lint(doc, options)) for doc in load_documents(raw, f"{doc_id}/{fmt}", fmt)]
     return "\n".join(lines) + "\n"
 
 

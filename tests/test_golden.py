@@ -115,3 +115,25 @@ def test_corpus_reaches_every_walk_diagnostic():
     assert len(add_sites) > 100 and len(failing_sites) > 80
     missed = sorted(f"{Path(path).name}:{line}" for path, line in (add_sites - ran) | (failing_sites - failed))
     assert not missed, f"diagnostic sites no golden document reaches: {missed}"
+
+
+# Every container diagnostic ingest.py can give, as (code, message prefix).
+CONTAINER_MESSAGES = (
+    ("UNRECOGNIZED_FORMAT", "input is neither armored text nor a DER SEQUENCE"),
+    ("UNRECOGNIZED_FORMAT", "unsupported armor label "),
+    ("BAD_PEM_ARMOR", "armored input must be ASCII"),
+    ("BAD_PEM_ARMOR", "no armored block found"),
+    ("BAD_PEM_ARMOR", "text outside an armored block: "),
+    ("BAD_PEM_ARMOR", "unexpected armor line "),
+    ("BAD_PEM_ARMOR", "blank line inside an armored block (line "),
+    ("BAD_PEM_ARMOR", "body line of "),
+    ("BAD_PEM_ARMOR", "armored block never closed"),
+    ("BAD_BASE64", "base64 body rejected: "),
+    ("BAD_BASE64", "base64 body is not canonical"),
+)
+
+
+def test_container_diagnostics_are_locked():
+    container = {(d[0], d[4]) for d in _golden_diagnostics() if d[3] == "container"}
+    for code, prefix in CONTAINER_MESSAGES:
+        assert any(c == code and m.startswith(prefix) for c, m in container), (code, prefix)
