@@ -76,61 +76,50 @@ def _armor_error(code: Code, message: str, line: int | None = None) -> Diagnosti
     return diag(code, path="container", message=f"{message} ({where})" if where else message)
 
 
+def _decode_block(body: list[str]) -> bytes | Diagnostic:
+    """The bytes of one armored block's body lines, or the BAD_BASE64 diagnostic."""
+    joined = "".join(body)
+    try:
+        decoded = base64.b64decode(joined, validate=True)
+    except (binascii.Error, ValueError) as exc:
+        return _armor_error(Code.BAD_BASE64, f"base64 body rejected: {exc}")
+    if base64.b64encode(decoded).decode("ascii") != joined:
+        return _armor_error(Code.BAD_BASE64, "base64 body is not canonical")
+    return decoded
+
+
 def _split_pem(text: str) -> list[bytes | Diagnostic]:
     """Split armored text into decoded blocks, in order of appearance.
 
     Each element is either the decoded bytes of one block or the
-    diagnostic that block (or the surrounding layout) produced.
+    diagnostic that block (or the surrounding layout) produced.  A layout
+    error ends the list.
     """
     out: list[bytes | Diagnostic] = []
+    body: list[str] | None = None  # the open block's lines; None outside a block
     # A final newline ends the last line; it does not open a blank one.
-    lines = text.removesuffix("\n").split("\n")
-    i = 0
-    n = len(lines)
-    while i < n:
-        line = lines[i].rstrip("\r")
-        if line.strip() == "":
-            i += 1
-            continue
-        if not line.startswith(_BEGIN_PREFIX):
-            out.append(_armor_error(Code.BAD_PEM_ARMOR, f"text outside an armored block: {line[:40]!r}", i + 1))
-            return out
-        if line != _BEGIN:
-            out.append(_armor_error(Code.UNRECOGNIZED_FORMAT, f"unsupported armor label {line!r}", i + 1))
-            return out
-        i += 1
-        body: list[str] = []
-        closed = False
-        while i < n:
-            line = lines[i].rstrip("\r")
-            if line == _END:
-                closed = True
-                i += 1
-                break
-            if line.startswith("-----"):
-                out.append(_armor_error(Code.BAD_PEM_ARMOR, f"unexpected armor line {line!r}", i + 1))
-                return out
-            if line.strip() == "":
-                out.append(_armor_error(Code.BAD_PEM_ARMOR, "blank line inside an armored block", i + 1))
-                return out
-            if len(line) > _MAX_LINE:
-                out.append(_armor_error(Code.BAD_PEM_ARMOR, f"body line of {len(line)} columns", i + 1))
-                return out
+    for number, line in enumerate(text.removesuffix("\n").split("\n"), 1):
+        line = line.rstrip("\r")
+        if body is None:
+            if line == _BEGIN:
+                body = []
+            elif line.startswith(_BEGIN_PREFIX):
+                return [*out, _armor_error(Code.UNRECOGNIZED_FORMAT, f"unsupported armor label {line!r}", number)]
+            elif line.strip():
+                return [*out, _armor_error(Code.BAD_PEM_ARMOR, f"text outside an armored block: {line[:40]!r}", number)]
+        elif line == _END:
+            out.append(_decode_block(body))
+            body = None
+        elif line.startswith("-----"):
+            return [*out, _armor_error(Code.BAD_PEM_ARMOR, f"unexpected armor line {line!r}", number)]
+        elif not line.strip():
+            return [*out, _armor_error(Code.BAD_PEM_ARMOR, "blank line inside an armored block", number)]
+        elif len(line) > _MAX_LINE:
+            return [*out, _armor_error(Code.BAD_PEM_ARMOR, f"body line of {len(line)} columns", number)]
+        else:
             body.append(line)
-            i += 1
-        if not closed:
-            out.append(_armor_error(Code.BAD_PEM_ARMOR, "armored block never closed"))
-            return out
-        joined = "".join(body)
-        try:
-            decoded = base64.b64decode(joined, validate=True)
-        except (binascii.Error, ValueError) as exc:
-            out.append(_armor_error(Code.BAD_BASE64, f"base64 body rejected: {exc}"))
-            continue
-        if base64.b64encode(decoded).decode("ascii") != joined:
-            out.append(_armor_error(Code.BAD_BASE64, "base64 body is not canonical"))
-            continue
-        out.append(decoded)
+    if body is not None:
+        out.append(_armor_error(Code.BAD_PEM_ARMOR, "armored block never closed"))
     return out
 
 
