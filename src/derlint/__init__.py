@@ -12,59 +12,9 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgorithmId",
-    "AnalysisResult",
-    "Category",
-    "CertificateReport",
-    "ChainOutcomeRecord",
-    "ChainVerdict",
-    "Code",
-    "CONTENT_MAX",
-    "CrossTab",
-    "Diagnostic",
-    "Histogram",
-    "InputDocument",
-    "LintOptions",
-    "MAX_DEPTH",
-    "MissingCaRecord",
-    "ParsedCertificate",
-    "ParsedTbs",
-    "RecognitionError",
-    "Registry",
-    "Severity",
-    "SpkiInfo",
-    "TlvNode",
-    "UnjoinedRecord",
-    "UnmappedMessage",
-    "WalkContext",
-    "analyze",
-    "classify_differential",
-    "classify_external_message",
-    "cross_tabulate",
-    "decode_length",
-    "default_registry",
-    "delta_length",
-    "diag",
-    "lint",
-    "lint_bytes",
-    "load_documents",
-    "load_input",
-    "load_registry",
-    "parent_chain_id",
-    "parse_algorithm_identifier",
-    "parse_certificate",
-    "parse_registry",
-    "parse_tlv_tree",
-    "read_records",
-    "recognize_toy",
-    "run_batch",
-    "toy_delta",
-]
-
-
-# The module each exported name lives in.  A name is imported on first
-# access (PEP 562), so `derlint diff` loads the analyzer without the lint stack.
+# The export list: each exported name, by the module it lives in.  A name is
+# imported on first access (PEP 562), so `derlint diff` loads the analyzer
+# without the lint stack.
 _EXPORTS = {
     "der": "CONTENT_MAX MAX_DEPTH TlvNode decode_length delta_length parse_tlv_tree recognize_toy toy_delta",
     "diagnostics": "Category Code Diagnostic Histogram RecognitionError Severity UnmappedMessage "
@@ -77,6 +27,7 @@ _EXPORTS = {
     "registry": "Registry default_registry load_registry parse_registry",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

