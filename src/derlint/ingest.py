@@ -202,26 +202,35 @@ def lint_bytes(data: bytes, doc_id: str = "<input>", options: LintOptions | None
     return lint(load_input(data, doc_id, options.fmt), options)
 
 
-def _collect_paths(inputs: list[str]) -> list[str]:
-    files: list[str] = []
+def _collect_paths(inputs: list[str]) -> list[tuple[str, str | None]]:
+    """Every file under the inputs with None, and every directory that cannot be listed with its error, by path."""
+    found: list[tuple[str, str | None]] = []
+
+    def unlistable(err: OSError) -> None:
+        found.append((err.filename, str(err)))
+
     for item in inputs:
         if os.path.isdir(item):
-            for dirpath, _, filenames in os.walk(item):
-                files.extend(os.path.join(dirpath, name) for name in filenames)
+            for dirpath, _, filenames in os.walk(item, onerror=unlistable):
+                found.extend((os.path.join(dirpath, name), None) for name in filenames)
         else:
-            files.append(item)
-    return sorted(files)
+            found.append((item, None))
+    return sorted(found, key=lambda entry: entry[0])
 
 
 def run_batch(inputs: list[str], options: LintOptions | None = None) -> Iterator[CertificateReport | tuple[str, str]]:
     """Lint every file under the given paths, one file at a time.
 
     Yields reports in path order, and the documents of a multi-block PEM
-    file in block order.  A file that is missing or cannot be read
-    yields (path, message) in its place; it never aborts the batch.
+    file in block order.  A file that is missing or cannot be read, or a
+    directory that cannot be listed, yields (path, message) in its place;
+    it never aborts the batch.
     """
     options = options or LintOptions()
-    for path in _collect_paths(inputs):
+    for path, error in _collect_paths(inputs):
+        if error is not None:
+            yield path, error
+            continue
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()

@@ -106,6 +106,26 @@ class TestLint:
         assert report["id"] == str(good_file) and report["outcome"] == "accepted"
         assert summary["summary"]["total"] == 1
 
+    def test_unlistable_directory_is_io_error(self, capsys, tmp_path, good_file, monkeypatch):
+        # The tests run as root, so chmod cannot make a directory unlistable; os.walk lists through os.scandir.
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "hidden.der").write_bytes(certs.base_cert())
+        denied = PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(sub))
+        real_scandir = os.scandir
+
+        def scandir(path="."):
+            if os.fspath(path) == str(sub):
+                raise denied
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        status, out, err = run(capsys, ["lint", str(tmp_path)])
+        assert status == cli.EXIT_ERROR
+        assert err == f"derlint: {sub}: {denied}\n"
+        report, summary = json_lines(out)
+        assert report["id"] == str(good_file) and summary["summary"]["total"] == 1
+
     def test_text_report(self, capsys, bad_file):
         status, out, _ = run(capsys, ["lint", "--report", "text", str(bad_file)])
         assert status == cli.EXIT_REJECTED

@@ -1,6 +1,8 @@
 """Input handling: armored text, format detection, batch runs."""
 
 import base64
+import errno
+import os
 import textwrap
 
 import pytest
@@ -241,3 +243,26 @@ class TestBatch:
         # b is opened only when its report is asked for.
         b.unlink()
         assert list(results) == [(str(b), "no such file or directory")]
+
+    def test_unlistable_directory_recorded_in_path_order(self, tmp_path, monkeypatch):
+        # The tests run as root, so chmod cannot make a directory unlistable; os.walk lists through os.scandir.
+        root = self.write_tree(tmp_path)
+        (root / "z.der").write_bytes(certs.base_cert())
+        unlistable = set()
+        real_scandir = os.scandir
+
+        def scandir(path="."):
+            if os.fspath(path) in unlistable:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        denied = f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: "
+        sub = str(root / "sub")
+        unlistable.add(sub)
+        results = [r if isinstance(r, tuple) else r.doc_id for r in run_batch([str(root)])]
+        assert results == [str(root / "bad.der"), str(root / "good.der"), (sub, f"{denied}{sub!r}"), str(root / "z.der")]
+        # The top directory itself.
+        unlistable.clear()
+        unlistable.add(str(root))
+        assert list(run_batch([str(root)])) == [(str(root), f"{denied}{str(root)!r}")]
