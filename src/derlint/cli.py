@@ -5,7 +5,8 @@ writes one report per certificate, diff analyzes a table of external
 chain validation outcomes and optionally joins it against lint output.
 
 Exit status for lint: 0 when every certificate was accepted, 1 when any
-was rejected, 2 for usage problems or files that could not be read.
+was rejected, 2 for usage problems, files that could not be read or
+directories that could not be listed.
 diff exits 0 on success and 2 on bad input.
 """
 

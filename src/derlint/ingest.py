@@ -10,7 +10,6 @@ mixed directory never aborts on one bad file.
 from __future__ import annotations
 
 import base64
-import binascii
 import hashlib
 import os
 import time
@@ -81,7 +80,7 @@ def _decode_block(body: list[str]) -> bytes | Diagnostic:
     joined = "".join(body)
     try:
         decoded = base64.b64decode(joined, validate=True)
-    except (binascii.Error, ValueError) as exc:
+    except ValueError as exc:  # binascii.Error is a ValueError
         return _armor_error(Code.BAD_BASE64, f"base64 body rejected: {exc}")
     if base64.b64encode(decoded).decode("ascii") != joined:
         return _armor_error(Code.BAD_BASE64, "base64 body is not canonical")
