@@ -148,32 +148,44 @@ def decode_length(state: LengthAutomatonState) -> int:
 
 
 _TAG_CLASSES = ("universal", "application", "context", "private")
-# (class, constructed, number) of each one-octet identifier; None marks the high-tag-number escape.
-_LOW_TAGS = [None if b & 0x1F == 0x1F else (_TAG_CLASSES[b >> 6], b & 0x20 != 0, b & 0x1F) for b in range(256)]
 
 
 class TlvNode:
     """One element of the parsed tree, with exact offsets into buffer.
 
+    tag is the identifier octet (X.690 8.1.2): class in its top two bits,
+    0x20 for constructed, and the tag number in the low five, so a
+    universal primitive tag equals its number and a SEQUENCE is 0x30.  A
+    high-form number n is stored as (n << 8) | first octet, which never
+    equals a one-octet tag.  tag_class, constructed and tag_number are read
+    from it, for describe_tag and the tests.
+
     For a constructed node the children tile [content_offset,
-    content_offset + content_length) exactly, in input order; a primitive
-    node's children is an empty list.  content and raw are slices of
+    content_offset + content_length) exactly, in input order; every
+    primitive node shares one empty tuple.  content and raw are slices of
     buffer made on demand.  Nodes are built only by parse_tlv_tree, which
     stores the slots itself; there is no public constructor.
     """
 
-    __slots__ = (
-        "tag_class", "constructed", "tag_number", "header_offset",
-        "content_offset", "content_length", "children", "buffer",
-    )
-    tag_class: str
-    constructed: bool
-    tag_number: int
+    __slots__ = ("tag", "header_offset", "content_offset", "content_length", "children", "buffer")
+    tag: int
     header_offset: int
     content_offset: int
     content_length: int
-    children: list[TlvNode]
+    children: list[TlvNode] | tuple[()]
     buffer: bytes
+
+    @property
+    def tag_class(self) -> str:
+        return _TAG_CLASSES[self.tag >> 6 & 3]
+
+    @property
+    def constructed(self) -> bool:
+        return bool(self.tag & 0x20)
+
+    @property
+    def tag_number(self) -> int:
+        return self.tag >> 8 if self.tag > 0xFF else self.tag & 0x1F
 
     @property
     def content(self) -> bytes:
@@ -182,14 +194,6 @@ class TlvNode:
     @property
     def raw(self) -> bytes:
         return self.buffer[self.header_offset : self.content_offset + self.content_length]
-
-    def is_universal(self, tag_number: int, constructed: bool | None = None) -> bool:
-        shape_ok = constructed in (None, self.constructed)
-        return shape_ok and self.tag_number == tag_number and self.tag_class == "universal"
-
-    def is_context(self, tag_number: int, constructed: bool | None = None) -> bool:
-        shape_ok = constructed in (None, self.constructed)
-        return shape_ok and self.tag_number == tag_number and self.tag_class == "context"
 
     def describe_tag(self) -> str:
         shape = "constructed" if self.constructed else "primitive"
@@ -203,8 +207,8 @@ def _out_of_bytes(at_input_end: bool, offset: int, what: str) -> RecognitionErro
     return RecognitionError(Code.CHILD_OVERFLOW, offset=offset, message=f"{what} run past parent extent")
 
 
-def _read_identifier(data: bytes, pos: int, limit: int, at_input_end: bool) -> tuple[str, bool, int, int]:
-    """Parse identifier octets starting at pos, bounded by limit.
+def _read_identifier(data: bytes, pos: int, limit: int, at_input_end: bool) -> tuple[int, int]:
+    """Parse identifier octets starting at pos, bounded by limit, into (tag, position after them).
 
     High-tag-number form is decoded here per the encoding rules; whether a
     multi-byte tag is acceptable is the grammar's business, not ours.
@@ -212,11 +216,8 @@ def _read_identifier(data: bytes, pos: int, limit: int, at_input_end: bool) -> t
     if pos >= limit:
         raise _out_of_bytes(at_input_end, pos, "identifier octets")
     b0 = data[pos]
-    tag_class = _TAG_CLASSES[b0 >> 6]
-    constructed = bool(b0 & 0x20)
-    number = b0 & 0x1F
     pos += 1
-    if number == 0x1F:
+    if b0 & 0x1F == 0x1F:
         # High form: base-128 continuation octets.
         number = 0
         first = True
@@ -243,7 +244,8 @@ def _read_identifier(data: bytes, pos: int, limit: int, at_input_end: bool) -> t
                 offset=pos - 1,
                 message=f"tag number {number} encoded in high form",
             )
-    return tag_class, constructed, number, pos
+        return number << 8 | b0, pos
+    return b0, pos
 
 
 def _read_length(data: bytes, pos: int, limit: int, at_input_end: bool) -> tuple[int, int]:
@@ -285,7 +287,6 @@ def parse_tlv_tree(
             offset=start,
             message=f"input of {end - start} bytes exceeds cap {CONTENT_MAX}",
         )
-    low_tags = _LOW_TAGS
     new = object.__new__
     # limit is where the innermost open element ends (the region end at
     # the top level) and kids is its child list; opening an element pushes
@@ -300,7 +301,7 @@ def parse_tlv_tree(
         # Inline header: low tag number and a short, 0x81 or 0x82 length.
         # Anything else, errors included, goes to the octet-at-a-time readers.
         length = -1
-        if pos + 1 < limit and (tag := low_tags[data[pos]]) is not None:
+        if pos + 1 < limit and (tag := data[pos]) & 0x1F != 0x1F:
             first = data[pos + 1]
             if first < 0x80:
                 length = first
@@ -313,11 +314,9 @@ def parse_tlv_tree(
                 if pos + 3 < limit and data[pos + 2]:
                     length = (data[pos + 2] << 8) | data[pos + 3]
                     pos += 4
-        if length >= 0:
-            tag_class, constructed, tag_number = tag
-        else:
+        if length < 0:
             at_input_end = limit == end
-            tag_class, constructed, tag_number, pos = _read_identifier(data, pos, limit, at_input_end)
+            tag, pos = _read_identifier(data, pos, limit, at_input_end)
             length, pos = _read_length(data, pos, limit, at_input_end)
         stop = pos + length
         if stop > limit:
@@ -330,23 +329,23 @@ def parse_tlv_tree(
             )
         # Slots stored inline: a constructor call would cost a Python frame per node.
         node = new(TlvNode)
-        node.tag_class = tag_class
-        node.constructed = constructed
-        node.tag_number = tag_number
+        node.tag = tag
         node.header_offset = header
         node.content_offset = pos
         node.content_length = length
-        node.children = []
         node.buffer = data
         kids.append(node)
-        if constructed:
+        if tag & 0x20:
             if len(outer) >= max_depth:
                 raise RecognitionError(Code.NESTING_TOO_DEEP, offset=header)
+            node.children = []
             if length:
                 outer.append((limit, kids))
                 limit = stop
                 kids = node.children
                 continue
+        else:
+            node.children = ()
         pos = stop
         # Close every element that ends here; the root closing ends the scan.
         while pos == limit and outer:

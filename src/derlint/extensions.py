@@ -87,6 +87,22 @@ _DISPLAY_TEXT_TAGS = frozenset(
     {TAG_IA5_STRING, TAG_VISIBLE_STRING, TAG_BMP_STRING, TAG_UTF8_STRING}
 )
 
+# Context-tagged fields a body may hold, as identifier octets: [n] is 0x80 | n primitive, 0xA0 | n constructed.
+_EITHER_0_TO_2 = frozenset({0x80, 0x81, 0x82, 0xA0, 0xA1, 0xA2})  # the body names a field in the wrong form
+_PRIMITIVE_0_TO_1 = frozenset({0x80, 0x81})
+_CONSTRUCTED_0_TO_1 = frozenset({0xA0, 0xA1})
+# What a field of _EITHER_0_TO_2 in the wrong form is told, by tag number.
+_AKI_WRONG_FORM = (
+    "keyIdentifier must be primitive",
+    "authorityCertIssuer must be constructed",
+    "authorityCertSerialNumber must be primitive",
+)
+_DP_WRONG_FORM = (
+    "distributionPoint name must hold one choice",
+    "reasons must be a primitive BIT STRING",
+    "cRLIssuer must be constructed",
+)
+
 # The codes an accepted walk passes, bound once: a Code.X read costs over ten global reads (EnumType.__getattr__).
 _MISMATCH, _MALFORMED_BODY, _WRONG_EXTN_ID = Code.STRUCTURAL_MISMATCH, Code.MALFORMED_EXTENSION_BODY, Code.WRONG_EXTN_ID
 _WRONG_OID, _EMPTY_NAMES, _EMPTY_ACCESS = Code.WRONG_OID, Code.EMPTY_GENERAL_NAMES, Code.EMPTY_SEQUENCE_IN_INFO_ACCESS
@@ -102,7 +118,7 @@ class WalkContext:
     Every node the walk sees, payload nodes included, carries absolute
     offsets into the whole document, so a diagnostic keeps the offset it
     was found at.  add() is the one way the walk records a diagnostic;
-    expect() records a node whose tag is not the slot's universal tag, and
+    expect() records a node whose tag is not the slot's tag, and
     decode(), oid() and payload() turn a decoder's or a re-entered payload's
     RecognitionError into one.
     """
@@ -118,12 +134,9 @@ class WalkContext:
         offset = at.header_offset if isinstance(at, TlvNode) else at
         self.diags.append(diag(code, path=path, offset=offset, message=message))
 
-    def expect(self, code: Code, node: TlvNode, tag: int, constructed: bool, path: str, what: str) -> bool:
-        """True when node carries the universal tag; otherwise records "{what}, found {its tag}" and returns False.
-
-        The test is node.is_universal(tag, constructed) written out: one call less at most nodes of a walk.
-        """
-        if node.tag_number == tag and node.constructed == constructed and node.tag_class == "universal":
+    def expect(self, code: Code, node: TlvNode, tag: int, path: str, what: str) -> bool:
+        """True when node carries the tag; otherwise records "{what}, found {its tag}" and returns False."""
+        if node.tag == tag:
             return True
         self.add(code, node, path, f"{what}, found {node.describe_tag()}")
         return False
@@ -219,7 +232,7 @@ def parse_extensions(
     decode, are recorded and left out; the rest of the block is still
     examined.
     """
-    if len(wrapper.children) != 1 or not wrapper.children[0].is_universal(TAG_SEQUENCE, True):
+    if len(wrapper.children) != 1 or wrapper.children[0].tag != TAG_SEQUENCE:
         ctx.add(_MISMATCH, wrapper, path, "extensions wrapper must hold exactly one SEQUENCE")
         return None
     seq = wrapper.children[0]
@@ -240,7 +253,7 @@ def parse_extensions(
 
 def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: str) -> tuple[str, ExtensionEntry] | None:
     """(extnID, entry), or None when the entry has the wrong shape or its extnID does not decode."""
-    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, True, path, "extension must be a SEQUENCE"):
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, path, "extension must be a SEQUENCE"):
         return None
     kids = node.children
     if not 2 <= len(kids) <= 3:
@@ -249,14 +262,14 @@ def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: st
 
     oid_str: str | None = None
     id_path = f"{path}.extnID"
-    if ctx.expect(_WRONG_EXTN_ID, kids[0], TAG_OID, False, id_path, "extnID must be an OID"):
+    if ctx.expect(_WRONG_EXTN_ID, kids[0], TAG_OID, id_path, "extnID must be an OID"):
         oid_str = ctx.oid(kids[0], id_path, wrong_oid=_WRONG_EXTN_ID)
 
     critical = False
     value_node = kids[-1]
     if len(kids) == 3:
         sub = f"{path}.critical"
-        if not ctx.expect(_MISMATCH, kids[1], TAG_BOOLEAN, False, sub, "critical must be a BOOLEAN"):
+        if not ctx.expect(_MISMATCH, kids[1], TAG_BOOLEAN, sub, "critical must be a BOOLEAN"):
             return None
         critical = ctx.decode(decode_boolean, kids[1], sub)
         if critical is False:
@@ -264,7 +277,7 @@ def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: st
 
     body_path = f"{path}.extnValue"
     what = "extnValue must be a primitive OCTET STRING"
-    if not ctx.expect(_MISMATCH, value_node, TAG_OCTET_STRING, False, body_path, what):
+    if not ctx.expect(_MISMATCH, value_node, TAG_OCTET_STRING, body_path, what):
         return None
 
     body = None
@@ -277,12 +290,12 @@ def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: st
     return None if oid_str is None else (oid_str, ExtensionEntry(index, bool(critical), node, body))
 
 
-def _expect(ctx: WalkContext, node: TlvNode, tag: int, constructed: bool, what: str, path: str) -> bool:
-    """ctx.expect under MALFORMED_EXTENSION_BODY, its message formatted only when the tag is wrong."""
-    if node.tag_number == tag and node.constructed == constructed and node.tag_class == "universal":
+def _expect(ctx: WalkContext, node: TlvNode, tag: int, what: str, path: str) -> bool:
+    """ctx.expect for a universal tag, under MALFORMED_EXTENSION_BODY and with the tag it expected in the message."""
+    if node.tag == tag:
         return True
-    shape = "constructed" if constructed else "primitive"
-    ctx.add(_MALFORMED_BODY, node, path, f"{what}: expected {shape} tag {tag}, found {node.describe_tag()}")
+    shape = "constructed" if tag & 0x20 else "primitive"
+    ctx.add(_MALFORMED_BODY, node, path, f"{what}: expected {shape} tag {tag & 0x1F}, found {node.describe_tag()}")
     return False
 
 
@@ -290,7 +303,7 @@ def _elements(
     ctx: WalkContext, node: TlvNode, what: str, path: str, on_empty: str, code: Code = _MALFORMED_BODY
 ) -> list[TlvNode] | None:
     """The children of a non-empty SEQUENCE, or None after recording _expect's diagnostic or on_empty."""
-    if not _expect(ctx, node, TAG_SEQUENCE, True, what, path):
+    if not _expect(ctx, node, TAG_SEQUENCE, what, path):
         return None
     if not node.children:
         ctx.add(code, node, path, on_empty)
@@ -298,24 +311,24 @@ def _elements(
     return node.children
 
 
-def _tagged_fields(ctx: WalkContext, fields, what: str, max_tag: int, constructed: bool | None, path: str):
-    """Yield the context-tagged fields [0..max_tag] of what, in ascending tag order.
+def _tagged_fields(ctx: WalkContext, fields, what: str, tags: frozenset[int], path: str):
+    """Yield the context-tagged fields of what, in ascending tag number order.
 
-    A field of another class, with a higher tag, with the wrong constructed
-    bit (constructed=None accepts either) or out of order is recorded, and
-    yields None: the caller stops there.
+    tags holds the identifier octets a field may carry.  A field with
+    another tag, or out of order, is recorded and yields None: the caller
+    stops there.
     """
     last = -1
     for child in fields:
-        if child.tag_class != "context" or child.tag_number > max_tag or constructed not in (None, child.constructed):
+        if child.tag not in tags:
             ctx.add(_MALFORMED_BODY, child, path, f"unexpected field {child.describe_tag()} in {what}")
             yield None
             return
-        if child.tag_number <= last:
+        if child.tag & 0x1F <= last:
             ctx.add(_MALFORMED_BODY, child, path, f"{what} fields out of order or repeated")
             yield None
             return
-        last = child.tag_number
+        last = child.tag & 0x1F
         yield child
 
 
@@ -334,42 +347,35 @@ def _non_negative(ctx: WalkContext, node: TlvNode, path: str, what: str) -> int 
 
 
 def _body_subject_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -> None:
-    if _expect(ctx, root, TAG_OCTET_STRING, False, "subjectKeyIdentifier", path) and root.content_length == 0:
+    if _expect(ctx, root, TAG_OCTET_STRING, "subjectKeyIdentifier", path) and root.content_length == 0:
         ctx.add(Code.EMPTY_VALUE_FIELD, root, path, "empty key identifier")
 
 
 def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -> AkiValue | None:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "authorityKeyIdentifier", path):
+    if not _expect(ctx, root, TAG_SEQUENCE, "authorityKeyIdentifier", path):
         return None
     value = AkiValue()
     has_issuer = has_serial = False
-    for child in _tagged_fields(ctx, root.children, "authorityKeyIdentifier", 2, None, path):
+    for child in _tagged_fields(ctx, root.children, "authorityKeyIdentifier", _EITHER_0_TO_2, path):
         if child is None:
             return value
-        if child.tag_number == 0:
-            if child.constructed:
-                ctx.add(_MALFORMED_BODY, child, path, "keyIdentifier must be primitive")
-                continue
+        if child.tag == 0x80:
             if child.content_length == 0:
                 ctx.add(Code.EMPTY_VALUE_FIELD, child, path, "empty keyIdentifier")
                 continue
             value.key_id = child.content
-        elif child.tag_number == 1:
-            if not child.constructed:
-                ctx.add(_MALFORMED_BODY, child, path, "authorityCertIssuer must be constructed")
-                continue
+        elif child.tag == 0xA1:
             has_issuer = True
             if not child.children:
                 ctx.add(_EMPTY_NAMES, child, path, "empty authorityCertIssuer")
             for gn in child.children:
                 if not _plain_name(gn):
                     parse_general_name(gn, ctx, f"{path}.authorityCertIssuer")
-        else:
-            if child.constructed:
-                ctx.add(_MALFORMED_BODY, child, path, "authorityCertSerialNumber must be primitive")
-                continue
+        elif child.tag == 0x82:
             has_serial = True
             ctx.decode(decode_integer, child, f"{path}.authorityCertSerialNumber")
+        else:
+            ctx.add(_MALFORMED_BODY, child, path, _AKI_WRONG_FORM[child.tag & 0x1F])
     if has_issuer != has_serial:
         ctx.add(
             _MALFORMED_BODY,
@@ -381,7 +387,7 @@ def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -
 
 
 def _body_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> KeyUsageValue | None:
-    if not _expect(ctx, root, TAG_BIT_STRING, False, "keyUsage", path):
+    if not _expect(ctx, root, TAG_BIT_STRING, "keyUsage", path):
         return None
     bs = ctx.decode(decode_bit_string, root, path, named=True)
     if bs is None:
@@ -395,17 +401,17 @@ def _body_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> KeyUsageValue
 
 
 def _body_basic_constraints(root: TlvNode, ctx: WalkContext, path: str) -> BasicConstraintsValue | None:
-    if not _expect(ctx, root, TAG_SEQUENCE, True, "basicConstraints", path):
+    if not _expect(ctx, root, TAG_SEQUENCE, "basicConstraints", path):
         return None
     value = BasicConstraintsValue()
     kids = list(root.children)
-    if kids and kids[0].is_universal(TAG_BOOLEAN, False):
+    if kids and kids[0].tag == TAG_BOOLEAN:
         ca = ctx.decode(decode_boolean, kids[0], f"{path}.cA")
         if ca is False:
             ctx.add(Code.DEFAULT_VALUE_ENCODED, kids[0], f"{path}.cA", "cA FALSE explicitly encoded")
         value.ca = bool(ca)
         kids = kids[1:]
-    if kids and kids[0].is_universal(TAG_INTEGER, False):
+    if kids and kids[0].tag == TAG_INTEGER:
         value.path_len = ctx.decode(decode_integer, kids[0], f"{path}.pathLenConstraint")
         if value.path_len is not None and value.path_len < 0:
             ctx.add(Code.NEGATIVE_PATH_LEN, kids[0], f"{path}.pathLenConstraint", f"pathLenConstraint {value.path_len}")
@@ -425,12 +431,12 @@ def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> No
     infos = _elements(ctx, root, "certificatePolicies", path, "certificatePolicies must name at least one policy")
     for i, pi in enumerate(infos or ()):
         sub = f"{path}.policy[{i}]"
-        if not _expect(ctx, pi, TAG_SEQUENCE, True, "policyInformation", sub):
+        if not _expect(ctx, pi, TAG_SEQUENCE, "policyInformation", sub):
             continue
         if not 1 <= len(pi.children) <= 2:
             ctx.add(_MALFORMED_BODY, pi, sub, "policyInformation with wrong field count")
             continue
-        if not pi.children[0].is_universal(TAG_OID, False):
+        if pi.children[0].tag != TAG_OID:
             ctx.add(_WRONG_OID, pi.children[0], sub, "policyIdentifier must be an OID")
         else:
             policy = ctx.oid(pi.children[0], sub)
@@ -446,9 +452,9 @@ def _parse_policy_qualifiers(node: TlvNode, ctx: WalkContext, path: str) -> None
     qualifiers = _elements(ctx, node, "policyQualifiers", path, "empty policyQualifiers")
     for j, pqi in enumerate(qualifiers or ()):
         sub = f"{path}.qualifier[{j}]"
-        if not _expect(ctx, pqi, TAG_SEQUENCE, True, "policyQualifierInfo", sub):
+        if not _expect(ctx, pqi, TAG_SEQUENCE, "policyQualifierInfo", sub):
             continue
-        if len(pqi.children) != 2 or not pqi.children[0].is_universal(TAG_OID, False):
+        if len(pqi.children) != 2 or pqi.children[0].tag != TAG_OID:
             ctx.add(_MALFORMED_BODY, pqi, sub, "policyQualifierInfo must be (OID, qualifier)")
             continue
         qid = ctx.oid(pqi.children[0], sub)
@@ -456,7 +462,7 @@ def _parse_policy_qualifiers(node: TlvNode, ctx: WalkContext, path: str) -> None
             continue
         qualifier = pqi.children[1]
         if qid == _OID_QT_CPS:
-            if qualifier.is_universal(TAG_IA5_STRING, False):
+            if qualifier.tag == TAG_IA5_STRING:
                 text = ctx.decode(validate_charset, qualifier, sub)
                 if text is not None and not valid_uri(text):
                     ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, qualifier, sub, f"URI without scheme: {text!r}")
@@ -469,22 +475,22 @@ def _parse_policy_qualifiers(node: TlvNode, ctx: WalkContext, path: str) -> None
 
 
 def _parse_user_notice(node: TlvNode, ctx: WalkContext, path: str) -> None:
-    if not _expect(ctx, node, TAG_SEQUENCE, True, "userNotice", path):
+    if not _expect(ctx, node, TAG_SEQUENCE, "userNotice", path):
         return
     kids = list(node.children)
     if len(kids) > 2:
         ctx.add(_MALFORMED_BODY, node, path, "userNotice with too many fields")
         return
-    if kids and kids[0].is_universal(TAG_SEQUENCE, True):
+    if kids and kids[0].tag == TAG_SEQUENCE:
         ref = kids.pop(0)
         if len(ref.children) != 2:
             ctx.add(_MALFORMED_BODY, ref, path, "noticeRef must be (organization, noticeNumbers)")
         else:
             ctx.decode(validate_charset, ref.children[0], path, _DISPLAY_TEXT_TAGS)
             numbers = ref.children[1]
-            if _expect(ctx, numbers, TAG_SEQUENCE, True, "noticeNumbers", path):
+            if _expect(ctx, numbers, TAG_SEQUENCE, "noticeNumbers", path):
                 for n in numbers.children:
-                    if not n.is_universal(TAG_INTEGER, False):
+                    if n.tag != TAG_INTEGER:
                         ctx.add(_MALFORMED_BODY, n, path, "noticeNumbers entry must be an INTEGER")
                         continue
                     ctx.decode(decode_integer, n, path)
@@ -498,7 +504,7 @@ def _body_policy_mappings(root: TlvNode, ctx: WalkContext, path: str) -> None:
     pairs = _elements(ctx, root, "policyMappings", path, "policyMappings must hold at least one mapping")
     for i, pair in enumerate(pairs or ()):
         sub = f"{path}.mapping[{i}]"
-        if not _expect(ctx, pair, TAG_SEQUENCE, True, "policy mapping", sub):
+        if not _expect(ctx, pair, TAG_SEQUENCE, "policy mapping", sub):
             continue
         if len(pair.children) != 2:
             ctx.add(
@@ -506,7 +512,7 @@ def _body_policy_mappings(root: TlvNode, ctx: WalkContext, path: str) -> None:
             )
             continue
         for part in pair.children:
-            if not part.is_universal(TAG_OID, False):
+            if part.tag != TAG_OID:
                 ctx.add(_WRONG_OID, part, sub, "mapping member must be an OID")
                 break
             if ctx.oid(part, sub) is None:
@@ -525,14 +531,14 @@ def _body_subject_directory_attributes(root: TlvNode, ctx: WalkContext, path: st
     attrs = _elements(ctx, root, "subjectDirectoryAttributes", path, empty)
     for i, attr in enumerate(attrs or ()):
         sub = f"{path}.attribute[{i}]"
-        if not _expect(ctx, attr, TAG_SEQUENCE, True, "attribute", sub):
+        if not _expect(ctx, attr, TAG_SEQUENCE, "attribute", sub):
             continue
-        if len(attr.children) != 2 or not attr.children[0].is_universal(TAG_OID, False):
+        if len(attr.children) != 2 or attr.children[0].tag != TAG_OID:
             ctx.add(_MALFORMED_BODY, attr, sub, "attribute must be (OID, SET OF values)")
             continue
         ctx.oid(attr.children[0], sub)
         values = attr.children[1]
-        if not values.is_universal(TAG_SET, True):
+        if values.tag != TAG_SET:
             ctx.add(_MALFORMED_BODY, values, sub, "attribute values must be a SET")
             continue
         if not values.children:
@@ -543,10 +549,10 @@ def _body_subject_directory_attributes(root: TlvNode, ctx: WalkContext, path: st
 def _body_name_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None:
     empty = "nameConstraints with neither permitted nor excluded subtrees"
     fields = _elements(ctx, root, "nameConstraints", path, empty)
-    for child in _tagged_fields(ctx, fields or (), "nameConstraints", 1, True, path):
+    for child in _tagged_fields(ctx, fields or (), "nameConstraints", _CONSTRUCTED_0_TO_1, path):
         if child is None:
             return
-        which = "permittedSubtrees" if child.tag_number == 0 else "excludedSubtrees"
+        which = "permittedSubtrees" if child.tag == 0xA0 else "excludedSubtrees"
         if not child.children:
             ctx.add(_MALFORMED_BODY, child, path, f"empty {which}")
             continue
@@ -559,16 +565,16 @@ def _parse_general_subtree(node: TlvNode, ctx: WalkContext, path: str) -> None:
     if kids is None:
         return
     parse_general_name(kids[0], ctx, path, in_name_constraints=True)
-    for extra in _tagged_fields(ctx, kids[1:], "generalSubtree", 1, False, path):
+    for extra in _tagged_fields(ctx, kids[1:], "generalSubtree", _PRIMITIVE_0_TO_1, path):
         if extra is None:
             return
-        if _non_negative(ctx, extra, path, "subtree bound") == 0 and extra.tag_number == 0:
+        if _non_negative(ctx, extra, path, "subtree bound") == 0 and extra.tag == 0x80:
             ctx.add(Code.DEFAULT_VALUE_ENCODED, extra, path, "minimum 0 explicitly encoded")
 
 
 def _body_policy_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None:
     fields = _elements(ctx, root, "policyConstraints", path, "policyConstraints with no fields")
-    for child in _tagged_fields(ctx, fields or (), "policyConstraints", 1, False, path):
+    for child in _tagged_fields(ctx, fields or (), "policyConstraints", _PRIMITIVE_0_TO_1, path):
         if child is None:
             return
         _non_negative(ctx, child, path, "skipCerts")
@@ -578,7 +584,7 @@ def _body_extended_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> None
     kids = _elements(ctx, root, "extendedKeyUsage", path, "extendedKeyUsage must name at least one purpose")
     for i, child in enumerate(kids or ()):
         sub = f"{path}.purpose[{i}]"
-        if ctx.expect(_WRONG_OID, child, TAG_OID, False, sub, "key purpose must be an OID"):
+        if ctx.expect(_WRONG_OID, child, TAG_OID, sub, "key purpose must be an OID"):
             ctx.oid(child, sub)
 
 
@@ -590,51 +596,40 @@ def _body_crl_distribution_points(root: TlvNode, ctx: WalkContext, path: str) ->
 
 def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> None:
     fields = _elements(ctx, node, "distributionPoint", path, "empty distributionPoint")
-    for child in _tagged_fields(ctx, fields or (), "distributionPoint", 2, None, path):
+    for child in _tagged_fields(ctx, fields or (), "distributionPoint", _EITHER_0_TO_2, path):
         if child is None:
             return
-        if child.tag_number == 0:
-            if not child.constructed or len(child.children) != 1:
-                ctx.add(_MALFORMED_BODY, child, path, "distributionPoint name must hold one choice")
-                continue
+        if child.tag == 0xA0 and len(child.children) == 1:
             choice = child.children[0]
-            if choice.is_context(0, True):
+            if choice.tag == 0xA0:
                 if not choice.children:
                     ctx.add(_EMPTY_NAMES, choice, path, "empty fullName")
                 for k, gn in enumerate(choice.children):
                     if not _plain_name(gn):
                         parse_general_name(gn, ctx, f"{path}.fullName[{k}]")
-            elif choice.is_context(1, True):
+            elif choice.tag == 0xA1:
                 parse_rdn(choice, ctx, f"{path}.nameRelativeToCRLIssuer")
             else:
-                ctx.add(
-                    _MALFORMED_BODY,
-                    choice,
-                    path,
-                    f"unknown distributionPointName choice {choice.describe_tag()}",
-                )
-        elif child.tag_number == 1:
-            if child.constructed:
-                ctx.add(_MALFORMED_BODY, child, path, "reasons must be a primitive BIT STRING")
-                continue
+                message = f"unknown distributionPointName choice {choice.describe_tag()}"
+                ctx.add(_MALFORMED_BODY, choice, path, message)
+        elif child.tag == 0x81:
             bs = ctx.decode(decode_bit_string, child, path, named=True)
             if bs is not None and bs.named_bits and max(bs.named_bits) >= _REASON_FLAG_COUNT:
                 ctx.add(_MALFORMED_BODY, child, path, "reason flag beyond the named range")
-        else:
-            if not child.constructed:
-                ctx.add(_MALFORMED_BODY, child, path, "cRLIssuer must be constructed")
-                continue
+        elif child.tag == 0xA2:
             if not child.children:
                 ctx.add(_EMPTY_NAMES, child, path, "empty cRLIssuer")
             for k, gn in enumerate(child.children):
                 if not _plain_name(gn):
                     parse_general_name(gn, ctx, f"{path}.cRLIssuer[{k}]")
-    if fields is not None and len(fields) == 1 and fields[0].is_context(1):
+        else:
+            ctx.add(_MALFORMED_BODY, child, path, _DP_WRONG_FORM[child.tag & 0x1F])
+    if fields is not None and len(fields) == 1 and fields[0].tag in (0x81, 0xA1):
         ctx.add(_MALFORMED_BODY, node, path, "distributionPoint with only a reasons field")
 
 
 def _body_inhibit_any_policy(root: TlvNode, ctx: WalkContext, path: str) -> None:
-    if _expect(ctx, root, TAG_INTEGER, False, "inhibitAnyPolicy", path):
+    if _expect(ctx, root, TAG_INTEGER, "inhibitAnyPolicy", path):
         _non_negative(ctx, root, path, "skipCerts")
 
 
@@ -642,9 +637,9 @@ def _info_access_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> 
     descriptions = _elements(ctx, root, what, path, f"empty {what}", _EMPTY_ACCESS)
     for i, ad in enumerate(descriptions or ()):
         sub = f"{path}.accessDescription[{i}]"
-        if not _expect(ctx, ad, TAG_SEQUENCE, True, "accessDescription", sub):
+        if not _expect(ctx, ad, TAG_SEQUENCE, "accessDescription", sub):
             continue
-        if len(ad.children) != 2 or not ad.children[0].is_universal(TAG_OID, False):
+        if len(ad.children) != 2 or ad.children[0].tag != TAG_OID:
             ctx.add(_MALFORMED_BODY, ad, sub, "accessDescription must be (OID, GeneralName)")
             continue
         ctx.oid(ad.children[0], sub)
@@ -684,12 +679,12 @@ _DNS_NAME = re.compile(rf"(?:{_LABEL}\.)*{_LABEL}")
 _SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*")
 _LOCAL_PART = re.compile(r"[\x21-\x3f\x41-\x7e]+")  # printable ASCII without space or "@"
 
-# The same grammar over content octets, by GeneralName tag.  A URI's rest is any IA5 octet but NUL, and the
-# other two allow no octet outside IA5, so a match is also a passed IA5 check.
+# The same grammar over content octets, by GeneralName tag ([1], [2] and [6], primitive).  A URI's rest is any
+# IA5 octet but NUL, and the other two allow no octet outside IA5, so a match is also a passed IA5 check.
 _PLAIN_NAMES = {
-    1: re.compile(f"{_LOCAL_PART.pattern}@{_DNS_NAME.pattern}".encode()),
-    2: re.compile(_DNS_NAME.pattern.encode()),
-    6: re.compile(rf"{_SCHEME.pattern}:[\x01-\x7f]+".encode()),
+    0x81: re.compile(f"{_LOCAL_PART.pattern}@{_DNS_NAME.pattern}".encode()),
+    0x82: re.compile(_DNS_NAME.pattern.encode()),
+    0x86: re.compile(rf"{_SCHEME.pattern}:[\x01-\x7f]+".encode()),
 }
 
 
@@ -698,10 +693,10 @@ def _plain_name(node: TlvNode) -> bool:
 
     It matches the content octets in place, with no slice, decode or path; on False, run parse_general_name.
     """
-    pattern = _PLAIN_NAMES.get(node.tag_number)
+    pattern = _PLAIN_NAMES.get(node.tag)
     start = node.content_offset
     return (
-        pattern is not None and node.tag_class == "context" and not node.constructed and node.content_length <= 253
+        pattern is not None and node.content_length <= 253
         and pattern.fullmatch(node.buffer, start, start + node.content_length) is not None
     )
 
@@ -730,11 +725,26 @@ def _valid_mail_constraint(text: str) -> bool:
     return valid_email(text) or _valid_host_constraint(text)
 
 
-# The IA5String choices of GeneralName: tag -> (kind, syntax check, syntax check inside nameConstraints).
+# The IA5String choices of GeneralName, by tag: (kind, syntax check, syntax check inside nameConstraints).
 _STRING_NAMES = {
-    1: ("rfc822Name", valid_email, _valid_mail_constraint),
-    2: ("dNSName", valid_dns_name, valid_dns_name),
-    6: ("uniformResourceIdentifier", valid_uri, _valid_host_constraint),
+    0x81: ("rfc822Name", valid_email, _valid_mail_constraint),
+    0x82: ("dNSName", valid_dns_name, valid_dns_name),
+    0x86: ("uniformResourceIdentifier", valid_uri, _valid_host_constraint),
+}
+
+# What a GeneralName choice in the wrong form, or with the wrong number of fields, is told, by tag.
+_MISSHAPEN_NAMES = {
+    0x80: "otherName must be (type-id, [0] value)",
+    0xA0: "otherName must be (type-id, [0] value)",
+    0xA1: "rfc822Name must be primitive",
+    0xA2: "dNSName must be primitive",
+    0x83: "x400Address must be constructed",
+    0x84: "directoryName must hold one Name",
+    0xA4: "directoryName must hold one Name",
+    0x85: "ediPartyName must be constructed",
+    0xA6: "uniformResourceIdentifier must be primitive",
+    0xA7: "iPAddress must be primitive",
+    0xA8: "registeredID must be primitive",
 }
 
 
@@ -750,27 +760,19 @@ def parse_general_name(
     doubling its length, a URI names a host or a domain, and an
     rfc822Name a mailbox, a host or a domain.
     """
-    if node.tag_class != "context":
-        ctx.add(
-            _MALFORMED_BODY,
-            node,
-            path,
-            f"GeneralName must be context-tagged, found {node.describe_tag()}",
-        )
+    tag = node.tag
+    if tag & 0xC0 != 0x80:
+        ctx.add(_MALFORMED_BODY, node, path, f"GeneralName must be context-tagged, found {node.describe_tag()}")
         return
 
-    tag = node.tag_number
-    if tag == 0:  # otherName
-        if not node.constructed or len(node.children) != 2:
-            ctx.add(_MALFORMED_BODY, node, path, "otherName must be (type-id, [0] value)")
-            return
+    if tag == 0xA0 and len(node.children) == 2:  # otherName
         type_node, value_wrap = node.children
-        if not type_node.is_universal(TAG_OID, False):
+        if type_node.tag != TAG_OID:
             ctx.add(_WRONG_OID, type_node, path, "otherName type-id must be an OID")
             return
         if ctx.oid(type_node, path) is None:
             return
-        if not value_wrap.is_context(0, True) or len(value_wrap.children) != 1:
+        if value_wrap.tag != 0xA0 or len(value_wrap.children) != 1:
             ctx.add(
                 _MALFORMED_BODY, value_wrap, path, "otherName value must be one explicitly tagged element"
             )
@@ -778,9 +780,6 @@ def parse_general_name(
 
     if tag in _STRING_NAMES:
         kind, valid, valid_constraint = _STRING_NAMES[tag]
-        if node.constructed:
-            ctx.add(_MALFORMED_BODY, node, path, f"{kind} must be primitive")
-            return
         content = node.content
         bad = _OUTSIDE_ALPHABET["ia5"].search(content)
         if bad is not None:
@@ -792,27 +791,18 @@ def parse_general_name(
             ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, f"malformed {kind}: {text!r}")
         return
 
-    if tag == 3:  # x400Address, parsed for shape only
-        if not node.constructed:
-            ctx.add(_MALFORMED_BODY, node, path, "x400Address must be constructed")
+    if tag == 0xA3:  # x400Address, parsed for shape only
         return
 
-    if tag == 4:  # directoryName, explicit because Name is a CHOICE
-        if not node.constructed or len(node.children) != 1:
-            ctx.add(_MALFORMED_BODY, node, path, "directoryName must hold one Name")
-            return
+    if tag == 0xA4 and len(node.children) == 1:  # directoryName, explicit because Name is a CHOICE
         parse_name(node.children[0], ctx, path, role="general")
         return
 
-    if tag == 5:  # ediPartyName
-        if not node.constructed:
-            ctx.add(_MALFORMED_BODY, node, path, "ediPartyName must be constructed")
-            return
+    if tag == 0xA5:  # ediPartyName
         last = -1
         saw_party = False
         for child in node.children:
-            explicit = child.tag_class == "context" and child.tag_number <= 1 and child.constructed
-            if not explicit or len(child.children) != 1:
+            if child.tag not in _CONSTRUCTED_0_TO_1 or len(child.children) != 1:
                 ctx.add(
                     _MALFORMED_BODY,
                     child,
@@ -820,34 +810,28 @@ def parse_general_name(
                     "ediPartyName field must be an explicitly tagged DirectoryString",
                 )
                 return
-            if child.tag_number <= last:
+            if child.tag <= last:
                 ctx.add(_MALFORMED_BODY, child, path, "ediPartyName fields out of order or repeated")
                 return
-            last = child.tag_number
-            saw_party = saw_party or child.tag_number == 1
+            last = child.tag
+            saw_party = saw_party or child.tag == 0xA1
             ctx.decode(validate_charset, child.children[0], path, _DISPLAY_TEXT_TAGS)
         if not saw_party:
             ctx.add(_MALFORMED_BODY, node, path, "ediPartyName without partyName")
         return
 
-    if tag == 7:  # iPAddress
-        if node.constructed:
-            ctx.add(_MALFORMED_BODY, node, path, "iPAddress must be primitive")
-            return
+    if tag == 0x87:  # iPAddress
         allowed = (8, 32) if in_name_constraints else (4, 16)
         if node.content_length not in allowed:
             message = f"iPAddress of {node.content_length} octets, expected {allowed[0]} or {allowed[1]}"
             ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, node, path, message)
         return
 
-    if tag == 8:  # registeredID
-        if node.constructed:
-            ctx.add(_MALFORMED_BODY, node, path, "registeredID must be primitive")
-        else:
-            ctx.oid(node, path)
+    if tag == 0x88:  # registeredID
+        ctx.oid(node, path)
         return
 
-    ctx.add(_MALFORMED_BODY, node, path, f"unknown GeneralName tag [{tag}]")
+    ctx.add(_MALFORMED_BODY, node, path, _MISSHAPEN_NAMES.get(tag) or f"unknown GeneralName tag [{node.tag_number}]")
 
 
 # --- cross-extension rules ---------------------------------------------------

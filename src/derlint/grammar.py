@@ -56,6 +56,9 @@ _MALFORMED_PARAMS, _MALFORMED_KEY, _MALFORMED_SIG = (
     Code.MALFORMED_PARAMETERS, Code.MALFORMED_PUBLIC_KEY, Code.MALFORMED_SIGNATURE_STRUCTURE
 )
 
+# The explicitly tagged fields [0] to [3] of RSASSA-PSS parameters, as identifier octets.
+_PSS_FIELDS = frozenset({0xA0, 0xA1, 0xA2, 0xA3})
+
 
 @dataclass
 class AlgorithmId:
@@ -117,7 +120,7 @@ def parse_algorithm_identifier(
     are allowed and what the parameters field must contain for each.
     """
     what = "AlgorithmIdentifier must be a SEQUENCE"
-    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, True, path, what):
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, path, what):
         return None
     out = AlgorithmId(node)
     kids = node.children
@@ -125,7 +128,7 @@ def parse_algorithm_identifier(
         ctx.add(_MISMATCH, node, path, f"AlgorithmIdentifier with {len(kids)} fields")
         return out
 
-    if not ctx.expect(_WRONG_ALGORITHM, kids[0], TAG_OID, False, f"{path}.algorithm", "algorithm must be an OID"):
+    if not ctx.expect(_WRONG_ALGORITHM, kids[0], TAG_OID, f"{path}.algorithm", "algorithm must be an OID"):
         return out
     out.oid = ctx.oid(kids[0], f"{path}.algorithm", wrong_oid=_WRONG_ALGORITHM)
     if out.oid is None:
@@ -153,7 +156,7 @@ def _check_parameters(
     if grammar == "absent":
         if params is None:
             return
-        if params.is_universal(TAG_NULL, False):
+        if params.tag == TAG_NULL:
             ctx.add(Code.UNEXPECTED_NULL_IN_ALGORITHM_P, params, path, f"{alg.oid} takes no parameters, NULL present")
         else:
             ctx.add(_MALFORMED_PARAMS, params, path, f"{alg.oid} takes no parameters, found {params.describe_tag()}")
@@ -163,7 +166,7 @@ def _check_parameters(
         need = f"{alg.oid} requires NULL parameters"
         if params is None:
             ctx.add(Code.MISSING_PARAMETERS, holder, path, need)
-        elif ctx.expect(_MALFORMED_PARAMS, params, TAG_NULL, False, path, need) and params.content_length != 0:
+        elif ctx.expect(_MALFORMED_PARAMS, params, TAG_NULL, path, need) and params.content_length != 0:
             ctx.add(_MALFORMED_PARAMS, params, path, "NULL with content octets")
         return
 
@@ -171,7 +174,7 @@ def _check_parameters(
         if params is None:
             ctx.add(Code.MISSING_PARAMETERS, holder, path, f"{alg.oid} requires a named curve")
             return
-        if not ctx.expect(_MALFORMED_PARAMS, params, TAG_OID, False, path, "named curve must be an OID"):
+        if not ctx.expect(_MALFORMED_PARAMS, params, TAG_OID, path, "named curve must be an OID"):
             return
         curve = ctx.oid(params, path, wrong_oid=_MALFORMED_PARAMS)
         if curve is None:
@@ -187,11 +190,11 @@ def _check_parameters(
         return
 
     if grammar == "dss-params":
-        if not params.is_universal(TAG_SEQUENCE, True) or len(params.children) != 3:
+        if params.tag != TAG_SEQUENCE or len(params.children) != 3:
             ctx.add(_MALFORMED_PARAMS, params, path, "domain parameters must be a SEQUENCE of three INTEGERs")
             return
         for part in params.children:
-            if not ctx.expect(_MALFORMED_PARAMS, part, TAG_INTEGER, False, path, "domain parameter must be an INTEGER"):
+            if not ctx.expect(_MALFORMED_PARAMS, part, TAG_INTEGER, path, "domain parameter must be an INTEGER"):
                 return
             ctx.decode(decode_integer, part, path)
         return
@@ -202,16 +205,16 @@ def _check_parameters(
 
     if grammar == "kea-params":
         what = "domain identifier must be an OCTET STRING"
-        if ctx.expect(_MALFORMED_PARAMS, params, TAG_OCTET_STRING, False, path, what) and params.content_length == 0:
+        if ctx.expect(_MALFORMED_PARAMS, params, TAG_OCTET_STRING, path, what) and params.content_length == 0:
             ctx.add(Code.EMPTY_VALUE_FIELD, params, path, "empty domain identifier")
         return
 
     if grammar == "gost-params":
-        if not params.is_universal(TAG_SEQUENCE, True) or not 2 <= len(params.children) <= 3:
+        if params.tag != TAG_SEQUENCE or not 2 <= len(params.children) <= 3:
             ctx.add(_MALFORMED_PARAMS, params, path, "parameters must be a SEQUENCE of two or three OIDs")
             return
         for part in params.children:
-            if not ctx.expect(_MALFORMED_PARAMS, part, TAG_OID, False, path, "parameter must be an OID"):
+            if not ctx.expect(_MALFORMED_PARAMS, part, TAG_OID, path, "parameter must be an OID"):
                 return
             ctx.oid(part, path, wrong_oid=_MALFORMED_PARAMS)
         return
@@ -224,7 +227,7 @@ def _check_parameters(
 
 
 def _check_dh_params(params: TlvNode, ctx: WalkContext, path: str) -> None:
-    if not params.is_universal(TAG_SEQUENCE, True):
+    if params.tag != TAG_SEQUENCE:
         ctx.add(_MALFORMED_PARAMS, params, path, "domain parameters must be a SEQUENCE")
         return
     kids = list(params.children)
@@ -232,24 +235,24 @@ def _check_dh_params(params: TlvNode, ctx: WalkContext, path: str) -> None:
         ctx.add(_MALFORMED_PARAMS, params, path, "domain parameters need prime, base and subprime")
         return
     for part in kids[:3]:
-        if not ctx.expect(_MALFORMED_PARAMS, part, TAG_INTEGER, False, path, "domain parameter must be an INTEGER"):
+        if not ctx.expect(_MALFORMED_PARAMS, part, TAG_INTEGER, path, "domain parameter must be an INTEGER"):
             return
         ctx.decode(decode_integer, part, path)
     rest = kids[3:]
-    if rest and rest[0].is_universal(TAG_INTEGER, False):
+    if rest and rest[0].tag == TAG_INTEGER:
         ctx.decode(decode_integer, rest[0], path)
         rest = rest[1:]
     if rest:
         vp = rest.pop(0)
-        if not vp.is_universal(TAG_SEQUENCE, True) or len(vp.children) != 2:
+        if vp.tag != TAG_SEQUENCE or len(vp.children) != 2:
             ctx.add(_MALFORMED_PARAMS, vp, path, "validation parameters must be (seed, pgenCounter)")
         else:
             seed, counter = vp.children
-            if not seed.is_universal(TAG_BIT_STRING, False):
+            if seed.tag != TAG_BIT_STRING:
                 ctx.add(_MALFORMED_PARAMS, seed, path, "seed must be a BIT STRING")
             else:
                 ctx.decode(decode_bit_string, seed, path)
-            if not counter.is_universal(TAG_INTEGER, False):
+            if counter.tag != TAG_INTEGER:
                 ctx.add(_MALFORMED_PARAMS, counter, path, "pgenCounter must be an INTEGER")
             else:
                 ctx.decode(decode_integer, counter, path)
@@ -265,27 +268,27 @@ def _check_pss_params(params: TlvNode, ctx: WalkContext, path: str) -> None:
     INTEGERs.  The hash and mask OIDs live in their own registries and
     stay unchecked here.
     """
-    if not params.is_universal(TAG_SEQUENCE, True):
+    if params.tag != TAG_SEQUENCE:
         ctx.add(_MALFORMED_PARAMS, params, path, "PSS parameters must be a SEQUENCE")
         return
     last = -1
     for child in params.children:
-        if child.tag_class != "context" or child.tag_number > 3 or not child.constructed or len(child.children) != 1:
+        if child.tag not in _PSS_FIELDS or len(child.children) != 1:
             ctx.add(_MALFORMED_PARAMS, child, path, f"unexpected field {child.describe_tag()} in PSS parameters")
             return
-        if child.tag_number <= last:
+        if child.tag <= last:
             ctx.add(_MALFORMED_PARAMS, child, path, "PSS parameter fields out of order or repeated")
             return
-        last = child.tag_number
+        last = child.tag
         inner = child.children[0]
-        if child.tag_number in (0, 1):
-            algorithm = inner.is_universal(TAG_SEQUENCE, True) and 1 <= len(inner.children) <= 2
-            if not algorithm or not inner.children[0].is_universal(TAG_OID, False):
+        if child.tag in (0xA0, 0xA1):
+            algorithm = inner.tag == TAG_SEQUENCE and 1 <= len(inner.children) <= 2
+            if not algorithm or inner.children[0].tag != TAG_OID:
                 ctx.add(_MALFORMED_PARAMS, inner, path, "PSS algorithm slot must hold an AlgorithmIdentifier")
                 return
             ctx.oid(inner.children[0], path, wrong_oid=_MALFORMED_PARAMS)
         else:
-            if not inner.is_universal(TAG_INTEGER, False):
+            if inner.tag != TAG_INTEGER:
                 ctx.add(_MALFORMED_PARAMS, inner, path, "PSS integer slot must hold an INTEGER")
                 return
             value = ctx.decode(decode_integer, inner, path)
@@ -302,7 +305,7 @@ def parse_spki(
     path: str = "tbsCertificate.subjectPublicKeyInfo",
 ) -> SpkiInfo | None:
     what = "subjectPublicKeyInfo must be a SEQUENCE"
-    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, True, path, what):
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, path, what):
         return None
     out = SpkiInfo()
     if len(node.children) != 2:
@@ -332,7 +335,7 @@ def _bit_string_octets(node: TlvNode, ctx: WalkContext, path: str, slot: str, no
     returned.
     """
     what = f"{slot} must be a primitive BIT STRING"
-    if not ctx.expect(_MISMATCH, node, TAG_BIT_STRING, False, path, what):
+    if not ctx.expect(_MISMATCH, node, TAG_BIT_STRING, path, what):
         return None
     bs = ctx.decode(decode_bit_string, node, path)
     if bs is None:
@@ -348,7 +351,7 @@ def _bit_string_octets(node: TlvNode, ctx: WalkContext, path: str, slot: str, no
 
 def _positive_integer(node: TlvNode, what: str, code: Code, ctx: WalkContext, path: str) -> None:
     """A key or signature INTEGER: tagged as one, minimal, above zero."""
-    if not ctx.expect(code, node, TAG_INTEGER, False, path, f"{what} must be an INTEGER"):
+    if not ctx.expect(code, node, TAG_INTEGER, path, f"{what} must be an INTEGER"):
         return
     value = ctx.decode(decode_integer, node, path)
     if value is not None and value <= 0:
@@ -389,7 +392,7 @@ def _check_key_bits(
         return
 
     if grammar == "rsa-key":
-        if not root.is_universal(TAG_SEQUENCE, True) or len(root.children) != 2:
+        if root.tag != TAG_SEQUENCE or len(root.children) != 2:
             ctx.add(_MALFORMED_KEY, root, path, "key must be a SEQUENCE of modulus and exponent")
             return
         _positive_integer(root.children[0], "modulus", _MALFORMED_KEY, ctx, path)
@@ -402,7 +405,7 @@ def _check_key_bits(
 
     if grammar == "octet-key":
         what = "key must be an OCTET STRING"
-        if ctx.expect(_MALFORMED_KEY, root, TAG_OCTET_STRING, False, path, what) and root.content_length == 0:
+        if ctx.expect(_MALFORMED_KEY, root, TAG_OCTET_STRING, path, what) and root.content_length == 0:
             ctx.add(Code.EMPTY_VALUE_FIELD, root, path, "empty key octets")
         return
 
@@ -428,7 +431,7 @@ def parse_signature_value(
     root = ctx.payload(node, 1, path, _MALFORMED_SIG)
     if root is None:
         return
-    if not root.is_universal(TAG_SEQUENCE, True) or len(root.children) != 2:
+    if root.tag != TAG_SEQUENCE or len(root.children) != 2:
         ctx.add(_MALFORMED_SIG, root, path, "signature must be a SEQUENCE of two INTEGERs")
         return
     for what, part in zip(("r", "s"), root.children):
@@ -440,11 +443,11 @@ def parse_signature_value(
 
 def _parse_version(node: TlvNode, tbs: ParsedTbs, ctx: WalkContext) -> None:
     path = "tbsCertificate.version"
-    if not node.constructed or len(node.children) != 1:
+    if node.tag != 0xA0 or len(node.children) != 1:
         ctx.add(_MISMATCH, node, path, "version wrapper must hold one INTEGER")
         return
     inner = node.children[0]
-    if not ctx.expect(_MISMATCH, inner, TAG_INTEGER, False, path, "version must be an INTEGER"):
+    if not ctx.expect(_MISMATCH, inner, TAG_INTEGER, path, "version must be an INTEGER"):
         return
     value = ctx.decode(decode_integer, inner, path)
     if value is None:
@@ -463,7 +466,7 @@ def _parse_validity(node: TlvNode, ctx: WalkContext) -> None:
         return
     for label, child in zip(("notBefore", "notAfter"), node.children):
         sub = f"{path}.{label}"
-        if not (child.is_universal(TAG_UTC_TIME, False) or child.is_universal(TAG_GENERALIZED_TIME, False)):
+        if child.tag != TAG_UTC_TIME and child.tag != TAG_GENERALIZED_TIME:
             ctx.add(_MISMATCH, child, sub, f"{label} must be a time, found {child.describe_tag()}")
             continue
         ctx.decode(validate_time, child, sub)
@@ -472,12 +475,12 @@ def _parse_validity(node: TlvNode, ctx: WalkContext) -> None:
 def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
     path = "tbsCertificate"
     tbs = ParsedTbs()
-    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, True, path, "tbsCertificate must be a SEQUENCE"):
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, path, "tbsCertificate must be a SEQUENCE"):
         raise _Abort
     kids = node.children
     idx = 0
 
-    if idx < len(kids) and kids[idx].is_context(0):
+    if idx < len(kids) and kids[idx].tag in (0x80, 0xA0):  # [0], either form
         _parse_version(kids[idx], tbs, ctx)
         idx += 1
 
@@ -493,7 +496,7 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
 
     serial_node = need("serialNumber")
     sub = f"{path}.serialNumber"
-    if ctx.expect(_MISMATCH, serial_node, TAG_INTEGER, False, sub, "serialNumber must be an INTEGER"):
+    if ctx.expect(_MISMATCH, serial_node, TAG_INTEGER, sub, "serialNumber must be an INTEGER"):
         serial = ctx.decode(decode_integer, serial_node, sub)
         if serial is not None and serial <= 0:
             ctx.add(Code.NON_POSITIVE_SERIAL, serial_node, sub, f"serial number {serial}")
@@ -506,7 +509,7 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
 
     validity_node = need("validity")
     what = "validity must be a SEQUENCE"
-    if ctx.expect(_MISMATCH, validity_node, TAG_SEQUENCE, True, f"{path}.validity", what):
+    if ctx.expect(_MISMATCH, validity_node, TAG_SEQUENCE, f"{path}.validity", what):
         _parse_validity(validity_node, ctx)
 
     subject_node = need("subject")
@@ -515,22 +518,22 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
     spki_node = need("subjectPublicKeyInfo")
     tbs.spki = parse_spki(spki_node, ctx, f"{path}.subjectPublicKeyInfo")
 
-    for tag_number, label in ((1, "issuerUniqueID"), (2, "subjectUniqueID")):
-        if idx < len(kids) and kids[idx].is_context(tag_number):
+    for tag, label in ((0x81, "issuerUniqueID"), (0x82, "subjectUniqueID")):
+        if idx < len(kids) and kids[idx].tag in (tag, tag | 0x20):  # [1] or [2], either form
             uid = kids[idx]
             idx += 1
             tbs.has_unique_id = True
             sub = f"{path}.{label}"
-            if uid.constructed:
+            if uid.tag != tag:
                 ctx.add(_MISMATCH, uid, sub, f"{label} must be primitive")
                 continue
             ctx.decode(decode_bit_string, uid, sub)
 
-    if idx < len(kids) and kids[idx].is_context(3):
+    if idx < len(kids) and kids[idx].tag in (0x83, 0xA3):  # [3], either form
         wrapper = kids[idx]
         idx += 1
         tbs.extensions_present = True
-        if not wrapper.constructed:
+        if wrapper.tag == 0x83:
             ctx.add(_MISMATCH, wrapper, f"{path}.extensions", "extensions wrapper must be constructed")
         else:
             tbs.extensions = parse_extensions(wrapper, ctx)
@@ -562,7 +565,7 @@ def parse_certificate(data: bytes | bytearray | memoryview, registry: Registry |
         return result
 
     what = "certificate must be a SEQUENCE"
-    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, True, "certificate", what):
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, "certificate", what):
         return result
     if len(node.children) != 3:
         ctx.add(

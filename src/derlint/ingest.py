@@ -80,8 +80,12 @@ def _decode_block(body: list[str]) -> bytes | Diagnostic:
     joined = "".join(body)
     try:
         decoded = base64.b64decode(joined, validate=True)
-    except ValueError as exc:  # binascii.Error is a ValueError
-        return _armor_error(Code.BAD_BASE64, f"base64 body rejected: {exc}")
+    except ValueError:  # binascii.Error, whose wording differs between Python versions
+        if len(joined) % 4:
+            reason = f"{len(joined)} characters, not a multiple of 4"
+        else:
+            reason = "a character outside the base64 alphabet, or a misplaced '='"
+        return _armor_error(Code.BAD_BASE64, f"base64 body rejected: {reason}")
     if base64.b64encode(decoded).decode("ascii") != joined:
         return _armor_error(Code.BAD_BASE64, "base64 body is not canonical")
     return decoded

@@ -70,7 +70,7 @@ def parse_name(
     which the certificate walk checks once extensions are known; this
     function just reports emptiness in the returned NameInfo.
     """
-    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, True, path, "name must be a SEQUENCE"):
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, path, "name must be a SEQUENCE"):
         # empty specifically means a SEQUENCE with zero RDNs; a node of
         # the wrong shape is neither empty nor usable.
         return NameInfo(node, empty=False)
@@ -83,7 +83,7 @@ def parse_name(
 
     for i, rdn in enumerate(node.children):
         rdn_path = f"{path}.rdn[{i}]"
-        if ctx.expect(_INVALID_DN, rdn, TAG_SET, True, rdn_path, "RDN must be a SET"):
+        if ctx.expect(_INVALID_DN, rdn, TAG_SET, rdn_path, "RDN must be a SET"):
             parse_rdn(rdn, ctx, rdn_path)
     return info
 
@@ -106,12 +106,12 @@ def parse_rdn(rdn: TlvNode, ctx: WalkContext, path: str) -> None:
 
 
 def _parse_atv(atv: TlvNode, ctx: WalkContext, path: str) -> None:
-    if not atv.is_universal(TAG_SEQUENCE, True) or len(atv.children) != 2:
+    if atv.tag != TAG_SEQUENCE or len(atv.children) != 2:
         ctx.add(_INVALID_DN, atv, path, "attribute must be a two-element SEQUENCE")
         return
     type_node, value_node = atv.children
     oid_str: str | None = None
-    if ctx.expect(_INVALID_DN, type_node, TAG_OID, False, path, "attribute type must be an OID"):
+    if ctx.expect(_INVALID_DN, type_node, TAG_OID, path, "attribute type must be an OID"):
         # A malformed type OID makes the whole attribute unusable.
         oid_str = ctx.oid(type_node, path, wrong_oid=_INVALID_DN)
 
@@ -125,16 +125,12 @@ def _parse_atv(atv: TlvNode, ctx: WalkContext, path: str) -> None:
 
 
 def _validate_attribute_value(value_node: TlvNode, kind: str | None, ctx: WalkContext, path: str) -> None:
-    is_string = (
-        value_node.tag_class == "universal"
-        and not value_node.constructed
-        and value_node.tag_number in STRING_KIND_BY_TAG
-    )
+    is_string = value_node.tag in STRING_KIND_BY_TAG
     if is_string and value_node.content_length == 0:
         ctx.add(Code.EMPTY_STRING, value_node, path)
     permitted = _PERMITTED_BY_KIND.get(kind) if kind else None
     ctx.decode(validate_charset, value_node, path, permitted)
-    if is_string and permitted is not None and value_node.tag_number not in permitted:
+    if is_string and permitted is not None and value_node.tag not in permitted:
         # Wrong kind for this slot, but still a string: check its own
         # character set so smuggled NULs and friends do not hide.
         ctx.decode(validate_charset, value_node, path)

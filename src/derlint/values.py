@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .der import TlvNode
 from .diagnostics import Code, RecognitionError
 
-# Universal tag numbers used by the certificate grammar.
+# Universal tags used by the certificate grammar, as identifier octets: a
+# primitive one equals its tag number, and a constructed one adds 0x20.
 TAG_BOOLEAN = 1
 TAG_INTEGER = 2
 TAG_BIT_STRING = 3
@@ -23,8 +24,8 @@ TAG_OCTET_STRING = 4
 TAG_NULL = 5
 TAG_OID = 6
 TAG_UTF8_STRING = 12
-TAG_SEQUENCE = 16
-TAG_SET = 17
+TAG_SEQUENCE = 0x30
+TAG_SET = 0x31
 TAG_PRINTABLE_STRING = 19
 TAG_TELETEX_STRING = 20
 TAG_IA5_STRING = 22
@@ -226,19 +227,17 @@ def validate_charset(node: TlvNode, permitted: frozenset[int] | None = None) -> 
     CHAR_SET_VIOLATION.  Returns the decoded text.
     """
     off = node.content_offset
-    if node.tag_class != "universal" or node.constructed or node.tag_number not in STRING_KIND_BY_TAG:
+    kind = STRING_KIND_BY_TAG.get(node.tag)
+    if kind is None:
         raise RecognitionError(
             Code.WRONG_STRING_TYPE,
             offset=node.header_offset,
             message=f"not a string type: {node.describe_tag()}",
         )
-    if permitted is not None and node.tag_number not in permitted:
+    if permitted is not None and node.tag not in permitted:
         raise RecognitionError(
-            Code.WRONG_STRING_TYPE,
-            offset=node.header_offset,
-            message=f"{STRING_KIND_BY_TAG[node.tag_number]} string not allowed here",
+            Code.WRONG_STRING_TYPE, offset=node.header_offset, message=f"{kind} string not allowed here"
         )
-    kind = STRING_KIND_BY_TAG[node.tag_number]
     content = node.content
 
     if kind in _OUTSIDE_ALPHABET:
@@ -346,10 +345,10 @@ def validate_time(node: TlvNode) -> TimeValue:
     """
     off = node.content_offset
     content = node.content
-    if node.is_universal(TAG_UTC_TIME, False):
+    if node.tag == TAG_UTC_TIME:
         kind = "utc"
         expect = 13
-    elif node.is_universal(TAG_GENERALIZED_TIME, False):
+    elif node.tag == TAG_GENERALIZED_TIME:
         kind = "generalized"
         expect = 15
     else:

@@ -141,7 +141,7 @@ def first_error(data: bytes) -> RecognitionError:
 class TestParseTlvTree:
     def test_primitive_node(self):
         node = parse_tlv_tree(b"\x04\x03abc")
-        assert node.is_universal(4, False)
+        assert node.tag == 0x04
         assert node.content == b"abc"
         assert node.header_offset == 0
         assert node.content_offset == 2
@@ -150,10 +150,10 @@ class TestParseTlvTree:
     def test_nested_offsets(self):
         data = enc.seq(enc.integer(5), enc.seq(enc.null()))
         node = parse_tlv_tree(data)
-        assert node.is_universal(16, True)
+        assert node.tag == 0x30
         assert len(node.children) == 2
         inner = node.children[1]
-        assert inner.children[0].is_universal(5, False)
+        assert inner.children[0].tag == 0x05
         assert node.raw == data
         assert inner.children[0].raw == b"\x05\x00"
 
@@ -170,10 +170,17 @@ class TestParseTlvTree:
         data = enc.tlv(31, b"z")
         node = parse_tlv_tree(data)
         assert node.tag_number == 31
+        assert node.tag == 31 << 8 | 0x1F
         data = enc.tlv(201, b"z", tag_class="private")
         node = parse_tlv_tree(data)
         assert node.tag_class == "private"
         assert node.tag_number == 201
+        assert node.tag == 201 << 8 | 0xDF
+        data = enc.tlv(2**32 - 1, enc.null(), constructed=True, tag_class="context")
+        node = parse_tlv_tree(data)
+        assert (node.tag_class, node.constructed, node.tag_number) == ("context", True, 2**32 - 1)
+        assert node.tag == (2**32 - 1) << 8 | 0xBF
+        assert node.children[0].tag == 0x05
 
     def test_high_tag_low_value_rejected(self):
         # Tag 7 must use the low form, not the high-tag escape.
@@ -221,7 +228,8 @@ class TestParseTlvTree:
         data = enc.tlv(4, enc.null(), constructed=True)
         node = parse_tlv_tree(data)
         assert node.constructed
-        assert node.children[0].is_universal(5, False)
+        assert node.tag == 0x24
+        assert node.children[0].tag == 0x05
 
     def test_depth_cap_enforced(self):
         blob = enc.null()
@@ -258,7 +266,7 @@ class TestParseTlvTree:
             (node,) = node.children
             levels += 1
         assert levels == depth
-        assert node.is_universal(5, False)
+        assert node.tag == 0x05
 
     def test_shared_end_closes_every_level(self):
         # The innermost two levels end on the same octet; the next element
@@ -266,8 +274,8 @@ class TestParseTlvTree:
         data = enc.seq(enc.seq(enc.seq(enc.null())), enc.integer(7))
         node = parse_tlv_tree(data)
         assert len(node.children) == 2
-        assert node.children[1].is_universal(2, False)
-        assert node.children[0].children[0].children[0].is_universal(5, False)
+        assert node.children[1].tag == 0x02
+        assert node.children[0].children[0].children[0].tag == 0x05
 
     def test_child_exact_fit_allowed(self):
         data = enc.seq(enc.octet_string(b"xyz"))
@@ -303,6 +311,9 @@ def _matches(spec: enc.TreeSpec, node: TlvNode, data: bytes) -> bool:
 
     Each of the scanner's slot stores is read here, so a dropped or swapped one fails the match.
     """
+    identifier = enc.encode_tag(spec.tag_class, spec.constructed, spec.number)
+    if node.tag != (spec.number << 8 if len(identifier) > 1 else 0) | identifier[0]:
+        return False
     if (spec.tag_class, spec.number, spec.constructed) != (
         node.tag_class,
         node.tag_number,
@@ -315,17 +326,17 @@ def _matches(spec: enc.TreeSpec, node: TlvNode, data: bytes) -> bool:
         if len(spec.children) != len(node.children):
             return False
         return all(_matches(s, n, data) for s, n in zip(spec.children, node.children))
-    return spec.content == node.content and node.children == []
+    return spec.content == node.content and node.children == ()
 
 
 def header_spec(data, pos: int, limit: int, at_input_end: bool):
     """What the octet-at-a-time readers make of the header at pos."""
     try:
-        tag_class, constructed, number, pos = _read_identifier(data, pos, limit, at_input_end)
+        tag, pos = _read_identifier(data, pos, limit, at_input_end)
         length, pos = _read_length(data, pos, limit, at_input_end)
     except RecognitionError as err:
         return (err.code, err.offset, err.message)
-    return (tag_class, constructed, number, length, pos)
+    return (tag, length, pos)
 
 
 def header_scanned(data, pos: int, end: int):
@@ -334,15 +345,15 @@ def header_scanned(data, pos: int, end: int):
         node = parse_tlv_tree(data, pos, end)
     except RecognitionError as err:
         return (err.code, err.offset, err.message)
-    return (node.tag_class, node.constructed, node.tag_number, node.content_length, node.content_offset)
+    return (node.tag, node.content_length, node.content_offset)
 
 
 def header_expected(data, end: int):
     """The spec's reading of a header at 0 whose content is all of data[..:end], or an overrun."""
     spec = header_spec(data, 0, end, True)
-    if isinstance(spec[0], Code) or spec[3] + spec[4] <= end:
+    if isinstance(spec[0], Code) or spec[1] + spec[2] <= end:
         return spec
-    return (Code.TRUNCATED_INPUT, end, f"declared length {spec[3]} overruns input")
+    return (Code.TRUNCATED_INPUT, end, f"declared length {spec[1]} overruns input")
 
 
 class TestInlineHeader:
@@ -361,7 +372,7 @@ class TestInlineHeader:
         spec = header_spec(data, 0, len(data), True)
         if buf is not None and not isinstance(spec[0], Code):
             buf[: len(header)] = header
-            end = spec[4] + spec[3]
+            end = spec[2] + spec[1]
             assert header_scanned(buf, 0, end) == header_spec(buf, 0, end, True), prefix.hex()
         for cut in range(1, len(prefix)):
             short = header[: 1 + cut]
@@ -403,6 +414,8 @@ class TestInlineHeader:
             high = b0 & 0x1F == 0x1F
             data = bytes([b0, 0x1F, 0x00] if high else [b0, 0x00])
             assert header_scanned(data, 0, len(data)) == header_spec(data, 0, len(data), True), hex(b0)
+            if not high:
+                assert parse_tlv_tree(data).tag == b0, hex(b0)
             short = bytes([b0])
             assert header_scanned(short, 0, 1) == header_spec(short, 0, 1, True), hex(b0)
             nested = bytes([0x30, 1, b0, 0x00])

@@ -121,6 +121,18 @@ class TestPem:
         raw = (BEGIN + "\nQUJD0\n" + END + "\n").encode()
         docs = load_documents(raw, "x.pem")
         assert container_codes(docs) == [Code.BAD_BASE64]
+        assert docs[0].container_error.message == "base64 body rejected: 5 characters, not a multiple of 4"
+
+    def test_base64_reason_is_not_the_decoders_text(self, monkeypatch):
+        # binascii's wording differs between Python versions, so the message must not carry it.
+        def b64decode(*args, **kwargs):
+            raise ValueError("sentinel")
+
+        monkeypatch.setattr(base64, "b64decode", b64decode)
+        docs = load_documents((BEGIN + "\nQUJDRA==\n" + END + "\n").encode(), "x.pem")
+        assert container_codes(docs) == [Code.BAD_BASE64]
+        assert docs[0].container_error.message.startswith("base64 body rejected: ")
+        assert "sentinel" not in docs[0].container_error.message
 
     def test_non_ascii_input_in_pem_mode(self):
         docs = load_documents("café".encode("utf-8"), "x.pem", fmt="pem")

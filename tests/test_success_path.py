@@ -5,7 +5,10 @@ over ten times a module-level name, so the walk modules bind the codes
 their success path passes to module-level names.  This test lints
 certificates that record no diagnostic at all under an opcode trace and
 fails on any Code member read executed in a frame of grammar.py,
-names.py or extensions.py.
+names.py or extensions.py.  A second test lints the same certificates
+under a call trace and fails if any of TlvNode's readings of its tag
+(tag_class, constructed, tag_number, describe_tag) runs: an accepted
+walk compares the identifier octet, tag, and nothing else.
 """
 
 import dis
@@ -19,6 +22,7 @@ import golden_corpus
 import derlint.extensions
 import derlint.grammar
 import derlint.names
+from derlint.der import TlvNode
 from derlint.diagnostics import Code
 from derlint.ingest import LintOptions, lint_bytes
 
@@ -98,3 +102,37 @@ def test_accepted_walk_reads_no_code_member():
     assert {"base-cert", "ca-cert-accepted", "pss-ok", "dh-key", "ec-key"} <= {name for name, _ in docs}
     assert len(docs) >= 30 and traced == files
     assert sorted(read) == []
+
+
+def _tag_readings(docs) -> set[str]:
+    """The names of TlvNode's tag readings that run while docs are linted."""
+    readings = {
+        TlvNode.tag_class.fget.__code__,
+        TlvNode.constructed.fget.__code__,
+        TlvNode.tag_number.fget.__code__,
+        TlvNode.describe_tag.__code__,
+    }
+    options = LintOptions(fmt="der", timing=False)
+    ran = set()
+
+    def on_call(frame, event, arg):
+        if frame.f_code in readings:
+            ran.add(frame.f_code.co_name)
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        for name, data in docs:
+            lint_bytes(data, name, options)
+    finally:
+        sys.settrace(previous)
+    return ran
+
+
+def test_accepted_walk_reads_only_the_tag():
+    # A wrong tag is described in its message, so the trace sees the readings when they run.
+    wrong = certs.build(replace(certs.CertSpec(), outer_alg=enc.seq(enc.integer(1))))
+    assert _tag_readings([("wrong-tag", wrong)]) >= {"describe_tag", "tag_class", "tag_number", "constructed"}
+    docs = _accepted_without_diagnostics()
+    assert len(docs) >= 30
+    assert sorted(_tag_readings(docs)) == []
