@@ -17,7 +17,7 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .differential import analyze, cross_tabulate, load_report_lines, read_records
+from .differential import analyze, cross_tabulate, load_report_lines, read_records, write_report
 
 if TYPE_CHECKING:
     from .ingest import CertificateReport
@@ -142,27 +142,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             return EXIT_ERROR
         crosstab = cross_tabulate(analysis.verdicts, ours)
 
-    if args.report == "json":
-        payload = analysis.to_json_dict()
-        if crosstab is not None:
-            payload["crosstab"] = crosstab.to_json_dict()
-        print(json.dumps(payload))
-    else:
-        for v in analysis.verdicts:
-            parent = "-" if v.parent_label is None else v.parent_label
-            print(f"{v.validator_id} {v.chain_id}: {v.verdict} [{v.rule_applied}] leaf={v.leaf_label} parent={parent}")
-        for m in analysis.missing:
-            print(f"{m.validator_id} {m.chain_id}: unresolved, parent chain {m.parent_chain_id} not measured")
-        if crosstab is not None:
-            for validator, count in sorted(crosstab.disagreements.items()):
-                print(f"{validator}: accepts {count} certificate(s) we reject")
-                for code, n in sorted(crosstab.by_code.get(validator, {}).items()):
-                    print(f"    {code}: {n}")
-            print(
-                f"agreements: {crosstab.agreements}, "
-                f"accepted here but rejected there: {crosstab.accepted_here_rejected_there}, "
-                f"unjoined: {len(crosstab.unjoined)}"
-            )
+    write_report(sys.stdout, analysis, crosstab, args.report)
     return EXIT_OK
 
 

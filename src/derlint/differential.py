@@ -19,7 +19,8 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .diagnostics import Code
 
@@ -33,6 +34,9 @@ _VALID_LABEL = "valid"
 
 # The lines io.StringIO(text) would give, without its copy of the text at four bytes a character.
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+# Records per out.write in a json report: the report is never held whole, and each write is large.
+_CHUNK = 2048
 
 
 class ChainOutcomeRecord(NamedTuple):
@@ -50,9 +54,6 @@ class ChainVerdict(NamedTuple):
     rule_applied: str
     leaf_label: str
     parent_label: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return self._asdict()
 
 
 class MissingCaRecord(NamedTuple):
@@ -104,27 +105,41 @@ def _check_chain_id(chain_id: str, row: int | None = None) -> None:
         raise ValueError(f"{where}malformed chain id {chain_id!r}")
 
 
-def read_records(source: str | TextIO) -> list[ChainOutcomeRecord]:
-    """Parse the outcome table from CSV with a fixed header, from a string or an open text file."""
+def read_records(source: str | TextIO) -> Iterator[ChainOutcomeRecord]:
+    """Parse the outcome table from CSV with a fixed header, from a string or an open text file.
+
+    The header is checked at the call; each row is checked as the returned iterator reaches it.
+    """
     reader = csv.reader((m[0] for m in _LINE.finditer(source)) if isinstance(source, str) else source)
     try:
         header = next(reader)
     except StopIteration:
         raise ValueError("empty outcome table") from None
+    except csv.Error as exc:
+        raise ValueError(f"row 1: {exc}") from None
     if tuple(h.strip() for h in header) != CSV_COLUMNS:
         raise ValueError(f"outcome table header must be {','.join(CSV_COLUMNS)}")
-    records = []
-    for i, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_COLUMNS):
-            raise ValueError(f"row {i}: expected {len(CSV_COLUMNS)} columns, found {len(row)}")
-        chain_id, leaf_cert_id, validator_id, outcome_label = map(str.strip, row)
-        _check_chain_id(chain_id, i)
-        if not validator_id or not outcome_label:
-            raise ValueError(f"row {i}: validator and outcome must be non-empty")
-        records.append(ChainOutcomeRecord(chain_id, leaf_cert_id, validator_id, outcome_label))
-    return records
+    return _read_rows(reader)
+
+
+def _read_rows(reader: Iterator[list[str]]) -> Iterator[ChainOutcomeRecord]:
+    new, strip, columns = tuple.__new__, str.strip, len(CSV_COLUMNS)
+    i = 1
+    try:
+        for i, row in enumerate(reader, start=2):
+            if len(row) != columns:
+                if not row:
+                    continue
+                raise ValueError(f"row {i}: expected {columns} columns, found {len(row)}")
+            record = new(ChainOutcomeRecord, map(strip, row))
+            chain_id, _, validator_id, outcome_label = record
+            if not chain_id or chain_id[0] == ">" or chain_id[-1] == ">" or ">>" in chain_id:
+                _check_chain_id(chain_id, i)
+            if not validator_id or not outcome_label:
+                raise ValueError(f"row {i}: validator and outcome must be non-empty")
+            yield record
+    except csv.Error as exc:  # raised while reading the row after row i
+        raise ValueError(f"row {i + 1}: {exc}") from None
 
 
 @dataclass
@@ -134,7 +149,7 @@ class AnalysisResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "verdicts": [v.to_json_dict() for v in self.verdicts],
+            "verdicts": [v._asdict() for v in self.verdicts],
             "missing_parent_chains": [m._asdict() for m in self.missing],
         }
 
@@ -192,7 +207,8 @@ class CrossTab:
     accepted_here_rejected_there: int = 0
     unjoined: list[UnjoinedRecord] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
+    def _counts_json_dict(self) -> dict:
+        """to_json_dict without the unjoined records."""
         return {
             "disagreements": dict(sorted(self.disagreements.items())),
             "by_code": {
@@ -200,8 +216,10 @@ class CrossTab:
             },
             "agreements": self.agreements,
             "accepted_here_rejected_there": self.accepted_here_rejected_there,
-            "unjoined": [u._asdict() for u in self.unjoined],
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self._counts_json_dict(), "unjoined": [u._asdict() for u in self.unjoined]}
 
 
 def cross_tabulate(
@@ -236,6 +254,59 @@ def cross_tabulate(
             out.accepted_here_rejected_there += 1
     out.unjoined.sort(key=lambda u: (u.validator_id, u.chain_id))
     return out
+
+
+def write_report(out: TextIO, analysis: AnalysisResult, crosstab: CrossTab | None = None, style: str = "json") -> None:
+    """Write the diff report a line, or for json a chunk of records, at a time.
+
+    The json style writes the bytes of json.dumps(analysis.to_json_dict()), with crosstab.to_json_dict() added
+    under "crosstab", and a newline; the text style one line per verdict and missing chain, then the counts.
+    """
+    if style == "text":
+        out.writelines(_text_lines(analysis, crosstab))
+        return
+    out.write('{"verdicts": [')
+    _write_json_records(out, analysis.verdicts, ChainVerdict)
+    out.write('], "missing_parent_chains": [')
+    _write_json_records(out, analysis.missing, MissingCaRecord)
+    if crosstab is None:
+        out.write("]}\n")
+        return
+    out.write(f'], "crosstab": {json.dumps(crosstab._counts_json_dict())[:-1]}, "unjoined": [')
+    _write_json_records(out, crosstab.unjoined, UnjoinedRecord)
+    out.write("]}}\n")
+
+
+def _write_json_records(out: TextIO, records: Sequence[tuple], record_type: type) -> None:
+    """Write records as json.dumps writes a list of their _asdict(), without the brackets.
+
+    Every field is a str, which json.dumps encodes with encode_basestring_ascii, or None.
+    """
+    encode = encode_basestring_ascii
+    template = "{" + ", ".join(f"{encode(name)}: %s" for name in record_type._fields) + "}"
+    for start in range(0, len(records), _CHUNK):
+        chunk = records[start : start + _CHUNK]
+        if start:
+            out.write(", ")
+        out.write(", ".join([template % tuple(["null" if v is None else encode(v) for v in r]) for r in chunk]))
+
+
+def _text_lines(analysis: AnalysisResult, crosstab: CrossTab | None) -> Iterator[str]:
+    for v in analysis.verdicts:
+        parent = "-" if v.parent_label is None else v.parent_label
+        yield f"{v.validator_id} {v.chain_id}: {v.verdict} [{v.rule_applied}] leaf={v.leaf_label} parent={parent}\n"
+    for m in analysis.missing:
+        yield f"{m.validator_id} {m.chain_id}: unresolved, parent chain {m.parent_chain_id} not measured\n"
+    if crosstab is not None:
+        for validator, count in sorted(crosstab.disagreements.items()):
+            yield f"{validator}: accepts {count} certificate(s) we reject\n"
+            for code, n in sorted(crosstab.by_code.get(validator, {}).items()):
+                yield f"    {code}: {n}\n"
+        yield (
+            f"agreements: {crosstab.agreements}, "
+            f"accepted here but rejected there: {crosstab.accepted_here_rejected_there}, "
+            f"unjoined: {len(crosstab.unjoined)}\n"
+        )
 
 
 def load_report_lines(source: str | TextIO) -> dict[str, list[str]]:

@@ -434,6 +434,25 @@ class TestDiff:
             "derlint: records: row 3003: expected 4 columns, found 3\n",
         )
 
+    def test_csv_error_is_bad_input(self, capsys, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_text(CSV_HEADER + "\nroot,root,openssl,VALID\nroot>x,x,openssl," + "x" * 131073 + "\n")
+        assert run(capsys, ["diff", "--records", str(records)]) == (
+            cli.EXIT_ERROR,
+            "",
+            "derlint: records: row 3: field larger than field limit (131072)\n",
+        )
+
+    def test_duplicate_before_malformed_row_is_reported(self, capsys, tmp_path):
+        # Rows reach analyze as they are read, so the first bad row in file order decides the message.
+        records = tmp_path / "records.csv"
+        records.write_text(CSV_HEADER + "\nroot,root,openssl,VALID\nroot,root,openssl,Ex\nroot>>x,x,openssl,VALID\n")
+        assert run(capsys, ["diff", "--records", str(records)]) == (
+            cli.EXIT_ERROR,
+            "",
+            "derlint: records: duplicate outcome for chain 'root' under 'openssl'\n",
+        )
+
     def test_bad_report_line_far_into_the_file(self, capsys, tmp_path, records_file):
         lines = [f'{{"id": "leaf{i}", "diagnostics": []}}' for i in range(3000)]
         reports = tmp_path / "reports.jsonl"
