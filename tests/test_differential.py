@@ -198,11 +198,6 @@ class TestReadRecords:
             list(read_records(text))
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("source", ["", "chain,leaf,validator,outcome\nroot,root,openssl,VALID\n"])
-    def test_header_errors_raise_at_the_call(self, source):
-        with pytest.raises(ValueError):
-            read_records(source)
-
     @pytest.mark.parametrize(
         "bad_row",
         [
@@ -714,7 +709,7 @@ class TestWriteReport:
 
     @pytest.mark.parametrize("style", ["json", "text"])
     def test_memory_does_not_grow_with_the_table(self, style):
-        # Peaks measured on CPython 3.11.7: json 1.03 and 1.06 MB, text 1.8 and 1.9 kB, so the larger
+        # Peaks measured on CPython 3.11.7: json 1.03 and 1.06 MB, text 1,840 and 1,852 bytes, so the larger
         # table's peak is at most 1.03 times the smaller's; the bound of 2 leaves 1.9x headroom over that.
         # Building the json report whole peaks at 6.0 and 39.8 MB, a ratio of 6.6.
         n = 2 * _CHUNK
