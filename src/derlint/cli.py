@@ -7,13 +7,15 @@ chain validation outcomes and optionally joins it against lint output.
 Exit status for lint: 0 when every certificate was accepted, 1 when any
 was rejected, 2 for usage problems, files that could not be read or
 directories that could not be listed.
-diff exits 0 on success and 2 on bad input.
+diff exits 0 on success and 2 on bad input.  Either exits 2, quietly,
+when its standard output is closed before the report is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -148,7 +150,14 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return _cmd_lint(args) if args.command == "lint" else _cmd_diff(args)
+    try:
+        return _cmd_lint(args) if args.command == "lint" else _cmd_diff(args)
+    except BrokenPipeError:
+        # The reader has gone (`derlint lint ... | head`).  Point stdout at
+        # devnull, as CPython's signal docs advise, so that the interpreter's
+        # final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

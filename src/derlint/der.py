@@ -39,7 +39,10 @@ offset and message.  Payloads inside an OCTET STRING or BIT STRING are
 parsed as regions of the whole document, so every node and error has an
 absolute document offset, and the region end acts as the input end.
 The scan is the only place a TlvNode is built: it stores the node's
-slots directly, since the class has no constructor.
+slots directly, since the class has no constructor.  It builds them only
+under a root that ends where the region does: under one that ends early
+the scan makes the same checks and reports the same first error, at the
+latest TRAILING_BYTES, but keeps no node.
 """
 
 from __future__ import annotations
@@ -57,6 +60,14 @@ Q0 = 1 << 36  # initial state, before any length octet
 
 # Default cap on constructed nesting depth.
 MAX_DEPTH = 64
+
+# Every code raised here, bound once: a Code.X read costs over ten global reads (EnumType.__getattr__).
+_FORBIDDEN, _TOO_LARGE, _NON_MINIMAL, _LEXING = (
+    Code.LENGTH_BYTE_FORBIDDEN, Code.LENGTH_TOO_LARGE, Code.NON_MINIMAL_LENGTH, Code.LEXING_ERROR
+)
+_TRUNCATED, _OVERFLOW, _TOO_DEEP, _TRAILING = (
+    Code.TRUNCATED_INPUT, Code.CHILD_OVERFLOW, Code.NESTING_TOO_DEEP, Code.TRAILING_BYTES
+)
 
 LengthAutomatonState = int
 
@@ -87,7 +98,7 @@ def delta_length(state: LengthAutomatonState, byte: int) -> LengthAutomatonState
             return byte  # short form
         if byte == 0x80:
             # Indefinite form, forbidden in DER.
-            raise RecognitionError(Code.LENGTH_BYTE_FORBIDDEN, message="length octet 0x80")
+            raise RecognitionError(_FORBIDDEN, message="length octet 0x80")
         if byte == 0x81:
             return L1
         if byte == 0x82:
@@ -98,28 +109,24 @@ def delta_length(state: LengthAutomatonState, byte: int) -> LengthAutomatonState
             return L4
         # 0x85..0xFF declare five or more length octets (0xFF is reserved
         # outright); either way the value cannot fit under the cap.
-        raise RecognitionError(
-            Code.LENGTH_TOO_LARGE, message=f"length prefix 0x{byte:02x}"
-        )
+        raise RecognitionError(_TOO_LARGE, message=f"length prefix 0x{byte:02x}")
 
     if state == L1:
         if byte < 0x80:
             # Long form used where short form suffices.
-            raise RecognitionError(
-                Code.NON_MINIMAL_LENGTH, message=f"long form for length {byte}"
-            )
+            raise RecognitionError(_NON_MINIMAL, message=f"long form for length {byte}")
         return byte
 
     if state == L2:
         if byte == 0:
-            raise RecognitionError(Code.NON_MINIMAL_LENGTH, message="leading zero length octet")
+            raise RecognitionError(_NON_MINIMAL, message="leading zero length octet")
         return L2 + 1 + byte
     if L2 < state <= L2 + 256:
         return ((state - (L2 + 1)) << 8) + byte
 
     if state == L3:
         if byte == 0:
-            raise RecognitionError(Code.NON_MINIMAL_LENGTH, message="leading zero length octet")
+            raise RecognitionError(_NON_MINIMAL, message="leading zero length octet")
         return L3 + 1 + byte
     if L3 < state <= L3 + 256:
         return L3 + 1 + byte + ((state - (L3 + 1)) << 8)
@@ -128,7 +135,7 @@ def delta_length(state: LengthAutomatonState, byte: int) -> LengthAutomatonState
 
     if state == L4:
         if byte == 0:
-            raise RecognitionError(Code.NON_MINIMAL_LENGTH, message="leading zero length octet")
+            raise RecognitionError(_NON_MINIMAL, message="leading zero length octet")
         return L4 + 1 + byte
     if L4 < state <= L4 + 256:
         return L4 + 1 + byte + ((state - (L4 + 1)) << 8)
@@ -203,8 +210,8 @@ class TlvNode:
 def _out_of_bytes(at_input_end: bool, offset: int, what: str) -> RecognitionError:
     """A header cut short at offset: by the input's end, or by the enclosing element's."""
     if at_input_end:
-        return RecognitionError(Code.TRUNCATED_INPUT, offset=offset, message=f"input ends inside {what}")
-    return RecognitionError(Code.CHILD_OVERFLOW, offset=offset, message=f"{what} run past parent extent")
+        return RecognitionError(_TRUNCATED, offset=offset, message=f"input ends inside {what}")
+    return RecognitionError(_OVERFLOW, offset=offset, message=f"{what} run past parent extent")
 
 
 def _read_identifier(data: bytes, pos: int, limit: int, at_input_end: bool) -> tuple[int, int]:
@@ -226,24 +233,16 @@ def _read_identifier(data: bytes, pos: int, limit: int, at_input_end: bool) -> t
                 raise _out_of_bytes(at_input_end, pos, "identifier octets")
             b = data[pos]
             if first and b == 0x80:
-                raise RecognitionError(
-                    Code.LEXING_ERROR, offset=pos, message="leading 0x80 in high-form tag number"
-                )
+                raise RecognitionError(_LEXING, offset=pos, message="leading 0x80 in high-form tag number")
             first = False
             number = (number << 7) | (b & 0x7F)
             if number > CONTENT_MAX:
-                raise RecognitionError(
-                    Code.LEXING_ERROR, offset=pos, message="tag number exceeds 2**32-1"
-                )
+                raise RecognitionError(_LEXING, offset=pos, message="tag number exceeds 2**32-1")
             pos += 1
             if not b & 0x80:
                 break
         if number < 31:
-            raise RecognitionError(
-                Code.LEXING_ERROR,
-                offset=pos - 1,
-                message=f"tag number {number} encoded in high form",
-            )
+            raise RecognitionError(_LEXING, offset=pos - 1, message=f"tag number {number} encoded in high form")
         return number << 8 | b0, pos
     return b0, pos
 
@@ -280,10 +279,10 @@ def parse_tlv_tree(
     if end is None:
         end = len(data)
     if start == end:
-        raise RecognitionError(Code.TRUNCATED_INPUT, offset=start, message="empty input")
+        raise RecognitionError(_TRUNCATED, offset=start, message="empty input")
     if end - start > CONTENT_MAX:
         raise RecognitionError(
-            Code.LENGTH_TOO_LARGE,
+            _TOO_LARGE,
             offset=start,
             message=f"input of {end - start} bytes exceeds cap {CONTENT_MAX}",
         )
@@ -295,6 +294,11 @@ def parse_tlv_tree(
     limit = end
     top: list[TlvNode] = []
     kids = top
+    # Whether elements are built.  Only the root can end where the region
+    # does, so the root's header decides; a root that ends early can only
+    # end in an error, TRAILING_BYTES at the latest, so under it the scan
+    # makes the same checks in the same order and keeps no node.
+    build = False
     pos = start
     while True:
         header = pos
@@ -321,12 +325,24 @@ def parse_tlv_tree(
         stop = pos + length
         if stop > limit:
             if limit == end:
-                raise RecognitionError(
-                    Code.TRUNCATED_INPUT, offset=limit, message=f"declared length {length} overruns input"
-                )
-            raise RecognitionError(
-                Code.CHILD_OVERFLOW, offset=header, message=f"declared length {length} overruns parent extent"
-            )
+                raise RecognitionError(_TRUNCATED, offset=limit, message=f"declared length {length} overruns input")
+            raise RecognitionError(_OVERFLOW, offset=header, message=f"declared length {length} overruns parent extent")
+        if not build:
+            build = stop == end
+            if not build:
+                if tag & 0x20:
+                    if len(outer) >= max_depth:
+                        raise RecognitionError(_TOO_DEEP, offset=header)
+                    if length:
+                        outer.append((limit, kids))
+                        limit = stop
+                        continue
+                pos = stop
+                while pos == limit and outer:
+                    limit, kids = outer.pop()
+                if not outer:
+                    break
+                continue
         # Slots stored inline: a constructor call would cost a Python frame per node.
         node = new(TlvNode)
         node.tag = tag
@@ -337,7 +353,7 @@ def parse_tlv_tree(
         kids.append(node)
         if tag & 0x20:
             if len(outer) >= max_depth:
-                raise RecognitionError(Code.NESTING_TOO_DEEP, offset=header)
+                raise RecognitionError(_TOO_DEEP, offset=header)
             node.children = []
             if length:
                 outer.append((limit, kids))
@@ -353,7 +369,7 @@ def parse_tlv_tree(
         if not outer:
             break
     if pos != end:
-        raise RecognitionError(Code.TRAILING_BYTES, offset=pos, message=f"{end - pos} byte(s) after element")
+        raise RecognitionError(_TRAILING, offset=pos, message=f"{end - pos} byte(s) after element")
     return top[0]
 
 

@@ -554,15 +554,15 @@ def parse_certificate(data: bytes | bytearray | memoryview, registry: Registry |
     Accepts bytes-like data.  The result's accepted flag is derived from
     the diagnostics alone.
     """
-    ctx = WalkContext(registry if registry is not None else default_registry())
-    result = ParsedCertificate(diagnostics=ctx.diags)
-
     # bytes(): Registry.by_der is keyed by node content, which a bytearray's slices would leave unhashable.
     try:
         node = parse_tlv_tree(bytes(data))
     except RecognitionError as err:
-        ctx.add(err.code, err.offset, "certificate", err.message)
-        return result
+        # Refused by the scan: one diagnostic, and no walk to set up.
+        return ParsedCertificate(diagnostics=[Diagnostic(err.code, err.offset, "certificate", err.message)])
+
+    ctx = WalkContext(registry if registry is not None else default_registry())
+    result = ParsedCertificate(diagnostics=ctx.diags)
 
     what = "certificate must be a SEQUENCE"
     if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, "certificate", what):

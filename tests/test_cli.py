@@ -4,7 +4,10 @@ import errno
 import io
 import json
 import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -460,6 +463,34 @@ class TestDiff:
         status, out, err = run(capsys, ["diff", "--records", str(records_file), "--reports", str(reports)])
         assert (status, out) == (cli.EXIT_ERROR, "")
         assert err.startswith("derlint: reports: line 3001: not JSON: ") and err.count("\n") == 1, err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["lint", "lint-text", "diff-text"])
+    def test_reader_closing_early_ends_quietly(self, tmp_path, command):
+        # More output than the pipe and stdout's buffer hold, so a write fails while the command runs.
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        for i in range(1000):
+            (docs / f"bad{i:04d}.der").write_bytes(certs.base_cert() + b"\x00")
+        records = tmp_path / "records.csv"
+        records.write_text(CSV_HEADER + "\n" + "".join(f"root>l{i},l{i},openssl,Expired\n" for i in range(3000)))
+        argv = {
+            "lint": ["lint", str(docs)],
+            "lint-text": ["lint", "--report", "text", str(docs)],
+            "diff-text": ["diff", "--report", "text", "--records", str(records)],
+        }[command]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "derlint.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        with proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()  # what `| head -c 100` does
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == cli.EXIT_ERROR
+        assert "Traceback" not in err
+        assert err == ""
 
 
 class TestParser:

@@ -1,6 +1,7 @@
 """Structural layer: length transition function, TLV scanner, TLV trees."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -208,8 +209,14 @@ class TestParseTlvTree:
         # The inner SEQUENCE claims 2 content octets but its child's header
         # declares 5; input continues past the parent, so this is a child
         # overflow rather than truncation.
-        err = first_error(enc.seq(b"\x30\x02\x04\x05", enc.null()))
-        assert err.code is Code.CHILD_OVERFLOW
+        # The same holds under a root that leaves an octet over: the error
+        # inside it comes before TRAILING_BYTES.
+        data = enc.seq(b"\x30\x02\x04\x05", enc.null())
+        for blob in (data, data + b"\x00"):
+            err = first_error(blob)
+            assert (err.code, err.offset, err.message) == (
+                Code.CHILD_OVERFLOW, 4, "declared length 5 overruns parent extent"
+            )
 
     def test_overrun_at_input_end_reads_as_truncation(self):
         err = first_error(enc.seq(b"\x04\x05ab"))
@@ -221,6 +228,15 @@ class TestParseTlvTree:
         assert err.offset == 1
         err = first_error(b"\x04\x81\x05" + bytes(5))
         assert err.code is Code.NON_MINIMAL_LENGTH
+        # Inside a root, with and without an octet left over after it.
+        cases = [
+            (b"\x30\x02\x04\x80", Code.LENGTH_BYTE_FORBIDDEN, 3, "length octet 0x80"),
+            (enc.seq(b"\x04\x81\x05" + bytes(5)), Code.NON_MINIMAL_LENGTH, 4, "long form for length 5"),
+        ]
+        for data, code, offset, message in cases:
+            for blob in (data, data + b"\x00"):
+                err = first_error(blob)
+                assert (err.code, err.offset, err.message) == (code, offset, message)
 
     def test_primitive_must_not_be_constructed_inside(self):
         # A constructed OCTET STRING parses as a tree (tag semantics are
@@ -250,10 +266,14 @@ class TestParseTlvTree:
         levels = [enc.null()]
         for _ in range(MAX_DEPTH + 6):
             levels.append(enc.seq(levels[-1]))
+        # An octet left over after the root changes nothing: depth is still
+        # counted, and the cap is met before the scan reaches the root's end.
         blob = levels[-1]
-        err = first_error(blob)
-        assert err.code is Code.NESTING_TOO_DEEP
-        assert err.offset == len(blob) - len(levels[-1 - MAX_DEPTH])
+        for data in (blob, blob + b"\x00"):
+            err = first_error(data)
+            assert (err.code, err.offset, err.message) == (
+                Code.NESTING_TOO_DEEP, len(blob) - len(levels[-1 - MAX_DEPTH]), Code.NESTING_TOO_DEEP.label
+            )
 
     def test_deep_nesting_under_raised_cap(self):
         depth = 5_000
@@ -267,6 +287,24 @@ class TestParseTlvTree:
             levels += 1
         assert levels == depth
         assert node.tag == 0x05
+
+    def test_root_that_leaves_octets_over_builds_no_tree(self):
+        # A flat SEQUENCE of 100,000 NULLs keeps a node per NULL; with one
+        # octet after it the scan ends in TRAILING_BYTES and keeps none.
+        data = enc.seq(*[enc.null()] * 100_000)
+        peaks = []
+        for blob in (data, data + b"\x00"):
+            tracemalloc.start()
+            try:
+                try:
+                    tree = parse_tlv_tree(blob)
+                except RecognitionError as exc:
+                    tree = exc
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert tree.code is Code.TRAILING_BYTES and tree.offset == len(data)
+        assert peaks[1] < peaks[0] / 20, peaks
 
     def test_shared_end_closes_every_level(self):
         # The innermost two levels end on the same octet; the next element

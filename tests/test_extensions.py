@@ -109,6 +109,16 @@ class TestFraming:
     def test_body_trailing_bytes_remapped(self):
         codes = codes_only(certs.OID_SKI, enc.octet_string(b"k") + b"\x00")
         assert codes == [Code.REDUNDANT_TRAILING_BYTES]
+        # An overflow inside the body comes first, with or without an octet after it.
+        body = enc.seq(b"\x30\x02\x04\x05", enc.null())
+        for payload in (body, body + b"\x00"):
+            doc = enc.ctx(3, enc.seq(certs.extension(certs.OID_SKI, payload)))
+            ctx = WalkContext(REG)
+            parse_extensions(parse_tlv_tree(doc), ctx, "exts")
+            overflow_at = len(doc) - len(payload) + 4
+            assert [(d.code, d.byte_offset, d.message) for d in ctx.diags] == [
+                (Code.CHILD_OVERFLOW, overflow_at, "declared length 5 overruns parent extent")
+            ]
 
 
 class TestBodies:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from derlint.der import parse_tlv_tree
-from derlint.diagnostics import Code
+from derlint.diagnostics import Code, Diagnostic
 from derlint.extensions import WalkContext
 from derlint.grammar import (
     parse_algorithm_identifier,
@@ -68,6 +68,27 @@ class TestBaseCertificate:
             want = parse_certificate(data).diagnostics
             for view in (bytearray(data), memoryview(data), memoryview(bytearray(data))):
                 assert parse_certificate(view).diagnostics == want
+
+    def test_refused_scan_sets_up_no_walk(self, monkeypatch):
+        leaf = certs.base_cert()
+        cases = [
+            (b"", Diagnostic(Code.TRUNCATED_INPUT, 0, "certificate", "empty input")),
+            (b"\x30\x85", Diagnostic(Code.LENGTH_TOO_LARGE, 1, "certificate", "length prefix 0x85")),
+            (
+                leaf[:-1],
+                Diagnostic(
+                    Code.TRUNCATED_INPUT, len(leaf) - 1, "certificate", f"declared length {len(leaf) - 4} overruns input"
+                ),
+            ),
+        ]
+        assert [parse_certificate(data).diagnostics for data, _ in cases] == [[want] for _, want in cases]
+
+        def no_walk(registry):
+            raise AssertionError("a refused document built a WalkContext")
+
+        monkeypatch.setattr("derlint.grammar.WalkContext", no_walk)
+        for data, want in cases:
+            assert parse_certificate(data).diagnostics == [want]
 
     def test_outer_shape_must_be_three_sequence(self):
         parsed = parse_certificate(enc.seq(enc.integer(1)))
