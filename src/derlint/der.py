@@ -330,6 +330,7 @@ def parse_tlv_tree(
         if not build:
             build = stop == end
             if not build:
+                # The depth check and the closing below, repeated so that a built node pays only the test above.
                 if tag & 0x20:
                     if len(outer) >= max_depth:
                         raise RecognitionError(_TOO_DEEP, offset=header)
