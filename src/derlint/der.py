@@ -249,7 +249,7 @@ def _read_identifier(data: bytes, pos: int, limit: int, at_input_end: bool) -> t
 
 def _read_length(data: bytes, pos: int, limit: int, at_input_end: bool) -> tuple[int, int]:
     state = Q0
-    while not is_counting(state):
+    while not 0 <= state <= CONTENT_MAX:  # is_counting, inline: two calls a header on the octet-at-a-time path
         if pos >= limit:
             raise _out_of_bytes(at_input_end, pos, "length octets")
         try:
@@ -258,7 +258,7 @@ def _read_length(data: bytes, pos: int, limit: int, at_input_end: bool) -> tuple
             err.offset = pos
             raise
         pos += 1
-    return decode_length(state), pos
+    return state, pos
 
 
 def parse_tlv_tree(

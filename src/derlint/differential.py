@@ -116,7 +116,7 @@ def read_records(source: str | TextIO) -> Iterator[ChainOutcomeRecord]:
     except StopIteration:
         raise ValueError("empty outcome table") from None
     except csv.Error as exc:
-        raise ValueError(f"row 1: {exc}") from None
+        raise ValueError(f"row 1: {_csv_reason(exc)}") from None
     if tuple(h.strip() for h in header) != CSV_COLUMNS:
         raise ValueError(f"outcome table header must be {','.join(CSV_COLUMNS)}")
     return _read_rows(reader)
@@ -139,7 +139,17 @@ def _read_rows(reader: Iterator[list[str]]) -> Iterator[ChainOutcomeRecord]:
                 raise ValueError(f"row {i}: validator and outcome must be non-empty")
             yield record
     except csv.Error as exc:  # raised while reading the row after row i
-        raise ValueError(f"row {i + 1}: {exc}") from None
+        raise ValueError(f"row {i + 1}: {_csv_reason(exc)}") from None
+
+
+def _csv_reason(exc: csv.Error) -> str:
+    """The reason for a csv.Error in derlint's words: csv's own text differs between CPython versions."""
+    text = str(exc)
+    if text.startswith("field larger"):
+        return f"field larger than field limit ({csv.field_size_limit()})"
+    if text.startswith("new-line"):
+        return "line break inside an unquoted field"
+    return "malformed CSV row"
 
 
 @dataclass

@@ -26,7 +26,7 @@ from functools import partial
 
 from .der import TlvNode, parse_tlv_tree
 from .diagnostics import Code, Diagnostic, RecognitionError, diag
-from .names import parse_name, parse_rdn
+from .names import _plain_rdn, parse_name, parse_rdn
 from .registry import Registry
 from .values import (
     TAG_BIT_STRING,
@@ -427,7 +427,7 @@ def _body_basic_constraints(root: TlvNode, ctx: WalkContext, path: str) -> Basic
 
 
 def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> None:
-    policies: list[str] = []
+    seen: set[bytes] = set()  # content octets: a DER OID has exactly one encoding
     infos = _elements(ctx, root, "certificatePolicies", path, "certificatePolicies must name at least one policy")
     for i, pi in enumerate(infos or ()):
         sub = f"{path}.policy[{i}]"
@@ -438,12 +438,11 @@ def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> No
             continue
         if pi.children[0].tag != TAG_OID:
             ctx.add(_WRONG_OID, pi.children[0], sub, "policyIdentifier must be an OID")
-        else:
-            policy = ctx.oid(pi.children[0], sub)
-            if policy in policies:  # RFC 5280 4.2.1.4: each policy OID at most once
-                ctx.add(_MALFORMED_BODY, pi.children[0], sub, f"policy {policy} named twice")
-            elif policy is not None:
-                policies.append(policy)
+        elif _plain_oid(pi.children[0]) or ctx.oid(pi.children[0], sub) is not None:
+            policy = pi.children[0]
+            if policy.content in seen:  # RFC 5280 4.2.1.4: each policy OID at most once
+                ctx.add(_MALFORMED_BODY, policy, sub, f"policy {dotted(decode_oid(policy))} named twice")
+            seen.add(policy.content)
         if len(pi.children) == 2:
             _parse_policy_qualifiers(pi.children[1], ctx, sub)
 
@@ -583,6 +582,8 @@ def _body_policy_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None
 def _body_extended_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> None:
     kids = _elements(ctx, root, "extendedKeyUsage", path, "extendedKeyUsage must name at least one purpose")
     for i, child in enumerate(kids or ()):
+        if _plain_oid(child):
+            continue
         sub = f"{path}.purpose[{i}]"
         if ctx.expect(_WRONG_OID, child, TAG_OID, sub, "key purpose must be an OID"):
             ctx.oid(child, sub)
@@ -608,7 +609,8 @@ def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> Non
                     if not _plain_name(gn):
                         parse_general_name(gn, ctx, f"{path}.fullName[{k}]")
             elif choice.tag == 0xA1:
-                parse_rdn(choice, ctx, f"{path}.nameRelativeToCRLIssuer")
+                if not _plain_rdn(choice, ctx.reg):
+                    parse_rdn(choice, ctx, f"{path}.nameRelativeToCRLIssuer")
             else:
                 message = f"unknown distributionPointName choice {choice.describe_tag()}"
                 ctx.add(_MALFORMED_BODY, choice, path, message)
@@ -636,6 +638,9 @@ def _body_inhibit_any_policy(root: TlvNode, ctx: WalkContext, path: str) -> None
 def _info_access_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> None:
     descriptions = _elements(ctx, root, what, path, f"empty {what}", _EMPTY_ACCESS)
     for i, ad in enumerate(descriptions or ()):
+        kids = ad.children
+        if ad.tag == TAG_SEQUENCE and len(kids) == 2 and _plain_oid(kids[0]) and _plain_name(kids[1]):
+            continue
         sub = f"{path}.accessDescription[{i}]"
         if not _expect(ctx, ad, TAG_SEQUENCE, "accessDescription", sub):
             continue
@@ -699,6 +704,16 @@ def _plain_name(node: TlvNode) -> bool:
         pattern is not None and node.content_length <= 253
         and pattern.fullmatch(node.buffer, start, start + node.content_length) is not None
     )
+
+
+# An OID's content as minimal sub-identifiers of at most 4 octets (28 bits), so no arc can pass its bound.
+_PLAIN_OID = re.compile(rb"(?:[\x81-\xff][\x80-\xff]{0,2}[\x00-\x7f]|[\x00-\x7f])+")
+
+
+def _plain_oid(node: TlvNode) -> bool:
+    """True for an OBJECT IDENTIFIER that ctx.oid names without a diagnostic, matched in place like _plain_name."""
+    start = node.content_offset
+    return node.tag == TAG_OID and _PLAIN_OID.fullmatch(node.buffer, start, start + node.content_length) is not None
 
 
 def valid_dns_name(text: str) -> bool:

@@ -17,6 +17,7 @@ one.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .der import TlvNode, parse_tlv_tree
@@ -44,6 +45,7 @@ from .values import (
     TAG_UTC_TIME,
     decode_bit_string,
     decode_integer,
+    days_in_month,
     validate_time,
 )
 
@@ -459,12 +461,36 @@ def _parse_version(node: TlvNode, tbs: ParsedTbs, ctx: WalkContext) -> None:
     tbs.version = value
 
 
+# The Zulu forms validate_time accepts, by tag: (year)(month)(day) then hour, minute, second and Z, each in range.
+_TIME_REST = rb"(0[1-9]|1[0-2])(0[1-9]|[12][0-9]|3[01])(?:[01][0-9]|2[0-3])[0-5][0-9][0-5][0-9]Z"
+_PLAIN_TIMES = {
+    TAG_UTC_TIME: re.compile(rb"([0-9]{2})" + _TIME_REST),
+    TAG_GENERALIZED_TIME: re.compile(rb"([0-9]{4})" + _TIME_REST),
+}
+
+
+def _plain_time(node: TlvNode) -> bool:
+    """True for a UTCTime or GeneralizedTime that validate_time accepts, matched in place like _plain_name.
+
+    Only a day past the 28th reads the year and month, for days_in_month.  A UTCTime's two-digit year is
+    passed as it stands: each of 00-99 is a leap year exactly when the year it names (1950-2049) is one.
+    """
+    pattern = _PLAIN_TIMES.get(node.tag)
+    start = node.content_offset
+    found = pattern and pattern.fullmatch(node.buffer, start, start + node.content_length)
+    if not found:
+        return False
+    return found[3] <= b"28" or int(found[3]) <= days_in_month(int(found[1]), int(found[2]))
+
+
 def _parse_validity(node: TlvNode, ctx: WalkContext) -> None:
     path = "tbsCertificate.validity"
     if len(node.children) != 2:
         ctx.add(_MISMATCH, node, path, f"validity with {len(node.children)} fields")
         return
     for label, child in zip(("notBefore", "notAfter"), node.children):
+        if _plain_time(child):
+            continue
         sub = f"{path}.{label}"
         if child.tag != TAG_UTC_TIME and child.tag != TAG_GENERALIZED_TIME:
             ctx.add(_MISMATCH, child, sub, f"{label} must be a time, found {child.describe_tag()}")

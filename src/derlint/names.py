@@ -25,6 +25,7 @@ from .values import (
     TAG_SEQUENCE,
     TAG_SET,
     TAG_UTF8_STRING,
+    _OUTSIDE_ALPHABET,
     validate_charset,
 )
 
@@ -33,6 +34,7 @@ from .values import decode_oid, dotted  # noqa: F401
 
 if TYPE_CHECKING:
     from .extensions import WalkContext
+    from .registry import Registry
 
 # The codes an accepted walk passes, bound once: a Code.X read costs over ten global reads (EnumType.__getattr__).
 _MISMATCH, _INVALID_DN = Code.STRUCTURAL_MISMATCH, Code.INVALID_DN
@@ -82,10 +84,34 @@ def parse_name(
         return info
 
     for i, rdn in enumerate(node.children):
+        if rdn.tag == TAG_SET and _plain_rdn(rdn, ctx.reg):
+            continue
         rdn_path = f"{path}.rdn[{i}]"
         if ctx.expect(_INVALID_DN, rdn, TAG_SET, rdn_path, "RDN must be a SET"):
             parse_rdn(rdn, ctx, rdn_path)
     return info
+
+
+def _plain_rdn(rdn: TlvNode, reg: Registry) -> bool:
+    """True for a one-attribute RDN that parse_rdn walks silently; the caller checks the tag, as for parse_rdn.
+
+    The type must be a registered naming attribute whose kind permits the value's tag, and the value non-empty
+    and inside its alphabet.  It reads the octets in place, with no path or decoder; on False, run parse_rdn.
+    """
+    if len(rdn.children) != 1 or rdn.children[0].tag != TAG_SEQUENCE or len(rdn.children[0].children) != 2:
+        return False
+    type_node, value = rdn.children[0].children
+    text = reg.by_der.get(type_node.content) if type_node.tag == TAG_OID else None
+    permitted = _PERMITTED_BY_KIND.get(reg.lookup("attribute", text)) if text else None
+    if permitted is None or value.tag not in permitted or not value.content_length:
+        return False
+    start, stop = value.content_offset, value.content_offset + value.content_length
+    if value.tag != TAG_UTF8_STRING:
+        return _OUTSIDE_ALPHABET[STRING_KIND_BY_TAG[value.tag]].search(value.buffer, start, stop) is None
+    try:
+        return "\x00" not in value.buffer[start:stop].decode()
+    except UnicodeDecodeError:
+        return False
 
 
 def parse_rdn(rdn: TlvNode, ctx: WalkContext, path: str) -> None:

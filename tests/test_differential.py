@@ -184,8 +184,7 @@ class TestReadRecords:
             ("x" * (csv.field_size_limit() + 1), "row 1: field larger than field limit (131072)"),
             (
                 CSV_HEADER + "\nroot,root,openssl,VALID\rroot>x,x,openssl,Ex\n",
-                "row 2: new-line character seen in unquoted field"
-                " - do you need to open the file in universal-newline mode?",
+                "row 2: line break inside an unquoted field",
             ),
             (
                 CSV_HEADER + "\nroot,root,openssl,VALID\n\nroot>x,x,openssl," + "x" * (csv.field_size_limit() + 1),
@@ -197,6 +196,12 @@ class TestReadRecords:
         with pytest.raises(ValueError) as info:
             list(read_records(text))
         assert str(info.value) == message
+
+    def test_other_csv_errors_get_a_generic_reason(self):
+        # csv refuses a bytes row with its own text; derlint gives its own reason.
+        with pytest.raises(ValueError) as info:
+            list(read_records(iter([CSV_HEADER.encode()])))
+        assert str(info.value) == "row 1: malformed CSV row"
 
     @pytest.mark.parametrize(
         "bad_row",

@@ -8,7 +8,10 @@ fails on any Code member read executed in a frame of grammar.py,
 names.py or extensions.py.  A second test lints the same certificates
 under a call trace and fails if any of TlvNode's readings of its tag
 (tag_class, constructed, tag_number, describe_tag) runs: an accepted
-walk compares the identifier octet, tag, and nothing else.
+walk compares the identifier octet, tag, and nothing else.  A third
+fails if names.parse_rdn, values.validate_time, or values.decode_oid for
+a policy, key purpose or access method OID runs: the walk's in-place
+checks pass those elements without their walk.
 """
 
 import dis
@@ -24,7 +27,10 @@ import derlint.grammar
 import derlint.names
 from derlint.der import TlvNode
 from derlint.diagnostics import Code
+from derlint.extensions import WalkContext
 from derlint.ingest import LintOptions, lint_bytes
+from derlint.names import parse_rdn
+from derlint.values import decode_oid, validate_time
 
 from support import certs
 from support import encoder as enc
@@ -136,3 +142,52 @@ def test_accepted_walk_reads_only_the_tag():
     docs = _accepted_without_diagnostics()
     assert len(docs) >= 30
     assert sorted(_tag_readings(docs)) == []
+
+
+# The extension bodies that read an OID only to check it: policy identifiers, key purposes and access methods.
+OID_CHECK_BODIES = {"_body_certificate_policies", "_body_extended_key_usage", "_info_access_body"}
+
+
+def _element_walks(docs) -> set[str]:
+    """Which of parse_rdn, validate_time and decode_oid (for an OID of OID_CHECK_BODIES) run while docs are linted."""
+    options = LintOptions(fmt="der", timing=False)
+    ran = set()
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code is parse_rdn.__code__ or code is validate_time.__code__:
+            ran.add(code.co_name)
+        elif code is decode_oid.__code__:
+            caller = frame.f_back
+            if caller.f_code is WalkContext.oid.__code__:
+                caller = caller.f_back
+            if caller.f_code.co_name in OID_CHECK_BODIES:
+                ran.add(f"decode_oid in {caller.f_code.co_name}")
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        for name, data in docs:
+            lint_bytes(data, name, options)
+    finally:
+        sys.settrace(previous)
+    return ran
+
+
+def test_accepted_walk_checks_names_times_and_oids_in_place():
+    # An empty value, the 30th of February and a 32-bit arc in each OID-checking body: the trace sees each walk run.
+    arc = enc.oid("1.2.4294967295")
+    exts = (
+        certs.aki(),
+        certs.extension(certs.OID_EKU, enc.seq(arc)),
+        certs.extension(certs.OID_AIA, enc.seq(enc.seq(arc, enc.ctx_prim(6, b"http://ocsp.example")))),
+        certs.extension("2.5.29.32", enc.seq(enc.seq(arc))),
+    )
+    subject, validity = certs.name(value=enc.printable("")), certs.validity("200230000000Z")
+    walked = certs.build(certs.CertSpec(subject=subject, validity=validity, exts=exts))
+    assert _element_walks([("walked", walked)]) == {"parse_rdn", "validate_time"} | {
+        f"decode_oid in {body}" for body in OID_CHECK_BODIES
+    }
+    docs = _accepted_without_diagnostics()
+    assert len(docs) >= 30
+    assert sorted(_element_walks(docs)) == []
