@@ -37,7 +37,14 @@ catalog in ``support``:
   CRLF, explanatory text, comment lines, a private-key block, and each
   armor and base64 defect), plus empty and whitespace-only input, each
   read through load_documents under --format auto and pem, a few under
-  der as well, so the container layer is locked too.
+  der as well, so the container layer is locked too;
+* a value block with its own seed, after the container block: one
+  certificate for each error of the value decoders (values.py) and of
+  the length automaton (der.py) that no line above reaches, for URI and
+  rfc822Name subtrees in nameConstraints, and for compressed EC points,
+  each followed by eight seeded one-byte flips inside the replaced
+  field.  test_golden.py checks that the corpus reaches every raise of
+  values.py and der.py but three that no certificate can.
 
 Each document becomes one JSON line, ``[id, outcome, [[code, severity,
 byte_offset, path, message], ...]]``, with no timing.  Regenerate the
@@ -67,6 +74,7 @@ RANDOM_MAX_LEN = 600
 SHAPE_SEED = 0x5EA9E
 TAG_SEED = 0x7A65
 REACH_SEED = 0x2EAC4
+VALUE_SEED = 0x7A1E5
 
 
 def _directory_name_seeds() -> list[tuple[str, bytes]]:
@@ -571,6 +579,49 @@ def _reach_variants() -> dict[str, dict]:
     }
 
 
+def _value_variants() -> dict[str, dict]:
+    """label -> CertSpec replacements: one certificate per value decoder or length error no line above reaches."""
+    ski_value = enc.octet_string(enc.octet_string(certs.KEYID))
+
+    def ext(*parts: bytes) -> dict:
+        return {"exts": (certs.aki(), enc.seq(*parts))}
+
+    def subject(value: bytes) -> dict:
+        return {"subject": certs.name(value=value)}
+
+    def name_constraints(*names: bytes) -> dict:
+        body = enc.seq(enc.ctx(0, *(enc.seq(name) for name in names)))
+        return ext(enc.oid("2.5.29.30"), enc.boolean(True), enc.octet_string(body))
+
+    hosts = [enc.ctx_prim(6, host) for host in (b".example.com", b"host.example")]
+    mails = [enc.ctx_prim(1, mail) for mail in (b"user@example.com", b"example.com", b".example.com")]
+    return {
+        "integer-empty": {"serial": enc.tlv(2, b"")},
+        "integer-ff-pad": {"serial": enc.tlv(2, b"\xff\x80")},
+        "boolean-empty": ext(enc.oid(certs.OID_SKI), enc.tlv(1, b""), ski_value),
+        "boolean-two-octets": ext(enc.oid(certs.OID_SKI), enc.tlv(1, b"\xff\xff"), ski_value),
+        "oid-empty": ext(enc.raw_oid(b""), ski_value),
+        "oid-later-arc-overflow": ext(enc.oid("1.2.4294967296"), ski_value),
+        "bit-string-empty-unused": {"issuer_uid": enc.ctx_prim(1, b"\x03")},
+        "named-bits-unused-count": ext(enc.oid(certs.OID_KU), enc.octet_string(enc.tlv(3, b"\x03\x80"))),
+        "utf8-nul": subject(enc.tlv(12, b"a\x00b")),
+        "bmp-odd-length": subject(enc.tlv(30, b"\x00A\x00")),
+        "bmp-nul": subject(enc.tlv(30, b"\x00A\x00\x00")),
+        "bmp-surrogate": subject(enc.tlv(30, b"\x00A\xd8\x00")),
+        "universal-length": subject(enc.tlv(28, b"\x00\x00\x00A\x00")),
+        "universal-code-point": subject(enc.tlv(28, b"\x00\x00\x00A\x00\x11\x00\x00")),
+        "teletex-nul": subject(enc.tlv(20, b"a\x00")),
+        "time-month": {"validity": certs.validity("201301000000Z")},
+        "time-of-day": {"validity": certs.validity("200101235960Z")},
+        "length-82-leading-zero": {"serial": b"\x02\x82\x00\x01\x05"},
+        "length-83-leading-zero": {"serial": b"\x02\x83\x00\x00\x01\x05"},
+        "name-constraints-hosts-mails": name_constraints(*hosts, *mails),
+        "name-constraints-bad-hosts-mails": name_constraints(enc.ctx_prim(6, b"http://host/"), enc.ctx_prim(1, b"@")),
+        "ec-point-compressed": {"spki": _spki(_EC, enc.oid(_P256), b"\x02" + b"\x11" * 32)},
+        "ec-point-compressed-length": {"spki": _spki(_EC, enc.oid(_P256), b"\x03" + b"\x11" * 64)},
+    }
+
+
 def seeds() -> list[tuple[str, bytes]]:
     out = [(f"fixture-{f.name}", f.data) for f in certs.planted_fixtures()]
     out += [
@@ -677,12 +728,14 @@ def _line(report) -> str:
 
 def render() -> str:
     """The golden file's text for the current derlint."""
-    options = LintOptions(fmt="der", timing=False)
-    lines = [_line(lint_bytes(data, doc_id, options)) for doc_id, data in documents()]
+    der = LintOptions(fmt="der", timing=False)
+    lines = [_line(lint_bytes(data, doc_id, der)) for doc_id, data in documents()]
     for doc_id, raw, formats in container_documents():
         for fmt in formats:
             options = LintOptions(fmt=fmt, timing=False)
             lines += [_line(lint(doc, options)) for doc in load_documents(raw, f"{doc_id}/{fmt}", fmt)]
+    values = _with_region_flips(random.Random(VALUE_SEED), _replaced_field_seeds("value", _value_variants()))
+    lines += [_line(lint_bytes(data, doc_id, der)) for doc_id, data in values]
     return "\n".join(lines) + "\n"
 
 

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import golden_corpus
 
+import derlint.der
 import derlint.extensions
 import derlint.grammar
 import derlint.names
+import derlint.values
 
 
 def test_corpus_is_large_enough():
@@ -115,6 +117,58 @@ def test_corpus_reaches_every_walk_diagnostic():
     assert len(add_sites) > 100 and len(failing_sites) > 80
     missed = sorted(f"{Path(path).name}:{line}" for path, line in (add_sites - ran) | (failing_sites - failed))
     assert not missed, f"diagnostic sites no golden document reaches: {missed}"
+
+
+# The raises of values.py and der.py that no input can reach through lint, as (module, function, which raise in the
+# function from 0) -> (a fragment of its source, the reason).
+UNREACHABLE_RAISES = {
+    ("values", "validate_time", 0): ("not a time type", "the walk checks the tag before it calls validate_time"),
+    ("der", "_read_identifier", 0): ('"identifier octets"', "a header never starts at the end of its region"),
+    ("der", "parse_tlv_tree", 1): ("exceeds cap", "the CONTENT_MAX input cap needs a 4 GiB document"),
+}
+
+
+def _raises(module) -> dict[tuple[str, str, int], tuple[int, str]]:
+    """(module, function, n) -> (line, source) of the nth raise in each function of module.
+
+    A raise of ValueError is left out: it reports a caller's misuse (an octet or a state out of range), which no
+    input can cause, and not a diagnostic.
+    """
+    source = Path(module.__file__).read_text()
+    sites = {}
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, ast.FunctionDef):
+            raises = [node for node in ast.walk(func) if isinstance(node, ast.Raise)]
+            raises = [node for node in raises if getattr(getattr(node.exc, "func", None), "id", None) != "ValueError"]
+            for n, node in enumerate(sorted(raises, key=lambda node: node.lineno)):
+                key = (module.__name__.rpartition(".")[2], func.name, n)
+                sites[key] = (node.lineno, ast.get_source_segment(source, node))
+    return sites
+
+
+def test_corpus_reaches_every_value_and_length_error():
+    """Each raise of the value decoders and the TLV scan runs for at least one golden line, but for three."""
+    modules = (derlint.values, derlint.der)
+    sites = {key: (module.__file__, *site) for module in modules for key, site in _raises(module).items()}
+    for key, (fragment, _) in UNREACHABLE_RAISES.items():
+        assert fragment in sites[key][2], key
+    files = {module.__file__ for module in modules}
+    ran = set()
+
+    def line_tracer(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return line_tracer
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line_tracer if frame.f_code.co_filename in files else None)
+    try:
+        golden_corpus.render()
+    finally:
+        sys.settrace(previous)
+    assert len(sites) > 30
+    missed = sorted(f"{Path(path).name}:{line}" for key, (path, line, _) in sites.items() if (path, line) not in ran)
+    assert missed == sorted(f"{Path(sites[key][0]).name}:{sites[key][1]}" for key in UNREACHABLE_RAISES)
 
 
 # Every container diagnostic ingest.py can give, as (code, message prefix).
