@@ -16,13 +16,13 @@ __version__ = "0.1.0"
 # imported on first access (PEP 562), so `derlint diff` loads the analyzer
 # without the lint stack.
 _EXPORTS = {
-    "der": "CONTENT_MAX MAX_DEPTH TlvNode decode_length delta_length parse_tlv_tree recognize_toy toy_delta",
+    "der": "CONTENT_MAX MAX_DEPTH TlvNode delta_length parse_tlv_tree recognize_toy toy_delta",
     "diagnostics": "Category Code Diagnostic Histogram RecognitionError Severity UnmappedMessage "
     "classify_external_message diag",
     "differential": "AnalysisResult ChainOutcomeRecord ChainVerdict CrossTab MissingCaRecord UnjoinedRecord analyze "
     "classify_differential cross_tabulate parent_chain_id read_records",
     "extensions": "WalkContext",
-    "grammar": "AlgorithmId ParsedCertificate ParsedTbs SpkiInfo parse_algorithm_identifier parse_certificate",
+    "grammar": "AlgorithmId ParsedCertificate ParsedTbs parse_algorithm_identifier parse_certificate",
     "ingest": "CertificateReport InputDocument LintOptions lint lint_bytes load_documents load_input run_batch",
     "registry": "Registry default_registry load_registry parse_registry",
 }

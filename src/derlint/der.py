@@ -72,10 +72,6 @@ _TRUNCATED, _OVERFLOW, _TOO_DEEP, _TRAILING = (
 LengthAutomatonState = int
 
 
-def is_counting(state: LengthAutomatonState) -> bool:
-    return 0 <= state <= CONTENT_MAX
-
-
 def is_accepting(state: LengthAutomatonState) -> bool:
     return state == 0
 
@@ -145,13 +141,6 @@ def delta_length(state: LengthAutomatonState, byte: int) -> LengthAutomatonState
         return ((state - (L4 + 1)) << 8) + byte
 
     raise ValueError(f"not a length-decoding state: {state}")
-
-
-def decode_length(state: LengthAutomatonState) -> int:
-    """Content length carried by a counting state."""
-    if not is_counting(state):
-        raise ValueError(f"not a counting state: {state}")
-    return state
 
 
 _TAG_CLASSES = ("universal", "application", "context", "private")
@@ -249,7 +238,7 @@ def _read_identifier(data: bytes, pos: int, limit: int, at_input_end: bool) -> t
 
 def _read_length(data: bytes, pos: int, limit: int, at_input_end: bool) -> tuple[int, int]:
     state = Q0
-    while not 0 <= state <= CONTENT_MAX:  # is_counting, inline: two calls a header on the octet-at-a-time path
+    while not 0 <= state <= CONTENT_MAX:  # until a counting state, which carries the content length
         if pos >= limit:
             raise _out_of_bytes(at_input_end, pos, "length octets")
         try:

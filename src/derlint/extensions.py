@@ -46,6 +46,7 @@ from .values import (
     decode_integer,
     decode_oid,
     dotted,
+    plain_oid,
     validate_charset,
 )
 
@@ -55,8 +56,8 @@ OID_KEY_USAGE = "2.5.29.15"
 OID_SUBJECT_ALT_NAME = "2.5.29.17"
 OID_BASIC_CONSTRAINTS = "2.5.29.19"
 
-_OID_QT_CPS = "1.3.6.1.5.5.7.2.1"
-_OID_QT_UNOTICE = "1.3.6.1.5.5.7.2.2"
+# The CPS and userNotice qualifier ids, 1.3.6.1.5.5.7.2.1 and .2.2, as content octets: a DER OID has one encoding.
+_QT_CPS, _QT_UNOTICE = b"\x2b\x06\x01\x05\x05\x07\x02\x01", b"\x2b\x06\x01\x05\x05\x07\x02\x02"
 
 KEY_USAGE_BITS = (
     "digitalSignature",
@@ -107,10 +108,6 @@ _DP_WRONG_FORM = (
 _MISMATCH, _MALFORMED_BODY, _WRONG_EXTN_ID = Code.STRUCTURAL_MISMATCH, Code.MALFORMED_EXTENSION_BODY, Code.WRONG_EXTN_ID
 _WRONG_OID, _EMPTY_NAMES, _EMPTY_ACCESS = Code.WRONG_OID, Code.EMPTY_GENERAL_NAMES, Code.EMPTY_SEQUENCE_IN_INFO_ACCESS
 
-# The text of a one-octet sub-identifier, by its value: the first one folds two arcs, a later one adds ".N".
-_FIRST_ARCS = tuple(f"{min(v // 40, 2)}.{v - 40 * min(v // 40, 2)}" for v in range(128))
-_LATER_ARCS = tuple(f".{v}" for v in range(128))
-
 
 class WalkContext:
     """What one certificate walk shares: the registry and the diagnostic sink.
@@ -157,22 +154,17 @@ class WalkContext:
 
         A non-minimal arc (WRONG_OID) is recorded as the slot's wrong_oid
         code.  A registered OID is decoded once per registry: its content
-        octets then name it through the registry's by_der table.  In
-        non-empty all-ASCII content each octet is one whole sub-identifier,
-        which no decoder error can befall, so the text is built from the
-        octets; any other content goes through decode_oid and its errors.
+        octets then name it through the registry's by_der table.  Any other
+        OID goes through decode_oid and its errors.
         """
         content = node.content
         text = self.reg.by_der.get(content)
         if text is None:
-            if content.isascii() and content:
-                text = _FIRST_ARCS[content[0]] + "".join(map(_LATER_ARCS.__getitem__, content[1:]))
-            else:
-                try:
-                    text = dotted(decode_oid(node))
-                except RecognitionError as err:
-                    self.add(wrong_oid if err.code is _WRONG_OID else err.code, err.offset, path, err.message)
-                    return None
+            try:
+                text = dotted(decode_oid(node))
+            except RecognitionError as err:
+                self.add(wrong_oid if err.code is _WRONG_OID else err.code, err.offset, path, err.message)
+                return None
             if text in self.reg.oids:
                 self.reg.by_der[content] = text
         return text
@@ -438,7 +430,7 @@ def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> No
             continue
         if pi.children[0].tag != TAG_OID:
             ctx.add(_WRONG_OID, pi.children[0], sub, "policyIdentifier must be an OID")
-        elif _plain_oid(pi.children[0]) or ctx.oid(pi.children[0], sub) is not None:
+        elif plain_oid(pi.children[0]) or ctx.oid(pi.children[0], sub) is not None:
             policy = pi.children[0]
             if policy.content in seen:  # RFC 5280 4.2.1.4: each policy OID at most once
                 ctx.add(_MALFORMED_BODY, policy, sub, f"policy {dotted(decode_oid(policy))} named twice")
@@ -456,21 +448,18 @@ def _parse_policy_qualifiers(node: TlvNode, ctx: WalkContext, path: str) -> None
         if len(pqi.children) != 2 or pqi.children[0].tag != TAG_OID:
             ctx.add(_MALFORMED_BODY, pqi, sub, "policyQualifierInfo must be (OID, qualifier)")
             continue
-        qid = ctx.oid(pqi.children[0], sub)
-        if qid is None:
-            continue
-        qualifier = pqi.children[1]
-        if qid == _OID_QT_CPS:
+        qid, qualifier = pqi.children
+        if qid.content == _QT_CPS:
             if qualifier.tag == TAG_IA5_STRING:
                 text = ctx.decode(validate_charset, qualifier, sub)
                 if text is not None and not valid_uri(text):
                     ctx.add(Code.BAD_DNS_URI_EMAIL_FORMAT, qualifier, sub, f"URI without scheme: {text!r}")
             else:
                 ctx.add(_MALFORMED_BODY, qualifier, sub, "CPS qualifier must be an IA5String")
-        elif qid == _OID_QT_UNOTICE:
+        elif qid.content == _QT_UNOTICE:
             _parse_user_notice(qualifier, ctx, sub)
-        else:
-            ctx.add(_WRONG_OID, pqi.children[0], sub, f"unknown policy qualifier {qid}")
+        elif (text := ctx.oid(qid, sub)) is not None:
+            ctx.add(_WRONG_OID, qid, sub, f"unknown policy qualifier {text}")
 
 
 def _parse_user_notice(node: TlvNode, ctx: WalkContext, path: str) -> None:
@@ -582,7 +571,7 @@ def _body_policy_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None
 def _body_extended_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> None:
     kids = _elements(ctx, root, "extendedKeyUsage", path, "extendedKeyUsage must name at least one purpose")
     for i, child in enumerate(kids or ()):
-        if _plain_oid(child):
+        if plain_oid(child):
             continue
         sub = f"{path}.purpose[{i}]"
         if ctx.expect(_WRONG_OID, child, TAG_OID, sub, "key purpose must be an OID"):
@@ -639,7 +628,7 @@ def _info_access_body(root: TlvNode, ctx: WalkContext, path: str, what: str) -> 
     descriptions = _elements(ctx, root, what, path, f"empty {what}", _EMPTY_ACCESS)
     for i, ad in enumerate(descriptions or ()):
         kids = ad.children
-        if ad.tag == TAG_SEQUENCE and len(kids) == 2 and _plain_oid(kids[0]) and _plain_name(kids[1]):
+        if ad.tag == TAG_SEQUENCE and len(kids) == 2 and plain_oid(kids[0]) and _plain_name(kids[1]):
             continue
         sub = f"{path}.accessDescription[{i}]"
         if not _expect(ctx, ad, TAG_SEQUENCE, "accessDescription", sub):
@@ -704,16 +693,6 @@ def _plain_name(node: TlvNode) -> bool:
         pattern is not None and node.content_length <= 253
         and pattern.fullmatch(node.buffer, start, start + node.content_length) is not None
     )
-
-
-# An OID's content as minimal sub-identifiers of at most 4 octets (28 bits), so no arc can pass its bound.
-_PLAIN_OID = re.compile(rb"(?:[\x81-\xff][\x80-\xff]{0,2}[\x00-\x7f]|[\x00-\x7f])+")
-
-
-def _plain_oid(node: TlvNode) -> bool:
-    """True for an OBJECT IDENTIFIER that ctx.oid names without a diagnostic, matched in place like _plain_name."""
-    start = node.content_offset
-    return node.tag == TAG_OID and _PLAIN_OID.fullmatch(node.buffer, start, start + node.content_length) is not None
 
 
 def valid_dns_name(text: str) -> bool:

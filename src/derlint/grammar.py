@@ -17,7 +17,6 @@ one.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .der import TlvNode, parse_tlv_tree
@@ -32,7 +31,7 @@ from .extensions import (
     parse_extensions,
 )
 from .matchers import CsCheckInput, run_cross_checks
-from .names import NameInfo, parse_name
+from .names import parse_name
 from .registry import Registry, default_registry
 from .values import (
     TAG_BIT_STRING,
@@ -45,7 +44,7 @@ from .values import (
     TAG_UTC_TIME,
     decode_bit_string,
     decode_integer,
-    days_in_month,
+    plain_time,
     validate_time,
 )
 
@@ -71,18 +70,13 @@ class AlgorithmId:
 
 
 @dataclass
-class SpkiInfo:
-    algorithm: AlgorithmId | None = None
-    key_family: str | None = None
-
-
-@dataclass
 class ParsedTbs:
     version: int = 0
     inner_algorithm: AlgorithmId | None = None
-    issuer: NameInfo | None = None
-    subject: NameInfo | None = None
-    spki: SpkiInfo | None = None
+    issuer: TlvNode | None = None
+    subject: TlvNode | None = None
+    subject_empty: bool = False
+    key_family: str | None = None
     has_unique_id: bool = False
     extensions: dict[str, ExtensionEntry] | None = None
     extensions_present: bool = False
@@ -305,28 +299,24 @@ def parse_spki(
     node: TlvNode,
     ctx: WalkContext,
     path: str = "tbsCertificate.subjectPublicKeyInfo",
-) -> SpkiInfo | None:
+) -> str | None:
+    """Walk a subjectPublicKeyInfo, and return the registry's key family for its algorithm, or None."""
     what = "subjectPublicKeyInfo must be a SEQUENCE"
     if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, path, what):
         return None
-    out = SpkiInfo()
     if len(node.children) != 2:
         ctx.add(_MISMATCH, node, path, f"subjectPublicKeyInfo with {len(node.children)} fields")
-        return out
+        return None
     alg_node, key_node = node.children
-    out.algorithm = parse_algorithm_identifier(alg_node, "spki", ctx, f"{path}.algorithm")
-    if out.algorithm is not None and out.algorithm.oid is not None:
-        out.key_family = ctx.reg.lookup("keyfamily", out.algorithm.oid)
+    alg = parse_algorithm_identifier(alg_node, "spki", ctx, f"{path}.algorithm")
+    oid = alg.oid if alg is not None else None
+    key_family = ctx.reg.lookup("keyfamily", oid) if oid is not None else None
 
     key_path = f"{path}.subjectPublicKey"
     bits = _bit_string_octets(key_node, ctx, key_path, "subjectPublicKey", "key", "public key")
-    if bits is None or out.algorithm is None or out.algorithm.oid is None:
-        return out
-    keybits_grammar = ctx.reg.lookup("keybits", out.algorithm.oid)
-    if keybits_grammar is None:
-        return out
-    _check_key_bits(keybits_grammar, key_node, bits, out, ctx, key_path)
-    return out
+    if bits is not None and oid is not None and (grammar := ctx.reg.lookup("keybits", oid)) is not None:
+        _check_key_bits(grammar, key_node, bits, alg, ctx, key_path)
+    return key_family
 
 
 def _bit_string_octets(node: TlvNode, ctx: WalkContext, path: str, slot: str, noun: str, empty: str) -> bytes | None:
@@ -364,7 +354,7 @@ def _check_key_bits(
     grammar: str,
     key_node: TlvNode,
     bits: bytes,
-    out: SpkiInfo,
+    alg: AlgorithmId,
     ctx: WalkContext,
     path: str,
 ) -> None:
@@ -372,7 +362,7 @@ def _check_key_bits(
         # The point starts after the BIT STRING's unused-bits octet.
         point_offset = key_node.content_offset + 1
         first = bits[0]
-        width = ctx.reg.curve_width(out.algorithm.curve_oid) if out.algorithm and out.algorithm.curve_oid else None
+        width = ctx.reg.curve_width(alg.curve_oid) if alg.curve_oid else None
         if first == 0x04:
             expect = None if width is None else 1 + 2 * width
         elif first in (0x02, 0x03):
@@ -461,35 +451,13 @@ def _parse_version(node: TlvNode, tbs: ParsedTbs, ctx: WalkContext) -> None:
     tbs.version = value
 
 
-# The Zulu forms validate_time accepts, by tag: (year)(month)(day) then hour, minute, second and Z, each in range.
-_TIME_REST = rb"(0[1-9]|1[0-2])(0[1-9]|[12][0-9]|3[01])(?:[01][0-9]|2[0-3])[0-5][0-9][0-5][0-9]Z"
-_PLAIN_TIMES = {
-    TAG_UTC_TIME: re.compile(rb"([0-9]{2})" + _TIME_REST),
-    TAG_GENERALIZED_TIME: re.compile(rb"([0-9]{4})" + _TIME_REST),
-}
-
-
-def _plain_time(node: TlvNode) -> bool:
-    """True for a UTCTime or GeneralizedTime that validate_time accepts, matched in place like _plain_name.
-
-    Only a day past the 28th reads the year and month, for days_in_month.  A UTCTime's two-digit year is
-    passed as it stands: each of 00-99 is a leap year exactly when the year it names (1950-2049) is one.
-    """
-    pattern = _PLAIN_TIMES.get(node.tag)
-    start = node.content_offset
-    found = pattern and pattern.fullmatch(node.buffer, start, start + node.content_length)
-    if not found:
-        return False
-    return found[3] <= b"28" or int(found[3]) <= days_in_month(int(found[1]), int(found[2]))
-
-
 def _parse_validity(node: TlvNode, ctx: WalkContext) -> None:
     path = "tbsCertificate.validity"
     if len(node.children) != 2:
         ctx.add(_MISMATCH, node, path, f"validity with {len(node.children)} fields")
         return
     for label, child in zip(("notBefore", "notAfter"), node.children):
-        if _plain_time(child):
+        if plain_time(child):
             continue
         sub = f"{path}.{label}"
         if child.tag != TAG_UTC_TIME and child.tag != TAG_GENERALIZED_TIME:
@@ -530,19 +498,19 @@ def _parse_tbs(node: TlvNode, ctx: WalkContext) -> ParsedTbs:
     alg_node = need("signature")
     tbs.inner_algorithm = parse_algorithm_identifier(alg_node, "signature", ctx, f"{path}.signature")
 
-    issuer_node = need("issuer")
-    tbs.issuer = parse_name(issuer_node, ctx, f"{path}.issuer", role="issuer")
+    tbs.issuer = need("issuer")
+    parse_name(tbs.issuer, ctx, f"{path}.issuer", role="issuer")
 
     validity_node = need("validity")
     what = "validity must be a SEQUENCE"
     if ctx.expect(_MISMATCH, validity_node, TAG_SEQUENCE, f"{path}.validity", what):
         _parse_validity(validity_node, ctx)
 
-    subject_node = need("subject")
-    tbs.subject = parse_name(subject_node, ctx, f"{path}.subject", role="subject")
+    tbs.subject = need("subject")
+    tbs.subject_empty = parse_name(tbs.subject, ctx, f"{path}.subject", role="subject")
 
     spki_node = need("subjectPublicKeyInfo")
-    tbs.spki = parse_spki(spki_node, ctx, f"{path}.subjectPublicKeyInfo")
+    tbs.key_family = parse_spki(spki_node, ctx, f"{path}.subjectPublicKeyInfo")
 
     for tag, label in ((0x81, "issuerUniqueID"), (0x82, "subjectUniqueID")):
         if idx < len(kids) and kids[idx].tag in (tag, tag | 0x20):  # [1] or [2], either form
@@ -631,7 +599,7 @@ def _post_checks(result: ParsedCertificate, ctx: WalkContext) -> None:
         )
 
     extset = tbs.extensions
-    if tbs.subject is not None and tbs.subject.empty:
+    if tbs.subject_empty:
         san = extset.get(OID_SUBJECT_ALT_NAME) if extset else None
         if san is None or not san.critical:
             ctx.add(
@@ -639,8 +607,7 @@ def _post_checks(result: ParsedCertificate, ctx: WalkContext) -> None:
             )
 
     if extset is not None:
-        key_family = tbs.spki.key_family if tbs.spki else None
-        check_key_usage_rules(extset, key_family, ctx)
+        check_key_usage_rules(extset, tbs.key_family, ctx)
 
     parts = (tbs.inner_algorithm, result.outer_algorithm, tbs.subject, tbs.issuer)
     if all(part is not None for part in parts):
@@ -650,8 +617,8 @@ def _post_checks(result: ParsedCertificate, ctx: WalkContext) -> None:
             CsCheckInput(
                 inner_alg_raw=tbs.inner_algorithm.node.raw,
                 outer_alg_raw=result.outer_algorithm.node.raw,
-                subject_raw=tbs.subject.node.raw,
-                issuer_raw=tbs.issuer.node.raw,
+                subject_raw=tbs.subject.raw,
+                issuer_raw=tbs.issuer.raw,
                 has_aki=aki is not None,
                 aki_has_key_id=aki_key,
                 inner_alg_offset=tbs.inner_algorithm.node.header_offset,

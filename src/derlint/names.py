@@ -12,7 +12,6 @@ structurally checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .der import TlvNode
@@ -52,36 +51,27 @@ _PERMITTED_BY_KIND = {
 }
 
 
-@dataclass
-class NameInfo:
-    """Summary of a parsed Name, enough for the cross-field checks."""
-
-    node: TlvNode
-    empty: bool
-
-
 def parse_name(
     node: TlvNode,
     ctx: WalkContext,
     path: str,
     role: str = "subject",
-) -> NameInfo:
-    """Walk one Name; role 'issuer' makes emptiness an error here.
+) -> bool:
+    """Walk one Name, and return whether it is empty; role 'issuer' makes emptiness an error here.
 
     An empty subject is legal only alongside a critical subjectAltName,
     which the certificate walk checks once extensions are known; this
-    function just reports emptiness in the returned NameInfo.
+    function just reports emptiness to its caller.
     """
     if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, path, "name must be a SEQUENCE"):
         # empty specifically means a SEQUENCE with zero RDNs; a node of
         # the wrong shape is neither empty nor usable.
-        return NameInfo(node, empty=False)
+        return False
 
-    info = NameInfo(node, empty=not node.children)
-    if info.empty:
+    if not node.children:
         if role == "issuer":
             ctx.add(Code.EMPTY_ISSUER_DN, node, path)
-        return info
+        return True
 
     for i, rdn in enumerate(node.children):
         if rdn.tag == TAG_SET and _plain_rdn(rdn, ctx.reg):
@@ -89,7 +79,7 @@ def parse_name(
         rdn_path = f"{path}.rdn[{i}]"
         if ctx.expect(_INVALID_DN, rdn, TAG_SET, rdn_path, "RDN must be a SET"):
             parse_rdn(rdn, ctx, rdn_path)
-    return info
+    return False
 
 
 def _plain_rdn(rdn: TlvNode, reg: Registry) -> bool:

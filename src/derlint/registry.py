@@ -28,10 +28,7 @@ registry the caller passes.
 by_der starts empty.  The walk adds the DER content octets of an OID it
 has named, keyed to the dotted form, when that form is in oids, so a
 registered OID is decoded once per registry and the table never holds
-more than the registry file names.  An OID not in the table whose
-octets are all ASCII (one whole sub-identifier each, as in the OCSP,
-caIssuers, CPS, serverAuth and clientAuth OIDs) is named from its octets
-without the decoder's arc loop; any other is decoded in full.
+more than the registry file names.  Any other OID is decoded in full.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ either returns the decoded value or raises RecognitionError with a
 taxonomy code and the offset of the offending octet.  Accepted values
 re-encode to byte-identical content: the decoders reject every
 non-canonical spelling rather than normalizing it.
+
+plain_oid and plain_time say, without raising, whether decode_oid and
+validate_time would accept a node: the walk calls the decoder only where
+they say no, so an accepted element costs one pattern match.
 """
 
 from __future__ import annotations
@@ -129,6 +133,16 @@ def decode_oid(node: TlvNode) -> tuple[int, ...]:
 
 def dotted(arcs: tuple[int, ...]) -> str:
     return ".".join(str(a) for a in arcs)
+
+
+# An OID's content as minimal sub-identifiers of at most 4 octets (28 bits), so no arc can pass its bound.
+_PLAIN_OID = re.compile(rb"(?:[\x81-\xff][\x80-\xff]{0,2}[\x00-\x7f]|[\x00-\x7f])+")
+
+
+def plain_oid(node: TlvNode) -> bool:
+    """True for an OBJECT IDENTIFIER that decode_oid accepts, matched in place with no slice or arc loop."""
+    start = node.content_offset
+    return node.tag == TAG_OID and _PLAIN_OID.fullmatch(node.buffer, start, start + node.content_length) is not None
 
 
 @dataclass
@@ -390,3 +404,25 @@ def validate_time(node: TlvNode) -> TimeValue:
             Code.INVALID_DATE, offset=off, message=f"time {hour:02d}:{minute:02d}:{second:02d}"
         )
     return TimeValue(year, month, day, hour, minute, second, kind)
+
+
+# The Zulu forms validate_time accepts, by tag: (year)(month)(day) then hour, minute, second and Z, each in range.
+_TIME_REST = rb"(0[1-9]|1[0-2])(0[1-9]|[12][0-9]|3[01])(?:[01][0-9]|2[0-3])[0-5][0-9][0-5][0-9]Z"
+_PLAIN_TIMES = {
+    TAG_UTC_TIME: re.compile(rb"([0-9]{2})" + _TIME_REST),
+    TAG_GENERALIZED_TIME: re.compile(rb"([0-9]{4})" + _TIME_REST),
+}
+
+
+def plain_time(node: TlvNode) -> bool:
+    """True for a UTCTime or GeneralizedTime that validate_time accepts, matched in place with no slice.
+
+    Only a day past the 28th reads the year and month, for days_in_month.  A UTCTime's two-digit year is
+    passed as it stands: each of 00-99 is a leap year exactly when the year it names (1950-2049) is one.
+    """
+    pattern = _PLAIN_TIMES.get(node.tag)
+    start = node.content_offset
+    found = pattern and pattern.fullmatch(node.buffer, start, start + node.content_length)
+    if not found:
+        return False
+    return found[3] <= b"28" or int(found[3]) <= days_in_month(int(found[1]), int(found[2]))

@@ -16,10 +16,8 @@ from derlint.der import (
     TlvNode,
     _read_identifier,
     _read_length,
-    decode_length,
     delta_length,
     is_accepting,
-    is_counting,
     parse_tlv_tree,
 )
 from derlint.diagnostics import Code, RecognitionError
@@ -39,8 +37,7 @@ class TestDeltaLength:
         for b in range(0x80):
             state = delta_length(Q0, b)
             assert state == b
-            assert is_counting(state)
-            assert decode_length(state) == b
+            assert 0 <= state <= CONTENT_MAX
 
     def test_only_zero_accepts(self):
         assert is_accepting(0)
@@ -119,8 +116,8 @@ class TestDeltaLength:
         mid = delta_length(Q0, 0x84)
         for b in (0x01, 0x02, 0x03):
             mid = delta_length(mid, b)
-            assert not is_counting(mid)
-        assert is_counting(delta_length(mid, 0x04))
+            assert not 0 <= mid <= CONTENT_MAX
+        assert 0 <= delta_length(mid, 0x04) <= CONTENT_MAX
 
     def test_rejects_bytes_out_of_range(self):
         with pytest.raises(ValueError):

@@ -41,8 +41,8 @@ def alg_codes(data: bytes, role: str = "signature"):
 
 def spki_codes(data: bytes):
     ctx = WalkContext(REG)
-    info = parse_spki(parse_tlv_tree(data), ctx, "spki")
-    return info, [d.code for d in ctx.diags]
+    key_family = parse_spki(parse_tlv_tree(data), ctx, "spki")
+    return key_family, [d.code for d in ctx.diags]
 
 
 class TestBaseCertificate:
@@ -56,9 +56,10 @@ class TestBaseCertificate:
         tbs = parsed.tbs
         assert tbs.version == 2
         assert tbs.inner_algorithm.oid == certs.OID_SHA256_RSA
-        assert tbs.issuer.node.raw == certs.ISSUER
-        assert tbs.subject.node.raw == certs.SUBJECT
-        assert tbs.spki.key_family == "rsa"
+        assert tbs.issuer.raw == certs.ISSUER
+        assert tbs.subject.raw == certs.SUBJECT
+        assert not tbs.subject_empty
+        assert tbs.key_family == "rsa"
         assert tbs.extensions is not None
         assert parsed.outer_algorithm.oid == certs.OID_SHA256_RSA
 
@@ -276,9 +277,9 @@ class TestAlgorithmParameters:
 
 class TestSubjectPublicKeyInfo:
     def test_rsa_key(self):
-        info, codes = spki_codes(certs.rsa_spki())
+        key_family, codes = spki_codes(certs.rsa_spki())
         assert codes == []
-        assert info.key_family == "rsa"
+        assert key_family == "rsa"
 
     def test_rsa_key_non_positive_modulus(self):
         key = enc.seq(enc.integer(-5), enc.integer(65537))
@@ -306,9 +307,9 @@ class TestSubjectPublicKeyInfo:
             enc.seq(enc.oid(OID_DSA_KEY), enc.seq(enc.integer(7), enc.integer(5), enc.integer(3))),
             enc.bit_string(enc.integer(99)),
         )
-        info, codes = spki_codes(data)
+        key_family, codes = spki_codes(data)
         assert codes == []
-        assert info.key_family == "dsa"
+        assert key_family == "dsa"
 
     def test_key_with_unused_bits_rejected(self):
         data = enc.seq(enc.seq(enc.oid(certs.OID_RSA_ENC), enc.null()), enc.tlv(3, b"\x04\xa0"))

@@ -20,8 +20,8 @@ OID_SERIAL = "2.5.4.5"
 
 def walk(data: bytes, role: str = "subject"):
     ctx = WalkContext(REG)
-    info = parse_name(parse_tlv_tree(data), ctx, "name", role=role)
-    return info, [d.code for d in ctx.diags]
+    empty = parse_name(parse_tlv_tree(data), ctx, "name", role=role)
+    return empty, [d.code for d in ctx.diags]
 
 
 def atv(oid_text: str, value: bytes) -> bytes:
@@ -30,10 +30,9 @@ def atv(oid_text: str, value: bytes) -> bytes:
 
 def test_single_cn():
     data = enc.seq(enc.set_of(atv(OID_CN, enc.printable("Root"))))
-    info, codes = walk(data)
+    empty, codes = walk(data)
     assert codes == []
-    assert not info.empty
-    assert info.node.raw == data
+    assert not empty
 
 
 def test_multiple_rdns_and_attributes():
@@ -41,24 +40,24 @@ def test_multiple_rdns_and_attributes():
         enc.set_of(atv(OID_C, enc.printable("DE"))),
         enc.set_of(atv(OID_CN, enc.utf8("Beispiel"))),
     )
-    info, codes = walk(data)
+    empty, codes = walk(data)
     assert codes == []
-    assert not info.empty
+    assert not empty
 
 
 def test_empty_name_roles():
-    info, codes = walk(enc.seq())
-    assert info.empty
+    empty, codes = walk(enc.seq())
+    assert empty
     assert codes == []
-    info, codes = walk(enc.seq(), role="issuer")
-    assert info.empty
+    empty, codes = walk(enc.seq(), role="issuer")
+    assert empty
     assert codes == [Code.EMPTY_ISSUER_DN]
 
 
 def test_wrong_shape_is_not_empty():
-    info, codes = walk(enc.octet_string(b"x"))
+    empty, codes = walk(enc.octet_string(b"x"))
     assert codes == [Code.STRUCTURAL_MISMATCH]
-    assert not info.empty
+    assert not empty
 
 
 def test_rdn_must_be_set():

@@ -1,7 +1,7 @@
 """The walk's in-place checks stand in for the walk only where it is silent.
 
-names._plain_rdn, grammar._plain_time and extensions._plain_oid let the
-walk skip an RDN, a validity time or an OID it would record nothing on.
+names._plain_rdn, values.plain_time and values.plain_oid let the walk
+skip an RDN, a validity time or an OID it would record nothing on.
 Each must return True only where the walk on that element records
 nothing.  That is checked for every element of each kind in the golden
 corpus and the planted catalog, extension payloads included, and for
@@ -20,14 +20,15 @@ import derlint.grammar
 import derlint.names
 from derlint.der import TlvNode, parse_tlv_tree
 from derlint.diagnostics import RecognitionError
-from derlint.extensions import WalkContext, _plain_oid
-from derlint.grammar import _plain_time
+from derlint.extensions import WalkContext
 from derlint.ingest import LintOptions, lint_bytes
 from derlint.names import _plain_rdn, parse_rdn
 from derlint.registry import default_registry
-from derlint.values import TAG_GENERALIZED_TIME, TAG_OID, TAG_SET, TAG_UTC_TIME, validate_time
+from derlint.values import TAG_GENERALIZED_TIME, TAG_OID, TAG_SET, TAG_UTC_TIME, decode_oid, plain_oid, plain_time
+from derlint.values import validate_time
 
 from support import certs
+from support import encoder as enc
 
 REG = default_registry()
 OPTIONS = LintOptions(fmt="der", timing=False)
@@ -78,8 +79,8 @@ def _walk_oid(node: TlvNode) -> bool:
 # kind -> (tags of the elements collected, the in-place check, the walk it stands in for)
 KINDS = {
     "rdn": ({TAG_SET}, lambda node: _plain_rdn(node, REG), _walk_rdn),
-    "time": ({TAG_UTC_TIME, TAG_GENERALIZED_TIME}, _plain_time, _walk_time),
-    "oid": ({TAG_OID}, _plain_oid, _walk_oid),
+    "time": ({TAG_UTC_TIME, TAG_GENERALIZED_TIME}, plain_time, _walk_time),
+    "oid": ({TAG_OID}, plain_oid, _walk_oid),
 }
 
 
@@ -145,7 +146,43 @@ def test_time_check_is_validate_time_on_every_date():
                 for clock in clocks:
                     content = f"{stamp}{month:02d}{day:02d}{clock}Z".encode()
                     node = parse_tlv_tree(bytes([tag, len(content)]) + content)
-                    assert _plain_time(node) == _walk_time(node), content
+                    assert plain_time(node) == _walk_time(node), content
+
+
+def _decodes(node: TlvNode) -> bool:
+    try:
+        decode_oid(node)
+    except RecognitionError:
+        return False
+    return True
+
+
+def test_oid_check_implies_decode_oid_accepts():
+    # Every 1- and 2-octet content, then seeded 3- to 8-octet ones, half their octets drawn from EDGES.
+    rng = random.Random(0x01D5)
+    contents = [bytes([a]) for a in range(256)] + [bytes([a, b]) for a in range(256) for b in range(256)]
+    for _ in range(20_000):
+        size = rng.randrange(3, 9)
+        contents.append(bytes(rng.choice(EDGES) if rng.random() < 0.5 else rng.randrange(256) for _ in range(size)))
+    nodes = [parse_tlv_tree(enc.raw_oid(content)) for content in contents]
+    passed = [node for node in nodes if plain_oid(node)]
+    assert len(passed) > 20_000
+    assert [node.content.hex() for node in passed if not _decodes(node)] == []
+
+
+def test_oid_check_passes_every_minimal_oid_of_short_sub_identifiers():
+    # Sub-identifiers of 1 to 4 octets (below 2**28), the first folding two arcs, and the largest of each.
+    rng = random.Random(0x01D6)
+    widths = (7, 14, 21, 28)
+    oids = [[2, (1 << 28) - 81], [1, 39, (1 << 28) - 1]]
+    for _ in range(5_000):
+        first = rng.randrange(3)
+        second = rng.randrange(40) if first < 2 else rng.randrange((1 << rng.choice(widths)) - 80)
+        oids.append([first, second] + [rng.randrange(1 << rng.choice(widths)) for _ in range(rng.randrange(7))])
+    for arcs in oids:
+        node = parse_tlv_tree(enc.raw_oid(enc.encode_oid_arcs(arcs)))
+        assert plain_oid(node), arcs
+        assert decode_oid(node) == tuple(arcs)
 
 
 def test_checks_pass_most_elements_of_accepted_documents(monkeypatch, elements):
@@ -162,8 +199,8 @@ def test_checks_pass_most_elements_of_accepted_documents(monkeypatch, elements):
     rdn = recorded("rdn", _plain_rdn)
     monkeypatch.setattr(derlint.names, "_plain_rdn", rdn)
     monkeypatch.setattr(derlint.extensions, "_plain_rdn", rdn)
-    monkeypatch.setattr(derlint.grammar, "_plain_time", recorded("time", _plain_time))
-    monkeypatch.setattr(derlint.extensions, "_plain_oid", recorded("oid", _plain_oid))
+    monkeypatch.setattr(derlint.grammar, "plain_time", recorded("time", plain_time))
+    monkeypatch.setattr(derlint.extensions, "plain_oid", recorded("oid", plain_oid))
     for data in accepted:
         lint_bytes(data, "doc", OPTIONS)
     assert len(accepted) >= 100

@@ -11,7 +11,9 @@ under a call trace and fails if any of TlvNode's readings of its tag
 walk compares the identifier octet, tag, and nothing else.  A third
 fails if names.parse_rdn, values.validate_time, or values.decode_oid for
 a policy, key purpose or access method OID runs: the walk's in-place
-checks pass those elements without their walk.
+checks pass those elements without their walk.  A fourth fails if a CPS
+or userNotice policy qualifier id reaches WalkContext.oid: the walk
+knows those two by their content octets.
 """
 
 import dis
@@ -191,3 +193,35 @@ def test_accepted_walk_checks_names_times_and_oids_in_place():
     docs = _accepted_without_diagnostics()
     assert len(docs) >= 30
     assert sorted(_element_walks(docs)) == []
+
+
+def _qualifier_oid_reads(docs) -> list[str]:
+    """The dotted qualifier ids that _parse_policy_qualifiers hands to WalkContext.oid while docs are linted."""
+    options = LintOptions(fmt="der", timing=False)
+    read = []
+
+    def on_call(frame, event, arg):
+        if frame.f_code is WalkContext.oid.__code__ and frame.f_back.f_code.co_name == "_parse_policy_qualifiers":
+            read.append(".".join(map(str, decode_oid(frame.f_locals["node"]))))
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        for name, data in docs:
+            lint_bytes(data, name, options)
+    finally:
+        sys.settrace(previous)
+    return read
+
+
+def test_accepted_walk_names_cps_and_user_notice_by_their_octets():
+    cps = enc.seq(enc.oid("1.3.6.1.5.5.7.2.1"), enc.ia5("https://cps.example/"))
+    notice = enc.seq(enc.oid("1.3.6.1.5.5.7.2.2"), enc.seq(enc.utf8("Notice")))
+    policy = enc.seq(enc.oid("2.23.140.1.2.1"), enc.seq(cps, notice))
+    qualified = certs.build(certs.CertSpec(exts=(certs.aki(), certs.extension("2.5.29.32", enc.seq(policy)))))
+    assert lint_bytes(qualified, "qualified", LintOptions(fmt="der", timing=False)).diagnostics == []
+    # Any other qualifier id is named through WalkContext.oid for its message, so the trace sees that read.
+    other = enc.seq(enc.oid("2.23.140.1.2.1"), enc.seq(cps, enc.seq(enc.oid("1.3.6.1.5.5.7.2.3"), enc.null())))
+    unknown = certs.build(certs.CertSpec(exts=(certs.aki(), certs.extension("2.5.29.32", enc.seq(other)))))
+    assert _qualifier_oid_reads([("unknown", unknown)]) == ["1.3.6.1.5.5.7.2.3"]
+    assert _qualifier_oid_reads([("qualified", qualified), *_accepted_without_diagnostics()]) == []
