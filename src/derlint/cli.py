@@ -128,7 +128,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     try:
-        with open(args.records, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a spreadsheet export starts with a byte-order mark, which is not part of the header.
+        with open(args.records, "r", encoding="utf-8-sig") as fh:
             analysis = analyze(read_records(fh))
     except (OSError, ValueError) as exc:
         print(f"derlint: records: {exc}", file=sys.stderr)
@@ -137,7 +138,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     crosstab = None
     if args.reports:
         try:
-            with open(args.reports, "r", encoding="utf-8") as fh:
+            with open(args.reports, "r", encoding="utf-8-sig") as fh:
                 ours = load_report_lines(fh)
         except (OSError, ValueError) as exc:
             print(f"derlint: reports: {exc}", file=sys.stderr)

@@ -456,6 +456,19 @@ class TestDiff:
             "derlint: records: duplicate outcome for chain 'root' under 'openssl'\n",
         )
 
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, capsys, tmp_path, bad_file, records_file):
+        # Spreadsheets export CSV with a UTF-8 byte-order mark first.
+        _, lint_out, _ = run(capsys, ["lint", "--no-timing", str(bad_file)])
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text(lint_out)
+        argv = ["diff", "--records", str(records_file), "--reports", str(reports)]
+        plain = run(capsys, argv)
+        assert plain[0] == cli.EXIT_OK
+        for path in (records_file, reports):
+            path.write_text(path.read_text(), encoding="utf-8-sig")
+        assert records_file.read_bytes().startswith(b"\xef\xbb\xbf" + CSV_HEADER.encode())
+        assert run(capsys, argv) == plain
+
     def test_bad_report_line_far_into_the_file(self, capsys, tmp_path, records_file):
         lines = [f'{{"id": "leaf{i}", "diagnostics": []}}' for i in range(3000)]
         reports = tmp_path / "reports.jsonl"
