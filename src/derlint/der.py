@@ -275,11 +275,12 @@ def parse_tlv_tree(
             offset=start,
             message=f"input of {end - start} bytes exceeds cap {CONTENT_MAX}",
         )
-    new = object.__new__
     # limit is where the innermost open element ends (the region end at
     # the top level) and kids is its child list; opening an element pushes
-    # the pair (limit, kids) on outer, closing it pops them back.
+    # the pair (limit, kids) on outer, closing it pops them back.  depth
+    # counts the pairs on outer.
     outer: list[tuple[int, list[TlvNode]]] = []
+    depth = 0
     limit = end
     top: list[TlvNode] = []
     kids = top
@@ -321,20 +322,24 @@ def parse_tlv_tree(
             if not build:
                 # The depth check and the closing below, repeated so that a built node pays only the test above.
                 if tag & 0x20:
-                    if len(outer) >= max_depth:
+                    if depth >= max_depth:
                         raise RecognitionError(_TOO_DEEP, offset=header)
                     if length:
                         outer.append((limit, kids))
+                        depth += 1
                         limit = stop
                         continue
                 pos = stop
-                while pos == limit and outer:
-                    limit, kids = outer.pop()
-                if not outer:
-                    break
+                # Unlike a built root, a root that ends early stops short of limit: depth 0 alone ends the scan.
+                if pos == limit or not depth:
+                    while pos == limit and depth:
+                        limit, kids = outer.pop()
+                        depth -= 1
+                    if not depth:
+                        break
                 continue
-        # Slots stored inline: a constructor call would cost a Python frame per node.
-        node = new(TlvNode)
+        # Slots stored inline: TlvNode has no __init__, so the call runs no Python frame.
+        node = TlvNode()
         node.tag = tag
         node.header_offset = header
         node.content_offset = pos
@@ -342,22 +347,26 @@ def parse_tlv_tree(
         node.buffer = data
         kids.append(node)
         if tag & 0x20:
-            if len(outer) >= max_depth:
+            if depth >= max_depth:
                 raise RecognitionError(_TOO_DEEP, offset=header)
-            node.children = []
             if length:
                 outer.append((limit, kids))
+                depth += 1
                 limit = stop
-                kids = node.children
+                kids = node.children = []
                 continue
+            node.children = []
         else:
             node.children = ()
         pos = stop
-        # Close every element that ends here; the root closing ends the scan.
-        while pos == limit and outer:
-            limit, kids = outer.pop()
-        if not outer:
-            break
+        # Close every element that ends here; the root closing ends the scan.  Only the
+        # last child of an element ends where it does, and a built root ends at limit.
+        if pos == limit:
+            while pos == limit and depth:
+                limit, kids = outer.pop()
+                depth -= 1
+            if not depth:
+                break
     if pos != end:
         raise RecognitionError(_TRAILING, offset=pos, message=f"{end - pos} byte(s) after element")
     return top[0]

@@ -232,7 +232,15 @@ def parse_extensions(
     if not seq.children:
         ctx.add(Code.EMPTY_EXTENSION_SEQUENCE, seq, path)
         return out
-    found = [_parse_extension_entry(node, i, ctx, f"{path}[{i}]") for i, node in enumerate(seq.children)]
+    reg = ctx.reg
+    found = []
+    for i, node in enumerate(seq.children):
+        oid_str = _plain_extension(node, reg)
+        if oid_str is None:
+            found.append(_parse_extension_entry(node, i, ctx, path))
+        else:
+            body = _parse_body(oid_str, node.children[-1], ctx, path, i)
+            found.append((oid_str, ExtensionEntry(i, len(node.children) == 3, node, body)))
     # Uniqueness is checked over the finished scan: the first occurrence of
     # each OID is kept, and the second and later ones are reported.
     for oid_str, e in filter(None, found):
@@ -243,31 +251,55 @@ def parse_extensions(
     return out
 
 
+def _plain_extension(node: TlvNode, reg: Registry) -> str | None:
+    """The extnID of an entry whose header _parse_extension_entry passes silently, or None: then run it.
+
+    The entry must be a SEQUENCE of an extnID that reg.by_der names, an optional critical BOOLEAN with content
+    0xFF, and a non-empty primitive OCTET STRING.  It reads the octets in place, with no path or decoder; the
+    body is not looked at.
+    """
+    kids = node.children
+    if node.tag != TAG_SEQUENCE or not 2 <= len(kids) <= 3 or kids[0].tag != TAG_OID:
+        return None
+    value = kids[-1]
+    if value.tag != TAG_OCTET_STRING or not value.content_length:
+        return None
+    if len(kids) == 3:
+        flag = kids[1]
+        if flag.tag != TAG_BOOLEAN or flag.content_length != 1 or node.buffer[flag.content_offset] != 0xFF:
+            return None
+    return reg.by_der.get(kids[0].content)
+
+
 def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: str) -> tuple[str, ExtensionEntry] | None:
-    """(extnID, entry), or None when the entry has the wrong shape or its extnID does not decode."""
-    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, path, "extension must be a SEQUENCE"):
+    """(extnID, entry), or None when the entry has the wrong shape or its extnID does not decode.
+
+    path is the extension list's; the entry is path[index].
+    """
+    entry_path = f"{path}[{index}]"
+    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, entry_path, "extension must be a SEQUENCE"):
         return None
     kids = node.children
     if not 2 <= len(kids) <= 3:
-        ctx.add(_MISMATCH, node, path, f"extension with {len(kids)} fields")
+        ctx.add(_MISMATCH, node, entry_path, f"extension with {len(kids)} fields")
         return None
 
     oid_str: str | None = None
-    id_path = f"{path}.extnID"
+    id_path = f"{entry_path}.extnID"
     if ctx.expect(_WRONG_EXTN_ID, kids[0], TAG_OID, id_path, "extnID must be an OID"):
         oid_str = ctx.oid(kids[0], id_path, wrong_oid=_WRONG_EXTN_ID)
 
     critical = False
     value_node = kids[-1]
     if len(kids) == 3:
-        sub = f"{path}.critical"
+        sub = f"{entry_path}.critical"
         if not ctx.expect(_MISMATCH, kids[1], TAG_BOOLEAN, sub, "critical must be a BOOLEAN"):
             return None
         critical = ctx.decode(decode_boolean, kids[1], sub)
         if critical is False:
             ctx.add(Code.DEFAULT_VALUE_ENCODED, kids[1], sub, "critical FALSE explicitly encoded")
 
-    body_path = f"{path}.extnValue"
+    body_path = f"{entry_path}.extnValue"
     what = "extnValue must be a primitive OCTET STRING"
     if not ctx.expect(_MISMATCH, value_node, TAG_OCTET_STRING, body_path, what):
         return None
@@ -275,11 +307,22 @@ def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: st
     body = None
     if value_node.content_length == 0:
         ctx.add(Code.EMPTY_VALUE_FIELD, value_node, body_path, "empty extnValue")
-    elif oid_str is not None and (grammar := ctx.reg.lookup("extension", oid_str)) is not None:
-        body_root = ctx.payload(value_node, 0, body_path)
-        if body_root is not None:
-            body = _BODY_PARSERS[grammar](body_root, ctx, body_path)
+    elif oid_str is not None:
+        body = _parse_body(oid_str, value_node, ctx, path, index)
     return None if oid_str is None else (oid_str, ExtensionEntry(index, bool(critical), node, body))
+
+
+def _parse_body(oid_str: str, value_node: TlvNode, ctx: WalkContext, path: str, index: int) -> object | None:
+    """What the body parser of a registered extnID returns for its non-empty extnValue; None for any other extnID.
+
+    path is the extension list's; the body is path[index].extnValue, formatted only when a body parser runs.
+    """
+    grammar = ctx.reg.lookup("extension", oid_str)
+    if grammar is None:
+        return None
+    body_path = f"{path}[{index}].extnValue"
+    body_root = ctx.payload(value_node, 0, body_path)
+    return None if body_root is None else _BODY_PARSERS[grammar](body_root, ctx, body_path)
 
 
 def _expect(ctx: WalkContext, node: TlvNode, tag: int, what: str, path: str) -> bool:

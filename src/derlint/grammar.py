@@ -115,6 +115,9 @@ def parse_algorithm_identifier(
     'spki' for the public key algorithm; the registry decides which OIDs
     are allowed and what the parameters field must contain for each.
     """
+    out = _plain_algorithm(node, role, ctx.reg)
+    if out is not None:
+        return out
     what = "AlgorithmIdentifier must be a SEQUENCE"
     if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, path, what):
         return None
@@ -138,6 +141,32 @@ def parse_algorithm_identifier(
     params = kids[1] if len(kids) == 2 else None
     _check_parameters(out, params, node, ctx, f"{path}.parameters")
     return out
+
+
+def _plain_algorithm(node: TlvNode, role: str, reg: Registry) -> AlgorithmId | None:
+    """What parse_algorithm_identifier returns for an identifier it passes silently, or None: then run it.
+
+    The algorithm must be an OID that reg.by_der names, registered for role with the absent grammar and no
+    parameters, the null grammar and an empty NULL, or the named-curve grammar and a registered curve's OID
+    that reg.by_der names.  It reads the octets in place, with no path or decoder; any other grammar is None.
+    """
+    kids = node.children
+    if node.tag != TAG_SEQUENCE or not 1 <= len(kids) <= 2 or kids[0].tag != TAG_OID:
+        return None
+    oid = reg.by_der.get(kids[0].content)
+    if oid is None:
+        return None
+    grammar = reg.lookup(role, oid)
+    if len(kids) == 1:
+        return AlgorithmId(node, oid, grammar) if grammar == "absent" else None
+    params = kids[1]
+    if grammar == "null":
+        return AlgorithmId(node, oid, grammar) if params.tag == TAG_NULL and not params.content_length else None
+    if grammar == "named-curve" and params.tag == TAG_OID:
+        curve = reg.by_der.get(params.content)
+        if curve is not None and reg.lookup("curve", curve) is not None:
+            return AlgorithmId(node, oid, grammar, curve)
+    return None
 
 
 def _check_parameters(

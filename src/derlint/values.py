@@ -203,10 +203,14 @@ def decode_bit_string(node: TlvNode, *, named: bool = False) -> BitStringValue:
                     offset=off,
                     message=f"declared {unused} unused bits, canonical is {trailing}",
                 )
+        # Bit i counts from the first octet's top bit; peel set bits off the value from its low end.
+        width = len(bits) * 8
+        value = int.from_bytes(bits, "big")
         indices = []
-        for i in range(len(bits) * 8 - unused):
-            if bits[i // 8] & (0x80 >> (i % 8)):
-                indices.append(i)
+        while value:
+            low = value & -value
+            indices.append(width - low.bit_length())
+            value ^= low
         named_set = frozenset(indices)
     return BitStringValue(unused_bits=unused, bits=bits, named_bits=named_set)
 

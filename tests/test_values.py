@@ -136,6 +136,26 @@ class TestBitString:
             v = decode_bit_string(node, named=True)
             assert v.named_bits == frozenset(bits)
 
+    def test_named_bits_match_a_per_bit_reference(self):
+        # Every one- and two-octet content after the unused-bits octet, under every unused count: where the
+        # named form decodes, its bits are the indices a test of each bit finds.
+        def reference(bits: bytes, unused: int) -> frozenset[int]:
+            return frozenset(i for i in range(len(bits) * 8 - unused) if bits[i // 8] & (0x80 >> (i % 8)))
+
+        decoded = 0
+        for size in (1, 2):
+            for value in range(1 << (8 * size)):
+                bits = value.to_bytes(size, "big")
+                for unused in range(8):
+                    try:
+                        named = decode_bit_string(node_of(bytes([0x03, size + 1, unused]) + bits), named=True)
+                    except RecognitionError:
+                        continue
+                    decoded += 1
+                    assert named.named_bits == reference(bits, unused), (bits.hex(), unused)
+        # A content decodes under one count, its last octet's trailing zeros, unless that octet is zero.
+        assert decoded == 255 + 255 * 256
+
     def test_named_trailing_zero_octet(self):
         data = b"\x03\x03\x00\x04\x00"
         assert err_code(decode_bit_string, node_of(data), named=True) is Code.WRONG_KEY_CERT_SIGN_ENCODING
