@@ -17,9 +17,8 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 from typing import TYPE_CHECKING
-
-from .differential import analyze, cross_tabulate, load_report_lines, read_records, write_report
 
 if TYPE_CHECKING:
     from .ingest import CertificateReport
@@ -28,18 +27,27 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_ERROR = 2
 
-# The lint stack is imported only when lint runs, so diff loads just the
-# analyzer.  perfbench's traced run wraps these names here, so each is a
-# module attribute, resolved from ingest on first access.
-_INGEST_NAMES = ("lint", "load_input", "run_batch")
+# The lint stack is imported only when lint runs, and the analyzer (with csv)
+# only when diff runs, so each command loads just its own.  perfbench's traced
+# run wraps these names here, so each is a module attribute, resolved from its
+# module on first access.
+_LAZY_NAMES = {
+    "lint": "ingest",
+    "load_input": "ingest",
+    "run_batch": "ingest",
+    "analyze": "differential",
+    "cross_tabulate": "differential",
+    "load_report_lines": "differential",
+    "read_records": "differential",
+    "write_report": "differential",
+}
 
 
 def __getattr__(name: str):
-    if name not in _INGEST_NAMES:
+    home = _LAZY_NAMES.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import ingest
-
-    value = globals()[name] = getattr(ingest, name)
+    value = globals()[name] = getattr(import_module(f".{home}", __package__), name)
     return value
 
 
@@ -127,10 +135,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    this = sys.modules[__name__]  # the analyzer's names are looked up as module attributes
     try:
         # utf-8-sig: a spreadsheet export starts with a byte-order mark, which is not part of the header.
-        with open(args.records, "r", encoding="utf-8-sig") as fh:
-            analysis = analyze(read_records(fh))
+        # newline="\n": lines end at LF only and keep their CR, as read_records splits a string, so csv itself
+        # judges a CR: part of a CRLF, or inside a quoted field, or else an error (newline="" would end a line there).
+        with open(args.records, "r", encoding="utf-8-sig", newline="\n") as fh:
+            analysis = this.analyze(this.read_records(fh))
     except (OSError, ValueError) as exc:
         print(f"derlint: records: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -139,13 +150,13 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if args.reports:
         try:
             with open(args.reports, "r", encoding="utf-8-sig") as fh:
-                ours = load_report_lines(fh)
+                ours = this.load_report_lines(fh)
         except (OSError, ValueError) as exc:
             print(f"derlint: reports: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        crosstab = cross_tabulate(analysis.verdicts, ours)
+        crosstab = this.cross_tabulate(analysis.verdicts, ours)
 
-    write_report(sys.stdout, analysis, crosstab, args.report)
+    this.write_report(sys.stdout, analysis, crosstab, args.report)
     return EXIT_OK
 
 

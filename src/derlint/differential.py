@@ -108,9 +108,17 @@ def _check_chain_id(chain_id: str, row: int | None = None) -> None:
 def read_records(source: str | TextIO) -> Iterator[ChainOutcomeRecord]:
     """Parse the outcome table from CSV with a fixed header, from a string or an open text file.
 
-    The header is checked at the call; each row is checked as the returned iterator reaches it.
+    The header is checked at the call; each row is checked as the returned iterator reaches it.  A NUL
+    refuses its row on every interpreter (csv itself refuses one before CPython 3.11 only); a string is
+    searched for one once, and only a string that holds one, or a file, has each line searched.
     """
-    reader = csv.reader((m[0] for m in _LINE.finditer(source)) if isinstance(source, str) else source)
+    if not isinstance(source, str):
+        lines = _refuse_nul(source)
+    elif "\0" in source:
+        lines = _refuse_nul(m[0] for m in _LINE.finditer(source))
+    else:
+        lines = (m[0] for m in _LINE.finditer(source))
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -142,9 +150,22 @@ def _read_rows(reader: Iterator[list[str]]) -> Iterator[ChainOutcomeRecord]:
         raise ValueError(f"row {i + 1}: {_csv_reason(exc)}") from None
 
 
+def _refuse_nul(lines: Iterable[str]) -> Iterator[str]:
+    """Yield lines until one holds a NUL, then raise the csv.Error that csv itself raises for it before 3.11."""
+    for line in lines:
+        try:
+            if "\0" in line:
+                raise csv.Error("line contains NUL")
+        except TypeError:  # not a string: csv refuses the row itself
+            pass
+        yield line
+
+
 def _csv_reason(exc: csv.Error) -> str:
     """The reason for a csv.Error in derlint's words: csv's own text differs between CPython versions."""
     text = str(exc)
+    if text.startswith("line contains NUL"):
+        return "NUL in field"
     if text.startswith("field larger"):
         return f"field larger than field limit ({csv.field_size_limit()})"
     if text.startswith("new-line"):

@@ -446,6 +446,16 @@ class TestDiff:
             "derlint: records: row 3: field larger than field limit (131072)\n",
         )
 
+    def test_lone_carriage_return_in_a_file_is_refused_as_in_a_string(self, capsys, tmp_path):
+        # csv gets the file's lines as they are written, so a CR that ends no line is csv's to judge.
+        records = tmp_path / "records.csv"
+        records.write_bytes(CSV_HEADER.encode() + b"\nroot,root,openssl,VALID\rroot>x,x,openssl,Ex\n")
+        assert run(capsys, ["diff", "--records", str(records)]) == (
+            cli.EXIT_ERROR,
+            "",
+            "derlint: records: row 2: line break inside an unquoted field\n",
+        )
+
     def test_duplicate_before_malformed_row_is_reported(self, capsys, tmp_path):
         # Rows reach analyze as they are read, so the first bad row in file order decides the message.
         records = tmp_path / "records.csv"

@@ -23,6 +23,7 @@ from derlint.differential import (
     UnjoinedRecord,
     _CHUNK,
     _check_chain_id,
+    _csv_reason,
     analyze,
     classify_differential,
     cross_tabulate,
@@ -190,12 +191,26 @@ class TestReadRecords:
                 CSV_HEADER + "\nroot,root,openssl,VALID\n\nroot>x,x,openssl," + "x" * (csv.field_size_limit() + 1),
                 "row 4: field larger than field limit (131072)",
             ),
+            (CSV_HEADER + "\x00\nroot,root,openssl,VALID\n", "row 1: NUL in field"),
+            (CSV_HEADER + "\nroot,root,openssl,VALID\nroot>x,x,openssl,E\x00x\n", "row 3: NUL in field"),
+            # A NUL on a quoted field's second line names the row the field starts in.
+            (CSV_HEADER + '\nroot,root,openssl,VALID\nroot>x,x,openssl,"E\n\x00"\n', "row 3: NUL in field"),
         ],
     )
-    def test_csv_errors_name_their_row(self, text, message):
+    def test_csv_errors_name_their_row(self, text, message, tmp_path):
         with pytest.raises(ValueError) as info:
             list(read_records(text))
         assert str(info.value) == message
+        # An open file gives the same message as the string; newline="\n" is how derlint diff opens one.
+        path = tmp_path / "records.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="\n") as fh, pytest.raises(ValueError) as info:
+            list(read_records(fh))
+        assert str(info.value) == message
+
+    def test_nul_reason_is_the_same_as_csv_gives_before_3_11(self):
+        # CPython 3.10's csv refuses a NUL with this text; 3.11 and later accept the NUL.
+        assert _csv_reason(csv.Error("line contains NUL")) == "NUL in field"
 
     def test_other_csv_errors_get_a_generic_reason(self):
         # csv refuses a bytes row with its own text; derlint gives its own reason.

@@ -1,7 +1,7 @@
 """The package loads only what a caller uses.
 
-`derlint diff` must not import the lint stack, and `lint_bytes` must not
-import the differential analyzer.  Each check runs in a fresh interpreter,
+`derlint diff` must not import the lint stack, and neither `lint_bytes`
+nor `derlint lint` may import the differential analyzer.  Each check runs in a fresh interpreter,
 since this test process has long since imported every module.
 """
 
@@ -66,6 +66,21 @@ def test_lint_bytes_leaves_the_analyzer_unloaded(tmp_path):
     assert "derlint.differential" not in modules
 
 
+def test_lint_command_leaves_the_analyzer_unloaded(tmp_path):
+    cert = tmp_path / "cert.der"
+    cert.write_bytes(certs.base_cert())
+    code = (
+        "import io, sys, contextlib, derlint.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = derlint.cli.main(['lint', sys.argv[1]])\n"
+        "assert status == 0, status\n"
+        "print(*sys.modules)\n"
+    )
+    modules = loaded(run_fresh(code, str(cert)))
+    assert "derlint.grammar" in modules
+    assert {"derlint.differential", "csv"} & modules == set()
+
+
 def test_star_import_binds_each_name_to_its_home_module():
     code = (
         "import importlib, derlint\n"
@@ -95,6 +110,18 @@ def test_unknown_attribute_raises_the_usual_error(module):
         "    print(exc)\n"
     )
     assert run_fresh(code) == f"module '{module}' has no attribute 'no_such_name'\n"
+
+
+def test_cli_resolves_the_analyzer_names_on_first_access():
+    code = (
+        "import sys, derlint.cli\n"
+        "assert 'derlint.differential' not in sys.modules\n"
+        "import derlint.differential as differential\n"
+        "for name in ('analyze', 'cross_tabulate', 'load_report_lines', 'read_records', 'write_report'):\n"
+        "    assert getattr(derlint.cli, name) is getattr(differential, name) is vars(derlint.cli)[name], name\n"
+        "print('ok')\n"
+    )
+    assert run_fresh(code) == "ok\n"
 
 
 def test_cli_resolves_the_ingest_names_on_first_access():
