@@ -76,6 +76,10 @@ CASES: dict[str, tuple[list[str], dict[str, bytes | str]]] = {
         {"r.csv": _text(f"{HEADER}\nroot,root,openssl,VALID\nroot>x,x,openssl,{'x' * 131073}\n")},
     ),
     "diff-nul-in-label": (["diff", "--records", "r.csv"], {"r.csv": _text(f"{HEADER}\nroot,root,openssl,VA\x00LID\n")}),
+    "diff-lone-carriage-return": (
+        ["diff", "--records", "r.csv"],
+        {"r.csv": _text(f"{HEADER}\nroot,root,openssl,VALID\rroot>x,x,openssl,Ex\n")},
+    ),
     "diff-duplicate-before-malformed-row": (
         ["diff", "--records", "r.csv"],
         {"r.csv": _text(f"{HEADER}\nroot,root,openssl,VALID\nroot,root,openssl,Ex\nroot>>x,x,openssl,VALID\n")},

@@ -31,7 +31,7 @@ from derlint.ingest import LintOptions, lint_bytes
 from derlint.names import _plain_rdn, parse_rdn
 from derlint.registry import default_registry
 from derlint.values import TAG_GENERALIZED_TIME, TAG_OID, TAG_SEQUENCE, TAG_SET, TAG_UTC_TIME, decode_oid, plain_oid
-from derlint.values import decode_bit_string, plain_time, validate_time
+from derlint.values import plain_time, validate_time
 
 from support import certs
 from support import encoder as enc
