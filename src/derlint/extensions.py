@@ -16,6 +16,12 @@ full; unknown extnIDs keep their payload opaque.  Each entry keeps its
 critical flag, and whether the registry knows an extnID is
 reg.lookup("extension", oid), so a caller can decide what an
 unrecognized critical extension means.
+
+A short entry whose walk records nothing is remembered in the registry's
+silent_extensions by its whole encoding, so a repeated entry (one CA's
+keyUsage, AKI or extendedKeyUsage on each of its leaves) gives the same
+extnID, critical flag and body value without its header check, payload
+scan or body walk.  Only the duplicate check runs per document.
 """
 
 from __future__ import annotations
@@ -108,6 +114,14 @@ _DP_WRONG_FORM = (
 _MISMATCH, _MALFORMED_BODY, _WRONG_EXTN_ID = Code.STRUCTURAL_MISMATCH, Code.MALFORMED_EXTENSION_BODY, Code.WRONG_EXTN_ID
 _WRONG_OID, _EMPTY_NAMES, _EMPTY_ACCESS = Code.WRONG_OID, Code.EMPTY_GENERAL_NAMES, Code.EMPTY_SEQUENCE_IN_INFO_ACCESS
 
+# Registry.silent_extensions admits an entry of at most _MEMO_MAX_CONTENT content octets, and is emptied when it
+# holds _MEMO_MAX_ENTRIES.  A long entry, such as a subjectAltName of many names, is kept out: a document that
+# repeated one would then cost less per octet than a new document of the same size, and that cost would depend on
+# what was linted before it.  dict.clear(), unlike evicting one entry at a time, is one step under the GIL; threads
+# sharing a registry may each store one entry past the count test, and every stored answer stays exact.
+_MEMO_MAX_CONTENT = 80
+_MEMO_MAX_ENTRIES = 256
+
 
 class WalkContext:
     """What one certificate walk shares: the registry and the diagnostic sink.
@@ -188,18 +202,19 @@ class WalkContext:
             return None
 
 
-@dataclass
+# Body values are frozen: a remembered entry hands the same value to every document that repeats it.
+@dataclass(frozen=True)
 class KeyUsageValue:
     bits: frozenset[int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasicConstraintsValue:
     ca: bool = False
     path_len: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class AkiValue:
     key_id: bytes | None = None
 
@@ -233,14 +248,27 @@ def parse_extensions(
         ctx.add(Code.EMPTY_EXTENSION_SEQUENCE, seq, path)
         return out
     reg = ctx.reg
+    memo = reg.silent_extensions
     found = []
     for i, node in enumerate(seq.children):
+        key = node.raw if node.content_length <= _MEMO_MAX_CONTENT else None
+        known = memo.get(key)
+        if known is not None:
+            oid_str, critical, body = known
+            found.append((oid_str, ExtensionEntry(i, critical, node, body)))
+            continue
+        count = len(ctx.diags)
         oid_str = _plain_extension(node, reg)
         if oid_str is None:
-            found.append(_parse_extension_entry(node, i, ctx, path))
+            result = _parse_extension_entry(node, i, ctx, path)
         else:
             body = _parse_body(oid_str, node.children[-1], ctx, path, i)
-            found.append((oid_str, ExtensionEntry(i, len(node.children) == 3, node, body)))
+            result = (oid_str, ExtensionEntry(i, len(node.children) == 3, node, body))
+        found.append(result)
+        if key is not None and result is not None and len(ctx.diags) == count:
+            if len(memo) >= _MEMO_MAX_ENTRIES:
+                memo.clear()
+            memo[key] = (result[0], result[1].critical, result[1].body)
     # Uniqueness is checked over the finished scan: the first occurrence of
     # each OID is kept, and the second and later ones are reported.
     for oid_str, e in filter(None, found):
@@ -317,7 +345,7 @@ def _parse_body(oid_str: str, value_node: TlvNode, ctx: WalkContext, path: str, 
 
     path is the extension list's; the body is path[index].extnValue, formatted only when a body parser runs.
     """
-    grammar = ctx.reg.lookup("extension", oid_str)
+    grammar = ctx.reg.by_role["extension"].get(oid_str)
     if grammar is None:
         return None
     body_path = f"{path}[{index}].extnValue"
@@ -389,16 +417,16 @@ def _body_subject_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -> 
 def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -> AkiValue | None:
     if not _expect(ctx, root, TAG_SEQUENCE, "authorityKeyIdentifier", path):
         return None
-    value = AkiValue()
+    key_id = None
     has_issuer = has_serial = False
     for child in _tagged_fields(ctx, root.children, "authorityKeyIdentifier", _EITHER_0_TO_2, path):
         if child is None:
-            return value
+            break
         if child.tag == 0x80:
             if child.content_length == 0:
                 ctx.add(Code.EMPTY_VALUE_FIELD, child, path, "empty keyIdentifier")
                 continue
-            value.key_id = child.content
+            key_id = child.content
         elif child.tag == 0xA1:
             has_issuer = True
             if not child.children:
@@ -411,14 +439,15 @@ def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -
             ctx.decode(decode_integer, child, f"{path}.authorityCertSerialNumber")
         else:
             ctx.add(_MALFORMED_BODY, child, path, _AKI_WRONG_FORM[child.tag & 0x1F])
-    if has_issuer != has_serial:
-        ctx.add(
-            _MALFORMED_BODY,
-            root,
-            path,
-            "authorityCertIssuer and authorityCertSerialNumber must appear together",
-        )
-    return value
+    else:  # not after a misplaced field, which ends the walk
+        if has_issuer != has_serial:
+            ctx.add(
+                _MALFORMED_BODY,
+                root,
+                path,
+                "authorityCertIssuer and authorityCertSerialNumber must appear together",
+            )
+    return AkiValue(key_id)
 
 
 def _body_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> KeyUsageValue | None:
@@ -438,18 +467,17 @@ def _body_key_usage(root: TlvNode, ctx: WalkContext, path: str) -> KeyUsageValue
 def _body_basic_constraints(root: TlvNode, ctx: WalkContext, path: str) -> BasicConstraintsValue | None:
     if not _expect(ctx, root, TAG_SEQUENCE, "basicConstraints", path):
         return None
-    value = BasicConstraintsValue()
+    ca, path_len = None, None
     kids = list(root.children)
     if kids and kids[0].tag == TAG_BOOLEAN:
         ca = ctx.decode(decode_boolean, kids[0], f"{path}.cA")
         if ca is False:
             ctx.add(Code.DEFAULT_VALUE_ENCODED, kids[0], f"{path}.cA", "cA FALSE explicitly encoded")
-        value.ca = bool(ca)
         kids = kids[1:]
     if kids and kids[0].tag == TAG_INTEGER:
-        value.path_len = ctx.decode(decode_integer, kids[0], f"{path}.pathLenConstraint")
-        if value.path_len is not None and value.path_len < 0:
-            ctx.add(Code.NEGATIVE_PATH_LEN, kids[0], f"{path}.pathLenConstraint", f"pathLenConstraint {value.path_len}")
+        path_len = ctx.decode(decode_integer, kids[0], f"{path}.pathLenConstraint")
+        if path_len is not None and path_len < 0:
+            ctx.add(Code.NEGATIVE_PATH_LEN, kids[0], f"{path}.pathLenConstraint", f"pathLenConstraint {path_len}")
         kids = kids[1:]
     if kids:
         ctx.add(
@@ -458,7 +486,7 @@ def _body_basic_constraints(root: TlvNode, ctx: WalkContext, path: str) -> Basic
             path,
             f"unexpected field {kids[0].describe_tag()} in basicConstraints",
         )
-    return value
+    return BasicConstraintsValue(bool(ca), path_len)
 
 
 def _body_certificate_policies(root: TlvNode, ctx: WalkContext, path: str) -> None:

@@ -156,7 +156,7 @@ def _plain_algorithm(node: TlvNode, role: str, reg: Registry) -> AlgorithmId | N
     oid = reg.by_der.get(kids[0].content)
     if oid is None:
         return None
-    grammar = reg.lookup(role, oid)
+    grammar = reg.by_role[role].get(oid)
     if len(kids) == 1:
         return AlgorithmId(node, oid, grammar) if grammar == "absent" else None
     params = kids[1]
@@ -164,7 +164,7 @@ def _plain_algorithm(node: TlvNode, role: str, reg: Registry) -> AlgorithmId | N
         return AlgorithmId(node, oid, grammar) if params.tag == TAG_NULL and not params.content_length else None
     if grammar == "named-curve" and params.tag == TAG_OID:
         curve = reg.by_der.get(params.content)
-        if curve is not None and reg.lookup("curve", curve) is not None:
+        if curve is not None and curve in reg.by_role["curve"]:
             return AlgorithmId(node, oid, grammar, curve)
     return None
 

@@ -92,7 +92,7 @@ def _plain_rdn(rdn: TlvNode, reg: Registry) -> bool:
         return False
     type_node, value = rdn.children[0].children
     text = reg.by_der.get(type_node.content) if type_node.tag == TAG_OID else None
-    permitted = _PERMITTED_BY_KIND.get(reg.lookup("attribute", text)) if text else None
+    permitted = _PERMITTED_BY_KIND.get(reg.by_role["attribute"].get(text)) if text else None
     if permitted is None or value.tag not in permitted or not value.content_length:
         return False
     start, stop = value.content_offset, value.content_offset + value.content_length

@@ -29,6 +29,13 @@ by_der starts empty.  The walk adds the DER content octets of an OID it
 has named, keyed to the dotted form, when that form is in oids, so a
 registered OID is decoded once per registry and the table never holds
 more than the registry file names.  Any other OID is decoded in full.
+
+silent_extensions starts empty too.  The extension walk adds the whole
+encoding of a short extension entry it walked without a diagnostic,
+keyed to what that walk gave (extnID, critical flag, body value), so a
+repeated entry is not walked again; extensions.py bounds it.  A copy made
+with dataclasses.replace starts with an empty one, so two registries never
+share an answer.
 """
 
 from __future__ import annotations
@@ -71,15 +78,20 @@ _VALID_GRAMMARS = {
 
 @dataclass
 class Registry:
-    """Parsed registry, one mapping per role."""
+    """Parsed registry, one mapping per role; every role has one, so by_role[role].get(oid) is lookup(role, oid)."""
 
     by_role: dict[str, dict[str, str]] = field(default_factory=dict)
     oids: set[str] = field(default_factory=set)
     by_der: dict[bytes, str] = field(default_factory=dict)
+    silent_extensions: dict[bytes, tuple[str, bool, object]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        self.by_role = {**{role: {} for role in _VALID_GRAMMARS}, **self.by_role}
 
     def lookup(self, role: str, oid: str) -> str | None:
-        table = self.by_role.get(role)
-        return None if table is None else table.get(oid)
+        return self.by_role[role].get(oid)
 
     def curve_width(self, oid: str) -> int | None:
         name = self.lookup("curve", oid)
@@ -106,7 +118,7 @@ def parse_registry(text: str, source: str = "<string>") -> Registry:
                 raise ValueError(f"{source}:{lineno}: curve grammar must be point-N")
         elif grammar not in known:
             raise ValueError(f"{source}:{lineno}: unknown grammar {grammar!r} for role {role}")
-        bucket = reg.by_role.setdefault(role, {})
+        bucket = reg.by_role[role]
         if oid in bucket:
             raise ValueError(f"{source}:{lineno}: duplicate entry for ({oid}, {role})")
         bucket[oid] = grammar

@@ -59,6 +59,7 @@ import base64
 import json
 import random
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from derlint.ingest import LintOptions, lint, lint_bytes, load_documents
@@ -726,17 +727,18 @@ def _line(report) -> str:
     return json.dumps([report.doc_id, report.outcome, diagnostics], separators=(",", ":"))
 
 
-def render() -> str:
-    """The golden file's text for the current derlint."""
+def render(reverse: bool = False) -> str:
+    """The golden file's text for the current derlint; reverse lints the documents last line first."""
     der = LintOptions(fmt="der", timing=False)
-    lines = [_line(lint_bytes(data, doc_id, der)) for doc_id, data in documents()]
+    jobs = [partial(lint_bytes, data, doc_id, der) for doc_id, data in documents()]
     for doc_id, raw, formats in container_documents():
         for fmt in formats:
             options = LintOptions(fmt=fmt, timing=False)
-            lines += [_line(lint(doc, options)) for doc in load_documents(raw, f"{doc_id}/{fmt}", fmt)]
+            jobs += [partial(lint, doc, options) for doc in load_documents(raw, f"{doc_id}/{fmt}", fmt)]
     values = _with_region_flips(random.Random(VALUE_SEED), _replaced_field_seeds("value", _value_variants()))
-    lines += [_line(lint_bytes(data, doc_id, der)) for doc_id, data in values]
-    return "\n".join(lines) + "\n"
+    jobs += [partial(lint_bytes, data, doc_id, der) for doc_id, data in values]
+    lines = [_line(job()) for job in (reversed(jobs) if reverse else jobs)]
+    return "\n".join(reversed(lines) if reverse else lines) + "\n"
 
 
 if __name__ == "__main__":

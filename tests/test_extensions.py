@@ -1,13 +1,19 @@
 """Extension block: entry framing, body grammars, GeneralName, usage rules."""
 
+import dataclasses
 import random
 import re
+import sys
+import threading
 
 import pytest
 
+import derlint.extensions
 from derlint.der import parse_tlv_tree
 from derlint.diagnostics import Code, RecognitionError
 from derlint.extensions import (
+    _MEMO_MAX_CONTENT,
+    _MEMO_MAX_ENTRIES,
     AkiValue,
     BasicConstraintsValue,
     KeyUsageValue,
@@ -20,8 +26,8 @@ from derlint.extensions import (
     valid_email,
     valid_uri,
 )
-from derlint.ingest import lint_bytes
-from derlint.registry import Registry, default_registry
+from derlint.ingest import LintOptions, lint_bytes
+from derlint.registry import Registry, default_registry, load_registry
 from derlint.values import decode_oid, dotted
 
 from support import certs
@@ -774,3 +780,112 @@ class TestOidNaming:
             assert got == want, content.hex()
             texts += isinstance(got, str)
         assert 100 < texts < len(contents) - 100
+
+
+class TestSilentEntryMemo:
+    """Registry.silent_extensions gives a repeated silent entry what its walk gave, and stays inside its caps."""
+
+    @staticmethod
+    def walk(reg: Registry, *ext_bytes: bytes):
+        ctx = WalkContext(reg)
+        extset = parse_extensions(parse_tlv_tree(enc.ctx(3, enc.seq(*ext_bytes))), ctx, "exts")
+        return extset, ctx.diags
+
+    def test_body_values_are_frozen(self):
+        for value, name in ((AkiValue(b"\x01"), "key_id"), (KeyUsageValue(frozenset({0})), "bits")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            BasicConstraintsValue(True, 0).ca = False
+
+    def test_a_hit_gives_what_the_walk_gave(self):
+        reg = load_registry()
+        block = (
+            certs.aki(),
+            certs.extension(certs.OID_KU, enc.named_bit_string({0, 5}), critical=True),
+            certs.extension(certs.OID_BC, enc.seq(enc.boolean(True), enc.integer(0)), critical=True),
+            certs.extension(certs.OID_EKU, enc.seq(enc.oid(certs.OID_KP_SERVER_AUTH))),
+        )
+        cold, diags = self.walk(reg, *block)
+        assert diags == [] and len(reg.silent_extensions) == 4
+        warm, diags = self.walk(reg, *block)
+        assert diags == [] and len(reg.silent_extensions) == 4
+        assert list(warm) == list(cold)
+        for oid_str, entry in warm.items():
+            was = cold[oid_str]
+            assert (entry.index, entry.critical, entry.body, entry.node.raw) == (
+                was.index, was.critical, was.body, was.node.raw
+            )
+            assert entry.node is not was.node
+        # A hit keeps the duplicate check, which runs per document.
+        _, diags = self.walk(reg, block[1], block[1])
+        assert [d.code for d in diags] == [Code.DUPLICATED_EXTENSION]
+        assert dataclasses.replace(reg).silent_extensions == {}
+
+    def test_only_short_silent_entries_are_admitted(self):
+        reg = load_registry()
+        sizes = set()
+        for n in range(1, 100):
+            ext = certs.extension(certs.OID_SKI, enc.octet_string(bytes([n]) * n))
+            size = parse_tlv_tree(ext).content_length
+            sizes.add(size)
+            reg.silent_extensions.clear()
+            assert self.walk(reg, ext)[1] == []
+            assert (ext in reg.silent_extensions) == (size <= _MEMO_MAX_CONTENT), size
+        assert {_MEMO_MAX_CONTENT, _MEMO_MAX_CONTENT + 1} <= sizes
+        noisy = certs.extension(certs.OID_SKI, enc.octet_string(b""))
+        assert [d.code for d in self.walk(reg, noisy)[1]] == [Code.EMPTY_VALUE_FIELD]
+        assert [d.code for d in self.walk(reg, noisy)[1]] == [Code.EMPTY_VALUE_FIELD]
+        assert noisy not in reg.silent_extensions
+
+    def test_count_cap_empties_the_memo(self):
+        reg = load_registry()
+        memo = reg.silent_extensions
+        sizes = []
+        for k in range(3 * _MEMO_MAX_ENTRIES):
+            ext = certs.extension(certs.OID_SKI, enc.octet_string(k.to_bytes(2, "big")))
+            assert self.walk(reg, ext)[1] == []
+            sizes.append(len(memo))
+            assert ext in memo
+            assert all(parse_tlv_tree(key).content_length <= _MEMO_MAX_CONTENT for key in memo)
+        assert max(sizes) == _MEMO_MAX_ENTRIES
+        assert sizes.count(1) == 3
+
+    def test_two_threads_sharing_a_registry_get_the_single_threaded_reports(self, monkeypatch):
+        def report(data, reg):
+            r = lint_bytes(data, "doc", LintOptions(fmt="der", timing=False, registry=reg))
+            return r.outcome, [(d.code, d.byte_offset, d.grammar_path, d.message) for d in r.diagnostics]
+
+        documents = [f.data for f in certs.planted_fixtures()] + [certs.ca_cert_accepted()]
+        want = [report(data, load_registry()) for data in documents]
+        shared = load_registry()
+        # A small count cap makes the threads empty the memo while the other one reads it.
+        monkeypatch.setattr(derlint.extensions, "_MEMO_MAX_ENTRIES", 8)
+        got: dict[int, list] = {0: [], 1: []}
+        errors = []
+
+        def run(which):
+            try:
+                order = list(range(len(documents)))
+                for _ in range(4):
+                    for i in order if which == 0 else reversed(order):
+                        got[which].append((i, report(documents[i], shared)))
+            except Exception as exc:  # reported below, with the thread that raised it
+                errors.append((which, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(which,)) for which in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for which in (0, 1):
+            assert len(got[which]) == 4 * len(documents)
+            for i, result in got[which]:
+                assert result == want[i], (which, i)

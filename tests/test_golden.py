@@ -16,6 +16,7 @@ import derlint.der
 import derlint.extensions
 import derlint.grammar
 import derlint.names
+import derlint.registry
 import derlint.values
 
 
@@ -33,6 +34,25 @@ def test_lint_output_matches_golden_file():
             doc_id = json.loads(want_line)[0]
             assert got_line == want_line, f"first difference at {doc_id}"
     assert got == want, "golden file and regenerated output differ in length"
+
+
+def test_remembered_extension_entries_change_no_line(monkeypatch):
+    # The default registry's memo of silent extension entries starts empty, is filled by the first render, and
+    # serves the second and a render that lints the documents in reverse order.
+    want = golden_corpus.GOLDEN_PATH.read_text()
+    memo = derlint.registry.default_registry().silent_extensions
+    walked = []
+    check = derlint.extensions._plain_extension
+    monkeypatch.setattr(derlint.extensions, "_plain_extension", lambda *args: walked.append(1) or check(*args))
+    memo.clear()
+    headers = []
+    for run, reverse in (("cold", False), ("warm", False), ("reverse", True)):
+        walked.clear()
+        assert golden_corpus.render(reverse) == want, run
+        assert memo, run
+        headers.append(len(walked))
+    cold, warm, _ = headers
+    assert warm < cold
 
 
 def _golden_diagnostics():

@@ -56,6 +56,7 @@ def test_second_walk_decodes_only_unregistered_oids(monkeypatch):
     reg = load_registry()
     data = cert_with_unregistered_extension()
     first = parse_certificate(data, reg).diagnostics
+    reg.silent_extensions.clear()  # by_der stays: the second walk names the registered OIDs from it
     decoded = []
 
     def recording(node):
