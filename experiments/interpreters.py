@@ -57,6 +57,14 @@ CASES: dict[str, tuple[list[str], dict[str, bytes | str]]] = {
         ["lint", "--registry", "bad.txt", "good.der"],
         {"good.der": GOOD, "bad.txt": b"1.2.3 ; signature ; null\n# again\n1.2.3 ; signature ; absent\n"},
     ),
+    "lint-registry-curve-width": (
+        ["lint", "--registry", "bad.txt", "good.der"],
+        {"good.der": GOOD, "bad.txt": _text("1.2.3 ; signature ; null\n1.2.3 ; curve ; point-\u00b3\u00b2\n")},
+    ),
+    "lint-registry-oid-text": (
+        ["lint", "--registry", "bad.txt", "good.der"],
+        {"good.der": GOOD, "bad.txt": b"1.2.840.10045.4.3.02 ; signature ; null\n"},
+    ),
     "lint-jobs-option": (["lint", "--jobs", "2", "good.der"], {"good.der": GOOD}),
     "lint-unknown-format": (["lint", "--format", "xml", "good.der"], {"good.der": GOOD}),
     "diff-missing-records": (["diff", "--records", "nope.csv"], {}),

@@ -22,15 +22,13 @@ from dataclasses import dataclass, field
 from .der import TlvNode, parse_tlv_tree
 from .diagnostics import Code, Diagnostic, RecognitionError
 from .extensions import (
-    OID_AUTHORITY_KEY_IDENTIFIER,
     OID_SUBJECT_ALT_NAME,
-    AkiValue,
     ExtensionEntry,
     WalkContext,
     check_key_usage_rules,
     parse_extensions,
 )
-from .matchers import CsCheckInput, run_cross_checks
+from .matchers import run_cross_checks
 from .names import parse_name
 from .registry import Registry, default_registry
 from .values import (
@@ -638,20 +636,5 @@ def _post_checks(result: ParsedCertificate, ctx: WalkContext) -> None:
     if extset is not None:
         check_key_usage_rules(extset, tbs.key_family, ctx)
 
-    parts = (tbs.inner_algorithm, result.outer_algorithm, tbs.subject, tbs.issuer)
-    if all(part is not None for part in parts):
-        aki = extset.get(OID_AUTHORITY_KEY_IDENTIFIER) if extset else None
-        aki_key = aki is not None and isinstance(aki.body, AkiValue) and aki.body.key_id is not None
-        run_cross_checks(
-            CsCheckInput(
-                inner_alg_raw=tbs.inner_algorithm.node.raw,
-                outer_alg_raw=result.outer_algorithm.node.raw,
-                subject_raw=tbs.subject.raw,
-                issuer_raw=tbs.issuer.raw,
-                has_aki=aki is not None,
-                aki_has_key_id=aki_key,
-                inner_alg_offset=tbs.inner_algorithm.node.header_offset,
-                aki_offset=aki.node.header_offset if aki else None,
-            ),
-            ctx.diags,
-        )
+    if all(part is not None for part in (tbs.inner_algorithm, result.outer_algorithm, tbs.subject, tbs.issuer)):
+        run_cross_checks(tbs, result.outer_algorithm, ctx)

@@ -4,79 +4,46 @@ These checks compare raw encodings between distant parts of one
 certificate: the two algorithm identifier copies, and the subject
 against the issuer.  Agreement is byte equality of the full encodings,
 which is strictly finer than value equality and needs no further
-decoding.
+decoding.  They read the walk's own records and nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .diagnostics import Code, Diagnostic, diag
+from .der import TlvNode
+from .diagnostics import Code
+from .extensions import OID_AUTHORITY_KEY_IDENTIFIER, AkiValue, WalkContext
 
-
-@dataclass(frozen=True)
-class CsCheckInput:
-    """Raw slices a certificate walk collects for the agreement checks."""
-
-    inner_alg_raw: bytes
-    outer_alg_raw: bytes
-    subject_raw: bytes
-    issuer_raw: bytes
-    has_aki: bool
-    aki_has_key_id: bool
-    inner_alg_offset: int | None = None
-    aki_offset: int | None = None
+if TYPE_CHECKING:
+    from .grammar import AlgorithmId, ParsedTbs
 
 
-def algorithms_match(inner_raw: bytes, outer_raw: bytes) -> bool:
-    return inner_raw == outer_raw
-
-
-def is_self_issued(subject_raw: bytes, issuer_raw: bytes) -> bool:
-    return subject_raw == issuer_raw
-
-
-def check_aid_match(inp: CsCheckInput, diags: list[Diagnostic]) -> bool:
+def check_aid_match(inner: bytes, outer: bytes, at: TlvNode | int | None, ctx: WalkContext) -> bool:
     """The tbsCertificate.signature field must repeat the outer algorithm."""
-    if algorithms_match(inp.inner_alg_raw, inp.outer_alg_raw):
+    if inner == outer:
         return True
-    diags.append(
-        diag(
-            Code.SIGNATURE_ALGORITHM_MISMATCH,
-            path="tbsCertificate.signature",
-            offset=inp.inner_alg_offset,
-            message="inner and outer signature algorithm encodings differ",
-        )
-    )
+    message = "inner and outer signature algorithm encodings differ"
+    ctx.add(Code.SIGNATURE_ALGORITHM_MISMATCH, at, "tbsCertificate.signature", message)
     return False
 
 
-def check_self_issued_aki(inp: CsCheckInput, diags: list[Diagnostic]) -> None:
-    """A certificate should name its issuer's key.
+def run_cross_checks(tbs: ParsedTbs, outer: AlgorithmId, ctx: WalkContext) -> None:
+    """Both agreement rules, on a walk whose algorithms, subject and issuer were all found.
 
-    A missing key identifier is reported either way, but only the
-    non-self-issued case is a rejection: a self-issued certificate's
-    issuer key is its own and nothing is left ambiguous.
+    A certificate should name its issuer's key.  A missing key identifier
+    is reported either way, but only the non-self-issued case is a
+    rejection: a self-issued certificate's issuer key is its own and
+    nothing is left ambiguous.
     """
-    if inp.has_aki and inp.aki_has_key_id:
+    inner = tbs.inner_algorithm.node
+    check_aid_match(inner.raw, outer.node.raw, inner, ctx)
+    aki = tbs.extensions.get(OID_AUTHORITY_KEY_IDENTIFIER) if tbs.extensions else None
+    if aki is not None and isinstance(aki.body, AkiValue) and aki.body.key_id is not None:
         return
-    self_issued = is_self_issued(inp.subject_raw, inp.issuer_raw)
-    code = (
-        Code.MISSING_KEY_IDENTIFIER_SELF_ISSUED
-        if self_issued
-        else Code.MISSING_KEY_IDENTIFIER_NOT_SELF_ISSUED
-    )
-    detail = "self-issued" if self_issued else "not self-issued"
-    diags.append(
-        diag(
-            code,
-            path="tbsCertificate.extensions",
-            offset=inp.aki_offset,
-            message=f"no authority key identifier ({detail} certificate)",
-        )
-    )
-
-
-def run_cross_checks(inp: CsCheckInput, diags: list[Diagnostic]) -> None:
-    check_aid_match(inp, diags)
-    check_self_issued_aki(inp, diags)
+    if tbs.subject.raw == tbs.issuer.raw:
+        code, detail = Code.MISSING_KEY_IDENTIFIER_SELF_ISSUED, "self-issued"
+    else:
+        code, detail = Code.MISSING_KEY_IDENTIFIER_NOT_SELF_ISSUED, "not self-issued"
+    message = f"no authority key identifier ({detail} certificate)"
+    ctx.add(code, aki.node if aki else None, "tbsCertificate.extensions", message)

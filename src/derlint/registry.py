@@ -17,7 +17,8 @@ ignored.  Roles used by the recognizer:
     attribute   naming attribute; grammar-name is the allowed string kind
 
 An OID may appear under several roles (a public key algorithm has spki,
-keybits and keyfamily lines).  Duplicate (OID, role) pairs are an error.
+keybits and keyfamily lines).  Duplicate (OID, role) pairs are an error, and
+so is an OID not spelled as the walk spells one (decimal arcs, no leading zero).
 The bundled file covers exactly the algorithm identifiers the certificate
 profile standards spell out in full, plus the standard extension and
 naming attribute OIDs; deployments pass an extended copy explicitly
@@ -41,6 +42,7 @@ share an answer.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -70,10 +72,13 @@ _VALID_GRAMMARS = {
         "subject-info-access",
     },
     "attribute": {"dir-string", "printable", "ia5"},
-    # Curve grammars are point-N where N is the coordinate width in
-    # octets; the shape is validated instead of enumerating a set.
+    # Curve grammars are point-N where N, ASCII digits with no leading zero, is the
+    # coordinate width in octets; the shape is validated instead of enumerating a set.
     "curve": set(),
 }
+
+# Dotted OID text as the walk spells a decoded OID: two or more ASCII decimal arcs, none with a leading zero.
+_DOTTED_OID = re.compile(r"(?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))+")
 
 
 @dataclass
@@ -110,13 +115,14 @@ def parse_registry(text: str, source: str = "<string>") -> Registry:
         if len(parts) != 3:
             raise ValueError(f"{source}:{lineno}: expected 'oid ; role ; grammar'")
         oid, role, grammar = parts
+        if not _DOTTED_OID.fullmatch(oid):
+            raise ValueError(f"{source}:{lineno}: {oid!r} is not a dotted OID")
         if role not in _VALID_GRAMMARS:
             raise ValueError(f"{source}:{lineno}: unknown role {role!r}")
-        known = _VALID_GRAMMARS[role]
         if role == "curve":
-            if not grammar.startswith("point-") or not grammar[6:].isdigit():
+            if not re.fullmatch("point-[1-9][0-9]*", grammar):
                 raise ValueError(f"{source}:{lineno}: curve grammar must be point-N")
-        elif grammar not in known:
+        elif grammar not in _VALID_GRAMMARS[role]:
             raise ValueError(f"{source}:{lineno}: unknown grammar {grammar!r} for role {role}")
         bucket = reg.by_role[role]
         if oid in bucket:

@@ -37,8 +37,10 @@ from derlint.differential import (
     RULE_LEAF_VALID,
     classify_differential,
 )
+from derlint.extensions import WalkContext
 from derlint.grammar import parse_certificate
-from derlint.matchers import CsCheckInput, check_aid_match
+from derlint.matchers import check_aid_match
+from derlint.registry import default_registry
 from derlint.values import validate_time
 
 from support import certs
@@ -369,20 +371,10 @@ def test_08_algorithm_agreement_perturbations():
     problems = []
     reference = certs.rsa_alg()
 
-    def build_input(inner: bytes, outer: bytes) -> CsCheckInput:
-        return CsCheckInput(
-            inner_alg_raw=inner,
-            outer_alg_raw=outer,
-            subject_raw=b"0",
-            issuer_raw=b"0",
-            has_aki=True,
-            aki_has_key_id=True,
-        )
-
-    diags = []
-    if not check_aid_match(build_input(reference, bytes(reference)), diags):
+    ctx = WalkContext(default_registry())
+    if not check_aid_match(reference, bytes(reference), None, ctx):
         problems.append("byte-identical copies reported as differing")
-    if diags:
+    if ctx.diags:
         problems.append("agreement produced diagnostics")
 
     rng = random.Random(0x5EED08)
@@ -397,12 +389,12 @@ def test_08_algorithm_agreement_perturbations():
             inner, outer = twisted, reference
         else:
             inner, outer = reference, twisted
-        diags = []
-        if check_aid_match(build_input(inner, outer), diags):
+        ctx = WalkContext(default_registry())
+        if check_aid_match(inner, outer, None, ctx):
             misses += 1
             problems.append(f"perturbation {i} at byte {pos} was missed")
             continue
-        if not any(d.code is Code.SIGNATURE_ALGORITHM_MISMATCH for d in diags):
+        if not any(d.code is Code.SIGNATURE_ALGORITHM_MISMATCH for d in ctx.diags):
             problems.append(f"perturbation {i} reported no mismatch code")
     report(8, "algorithm-copy-agreement", problems, f"1000 perturbations, {misses} missed")
 

@@ -201,6 +201,17 @@ class TestLint:
             "derlint: registry: bad.txt:3: duplicate entry for (1.2.3, signature)\n",
         )
 
+    def test_registry_entry_the_walk_cannot_use(self, capsys, tmp_path, good_file, monkeypatch):
+        # Superscript digits are str.isdigit but not int(): loaded, the entry would make a walk raise mid-document.
+        registry = "1.2.3 ; signature ; null\n1.2.3 ; curve ; point-\u00b3\u00b2\n"
+        (tmp_path / "bad.txt").write_text(registry, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, ["lint", "--registry", "bad.txt", str(good_file)]) == (
+            cli.EXIT_ERROR,
+            "",
+            "derlint: registry: bad.txt:2: curve grammar must be point-N\n",
+        )
+
     def test_registry_override_is_used(self, capsys, tmp_path, good_file):
         from importlib import resources
 

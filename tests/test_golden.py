@@ -15,6 +15,7 @@ import golden_corpus
 import derlint.der
 import derlint.extensions
 import derlint.grammar
+import derlint.matchers
 import derlint.names
 import derlint.registry
 import derlint.values
@@ -97,7 +98,7 @@ def test_extension_shape_diagnostics_are_locked():
 def _call_sites(*names: str) -> set[tuple[str, int]]:
     """(file, line) of every call to ctx.<name> or <name> in the walk modules."""
     sites = set()
-    for module in (derlint.grammar, derlint.names, derlint.extensions):
+    for module in (derlint.grammar, derlint.names, derlint.extensions, derlint.matchers):
         for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
             func = getattr(node, "func", None)
             if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "ctx":

@@ -121,6 +121,16 @@ def test_non_minimal_registered_oid_keeps_the_slot_code():
         ("1.2.3 ; gadget ; null\n", "bad.txt:1: unknown role 'gadget'"),
         ("1.2.3 ; curve ; point-x\n", "bad.txt:1: curve grammar must be point-N"),
         ("1.2.3 ; curve ; width-32\n", "bad.txt:1: curve grammar must be point-N"),
+        # Superscript digits pass str.isdigit but not int(), which would raise in the middle of a walk.
+        ("1.2.3 ; curve ; point-\u00b3\u00b2\n", "bad.txt:1: curve grammar must be point-N"),
+        # A width of 0 would take a lone 0x04 octet as a whole point.
+        ("1.2.3 ; curve ; point-0\n", "bad.txt:1: curve grammar must be point-N"),
+        ("1.2.3 ; curve ; point-032\n", "bad.txt:1: curve grammar must be point-N"),
+        # OIDs the walk can never spell, so they would load and match nothing.
+        ("1.2.840.10045.4.3.02 ; signature ; null\n", "bad.txt:1: '1.2.840.10045.4.3.02' is not a dotted OID"),
+        ("# header\nfoo ; signature ; null\n", "bad.txt:2: 'foo' is not a dotted OID"),
+        ("1 ; signature ; null\n", "bad.txt:1: '1' is not a dotted OID"),
+        ("1.2.\u0663 ; signature ; null\n", "bad.txt:1: '1.2.\u0663' is not a dotted OID"),
         ("1.2.3 ; signature ; rsa-key\n", "bad.txt:1: unknown grammar 'rsa-key' for role signature"),
         (
             "1.2.3 ; signature ; null\n1.2.3 ; spki ; null\n1.2.3 ; signature ; absent\n",
@@ -133,3 +143,11 @@ def test_registry_errors_name_their_line(text, message):
         parse_registry(text, source="bad.txt")
     assert str(exc.value) == message
 
+
+
+def test_bundled_registry_spells_every_oid_as_the_walk_does():
+    reg = default_registry()
+    assert sum(len(table) for table in reg.by_role.values()) > 100
+    for oid in reg.oids:
+        assert dotted(decode_oid(parse_tlv_tree(enc.oid(oid)))) == oid
+    assert all(reg.curve_width(oid) > 0 for oid in reg.by_role["curve"])

@@ -1,6 +1,7 @@
 """Source guards: every line of the package fits in 120 columns, the
-export list holds only names the package has, and no module reads the
-environment or rebinds a module global.
+export list holds only names the package has, no module reads the
+environment or rebinds a module global, and the walk records every
+diagnostic through WalkContext.add.
 
 Line counts are how refactors of src/derlint are compared, so a count must
 not be lowered by joining lines past the width the code is wrapped at.
@@ -15,6 +16,15 @@ import derlint
 
 MAX_COLUMNS = 120
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+WALK_MODULES = ("grammar", "names", "extensions", "matchers")
+DIAGNOSTIC_LISTS = {"diags", "diagnostics"}
+# (module, enclosing function, what) of the only recordings the walk modules may hold: the recorder itself, and
+# parse_certificate's one diagnostic for a document the scan refuses, which it records before any walk starts.
+RECORDERS = {
+    ("extensions", "WalkContext.add", "append"),
+    ("extensions", "WalkContext.add", "diag"),
+    ("grammar", "parse_certificate", "Diagnostic"),
+}
 
 
 def test_no_source_line_is_wider_than_120_columns():
@@ -46,3 +56,38 @@ def test_no_module_reads_the_environment_or_rebinds_a_global():
             if name in ENVIRONMENT_NAMES:
                 found.append(f"{path.relative_to(package)}:{getattr(node, 'lineno', '?')} {name}")
     assert found == []
+
+
+def _names_a_diagnostics_list(node: ast.expr) -> bool:
+    return (getattr(node, "id", None) or getattr(node, "attr", None)) in DIAGNOSTIC_LISTS
+
+
+def _recordings(tree: ast.AST, scope: str = ""):
+    """(enclosing function, what, line) of each call to diag or Diagnostic and each addition to a diagnostics list."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _recordings(node, f"{scope}.{node.name}" if scope else node.name)
+            continue
+        func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in ("diag", "Diagnostic"):
+            yield scope, name, node.lineno
+        elif name in ("append", "extend", "insert") and _names_a_diagnostics_list(func.value):
+            yield scope, name, node.lineno
+        elif isinstance(node, ast.AugAssign) and _names_a_diagnostics_list(node.target):
+            yield scope, "+=", node.lineno
+        yield from _recordings(node, scope)
+
+
+def test_the_walk_records_diagnostics_only_through_walk_context_add():
+    package = Path(derlint.__file__).parent
+    sites = [
+        (module, *site)
+        for module in WALK_MODULES
+        for site in _recordings(ast.parse((package / f"{module}.py").read_text(encoding="utf-8")))
+    ]
+    # The scan sees the allowed recordings, so it would see another one.
+    assert {(module, scope, what) for module, scope, what, _ in sites} >= RECORDERS
+    others = [f"{module}.py:{line} {what} in {scope}" for module, scope, what, line in sites
+              if (module, scope, what) not in RECORDERS]
+    assert others == []

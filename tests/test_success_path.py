@@ -5,7 +5,7 @@ over ten times a module-level name, so the walk modules bind the codes
 their success path passes to module-level names.  This test lints
 certificates that record no diagnostic at all under an opcode trace and
 fails on any Code member read executed in a frame of grammar.py,
-names.py or extensions.py.  A second test lints the same certificates
+names.py, extensions.py or matchers.py.  A second test lints the same certificates
 under a call trace and fails if any of TlvNode's readings of its tag
 (tag_class, constructed, tag_number, describe_tag) runs: an accepted
 walk compares the identifier octet, tag, and nothing else.  A third
@@ -26,6 +26,7 @@ import golden_corpus
 
 import derlint.extensions
 import derlint.grammar
+import derlint.matchers
 import derlint.names
 from derlint.der import TlvNode
 from derlint.diagnostics import Code
@@ -37,7 +38,7 @@ from derlint.values import decode_oid, validate_time
 from support import certs
 from support import encoder as enc
 
-WALK_MODULES = (derlint.grammar, derlint.names, derlint.extensions)
+WALK_MODULES = (derlint.grammar, derlint.names, derlint.extensions, derlint.matchers)
 
 
 def _code_reads(module) -> dict[tuple, str]:
