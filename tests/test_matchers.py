@@ -60,7 +60,7 @@ def test_algorithm_mismatch():
 
 
 def test_mismatch_diagnostic_location():
-    # The outer copy spells the same algorithm with absent parameters: both copies parse, only agreement fails.
+    # The outer copy drops the NULL parameters: the copies differ, and the mismatch is placed on the inner one.
     outer = enc.seq(enc.oid("1.2.840.113549.1.1.11"))
     result = walk(outer_alg=outer)
     [mismatch] = agreement(result)
