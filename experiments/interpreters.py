@@ -65,6 +65,10 @@ CASES: dict[str, tuple[list[str], dict[str, bytes | str]]] = {
         ["lint", "--registry", "bad.txt", "good.der"],
         {"good.der": GOOD, "bad.txt": b"1.2.840.10045.4.3.02 ; signature ; null\n"},
     ),
+    "lint-registry-oid-round-trip": (
+        ["lint", "--registry", "bad.txt", "good.der"],
+        {"good.der": GOOD, "bad.txt": b"1.2.3 ; signature ; null\n1.50.3 ; signature ; null\n"},
+    ),
     "lint-jobs-option": (["lint", "--jobs", "2", "good.der"], {"good.der": GOOD}),
     "lint-unknown-format": (["lint", "--format", "xml", "good.der"], {"good.der": GOOD}),
     "diff-missing-records": (["diff", "--records", "nope.csv"], {}),

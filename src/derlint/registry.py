@@ -18,7 +18,9 @@ ignored.  Roles used by the recognizer:
 
 An OID may appear under several roles (a public key algorithm has spki,
 keybits and keyfamily lines).  Duplicate (OID, role) pairs are an error, and
-so is an OID not spelled as the walk spells one (decimal arcs, no leading zero).
+so is an OID not spelled as the walk spells one (decimal arcs, no leading zero)
+or one the walk never decodes: a first arc above 2, a second arc above 39 under
+arc 0 or 1, or an arc above 2**32-1.
 The bundled file covers exactly the algorithm identifiers the certificate
 profile standards spell out in full, plus the standard extension and
 naming attribute OIDs; deployments pass an extended copy explicitly
@@ -45,6 +47,8 @@ import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+
+from .values import ARC_MAX
 
 _VALID_GRAMMARS = {
     "signature": {"null", "absent", "rsa-pss-params"},
@@ -117,6 +121,10 @@ def parse_registry(text: str, source: str = "<string>") -> Registry:
         oid, role, grammar = parts
         if not _DOTTED_OID.fullmatch(oid):
             raise ValueError(f"{source}:{lineno}: {oid!r} is not a dotted OID")
+        # An arc of 11 digits is past the cap already, and int() refuses a str of over 4,300.
+        arcs = [int(arc) if len(arc) <= 10 else ARC_MAX + 1 for arc in oid.split(".")]
+        if arcs[0] > 2 or (arcs[0] < 2 and arcs[1] > 39) or max(arcs) > ARC_MAX:
+            raise ValueError(f"{source}:{lineno}: no DER OID decodes to {oid!r}")
         if role not in _VALID_GRAMMARS:
             raise ValueError(f"{source}:{lineno}: unknown role {role!r}")
         if role == "curve":

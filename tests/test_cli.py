@@ -212,6 +212,16 @@ class TestLint:
             "derlint: registry: bad.txt:2: curve grammar must be point-N\n",
         )
 
+    def test_registry_oid_no_der_oid_decodes_to(self, capsys, tmp_path, good_file, monkeypatch):
+        # 1.50.3 encodes as 2.10.3: loaded, the entry would match nothing and the file would look in force.
+        (tmp_path / "bad.txt").write_text("1.2.3 ; signature ; null\n1.50.3 ; signature ; null\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, ["lint", "--registry", "bad.txt", str(good_file)]) == (
+            cli.EXIT_ERROR,
+            "",
+            "derlint: registry: bad.txt:2: no DER OID decodes to '1.50.3'\n",
+        )
+
     def test_registry_override_is_used(self, capsys, tmp_path, good_file):
         from importlib import resources
 

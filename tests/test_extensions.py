@@ -28,7 +28,7 @@ from derlint.extensions import (
 )
 from derlint.ingest import LintOptions, lint_bytes
 from derlint.registry import Registry, default_registry, load_registry
-from derlint.values import decode_oid, dotted
+from derlint.values import decode_oid, dotted, plain_oid
 
 from support import certs
 from support import encoder as enc
@@ -553,6 +553,79 @@ class TestValidators:
             colon = text[:5] + ":" + text[5:]
             assert valid_uri(colon) == reference_uri(colon), repr(colon)
         assert min(outcomes.values()) >= 1000, outcomes
+
+
+def _strings(alphabet: str, longest: int):
+    """Every string over alphabet of at most longest characters, the empty one first."""
+    found = [""]
+    layer = [""]
+    for _ in range(longest):
+        layer = [text + ch for text in layer for ch in alphabet]
+        found += layer
+    return found
+
+
+def _long_labels_and_names():
+    """Labels of 62-65 octets, alone and between other labels, and names of 252-255 octets."""
+    texts = []
+    for size in range(62, 66):
+        for label in ("a" * size, "0" + "-" * (size - 2) + "a", "a" * (size - 1) + "-", "-" + "a" * (size - 1)):
+            texts += [label, "x." + label, label + ".y", "x." + label + ".y", label + "." + label]
+    for size in range(252, 256):
+        for last in range(1, 66):
+            # Labels of 62 octets up to the last one's dot; a cut that ends on a dot ends on a 63rd octet instead.
+            head = ("a" * 62 + ".") * 5
+            head = head[: size - last - 1]
+            head = head[:-1] + "b" if head.endswith(".") else head
+            texts += [f"{head}.{'c' * last}", f"{head}.{'c' * (last - 1)}-"]
+    return texts
+
+
+def _sequence_children(elements: list[bytes]):
+    """The nodes of elements, parsed as the children of one SEQUENCE over a single buffer."""
+    return parse_tlv_tree(enc.seq(*elements)).children
+
+
+class TestPatternsMatchTheirReferences:
+    """The compiled patterns accept exactly what their references accept: host names at every label and name cap
+    against a split per label, and OID contents against decode_oid."""
+
+    @pytest.mark.parametrize("build", [lambda: _strings("a0-.", 8), _long_labels_and_names], ids=["short", "long"])
+    def test_validators_and_in_place_check(self, build):
+        texts = build()
+        dns = _sequence_children([enc.ctx_prim(2, text.encode()) for text in texts])
+        mail = _sequence_children([enc.ctx_prim(1, b"u@" + text.encode()) for text in texts])
+        outcomes = {True: 0, False: 0}
+        for text, dns_node, mail_node in zip(texts, dns, mail):
+            expected = reference_dns_name(text)
+            outcomes[expected] += 1
+            assert valid_dns_name(text) == expected, text
+            assert valid_email("u@" + text) == expected, text
+            assert _plain_name(dns_node) == expected, text
+            # The in-place check caps the whole content, "u@" and the name, at 253 octets.
+            assert _plain_name(mail_node) == (expected and len(text) <= 251), text
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_oid_check_accepts_what_decode_oid_accepts_in_short_sub_identifiers(self):
+        # Every content of up to 2 octets, then every content of 3-6 octets over the edges of the base-128 form.
+        contents = [b""] + [bytes([a]) for a in range(256)] + [bytes([a, b]) for a in range(256) for b in range(256)]
+        edges = [bytes([octet]) for octet in (0x00, 0x01, 0x7F, 0x80, 0x81, 0xC0, 0xFF)]
+        layer = [b""]
+        for size in range(1, 7):
+            layer = [content + octet for content in layer for octet in edges]
+            contents += layer if size >= 3 else []
+        outcomes = {True: 0, False: 0}
+        for content, node in zip(contents, _sequence_children([enc.raw_oid(content) for content in contents])):
+            try:
+                decode_oid(node)
+            except RecognitionError:
+                expected = False
+            else:
+                # plain_oid stops at sub-identifiers of 4 octets; a 5-octet one takes the full decode.
+                expected = max(map(len, re.findall(rb"[\x80-\xff]*[\x00-\x7f]", content))) <= 4
+            outcomes[expected] += 1
+            assert plain_oid(node) == expected, content.hex()
+        assert min(outcomes.values()) >= 10_000, outcomes
 
 
 def ia5_name_contents(rng: random.Random, tag: int):

@@ -70,15 +70,18 @@ def test_second_walk_decodes_only_unregistered_oids(monkeypatch):
 
 
 def test_oids_that_cannot_round_trip_stay_out():
-    # 1.50.3 encodes its first two arcs as 90, which decodes as 2.10;
-    # an arc above 2**32-1 overflows the decoder.
-    reg = parse_registry("1.50.3 ; attribute ; ia5\n1.2.4294967296 ; attribute ; ia5\n1.2.4294967295 ; attribute ; ia5\n")
-    assert reg.lookup("attribute", "1.50.3") == "ia5"
-    assert reg.lookup("attribute", "1.2.4294967296") == "ia5"
-    for text in ("1.50.3", "1.2.4294967296", "1.2.4294967295"):
-        name = enc.seq(enc.set_of(enc.seq(enc.oid(text), enc.ia5("x"))))
+    # No DER OID decodes to these: 1.50.3 encodes its first two arcs as 90, which decodes as 2.10, and a first
+    # arc above 2 folds the same way; an arc above 2**32-1 overflows the decoder, however many digits it has.
+    for oid in ("1.50.3", "0.40", "3.1", "1.2.4294967296", "2.4294967296", "1.2." + "9" * 5000):
+        with pytest.raises(ValueError) as exc:
+            parse_registry(f"1.2.3 ; attribute ; ia5\n{oid} ; attribute ; ia5\n", source="bad.txt")
+        assert str(exc.value) == f"bad.txt:2: no DER OID decodes to {oid!r}"
+    # The largest arcs the decoder takes still load, and the walk names each.
+    for oid in ("0.39", "1.39.4294967295", "2.4294967295", "2.999.3"):
+        reg = parse_registry(f"{oid} ; attribute ; ia5\n")
+        name = enc.seq(enc.set_of(enc.seq(enc.oid(oid), enc.ia5("x"))))
         parse_name(parse_tlv_tree(name), WalkContext(reg), "name")
-    assert reg.by_der == {content_of("1.2.4294967295"): "1.2.4294967295"}
+        assert reg.by_der == {content_of(oid): oid}
 
 
 def test_extra_registry_oid_joins_the_table():

@@ -1,7 +1,8 @@
 """Source guards: every line of the package fits in 120 columns, the
 export list holds only names the package has, no module reads the
-environment or rebinds a module global, and the walk records every
-diagnostic through WalkContext.add.
+environment or rebinds a module global, the walk records every
+diagnostic through WalkContext.add, and every regular expression parses
+on CPython 3.10.
 
 Line counts are how refactors of src/derlint are compared, so a count must
 not be lowered by joining lines past the width the code is wrapped at.
@@ -10,6 +11,8 @@ in; an environment read or a global set at run time would add a hidden input.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import derlint
@@ -18,6 +21,10 @@ MAX_COLUMNS = 120
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
 WALK_MODULES = ("grammar", "names", "extensions", "matchers")
 DIAGNOSTIC_LISTS = {"diags", "diagnostics"}
+RE_FUNCTIONS = {"compile", "fullmatch", "match", "search", "findall", "finditer", "split", "sub", "subn"}
+# Pattern syntax that CPython 3.11 added: possessive repeats (*+, ++, ?+, {m,n}+) and atomic groups, (?>...).
+NEWER_SYNTAX = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+PATTERN_PARSER = getattr(re, "_parser", None) or importlib.import_module("sre_parse")  # sre_parse before 3.11
 # (module, enclosing function, what) of the only recordings the walk modules may hold: the recorder itself, and
 # parse_certificate's one diagnostic for a document the scan refuses, which it records before any walk starts.
 RECORDERS = {
@@ -91,3 +98,37 @@ def test_the_walk_records_diagnostics_only_through_walk_context_add():
     others = [f"{module}.py:{line} {what} in {scope}" for module, scope, what, line in sites
               if (module, scope, what) not in RECORDERS]
     assert others == []
+
+
+def _patterns():
+    """(module:line, pattern) of each call of an re function in the package, its pattern evaluated among the
+    module's globals, which is where every such call of the package builds it."""
+    package = Path(derlint.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        module = None
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if getattr(func, "attr", None) in RE_FUNCTIONS and getattr(func.value, "id", None) == "re":
+                module = module or importlib.import_module(f"derlint.{path.stem}".removesuffix(".__init__"))
+                expression = compile(ast.Expression(node.args[0]), str(path), "eval")
+                yield f"{path.name}:{node.lineno}", eval(expression, vars(module))
+
+
+def _opcode_names(parsed):
+    """The name of every opcode in a parsed pattern, at any depth."""
+    if isinstance(parsed, PATTERN_PARSER.SubPattern):
+        parsed = parsed.data
+    if isinstance(parsed, (list, tuple)):
+        for part in parsed:
+            yield from _opcode_names(part)
+    elif getattr(parsed, "name", None):
+        yield parsed.name
+
+
+def test_every_pattern_parses_on_python_3_10():
+    patterns = list(_patterns())
+    # The scan sees the host-name, OID and time patterns, so it would see another one.
+    assert len(patterns) >= 15
+    newer = [f"{site} {name}" for site, pattern in patterns for name in _opcode_names(PATTERN_PARSER.parse(pattern))
+             if name in NEWER_SYNTAX]
+    assert newer == []
