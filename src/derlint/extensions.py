@@ -735,11 +735,10 @@ _BODY_PARSERS = {
 
 # --- GeneralName ------------------------------------------------------------
 
-# Host names: dot-separated labels of 1-63 alphanumerics and hyphens, no
-# hyphen at either end of a label, the whole name capped at 253 octets.
-# A label takes its whole run and then looks back at its last octet, and a name's last label is matched once,
-# so no accepted name is backtracked over.  Every pattern here is used with fullmatch: "$" would also match
-# before a trailing newline, and "www\n.example.com" would pass.
+# Host names: dot-separated labels of 1-63 alphanumerics and hyphens, no hyphen at either end of a label, the
+# whole name capped at 253 octets.  A label takes its whole run and then looks back at its last octet, and a
+# name's last label is matched once, so no accepted name is backtracked over.  Every pattern here is used with
+# fullmatch: "$" would also match before a trailing newline, and "www\n.example.com" would pass.
 _LABEL = r"[A-Za-z0-9][A-Za-z0-9-]{0,62}(?<=[A-Za-z0-9])"
 _DNS_NAME = re.compile(rf"{_LABEL}(?:\.{_LABEL})*")
 _SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*")

@@ -136,8 +136,7 @@ def dotted(arcs: tuple[int, ...]) -> str:
 
 
 # An OID's content as minimal sub-identifiers of at most 4 octets (28 bits), so no arc can pass its bound.
-# The one-octet arc, the common one, is tried first; the branches start with disjoint octets.
-_PLAIN_OID = re.compile(rb"(?:[\x00-\x7f]|[\x81-\xff][\x80-\xff]{0,2}[\x00-\x7f])+")
+_PLAIN_OID = re.compile(rb"(?:[\x00-\x7f]|[\x81-\xff][\x80-\xff]{0,2}[\x00-\x7f])+")  # the common one-octet arc first
 
 
 def plain_oid(node: TlvNode) -> bool:

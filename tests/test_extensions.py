@@ -1,6 +1,7 @@
 """Extension block: entry framing, body grammars, GeneralName, usage rules."""
 
 import dataclasses
+import itertools
 import random
 import re
 import sys
@@ -555,14 +556,9 @@ class TestValidators:
         assert min(outcomes.values()) >= 1000, outcomes
 
 
-def _strings(alphabet: str, longest: int):
-    """Every string over alphabet of at most longest characters, the empty one first."""
-    found = [""]
-    layer = [""]
-    for _ in range(longest):
-        layer = [text + ch for text in layer for ch in alphabet]
-        found += layer
-    return found
+def _strings(alphabet: str, longest: int) -> list[str]:
+    """Every string over alphabet of at most longest characters, shortest first."""
+    return ["".join(chars) for size in range(longest + 1) for chars in itertools.product(alphabet, repeat=size)]
 
 
 def _long_labels_and_names():
@@ -608,12 +604,9 @@ class TestPatternsMatchTheirReferences:
 
     def test_oid_check_accepts_what_decode_oid_accepts_in_short_sub_identifiers(self):
         # Every content of up to 2 octets, then every content of 3-6 octets over the edges of the base-128 form.
-        contents = [b""] + [bytes([a]) for a in range(256)] + [bytes([a, b]) for a in range(256) for b in range(256)]
-        edges = [bytes([octet]) for octet in (0x00, 0x01, 0x7F, 0x80, 0x81, 0xC0, 0xFF)]
-        layer = [b""]
-        for size in range(1, 7):
-            layer = [content + octet for content in layer for octet in edges]
-            contents += layer if size >= 3 else []
+        edges = b"\x00\x01\x7f\x80\x81\xc0\xff"
+        contents = [bytes(octets) for size in range(3) for octets in itertools.product(range(256), repeat=size)]
+        contents += [bytes(octets) for size in range(3, 7) for octets in itertools.product(edges, repeat=size)]
         outcomes = {True: 0, False: 0}
         for content, node in zip(contents, _sequence_children([enc.raw_oid(content) for content in contents])):
             try:

@@ -1,8 +1,8 @@
 """Source guards: every line of the package fits in 120 columns, the
 export list holds only names the package has, no module reads the
 environment or rebinds a module global, the walk records every
-diagnostic through WalkContext.add, and every regular expression parses
-on CPython 3.10.
+diagnostic through WalkContext.add, and no regular expression uses syntax
+newer than CPython 3.10.
 
 Line counts are how refactors of src/derlint are compared, so a count must
 not be lowered by joining lines past the width the code is wrapped at.
