@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 
 class Severity(enum.Enum):
@@ -138,8 +138,7 @@ class Code(enum.Enum):
     UNRECOGNIZED_FORMAT = "UNRECOGNIZED_FORMAT", _NON, True, "Unrecognized input format"
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One recognized defect, anchored to an input location.
 
     grammar_path is a dotted walk from the certificate root, for example
@@ -195,14 +194,16 @@ class RecognitionError(Exception):
         return f"{self.code.value} at offset {self.offset}: {self.message}"
 
 
-@dataclass
 class Histogram:
     """Counts of diagnostics across a batch."""
 
-    total: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    counts: dict[Code, int] = field(default_factory=dict)
+    __slots__ = ("total", "accepted", "rejected", "counts")
+
+    def __init__(self, total: int = 0, accepted: int = 0, rejected: int = 0, counts: dict[Code, int] | None = None):
+        self.total = total
+        self.accepted = accepted
+        self.rejected = rejected
+        self.counts = {} if counts is None else counts
 
     def add(self, diagnostics: list[Diagnostic]) -> None:
         self.total += 1
@@ -222,8 +223,7 @@ class Histogram:
         }
 
 
-@dataclass(frozen=True)
-class UnmappedMessage:
+class UnmappedMessage(NamedTuple):
     """Returned by classify_external_message for strings missing from the table."""
 
     validator: str

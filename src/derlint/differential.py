@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -173,10 +172,12 @@ def _csv_reason(exc: csv.Error) -> str:
     return "malformed CSV row"
 
 
-@dataclass
 class AnalysisResult:
-    verdicts: list[ChainVerdict] = field(default_factory=list)
-    missing: list[MissingCaRecord] = field(default_factory=list)
+    __slots__ = ("verdicts", "missing")
+
+    def __init__(self, verdicts: list[ChainVerdict] | None = None, missing: list[MissingCaRecord] | None = None):
+        self.verdicts = [] if verdicts is None else verdicts
+        self.missing = [] if missing is None else missing
 
     def to_json_dict(self) -> dict:
         return {
@@ -228,15 +229,20 @@ def analyze(records: Iterable[ChainOutcomeRecord]) -> AnalysisResult:
     return result
 
 
-@dataclass
 class CrossTab:
     """Disagreement counts: certificates we reject, others accept."""
 
-    disagreements: dict[str, int] = field(default_factory=dict)
-    by_code: dict[str, dict[str, int]] = field(default_factory=dict)
-    agreements: int = 0
-    accepted_here_rejected_there: int = 0
-    unjoined: list[UnjoinedRecord] = field(default_factory=list)
+    __slots__ = ("disagreements", "by_code", "agreements", "accepted_here_rejected_there", "unjoined")
+
+    def __init__(
+        self, disagreements: dict[str, int] | None = None, by_code: dict[str, dict[str, int]] | None = None,
+        agreements: int = 0, accepted_here_rejected_there: int = 0, unjoined: list[UnjoinedRecord] | None = None,
+    ):
+        self.disagreements = {} if disagreements is None else disagreements
+        self.by_code = {} if by_code is None else by_code
+        self.agreements = agreements
+        self.accepted_here_rejected_there = accepted_here_rejected_there
+        self.unjoined = [] if unjoined is None else unjoined
 
     def _counts_json_dict(self) -> dict:
         """to_json_dict without the unjoined records."""

@@ -27,8 +27,8 @@ scan or body walk.  Only the duplicate check runs per document.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .der import TlvNode, parse_tlv_tree
 from .diagnostics import Code, Diagnostic, RecognitionError, diag
@@ -202,25 +202,21 @@ class WalkContext:
             return None
 
 
-# Body values are frozen: a remembered entry hands the same value to every document that repeats it.
-@dataclass(frozen=True)
-class KeyUsageValue:
+# Body values are tuples, so immutable: a remembered entry hands the same value to every document that repeats it.
+class KeyUsageValue(NamedTuple):
     bits: frozenset[int]
 
 
-@dataclass(frozen=True)
-class BasicConstraintsValue:
+class BasicConstraintsValue(NamedTuple):
     ca: bool = False
     path_len: int | None = None
 
 
-@dataclass(frozen=True)
-class AkiValue:
+class AkiValue(NamedTuple):
     key_id: bytes | None = None
 
 
-@dataclass
-class ExtensionEntry:
+class ExtensionEntry(NamedTuple):
     index: int
     critical: bool
     node: TlvNode

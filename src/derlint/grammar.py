@@ -17,8 +17,6 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .der import TlvNode, parse_tlv_tree
 from .diagnostics import Code, Diagnostic, RecognitionError
 from .extensions import (
@@ -59,32 +57,49 @@ _MALFORMED_PARAMS, _MALFORMED_KEY, _MALFORMED_SIG = (
 _PSS_FIELDS = frozenset({0xA0, 0xA1, 0xA2, 0xA3})
 
 
-@dataclass
 class AlgorithmId:
-    node: TlvNode
-    oid: str | None = None
-    grammar: str | None = None
-    curve_oid: str | None = None
+    __slots__ = ("node", "oid", "grammar", "curve_oid")
+
+    def __init__(self, node: TlvNode, oid: str | None = None, grammar: str | None = None, curve_oid: str | None = None):
+        self.node = node
+        self.oid = oid
+        self.grammar = grammar
+        self.curve_oid = curve_oid
 
 
-@dataclass
 class ParsedTbs:
-    version: int = 0
-    inner_algorithm: AlgorithmId | None = None
-    issuer: TlvNode | None = None
-    subject: TlvNode | None = None
-    subject_empty: bool = False
-    key_family: str | None = None
-    has_unique_id: bool = False
-    extensions: dict[str, ExtensionEntry] | None = None
-    extensions_present: bool = False
+    __slots__ = (
+        "version", "inner_algorithm", "issuer", "subject", "subject_empty", "key_family", "has_unique_id",
+        "extensions", "extensions_present",
+    )
+
+    def __init__(
+        self, version: int = 0, inner_algorithm: AlgorithmId | None = None, issuer: TlvNode | None = None,
+        subject: TlvNode | None = None, subject_empty: bool = False, key_family: str | None = None,
+        has_unique_id: bool = False, extensions: dict[str, ExtensionEntry] | None = None,
+        extensions_present: bool = False,
+    ):
+        self.version = version
+        self.inner_algorithm = inner_algorithm
+        self.issuer = issuer
+        self.subject = subject
+        self.subject_empty = subject_empty
+        self.key_family = key_family
+        self.has_unique_id = has_unique_id
+        self.extensions = extensions
+        self.extensions_present = extensions_present
 
 
-@dataclass
 class ParsedCertificate:
-    tbs: ParsedTbs | None = None
-    outer_algorithm: AlgorithmId | None = None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("tbs", "outer_algorithm", "diagnostics")
+
+    def __init__(
+        self, tbs: ParsedTbs | None = None, outer_algorithm: AlgorithmId | None = None,
+        diagnostics: list[Diagnostic] | None = None,
+    ):
+        self.tbs = tbs
+        self.outer_algorithm = outer_algorithm
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def accepted(self) -> bool:

@@ -14,7 +14,7 @@ import hashlib
 import os
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .der import CONTENT_MAX
 from .diagnostics import Code, Diagnostic, diag
@@ -27,16 +27,19 @@ _BEGIN_PREFIX = "-----BEGIN "
 _MAX_LINE = 64
 
 
-@dataclass
 class LintOptions:
-    fmt: str = "auto"  # pem | der | auto
-    max_size: int = CONTENT_MAX
-    registry: Registry | None = None
-    timing: bool = True
+    __slots__ = ("fmt", "max_size", "registry", "timing")
+
+    def __init__(
+        self, fmt: str = "auto", max_size: int = CONTENT_MAX, registry: Registry | None = None, timing: bool = True
+    ):
+        self.fmt = fmt  # pem | der | auto
+        self.max_size = max_size
+        self.registry = registry
+        self.timing = timing
 
 
-@dataclass
-class InputDocument:
+class InputDocument(NamedTuple):
     """One certificate candidate extracted from a file.
 
     data holds the binary certificate when the container was sound;
@@ -48,14 +51,19 @@ class InputDocument:
     container_error: Diagnostic | None = None
 
 
-@dataclass
 class CertificateReport:
-    doc_id: str
-    sha256: str
-    outcome: str
-    size_bytes: int
-    parse_time_micros: int | None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("doc_id", "sha256", "outcome", "size_bytes", "parse_time_micros", "diagnostics")
+
+    def __init__(
+        self, doc_id: str, sha256: str, outcome: str, size_bytes: int, parse_time_micros: int | None,
+        diagnostics: list[Diagnostic] | None = None,
+    ):
+        self.doc_id = doc_id
+        self.sha256 = sha256
+        self.outcome = outcome
+        self.size_bytes = size_bytes
+        self.parse_time_micros = parse_time_micros
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def to_json_dict(self) -> dict:
         out = {

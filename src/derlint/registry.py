@@ -37,15 +37,14 @@ silent_extensions starts empty too.  The extension walk adds the whole
 encoding of a short extension entry it walked without a diagnostic,
 keyed to what that walk gave (extnID, critical flag, body value), so a
 repeated entry is not walked again; extensions.py bounds it.  A copy made
-with dataclasses.replace starts with an empty one, so two registries never
-share an answer.
+from another registry's tables starts with an empty one, so two registries
+never share an answer.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .values import ARC_MAX
@@ -85,19 +84,32 @@ _VALID_GRAMMARS = {
 _DOTTED_OID = re.compile(r"(?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))+")
 
 
-@dataclass
 class Registry:
-    """Parsed registry, one mapping per role; every role has one, so by_role[role].get(oid) is lookup(role, oid)."""
+    """Parsed registry, one mapping per role; every role has one, so by_role[role].get(oid) is lookup(role, oid).
 
-    by_role: dict[str, dict[str, str]] = field(default_factory=dict)
-    oids: set[str] = field(default_factory=set)
-    by_der: dict[bytes, str] = field(default_factory=dict)
-    silent_extensions: dict[bytes, tuple[str, bool, object]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    silent_extensions, a memo, is left out of equality and repr.
+    """
 
-    def __post_init__(self):
-        self.by_role = {**{role: {} for role in _VALID_GRAMMARS}, **self.by_role}
+    __slots__ = ("by_role", "oids", "by_der", "silent_extensions")
+
+    def __init__(
+        self,
+        by_role: dict[str, dict[str, str]] | None = None,
+        oids: set[str] | None = None,
+        by_der: dict[bytes, str] | None = None,
+    ):
+        self.by_role = {**{role: {} for role in _VALID_GRAMMARS}, **(by_role or {})}
+        self.oids = set() if oids is None else oids
+        self.by_der = {} if by_der is None else by_der
+        self.silent_extensions: dict[bytes, tuple[str, bool, object]] = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.by_role, self.oids, self.by_der) == (other.by_role, other.oids, other.by_der)
+
+    def __repr__(self) -> str:
+        return f"Registry(by_role={self.by_role!r}, oids={self.oids!r}, by_der={self.by_der!r})"
 
     def lookup(self, role: str, oid: str) -> str | None:
         return self.by_role[role].get(oid)

@@ -14,7 +14,7 @@ they say no, so an accepted element costs one pattern match.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .der import TlvNode
 from .diagnostics import Code, RecognitionError
@@ -145,8 +145,7 @@ def plain_oid(node: TlvNode) -> bool:
     return node.tag == TAG_OID and _PLAIN_OID.fullmatch(node.buffer, start, start + node.content_length) is not None
 
 
-@dataclass
-class BitStringValue:
+class BitStringValue(NamedTuple):
     unused_bits: int
     bits: bytes
     named_bits: frozenset[int] | None = None
@@ -337,8 +336,7 @@ def days_in_month(year: int, month: int) -> int:
     return _DAYS_IN_MONTH[month - 1]
 
 
-@dataclass(frozen=True)
-class TimeValue:
+class TimeValue(NamedTuple):
     year: int
     month: int
     day: int

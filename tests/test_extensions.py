@@ -1,6 +1,5 @@
 """Extension block: entry framing, body grammars, GeneralName, usage rules."""
 
-import dataclasses
 import itertools
 import random
 import re
@@ -858,11 +857,13 @@ class TestSilentEntryMemo:
         return extset, ctx.diags
 
     def test_body_values_are_frozen(self):
-        for value, name in ((AkiValue(b"\x01"), "key_id"), (KeyUsageValue(frozenset({0})), "bits")):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+        aki, ku, bc = AkiValue(b"\x01"), KeyUsageValue(frozenset({0})), BasicConstraintsValue(True, 0)
+        for value, name in ((aki, "key_id"), (ku, "bits")):
+            with pytest.raises(AttributeError):
                 setattr(value, name, None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            BasicConstraintsValue(True, 0).ca = False
+        with pytest.raises(AttributeError):
+            bc.ca = False
+        assert (aki.key_id, ku.bits, bc.ca, bc.path_len) == (b"\x01", frozenset({0}), True, 0)
 
     def test_a_hit_gives_what_the_walk_gave(self):
         reg = load_registry()
@@ -886,7 +887,7 @@ class TestSilentEntryMemo:
         # A hit keeps the duplicate check, which runs per document.
         _, diags = self.walk(reg, block[1], block[1])
         assert [d.code for d in diags] == [Code.DUPLICATED_EXTENSION]
-        assert dataclasses.replace(reg).silent_extensions == {}
+        assert Registry(by_role=reg.by_role, oids=reg.oids, by_der=reg.by_der).silent_extensions == {}
 
     def test_only_short_silent_entries_are_admitted(self):
         reg = load_registry()

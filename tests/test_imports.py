@@ -1,7 +1,9 @@
 """The package loads only what a caller uses.
 
 `derlint diff` must not import the lint stack, and neither `lint_bytes`
-nor `derlint lint` may import the differential analyzer.  Each check runs in a fresh interpreter,
+nor `derlint lint` may import the differential analyzer.  None of the three
+may import `dataclasses` or `inspect`, which cost a cold start several
+milliseconds before the first certificate.  Each check runs in a fresh interpreter,
 since this test process has long since imported every module.
 """
 
@@ -17,6 +19,7 @@ from support import certs
 
 SRC = str(Path(derlint.__file__).resolve().parent.parent)
 LINT_STACK = ("der", "ingest", "grammar", "extensions", "names", "values", "matchers", "registry")
+SLOW_TO_IMPORT = {"dataclasses", "inspect"}
 
 
 def run_fresh(code: str, *args: str) -> str:
@@ -32,6 +35,8 @@ def run_fresh(code: str, *args: str) -> str:
 
 
 def loaded(stdout: str) -> set[str]:
+    """The modules a fresh-interpreter check printed: those its code added after `before = set(sys.modules)`, which
+    comes before `import derlint`, so that what `site` preloaded is left out."""
     return set(stdout.split())
 
 
@@ -41,44 +46,53 @@ def test_diff_leaves_the_lint_stack_unloaded(tmp_path):
     reports = tmp_path / "reports.jsonl"
     reports.write_text('{"id": "root", "diagnostics": [{"code": "TRAILING_BYTES"}]}\n')
     code = (
-        "import io, sys, contextlib, derlint.cli\n"
+        "import io, sys, contextlib\n"
+        "before = set(sys.modules)\n"
+        "import derlint.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    status = derlint.cli.main(['diff', '--records', sys.argv[1], '--reports', sys.argv[2]])\n"
         "assert status == 0, status\n"
-        "print(*sys.modules)\n"
+        "print(*set(sys.modules) - before)\n"
     )
     modules = loaded(run_fresh(code, str(records), str(reports)))
     assert "derlint.differential" in modules
     assert {f"derlint.{name}" for name in LINT_STACK} & modules == set()
+    assert SLOW_TO_IMPORT & modules == set()
 
 
 def test_lint_bytes_leaves_the_analyzer_unloaded(tmp_path):
     cert = tmp_path / "cert.der"
     cert.write_bytes(certs.base_cert())
     code = (
-        "import sys, derlint\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import derlint\n"
         "with open(sys.argv[1], 'rb') as fh:\n"
         "    assert derlint.lint_bytes(fh.read()).outcome == 'accepted'\n"
-        "print(*sys.modules)\n"
+        "print(*set(sys.modules) - before)\n"
     )
     modules = loaded(run_fresh(code, str(cert)))
     assert "derlint.grammar" in modules
     assert "derlint.differential" not in modules
+    assert SLOW_TO_IMPORT & modules == set()
 
 
 def test_lint_command_leaves_the_analyzer_unloaded(tmp_path):
     cert = tmp_path / "cert.der"
     cert.write_bytes(certs.base_cert())
     code = (
-        "import io, sys, contextlib, derlint.cli\n"
+        "import io, sys, contextlib\n"
+        "before = set(sys.modules)\n"
+        "import derlint.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    status = derlint.cli.main(['lint', sys.argv[1]])\n"
         "assert status == 0, status\n"
-        "print(*sys.modules)\n"
+        "print(*set(sys.modules) - before)\n"
     )
     modules = loaded(run_fresh(code, str(cert)))
     assert "derlint.grammar" in modules
     assert {"derlint.differential", "csv"} & modules == set()
+    assert SLOW_TO_IMPORT & modules == set()
 
 
 def test_star_import_binds_each_name_to_its_home_module():

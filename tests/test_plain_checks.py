@@ -14,7 +14,6 @@ the first property cannot hold by the check returning False.
 """
 
 import random
-from dataclasses import replace
 from unittest import mock
 
 import golden_corpus
@@ -29,7 +28,7 @@ from derlint.extensions import WalkContext, _parse_extension_entry, _plain_exten
 from derlint.grammar import _plain_algorithm, parse_algorithm_identifier
 from derlint.ingest import LintOptions, lint_bytes
 from derlint.names import _plain_rdn, parse_rdn
-from derlint.registry import default_registry
+from derlint.registry import Registry, default_registry
 from derlint.values import TAG_GENERALIZED_TIME, TAG_OID, TAG_SEQUENCE, TAG_SET, TAG_UTC_TIME, decode_oid, plain_oid
 from derlint.values import plain_time, validate_time
 
@@ -39,7 +38,9 @@ from support import encoder as enc
 REG = default_registry()
 # REG without extension bodies, sharing its by_der: an entry's walk then stops at its header, where the in-place
 # check stands in for it; the body is parsed by the same code on either route.
-HEADER_REG = replace(REG, by_role={role: table for role, table in REG.by_role.items() if role != "extension"})
+HEADER_REG = Registry(
+    by_role={role: table for role, table in REG.by_role.items() if role != "extension"}, oids=REG.oids, by_der=REG.by_der
+)
 OPTIONS = LintOptions(fmt="der", timing=False)
 MUTATIONS = 24
 # A signature AlgorithmIdentifier is almost all OID, and one changed octet of a registered OID rarely leaves
