@@ -216,11 +216,14 @@ class AkiValue(NamedTuple):
     key_id: bytes | None = None
 
 
-class ExtensionEntry(NamedTuple):
-    index: int
-    critical: bool
-    node: TlvNode
-    body: object | None = None
+class ExtensionEntry:
+    __slots__ = ("index", "critical", "node", "body")
+
+    def __init__(self, index: int, critical: bool, node: TlvNode, body: object | None = None):
+        self.index = index
+        self.critical = critical
+        self.node = node
+        self.body = body
 
 
 def parse_extensions(

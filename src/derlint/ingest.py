@@ -14,7 +14,6 @@ import hashlib
 import os
 import time
 from collections.abc import Iterator
-from typing import NamedTuple
 
 from .der import CONTENT_MAX
 from .diagnostics import Code, Diagnostic, diag
@@ -39,16 +38,19 @@ class LintOptions:
         self.timing = timing
 
 
-class InputDocument(NamedTuple):
+class InputDocument:
     """One certificate candidate extracted from a file.
 
     data holds the binary certificate when the container was sound;
     otherwise container_error carries the diagnostic and data is empty.
     """
 
-    doc_id: str
-    data: bytes = b""
-    container_error: Diagnostic | None = None
+    __slots__ = ("doc_id", "data", "container_error")
+
+    def __init__(self, doc_id: str, data: bytes = b"", container_error: Diagnostic | None = None):
+        self.doc_id = doc_id
+        self.data = data
+        self.container_error = container_error
 
 
 class CertificateReport:
