@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 # without the lint stack.
 _EXPORTS = {
     "der": "CONTENT_MAX MAX_DEPTH TlvNode delta_length parse_tlv_tree recognize_toy toy_delta",
-    "diagnostics": "Category Code Diagnostic Histogram RecognitionError Severity UnmappedMessage "
-    "classify_external_message diag",
+    "diagnostics": "Code Diagnostic Histogram RecognitionError Severity diag",
     "differential": "AnalysisResult ChainOutcomeRecord ChainVerdict CrossTab MissingCaRecord UnjoinedRecord analyze "
     "classify_differential cross_tabulate parent_chain_id read_records",
     "extensions": "WalkContext",

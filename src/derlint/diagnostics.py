@@ -6,32 +6,17 @@ building block, or merely sloppy encoding), a rejection class (does its
 presence make the overall outcome "rejected", or is it a recorded note),
 and a human-readable label.  Each Code member holds all three itself, so
 no code can exist without them.
-
-The module also knows how to classify the outcome strings of a handful of
-widely deployed validators into coarse categories (syntactic, validation,
-generic), driven by a bundled data file so the table can be extended
-without touching code.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-from importlib import resources
 from typing import NamedTuple
 
 
 class Severity(enum.Enum):
     SECURITY_CRITICAL = "security-critical"
     NON_CRITICAL = "non-critical"
-
-
-class Category(enum.Enum):
-    """Coarse classification of a rejection message."""
-
-    SYNTACTIC = "syntactic"
-    VALIDATION = "validation"
-    GENERIC = "generic"
 
 
 _CRIT = Severity.SECURITY_CRITICAL
@@ -221,40 +206,3 @@ class Histogram:
             "rejected": self.rejected,
             "counts": {c.value: n for c, n in sorted(self.counts.items(), key=lambda kv: kv[0].value)},
         }
-
-
-class UnmappedMessage(NamedTuple):
-    """Returned by classify_external_message for strings missing from the table."""
-
-    validator: str
-    message: str
-
-
-@functools.cache
-def _load_message_table() -> dict[tuple[str, str], Category]:
-    table: dict[tuple[str, str], Category] = {}
-    text = resources.files("derlint.data").joinpath("library_messages.txt").read_text()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(";")]
-        if len(parts) != 3:
-            raise ValueError(f"library_messages.txt:{lineno}: expected 3 fields")
-        validator, message, category = parts
-        table[(validator.lower(), message)] = Category(category)
-    return table
-
-
-def classify_external_message(validator: str, message: str) -> Category | UnmappedMessage:
-    """Map a validator's outcome string to a coarse category.
-
-    Matching is exact on the message text and case-insensitive on the
-    validator id.  Unknown pairs are returned as UnmappedMessage rather
-    than raised, so batch classification can record them for triage.
-    """
-    table = _load_message_table()
-    got = table.get((validator.lower(), message))
-    if got is None:
-        return UnmappedMessage(validator=validator, message=message)
-    return got

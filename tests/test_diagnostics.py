@@ -1,18 +1,13 @@
-"""Diagnostic registry: codes, severities, histogram, external messages."""
+"""Diagnostic registry: codes, severities, histogram."""
 
 import json
 
-import pytest
-
 from derlint.diagnostics import (
-    Category,
     Code,
     Diagnostic,
     Histogram,
     RecognitionError,
     Severity,
-    UnmappedMessage,
-    classify_external_message,
     diag,
 )
 
@@ -139,24 +134,3 @@ def test_histogram_json_is_sorted_and_stringly_keyed():
     h.add([diag(Code.WRONG_OID, path="p"), diag(Code.EMPTY_STRING, path="p")])
     payload = h.to_json_dict()
     assert list(payload["counts"]) == sorted(payload["counts"])
-
-
-class TestExternalMessages:
-    def test_known_messages(self):
-        got = classify_external_message("gnutls", "Insecure Algorithm")
-        assert got is Category.SYNTACTIC
-        got = classify_external_message("openssl", "Certificate has expired")
-        assert got is Category.VALIDATION
-        got = classify_external_message("securetransport", "kSecTrustResult other error")
-        assert got is Category.GENERIC
-
-    def test_validator_case_insensitive(self):
-        assert classify_external_message("GnuTLS", "Insecure Algorithm") is Category.SYNTACTIC
-
-    def test_message_case_sensitive(self):
-        got = classify_external_message("gnutls", "insecure algorithm")
-        assert isinstance(got, UnmappedMessage)
-
-    def test_unknown_pair_returned_not_raised(self):
-        got = classify_external_message("somevalidator", "whatever happened")
-        assert got == UnmappedMessage(validator="somevalidator", message="whatever happened")
