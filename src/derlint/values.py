@@ -191,11 +191,7 @@ def decode_bit_string(node: TlvNode, *, named: bool = False) -> BitStringValue:
                     offset=off + len(content) - 1,
                     message="trailing zero octet in named BIT STRING",
                 )
-            trailing = 0
-            probe = last
-            while not probe & 1:
-                trailing += 1
-                probe >>= 1
+            trailing = (last & -last).bit_length() - 1
             if unused != trailing:
                 raise RecognitionError(
                     Code.WRONG_KEY_CERT_SIGN_ENCODING,
@@ -344,9 +340,6 @@ class TimeValue(NamedTuple):
     minute: int
     second: int
     kind: str  # "utc" or "generalized"
-
-    def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (self.year, self.month, self.day, self.hour, self.minute, self.second)
 
 
 def validate_time(node: TlvNode) -> TimeValue:

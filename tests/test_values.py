@@ -276,7 +276,7 @@ class TestCalendar:
     def test_leap_day_cases(self):
         # 2020 is a leap year; 2022 is not; 2100 is a century non-leap.
         ok = validate_time(node_of(enc.utctime("200229120000Z")))
-        assert ok.as_tuple() == (2020, 2, 29, 12, 0, 0)
+        assert ok[:6] == (2020, 2, 29, 12, 0, 0)
         assert err_code(validate_time, node_of(enc.utctime("220229120000Z"))) is Code.INVALID_DATE
         code = err_code(validate_time, node_of(enc.gentime("21000229000000Z")))
         assert code is Code.INVALID_DATE
@@ -306,6 +306,6 @@ class TestCalendar:
             except ValueError:
                 expected_ok = False
             if expected_ok:
-                assert validate_time(node).as_tuple() == (year, month, day, hour, minute, second)
+                assert validate_time(node)[:6] == (year, month, day, hour, minute, second)
             else:
                 assert err_code(validate_time, node) is Code.INVALID_DATE
