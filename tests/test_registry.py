@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from derlint import extensions
+from derlint import extensions, names, registry
 from derlint.der import parse_tlv_tree
 from derlint.diagnostics import Code
 from derlint.extensions import WalkContext, parse_extensions
@@ -154,3 +154,15 @@ def test_bundled_registry_spells_every_oid_as_the_walk_does():
     for oid in reg.oids:
         assert dotted(decode_oid(parse_tlv_tree(enc.oid(oid)))) == oid
     assert all(reg.curve_width(oid) > 0 for oid in reg.by_role["curve"])
+
+
+def test_registry_grammars_match_the_walk_tables():
+    """A grammar name the registry accepts for these roles must be one the walk has a table entry for.
+
+    A name in the registry's set alone would load, then raise KeyError in `_parse_body` or fall to a
+    `.get` default that permits every key usage or string type; a name in a walk table alone is dead.
+    """
+    grammars = registry._VALID_GRAMMARS
+    assert grammars["extension"] == set(extensions._BODY_PARSERS)
+    assert grammars["keyfamily"] == set(extensions._FORBIDDEN_USAGE)
+    assert grammars["attribute"] == set(names._PERMITTED_BY_KIND)
