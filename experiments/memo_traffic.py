@@ -107,11 +107,11 @@ def traffic(docs: list[bytes]) -> dict[str, list[int]]:
     names = reg.by_role["extension"]
     rows: dict[str, list[int]] = {}
     walked: set[int] = set()  # ids of the entries of the current block that reached the walk
-    check, parse = extensions._plain_extension, grammar.parse_extensions
+    walk, parse = extensions._parse_extension_entry, grammar.parse_extensions
 
-    def check_seen(node, reg):
+    def walk_seen(node, *args):
         walked.add(id(node))
-        return check(node, reg)
+        return walk(node, *args)
 
     def parse_seen(wrapper, ctx, *args):
         walked.clear()
@@ -124,12 +124,12 @@ def traffic(docs: list[bytes]) -> dict[str, list[int]]:
                 row[2] += id(node) not in walked
         return out
 
-    extensions._plain_extension, grammar.parse_extensions = check_seen, parse_seen
+    extensions._parse_extension_entry, grammar.parse_extensions = walk_seen, parse_seen
     try:
         for data in docs:
             lint_bytes(data, "doc", options)
     finally:
-        extensions._plain_extension, grammar.parse_extensions = check, parse
+        extensions._parse_extension_entry, grammar.parse_extensions = walk, parse
     return rows
 
 

@@ -246,8 +246,7 @@ def parse_extensions(
     if not seq.children:
         ctx.add(Code.EMPTY_EXTENSION_SEQUENCE, seq, path)
         return out
-    reg = ctx.reg
-    memo = reg.silent_extensions
+    memo = ctx.reg.silent_extensions
     found = []
     for i, node in enumerate(seq.children):
         key = node.raw if node.content_length <= _MEMO_MAX_CONTENT else None
@@ -257,12 +256,7 @@ def parse_extensions(
             found.append((oid_str, ExtensionEntry(i, critical, node, body)))
             continue
         count = len(ctx.diags)
-        oid_str = _plain_extension(node, reg)
-        if oid_str is None:
-            result = _parse_extension_entry(node, i, ctx, path)
-        else:
-            body = _parse_body(oid_str, node.children[-1], ctx, path, i)
-            result = (oid_str, ExtensionEntry(i, len(node.children) == 3, node, body))
+        result = _parse_extension_entry(node, i, ctx, path)
         found.append(result)
         if key is not None and result is not None and len(ctx.diags) == count:
             if len(memo) >= _MEMO_MAX_ENTRIES:
@@ -278,61 +272,44 @@ def parse_extensions(
     return out
 
 
-def _plain_extension(node: TlvNode, reg: Registry) -> str | None:
-    """The extnID of an entry whose header _parse_extension_entry passes silently, or None: then run it.
-
-    The entry must be a SEQUENCE of an extnID that reg.by_der names, an optional critical BOOLEAN with content
-    0xFF, and a non-empty primitive OCTET STRING.  It reads the octets in place, with no path or decoder; the
-    body is not looked at.
-    """
-    kids = node.children
-    if node.tag != TAG_SEQUENCE or not 2 <= len(kids) <= 3 or kids[0].tag != TAG_OID:
-        return None
-    value = kids[-1]
-    if value.tag != TAG_OCTET_STRING or not value.content_length:
-        return None
-    if len(kids) == 3:
-        flag = kids[1]
-        if flag.tag != TAG_BOOLEAN or flag.content_length != 1 or node.buffer[flag.content_offset] != 0xFF:
-            return None
-    return reg.by_der.get(kids[0].content)
-
-
 def _parse_extension_entry(node: TlvNode, index: int, ctx: WalkContext, path: str) -> tuple[str, ExtensionEntry] | None:
     """(extnID, entry), or None when the entry has the wrong shape or its extnID does not decode.
 
-    path is the extension list's; the entry is path[index].
+    path is the extension list's; the entry is path[index], formatted only where a diagnostic is recorded.  An
+    extnID that reg.by_der names and a critical BOOLEAN of content 0xFF are read in place, with no decoder.
     """
-    entry_path = f"{path}[{index}]"
-    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, entry_path, "extension must be a SEQUENCE"):
-        return None
     kids = node.children
-    if not 2 <= len(kids) <= 3:
-        ctx.add(_MISMATCH, node, entry_path, f"extension with {len(kids)} fields")
+    if node.tag != TAG_SEQUENCE or not 2 <= len(kids) <= 3:
+        entry_path = f"{path}[{index}]"
+        if ctx.expect(_MISMATCH, node, TAG_SEQUENCE, entry_path, "extension must be a SEQUENCE"):
+            ctx.add(_MISMATCH, node, entry_path, f"extension with {len(kids)} fields")
         return None
 
-    oid_str: str | None = None
-    id_path = f"{entry_path}.extnID"
-    if ctx.expect(_WRONG_EXTN_ID, kids[0], TAG_OID, id_path, "extnID must be an OID"):
-        oid_str = ctx.oid(kids[0], id_path, wrong_oid=_WRONG_EXTN_ID)
+    id_node = kids[0]
+    oid_str = ctx.reg.by_der.get(id_node.content) if id_node.tag == TAG_OID else None
+    if oid_str is None:
+        id_path = f"{path}[{index}].extnID"
+        if ctx.expect(_WRONG_EXTN_ID, id_node, TAG_OID, id_path, "extnID must be an OID"):
+            oid_str = ctx.oid(id_node, id_path, wrong_oid=_WRONG_EXTN_ID)
 
-    critical = False
-    value_node = kids[-1]
-    if len(kids) == 3:
-        sub = f"{entry_path}.critical"
-        if not ctx.expect(_MISMATCH, kids[1], TAG_BOOLEAN, sub, "critical must be a BOOLEAN"):
-            return None
-        critical = ctx.decode(decode_boolean, kids[1], sub)
-        if critical is False:
-            ctx.add(Code.DEFAULT_VALUE_ENCODED, kids[1], sub, "critical FALSE explicitly encoded")
-
-    body_path = f"{entry_path}.extnValue"
-    what = "extnValue must be a primitive OCTET STRING"
-    if not ctx.expect(_MISMATCH, value_node, TAG_OCTET_STRING, body_path, what):
-        return None
+    critical = len(kids) == 3
+    if critical:
+        flag = kids[1]
+        if flag.tag != TAG_BOOLEAN or flag.content_length != 1 or node.buffer[flag.content_offset] != 0xFF:
+            sub = f"{path}[{index}].critical"
+            if not ctx.expect(_MISMATCH, flag, TAG_BOOLEAN, sub, "critical must be a BOOLEAN"):
+                return None
+            critical = ctx.decode(decode_boolean, flag, sub)
+            if critical is False:
+                ctx.add(Code.DEFAULT_VALUE_ENCODED, flag, sub, "critical FALSE explicitly encoded")
 
     body = None
-    if value_node.content_length == 0:
+    value_node = kids[-1]
+    if value_node.tag != TAG_OCTET_STRING or not value_node.content_length:
+        body_path = f"{path}[{index}].extnValue"
+        what = "extnValue must be a primitive OCTET STRING"
+        if not ctx.expect(_MISMATCH, value_node, TAG_OCTET_STRING, body_path, what):
+            return None
         ctx.add(Code.EMPTY_VALUE_FIELD, value_node, body_path, "empty extnValue")
     elif oid_str is not None:
         body = _parse_body(oid_str, value_node, ctx, path, index)

@@ -128,58 +128,31 @@ def parse_algorithm_identifier(
     'spki' for the public key algorithm; the registry decides which OIDs
     are allowed and what the parameters field must contain for each.
     """
-    out = _plain_algorithm(node, role, ctx.reg)
-    if out is not None:
-        return out
-    what = "AlgorithmIdentifier must be a SEQUENCE"
-    if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, path, what):
-        return None
-    out = AlgorithmId(node)
     kids = node.children
-    if not 1 <= len(kids) <= 2:
+    if node.tag != TAG_SEQUENCE or not 1 <= len(kids) <= 2:
+        if not ctx.expect(_MISMATCH, node, TAG_SEQUENCE, path, "AlgorithmIdentifier must be a SEQUENCE"):
+            return None
         ctx.add(_MISMATCH, node, path, f"AlgorithmIdentifier with {len(kids)} fields")
-        return out
+        return AlgorithmId(node)
 
-    if not ctx.expect(_WRONG_ALGORITHM, kids[0], TAG_OID, f"{path}.algorithm", "algorithm must be an OID"):
-        return out
-    out.oid = ctx.oid(kids[0], f"{path}.algorithm", wrong_oid=_WRONG_ALGORITHM)
+    out = AlgorithmId(node)
+    alg_node = kids[0]
+    out.oid = ctx.reg.by_der.get(alg_node.content) if alg_node.tag == TAG_OID else None
     if out.oid is None:
-        return out
+        if not ctx.expect(_WRONG_ALGORITHM, alg_node, TAG_OID, f"{path}.algorithm", "algorithm must be an OID"):
+            return out
+        out.oid = ctx.oid(alg_node, f"{path}.algorithm", wrong_oid=_WRONG_ALGORITHM)
+        if out.oid is None:
+            return out
 
-    out.grammar = ctx.reg.lookup(role, out.oid)
+    out.grammar = ctx.reg.by_role[role].get(out.oid)
     if out.grammar is None:
-        ctx.add(_WRONG_ALGORITHM, kids[0], f"{path}.algorithm", f"{out.oid} is not a registered {role} algorithm")
+        ctx.add(_WRONG_ALGORITHM, alg_node, f"{path}.algorithm", f"{out.oid} is not a registered {role} algorithm")
         return out
 
     params = kids[1] if len(kids) == 2 else None
-    _check_parameters(out, params, node, ctx, f"{path}.parameters")
+    _check_parameters(out, params, node, ctx, path)
     return out
-
-
-def _plain_algorithm(node: TlvNode, role: str, reg: Registry) -> AlgorithmId | None:
-    """What parse_algorithm_identifier returns for an identifier it passes silently, or None: then run it.
-
-    The algorithm must be an OID that reg.by_der names, registered for role with the absent grammar and no
-    parameters, the null grammar and an empty NULL, or the named-curve grammar and a registered curve's OID
-    that reg.by_der names.  It reads the octets in place, with no path or decoder; any other grammar is None.
-    """
-    kids = node.children
-    if node.tag != TAG_SEQUENCE or not 1 <= len(kids) <= 2 or kids[0].tag != TAG_OID:
-        return None
-    oid = reg.by_der.get(kids[0].content)
-    if oid is None:
-        return None
-    grammar = reg.by_role[role].get(oid)
-    if len(kids) == 1:
-        return AlgorithmId(node, oid, grammar) if grammar == "absent" else None
-    params = kids[1]
-    if grammar == "null":
-        return AlgorithmId(node, oid, grammar) if params.tag == TAG_NULL and not params.content_length else None
-    if grammar == "named-curve" and params.tag == TAG_OID:
-        curve = reg.by_der.get(params.content)
-        if curve is not None and curve in reg.by_role["curve"]:
-            return AlgorithmId(node, oid, grammar, curve)
-    return None
 
 
 def _check_parameters(
@@ -189,11 +162,17 @@ def _check_parameters(
     ctx: WalkContext,
     path: str,
 ) -> None:
+    """Check an AlgorithmIdentifier's parameters against its grammar; path is the identifier's.
+
+    The parameters' path is formatted only where a diagnostic is recorded, or before a grammar's own walk.  No
+    parameters, an empty NULL and a curve OID that reg.by_der names are read in place.
+    """
     grammar = alg.grammar
 
     if grammar == "absent":
         if params is None:
             return
+        path = f"{path}.parameters"
         if params.tag == TAG_NULL:
             ctx.add(Code.UNEXPECTED_NULL_IN_ALGORITHM_P, params, path, f"{alg.oid} takes no parameters, NULL present")
         else:
@@ -201,28 +180,35 @@ def _check_parameters(
         return
 
     if grammar == "null":
-        need = f"{alg.oid} requires NULL parameters"
-        if params is None:
-            ctx.add(Code.MISSING_PARAMETERS, holder, path, need)
-        elif ctx.expect(_MALFORMED_PARAMS, params, TAG_NULL, path, need) and params.content_length != 0:
-            ctx.add(_MALFORMED_PARAMS, params, path, "NULL with content octets")
+        if params is None or params.tag != TAG_NULL or params.content_length:
+            path = f"{path}.parameters"
+            need = f"{alg.oid} requires NULL parameters"
+            if params is None:
+                ctx.add(Code.MISSING_PARAMETERS, holder, path, need)
+            elif ctx.expect(_MALFORMED_PARAMS, params, TAG_NULL, path, need):
+                ctx.add(_MALFORMED_PARAMS, params, path, "NULL with content octets")
         return
 
     if grammar == "named-curve":
-        if params is None:
-            ctx.add(Code.MISSING_PARAMETERS, holder, path, f"{alg.oid} requires a named curve")
-            return
-        if not ctx.expect(_MALFORMED_PARAMS, params, TAG_OID, path, "named curve must be an OID"):
-            return
-        curve = ctx.oid(params, path, wrong_oid=_MALFORMED_PARAMS)
-        if curve is None:
-            return
-        if ctx.reg.lookup("curve", curve) is None:
-            ctx.add(_WRONG_ALGORITHM, params, path, f"{curve} is not a registered curve")
-            return
+        curves = ctx.reg.by_role["curve"]
+        curve = ctx.reg.by_der.get(params.content) if params is not None and params.tag == TAG_OID else None
+        if curve not in curves:
+            path = f"{path}.parameters"
+            if params is None:
+                ctx.add(Code.MISSING_PARAMETERS, holder, path, f"{alg.oid} requires a named curve")
+                return
+            if not ctx.expect(_MALFORMED_PARAMS, params, TAG_OID, path, "named curve must be an OID"):
+                return
+            curve = ctx.oid(params, path, wrong_oid=_MALFORMED_PARAMS)
+            if curve is None:
+                return
+            if curve not in curves:
+                ctx.add(_WRONG_ALGORITHM, params, path, f"{curve} is not a registered curve")
+                return
         alg.curve_oid = curve
         return
 
+    path = f"{path}.parameters"
     if params is None:
         ctx.add(Code.MISSING_PARAMETERS, holder, path, f"{alg.oid} requires parameters")
         return

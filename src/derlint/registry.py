@@ -87,7 +87,8 @@ _DOTTED_OID = re.compile(r"(?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))+")
 class Registry:
     """Parsed registry, one mapping per role; every role has one, so by_role[role].get(oid) is lookup(role, oid).
 
-    silent_extensions, a memo, is left out of equality and repr.
+    Equality and repr read what the file gave, by_role and oids; by_der and silent_extensions, which walks fill,
+    are left out, so linting with a registry does not change what it equals.
     """
 
     __slots__ = ("by_role", "oids", "by_der", "silent_extensions")
@@ -106,10 +107,10 @@ class Registry:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.by_role, self.oids, self.by_der) == (other.by_role, other.oids, other.by_der)
+        return (self.by_role, self.oids) == (other.by_role, other.oids)
 
     def __repr__(self) -> str:
-        return f"Registry(by_role={self.by_role!r}, oids={self.oids!r}, by_der={self.by_der!r})"
+        return f"Registry(by_role={self.by_role!r}, oids={self.oids!r})"
 
     def lookup(self, role: str, oid: str) -> str | None:
         return self.by_role[role].get(oid)

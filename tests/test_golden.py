@@ -43,16 +43,16 @@ def test_remembered_extension_entries_change_no_line(monkeypatch):
     want = golden_corpus.GOLDEN_PATH.read_text()
     memo = derlint.registry.default_registry().silent_extensions
     walked = []
-    check = derlint.extensions._plain_extension
-    monkeypatch.setattr(derlint.extensions, "_plain_extension", lambda *args: walked.append(1) or check(*args))
+    walk = derlint.extensions._parse_extension_entry
+    monkeypatch.setattr(derlint.extensions, "_parse_extension_entry", lambda *args: walked.append(1) or walk(*args))
     memo.clear()
-    headers = []
+    entries = []
     for run, reverse in (("cold", False), ("warm", False), ("reverse", True)):
         walked.clear()
         assert golden_corpus.render(reverse) == want, run
         assert memo, run
-        headers.append(len(walked))
-    cold, warm, _ = headers
+        entries.append(len(walked))
+    cold, warm, _ = entries
     assert warm < cold
 
 

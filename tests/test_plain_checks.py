@@ -1,20 +1,16 @@
 """The walk's in-place checks stand in for the walk only where it is silent.
 
 names._plain_rdn, values.plain_time and values.plain_oid let the walk
-skip an RDN, a validity time or an OID it would record nothing on;
-extensions._plain_extension and grammar._plain_algorithm give an
-extension entry's extnID and an AlgorithmIdentifier's AlgorithmId without
-the header's walk.  Each must pass (return True, or its result) only
-where the walk on that element records nothing, and then give what the
-walk gives.  That is checked for every element of each kind in the golden
-corpus and the planted catalog, extension payloads included, and for
-seeded one-octet mutations of each.  Each check must also pass at least
-90% of the elements it sees in the accepted golden documents, so that
-the first property cannot hold by the check returning False.
+skip an RDN, a validity time or an OID it would record nothing on.  Each
+must pass only where the walk on that element records nothing.  That is
+checked for every element of each kind in the golden corpus and the
+planted catalog, extension payloads included, and for seeded one-octet
+mutations of each.  Each check must also pass at least 90% of the
+elements it sees in the accepted golden documents, so that the first
+property cannot hold by the check returning False.
 """
 
 import random
-from unittest import mock
 
 import golden_corpus
 import pytest
@@ -24,28 +20,19 @@ import derlint.grammar
 import derlint.names
 from derlint.der import TlvNode, parse_tlv_tree
 from derlint.diagnostics import RecognitionError
-from derlint.extensions import WalkContext, _parse_extension_entry, _plain_extension
-from derlint.grammar import _plain_algorithm, parse_algorithm_identifier
+from derlint.extensions import WalkContext
 from derlint.ingest import LintOptions, lint_bytes
 from derlint.names import _plain_rdn, parse_rdn
-from derlint.registry import Registry, default_registry
-from derlint.values import TAG_GENERALIZED_TIME, TAG_OID, TAG_SEQUENCE, TAG_SET, TAG_UTC_TIME, decode_oid, plain_oid
+from derlint.registry import default_registry
+from derlint.values import TAG_GENERALIZED_TIME, TAG_OID, TAG_SET, TAG_UTC_TIME, decode_oid, plain_oid
 from derlint.values import plain_time, validate_time
 
 from support import certs
 from support import encoder as enc
 
 REG = default_registry()
-# REG without extension bodies, sharing its by_der: an entry's walk then stops at its header, where the in-place
-# check stands in for it; the body is parsed by the same code on either route.
-HEADER_REG = Registry(
-    by_role={role: table for role, table in REG.by_role.items() if role != "extension"}, oids=REG.oids, by_der=REG.by_der
-)
 OPTIONS = LintOptions(fmt="der", timing=False)
 MUTATIONS = 24
-# A signature AlgorithmIdentifier is almost all OID, and one changed octet of a registered OID rarely leaves
-# another: of its 17 passing encodings, 53 mutations pass (every other kind passes over 100).
-MUTATED_PASSES = {"signature algorithm": 50}
 # Octets a mutation draws from half the time: digits, Z and the edges of each alphabet and of the base-128 form.
 EDGES = b"0123456789Z\x00\x01\x1f ~\x7f\x80\x81\xc3\xff"
 
@@ -89,52 +76,11 @@ def _walk_oid(node: TlvNode) -> bool:
     return node.tag == TAG_OID and ctx.oid(node, "oid") is not None and not ctx.diags
 
 
-def _walk_extension(node: TlvNode):
-    """(extnID, critical) when the entry's header walk records nothing, else None."""
-    ctx = WalkContext(HEADER_REG)
-    found = _parse_extension_entry(node, 0, ctx, "e")
-    return None if found is None or ctx.diags else (found[0], found[1].critical)
-
-
-def _check_extension(node: TlvNode):
-    oid = _plain_extension(node, REG)
-    return oid and (oid, len(node.children) == 3)
-
-
-def _walk_algorithm(node: TlvNode, role: str):
-    """(oid, grammar, curve_oid) when parse_algorithm_identifier's walk records nothing, else None."""
-    ctx = WalkContext(REG)
-    with mock.patch.object(derlint.grammar, "_plain_algorithm", return_value=None):
-        alg = parse_algorithm_identifier(node, role, ctx, "a")
-    return None if alg is None or ctx.diags else (alg.oid, alg.grammar, alg.curve_oid)
-
-
-def _check_algorithm(node: TlvNode, role: str):
-    alg = _plain_algorithm(node, role, REG)
-    return alg and alg.node is node and (alg.oid, alg.grammar, alg.curve_oid)
-
-
-def _headed_by_oid(node: TlvNode) -> bool:
-    return node.tag == TAG_SEQUENCE and 1 <= len(node.children) <= 3 and node.children[0].tag == TAG_OID
-
-
-def _header_length(node: TlvNode) -> int:
-    """The octets before an entry's extnValue content: a mutation after them reaches only the body."""
-    return node.children[-1].content_offset - node.header_offset if _headed_by_oid(node) else len(node.raw)
-
-
 # kind -> (whether an element is collected, the in-place check, the walk it stands in for)
 KINDS = {
     "rdn": (lambda node: node.tag == TAG_SET, lambda node: _plain_rdn(node, REG), _walk_rdn),
     "time": (lambda node: node.tag in (TAG_UTC_TIME, TAG_GENERALIZED_TIME), plain_time, _walk_time),
     "oid": (lambda node: node.tag == TAG_OID, plain_oid, _walk_oid),
-    "extension": (_headed_by_oid, _check_extension, _walk_extension),
-    "signature algorithm": (
-        _headed_by_oid, lambda node: _check_algorithm(node, "signature"), lambda node: _walk_algorithm(node, "signature")
-    ),
-    "spki algorithm": (
-        _headed_by_oid, lambda node: _check_algorithm(node, "spki"), lambda node: _walk_algorithm(node, "spki")
-    ),
 }
 
 
@@ -148,27 +94,17 @@ def elements() -> dict[str, set[bytes]]:
             for kind, (collected, _, _) in KINDS.items():
                 if collected(node):
                     found[kind].add(node.raw)
-    # The corpus uses a few algorithms; add each registered one with no parameters, a NULL, each curve's OID and
-    # the OID of keyUsage, which by_der names but the registry has as no curve.
-    params = [b"", enc.null(), enc.oid("2.5.29.15")] + [enc.oid(curve) for curve in REG.by_role["curve"]]
-    for role in ("signature", "spki"):
-        for oid in REG.by_role[role]:
-            for raw in (enc.seq(enc.oid(oid), part) for part in params):
-                parse_algorithm_identifier(parse_tlv_tree(raw), role, WalkContext(REG), "a")  # by_der names the OIDs
-                found["signature algorithm"].add(raw)
-                found["spki algorithm"].add(raw)
     return found
 
 
-def _mutations(raw: bytes, rng: random.Random, passed: bool, span: int):
-    """MUTATIONS seeded one-octet changes; for an element the check passes, also each edge octet at each of the
-    first span positions."""
+def _mutations(raw: bytes, rng: random.Random, passed: bool):
+    """MUTATIONS seeded one-octet changes; for an element the check passes, also each edge octet at each position."""
     changes = []
     for _ in range(MUTATIONS):
         pos = rng.randrange(len(raw))
         changes.append((pos, rng.choice(EDGES) if rng.random() < 0.5 else rng.randrange(256)))
     if passed:
-        changes += [(pos, octet) for pos in range(span) for octet in EDGES]
+        changes += [(pos, octet) for pos in range(len(raw)) for octet in EDGES]
     for pos, octet in changes:
         yield raw[:pos] + bytes([octet]) + raw[pos + 1 :]
 
@@ -186,8 +122,7 @@ def test_check_passes_only_where_the_walk_is_silent(kind, elements):
             passed += 1
             if walk(node) != passes:
                 wrong.append(raw.hex())
-        span = _header_length(node) if kind == "extension" else len(raw)
-        for mutated in _mutations(raw, rng, bool(passes), span):
+        for mutated in _mutations(raw, rng, bool(passes)):
             try:
                 node = parse_tlv_tree(mutated)
             except RecognitionError:
@@ -197,7 +132,7 @@ def test_check_passes_only_where_the_walk_is_silent(kind, elements):
                 mutated_passed += 1
                 if walk(node) != passes:
                     wrong.append(mutated.hex())
-    assert len(elements[kind]) >= 40 and passed >= 5 and mutated_passed >= MUTATED_PASSES.get(kind, 100)
+    assert len(elements[kind]) >= 40 and passed >= 5 and mutated_passed >= 100
     assert wrong == []
 
 
@@ -253,7 +188,7 @@ def test_oid_check_passes_every_minimal_oid_of_short_sub_identifiers():
 
 def test_checks_pass_most_elements_of_accepted_documents(monkeypatch, elements):
     accepted = [data for data in _documents() if lint_bytes(data, "doc", OPTIONS).outcome == "accepted"]
-    results = {"rdn": [], "time": [], "oid": [], "extension": [], "algorithm": []}
+    results = {"rdn": [], "time": [], "oid": []}
 
     def recorded(kind, check):
         def wrapper(*args):
@@ -268,8 +203,6 @@ def test_checks_pass_most_elements_of_accepted_documents(monkeypatch, elements):
     monkeypatch.setattr(derlint.extensions, "_plain_rdn", rdn)
     monkeypatch.setattr(derlint.grammar, "plain_time", recorded("time", plain_time))
     monkeypatch.setattr(derlint.extensions, "plain_oid", recorded("oid", plain_oid))
-    monkeypatch.setattr(derlint.extensions, "_plain_extension", recorded("extension", _plain_extension))
-    monkeypatch.setattr(derlint.grammar, "_plain_algorithm", recorded("algorithm", _plain_algorithm))
     # Only the remembered extension entries are forgotten before each walk, so every entry reaches the checks.
     for data in accepted:
         REG.silent_extensions.clear()
@@ -278,11 +211,3 @@ def test_checks_pass_most_elements_of_accepted_documents(monkeypatch, elements):
     for kind, seen in results.items():
         assert len(seen) >= 20, kind
         assert sum(seen) >= 0.9 * len(seen), (kind, sum(seen), len(seen))
-    # An accepted CA certificate (AKI, SKI, keyUsage and a critical basicConstraints) takes the in-place route for
-    # every extension header and AlgorithmIdentifier.
-    for kind in ("extension", "algorithm"):
-        results[kind].clear()
-    REG.silent_extensions.clear()
-    assert lint_bytes(certs.ca_cert_accepted(), "ca", OPTIONS).diagnostics == []
-    assert results["extension"] == [True] * 4
-    assert results["algorithm"] == [True] * 3

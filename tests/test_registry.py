@@ -8,7 +8,8 @@ from derlint import extensions, names, registry
 from derlint.der import parse_tlv_tree
 from derlint.diagnostics import Code
 from derlint.extensions import WalkContext, parse_extensions
-from derlint.grammar import parse_algorithm_identifier, parse_certificate
+from derlint.grammar import AlgorithmId, _check_key_bits, _check_parameters, parse_algorithm_identifier
+from derlint.grammar import parse_certificate
 from derlint.names import parse_name
 from derlint.registry import default_registry, load_registry, parse_registry
 from derlint.values import decode_oid, dotted
@@ -50,6 +51,15 @@ def test_walk_keys_registered_oids_by_their_encoding():
         assert dotted(decode_oid(parse_tlv_tree(enc.raw_oid(content)))) == text
         assert text in reg.oids
     assert content_of(UNREGISTERED) not in reg.by_der
+
+
+def test_linting_leaves_equal_registries_equal():
+    # Equality reads what the file gave, not the tables a walk fills.
+    linted, other = load_registry(), load_registry()
+    assert linted == other
+    parse_certificate(certs.base_cert(), linted)
+    assert linted.by_der and linted.silent_extensions and other.by_der == {}
+    assert linted == other and repr(linted) == repr(other)
 
 
 def test_second_walk_decodes_only_unregistered_oids(monkeypatch):
@@ -166,3 +176,21 @@ def test_registry_grammars_match_the_walk_tables():
     assert grammars["extension"] == set(extensions._BODY_PARSERS)
     assert grammars["keyfamily"] == set(extensions._FORBIDDEN_USAGE)
     assert grammars["attribute"] == set(names._PERMITTED_BY_KIND)
+
+
+def test_registry_grammars_reach_a_branch_of_their_walk():
+    """Each grammar name of the roles the walk dispatches by if chains reaches one of its branches.
+
+    A name in the registry's set alone would load, then raise AssertionError in the walk; parse_signature_value
+    reads any sigvalue name but "opaque" as "dss-sig", so that set is fixed.
+    """
+    grammars = registry._VALID_GRAMMARS
+    null = parse_tlv_tree(enc.null())
+    for role in ("signature", "spki"):
+        for grammar in grammars[role]:
+            # Parameters are given: with none, every grammar past the first three returns before its branch.
+            _check_parameters(AlgorithmId(null, "1.2.3", grammar), null, null, WalkContext(default_registry()), "a")
+    key = parse_tlv_tree(bytes.fromhex("0303000500"))  # a BIT STRING whose payload, a NULL, parses
+    for grammar in grammars["keybits"]:
+        _check_key_bits(grammar, key, b"\x05\x00", AlgorithmId(null), WalkContext(default_registry()), "k")
+    assert grammars["sigvalue"] == {"opaque", "dss-sig"}

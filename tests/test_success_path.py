@@ -13,7 +13,11 @@ fails if names.parse_rdn, values.validate_time, or values.decode_oid for
 a policy, key purpose or access method OID runs: the walk's in-place
 checks pass those elements without their walk.  A fourth fails if a CPS
 or userNotice policy qualifier id reaches WalkContext.oid: the walk
-knows those two by their content octets.
+knows those two by their content octets.  A fifth fails if, once a
+registry has named the OIDs, WalkContext.oid, decode_boolean or
+Registry.lookup runs for an extension header or an AlgorithmIdentifier:
+the walks of those read a named OID, a critical TRUE, no parameters, an
+empty NULL and a named curve in place.
 """
 
 import dis
@@ -33,7 +37,8 @@ from derlint.diagnostics import Code
 from derlint.extensions import WalkContext
 from derlint.ingest import LintOptions, lint_bytes
 from derlint.names import parse_rdn
-from derlint.values import decode_oid, validate_time
+from derlint.registry import Registry, load_registry
+from derlint.values import decode_boolean, decode_oid, validate_time
 
 from support import certs
 from support import encoder as enc
@@ -226,3 +231,56 @@ def test_accepted_walk_names_cps_and_user_notice_by_their_octets():
     unknown = certs.build(certs.CertSpec(exts=(certs.aki(), certs.extension("2.5.29.32", enc.seq(other)))))
     assert _qualifier_oid_reads([("unknown", unknown)]) == ["1.3.6.1.5.5.7.2.3"]
     assert _qualifier_oid_reads([("qualified", qualified), *_accepted_without_diagnostics()]) == []
+
+
+# The walks of an extension header and of an AlgorithmIdentifier, and the calls an accepted one needs none of.
+IN_PLACE_WALKS = (
+    derlint.extensions._parse_extension_entry, derlint.grammar.parse_algorithm_identifier,
+    derlint.grammar._check_parameters,
+)
+HEADER_READS = (WalkContext.oid, decode_boolean, Registry.lookup)
+
+
+def _header_reads(docs, reg: Registry) -> tuple[set[str], set[str]]:
+    """The IN_PLACE_WALKS that ran, and "<read> in <walk>" for each HEADER_READS call one of them made (directly or
+    through WalkContext.decode), while docs are linted against reg with its memo emptied before each document."""
+    options = LintOptions(fmt="der", timing=False, registry=reg)
+    walks = {fn.__code__ for fn in IN_PLACE_WALKS}
+    reads = {fn.__code__ for fn in HEADER_READS}
+    ran, read = set(), set()
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code in walks:
+            ran.add(code.co_name)
+        elif code in reads:
+            caller = frame.f_back
+            if caller.f_code is WalkContext.decode.__code__:
+                caller = caller.f_back
+            if caller.f_code in walks:
+                read.add(f"{code.co_name} in {caller.f_code.co_name}")
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        for name, data in docs:
+            reg.silent_extensions.clear()
+            lint_bytes(data, name, options)
+    finally:
+        sys.settrace(previous)
+    return ran, read
+
+
+def test_accepted_walk_reads_extension_headers_and_algorithms_in_place():
+    docs = _accepted_without_diagnostics()
+    names = {fn.__name__ for fn in IN_PLACE_WALKS}
+    reg = load_registry()
+    # A registry that has named no OID yet decodes each one, and a critical FALSE is decoded for its message: the
+    # trace sees those reads.
+    flag = certs.build(certs.CertSpec(exts=(certs.aki(), certs.basic_constraints(ca=True, critical=False))))
+    ran, read = _header_reads([*docs, ("critical-false", flag)], reg)
+    assert ran == names
+    assert read >= {f"oid in {name}" for name in names} | {"decode_boolean in _parse_extension_entry"}
+    ran, read = _header_reads(docs, reg)
+    assert len(docs) >= 30 and ran == names
+    assert sorted(read) == []
