@@ -5,8 +5,9 @@ script runs two checks, one process at a time:
 
 * golden_corpus.render() against tests/data/golden_lint.jsonl;
 * `derlint lint` and `derlint diff` on the error cases of tests/test_cli.py, a byte-order mark and a NUL in an
-  outcome label, comparing stdout, stderr and exit status with the reference interpreter's (3.11.7, or the
-  oldest found when it is not installed).
+  outcome label, and `derlint lint` on a directory of 80 files, which a host with two or more CPUs lints in
+  forked workers; each compares stdout, stderr and exit status with the reference interpreter's (3.11.7, or
+  the oldest found when it is not installed).
 
 Each case runs as `python -m derlint.cli ...` in a fresh directory holding its input files under relative names,
 so no message carries a temporary path.  Two kinds of test_cli case are left out: the unlistable directory needs
@@ -20,11 +21,13 @@ It prints one line per interpreter and each case that differs, and exits 1 when 
 
 from __future__ import annotations
 
+import base64
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +46,17 @@ RECORDS = f"{HEADER}\nroot,root,openssl,VALID\nroot>leaf,leaf,openssl,Expired\no
 
 def _text(value: str) -> bytes:
     return value.encode("utf-8")
+
+
+def _pem(*ders: bytes) -> bytes:
+    blocks = (textwrap.fill(base64.b64encode(der).decode("ascii"), width=64) for der in ders)
+    return "".join(f"-----BEGIN CERTIFICATE-----\n{b64}\n-----END CERTIFICATE-----\n" for b64 in blocks).encode()
+
+
+# More files than one chunk of `derlint lint` holds, so that a host with two or more CPUs lints them in forked
+# workers: DER, PEM and multi-block PEM files, accepted and rejected.
+BATCH = {f"batch/{i:02d}.{('der', 'der', 'pem', 'pem')[i % 4]}": (GOOD, BAD, _pem(GOOD), _pem(GOOD, BAD))[i % 4]
+         for i in range(80)}
 
 
 # name -> (arguments, files).  A file's value is its content, or a str naming the target of a symbolic link.
@@ -70,6 +84,8 @@ CASES: dict[str, tuple[list[str], dict[str, bytes | str]]] = {
         {"good.der": GOOD, "bad.txt": b"1.2.3 ; signature ; null\n1.50.3 ; signature ; null\n"},
     ),
     "lint-jobs-option": (["lint", "--jobs", "2", "good.der"], {"good.der": GOOD}),
+    "lint-forked-batch-json": (["lint", "--no-timing", "batch"], BATCH),
+    "lint-forked-batch-text": (["lint", "--no-timing", "--report", "text", "batch"], BATCH),
     "lint-unknown-format": (["lint", "--format", "xml", "good.der"], {"good.der": GOOD}),
     "diff-missing-records": (["diff", "--records", "nope.csv"], {}),
     "diff-records-required": (["diff"], {}),

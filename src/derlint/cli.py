@@ -14,6 +14,8 @@ when its standard output is closed before the report is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -26,6 +28,8 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_ERROR = 2
+
+CHUNK_FILES = 32  # files per chunk of a lint batch: what a forked worker lints at a time, and what is printed at once
 
 # The lint stack is imported only when lint runs, and the analyzer (with csv)
 # only when diff runs, so each command loads just its own.  perfbench's traced
@@ -82,10 +86,9 @@ def _print_text_report(report: CertificateReport, out) -> None:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .diagnostics import Histogram
-    from .ingest import LintOptions, load_documents
+    from .ingest import LintOptions, collect_paths, lint, lint_files, load_documents
     from .registry import load_registry
 
-    this = sys.modules[__name__]  # run_batch and lint are looked up as module attributes
     registry = None
     if args.registry:
         try:
@@ -102,25 +105,37 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         options.max_size = args.max_size
 
     if args.paths:
-        results = this.run_batch(args.paths, options)
+        files = collect_paths(args.paths)
+        chunks = [files[i : i + CHUNK_FILES] for i in range(0, len(files), CHUNK_FILES)]
     else:
-        docs = load_documents(sys.stdin.buffer.read(), "<stdin>", options.fmt)
-        results = (this.lint(doc, options) for doc in docs)
+        chunks = [load_documents(sys.stdin.buffer.read(), "<stdin>", options.fmt)]
 
-    # Each report is printed as soon as it is linted; only the counts are kept.
+    def lint_chunk(chunk: list) -> tuple[str, str, Histogram]:
+        out, err, counts = io.StringIO(), io.StringIO(), Histogram()
+        for result in lint_files(chunk, options) if args.paths else (lint(doc, options) for doc in chunk):
+            if isinstance(result, tuple):
+                print(f"derlint: {result[0]}: {result[1]}", file=err)
+                continue
+            counts.add(result.diagnostics)
+            if args.report == "json":
+                print(json.dumps(result.to_json_dict()), file=out)
+            else:
+                _print_text_report(result, out)
+        return out.getvalue(), err.getvalue(), counts
+
+    # Reports are printed a chunk at a time, in path order; only the counts are kept.
     histogram = Histogram()
     io_failed = False
-    for result in results:
-        if isinstance(result, tuple):
-            path, message = result
-            print(f"derlint: {path}: {message}", file=sys.stderr)
-            io_failed = True
-            continue
-        histogram.add(result.diagnostics)
-        if args.report == "json":
-            print(json.dumps(result.to_json_dict()))
-        else:
-            _print_text_report(result, sys.stdout)
+    try:
+        with contextlib.closing(_in_order(lint_chunk, chunks)) as results:
+            for out, err, counts in results:
+                sys.stdout.write(out)
+                sys.stderr.write(err)
+                io_failed = io_failed or bool(err)
+                histogram.merge(counts)
+    except EOFError:  # a forked worker ended before it sent a chunk's reports
+        print("derlint: a lint worker failed; the reports after these are missing", file=sys.stderr)
+        return EXIT_ERROR
 
     if args.report == "json":
         print(json.dumps({"summary": histogram.to_json_dict()}))
@@ -132,6 +147,41 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if histogram.rejected:
         return EXIT_REJECTED
     return EXIT_OK
+
+
+def _in_order(work, chunks: list):
+    """Yield work(chunk) for each chunk in order, from forked workers when more than one CPU may run them."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n = min(cpus, len(chunks)) if hasattr(os, "fork") else 1
+    if n < 2:
+        yield from map(work, chunks)
+        return
+    import pickle
+    import signal
+    workers = []  # (pid, read end of its pipe); chunk k goes to worker k mod n
+    try:
+        for k in range(n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(w, "wb") as pipe:
+                        for chunk in chunks[k::n]:
+                            pickle.dump(work(chunk), pipe)
+                    os._exit(0)
+                except Exception:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(1)
+            os.close(w)
+            workers.append((pid, open(r, "rb")))
+        for i in range(len(chunks)):
+            yield pickle.load(workers[i % n][1])  # EOFError when the worker ended without sending it
+    finally:
+        for pid, reader in workers:  # a worker still running has sent nothing that will be read
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            reader.close()
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:

@@ -199,6 +199,13 @@ class Histogram:
         for d in diagnostics:
             self.counts[d.code] = self.counts.get(d.code, 0) + 1
 
+    def merge(self, other: Histogram) -> None:
+        self.total += other.total
+        self.accepted += other.accepted
+        self.rejected += other.rejected
+        for code, n in other.counts.items():
+            self.counts[code] = self.counts.get(code, 0) + n
+
     def to_json_dict(self) -> dict:
         return {
             "total": self.total,

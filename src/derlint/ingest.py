@@ -215,7 +215,7 @@ def lint_bytes(data: bytes, doc_id: str = "<input>", options: LintOptions | None
     return lint(load_input(data, doc_id, options.fmt), options)
 
 
-def _collect_paths(inputs: list[str]) -> list[tuple[str, str | None]]:
+def collect_paths(inputs: list[str]) -> list[tuple[str, str | None]]:
     """Every file under the inputs with None, and every directory that cannot be listed with its error, by path."""
     found: list[tuple[str, str | None]] = []
 
@@ -239,8 +239,11 @@ def run_batch(inputs: list[str], options: LintOptions | None = None) -> Iterator
     directory that cannot be listed, yields (path, message) in its place;
     it never aborts the batch.
     """
-    options = options or LintOptions()
-    for path, error in _collect_paths(inputs):
+    yield from lint_files(collect_paths(inputs), options or LintOptions())
+
+
+def lint_files(entries: list[tuple[str, str | None]], options: LintOptions) -> Iterator[CertificateReport | tuple]:
+    for path, error in entries:
         if error is not None:
             yield path, error
             continue

@@ -1,9 +1,11 @@
 """End-to-end tests for the command line front end."""
 
+import contextlib
 import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import types
@@ -245,6 +247,97 @@ class TestLint:
     def test_unknown_format_rejected_by_argparse(self, capsys, good_file):
         with pytest.raises(SystemExit):
             cli.main(["lint", "--format", "xml", str(good_file)])
+
+
+def _pem(*ders: bytes) -> bytes:
+    import base64
+    import textwrap
+
+    blocks = (textwrap.fill(base64.b64encode(der).decode(), width=64) for der in ders)
+    return "".join(f"-----BEGIN CERTIFICATE-----\n{b64}\n-----END CERTIFICATE-----\n" for b64 in blocks).encode()
+
+
+class TestForkedBatch:
+    """A batch of more than one chunk on more than one CPU is linted by forked workers, with the inline output."""
+
+    @pytest.fixture()
+    def tree(self, tmp_path, monkeypatch):
+        good, bad = certs.base_cert(), certs.base_cert() + b"\x00"
+        root = tmp_path / "tree"
+        root.mkdir()
+        files = {"a.der": good, "b.der": bad, "c.pem": _pem(good), "d.pem": _pem(good, bad, good), "e.txt": b"hello"}
+        for name, data in files.items():
+            (root / name).write_bytes(data)
+        (root / "f").symlink_to(root / "g")  # a loop: listed, but cannot be opened
+        (root / "g").symlink_to(root / "f")
+        (root / "h.pem").write_bytes(_pem(bad))
+        monkeypatch.setattr(cli, "CHUNK_FILES", 2)  # 5 chunks with the missing file below
+        return root
+
+    @staticmethod
+    def lint(capsys, monkeypatch, cpus: int, argv: list[str]):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(None)
+            assert len(forks) <= 2
+            return real_fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", fork)
+        result = run(capsys, argv)
+        with pytest.raises(ChildProcessError):  # every worker has been reaped
+            os.waitpid(-1, os.WNOHANG)
+        return result, len(forks)
+
+    @pytest.mark.parametrize("report", ["json", "text"])
+    def test_output_matches_the_inline_run(self, capsys, monkeypatch, tree, report):
+        argv = ["lint", "--no-timing", "--report", report, str(tree), str(tree / "absent.der")]
+        inline, inline_forks = self.lint(capsys, monkeypatch, 1, argv)
+        forked, forks = self.lint(capsys, monkeypatch, 2, argv)
+        assert (inline_forks, forks) == (0, 2)
+        assert forked == inline
+        status, out, err = forked
+        assert status == cli.EXIT_ERROR
+        assert err.splitlines() == [
+            f"derlint: {tree / 'absent.der'}: no such file or directory",
+            f"derlint: {tree / 'f'}: {OSError(errno.ELOOP, os.strerror(errno.ELOOP), str(tree / 'f'))}",
+            f"derlint: {tree / 'g'}: {OSError(errno.ELOOP, os.strerror(errno.ELOOP), str(tree / 'g'))}",
+        ]
+        if report == "json":
+            *reports, summary = json_lines(out)
+            ids = ["a.der", "b.der", "c.pem", "d.pem#1", "d.pem#2", "d.pem#3", "e.txt", "h.pem"]
+            assert [r["id"] for r in reports] == [str(tree / name) for name in ids]
+            assert summary["summary"]["total"] == 8 and summary["summary"]["rejected"] == 4
+        else:
+            assert out.splitlines()[-1] == "4 accepted, 4 rejected of 8"
+
+    def test_one_cpu_or_one_chunk_runs_inline(self, capsys, monkeypatch, tree):
+        _, forks = self.lint(capsys, monkeypatch, 1, ["lint", str(tree)])
+        assert forks == 0
+        monkeypatch.setattr(cli, "CHUNK_FILES", 32)
+        _, forks = self.lint(capsys, monkeypatch, 2, ["lint", str(tree)])
+        assert forks == 0
+
+    def test_a_worker_that_raises_is_an_error_without_a_summary(self, capsys, monkeypatch, tree):
+        from derlint import ingest
+
+        real_lint = ingest.lint
+
+        def lint(doc, options=None):
+            if doc.doc_id.endswith("e.txt"):
+                raise RuntimeError("a bug in the walk")
+            return real_lint(doc, options)
+
+        monkeypatch.setattr(ingest, "lint", lint)
+        (status, out, err), forks = self.lint(capsys, monkeypatch, 2, ["lint", "--no-timing", str(tree)])
+        assert (status, forks) == (cli.EXIT_ERROR, 2)
+        assert err.splitlines()[-1] == "derlint: a lint worker failed; the reports after these are missing"
+        ids = [r["id"] for r in json_lines(out)]
+        assert "summary" not in out and ids == [str(tree / name) for name in ("a.der", "b.der", "c.pem")] + [
+            f"{tree / 'd.pem'}#{k}" for k in (1, 2, 3)
+        ]
 
 
 class TestDiff:
@@ -526,14 +619,22 @@ class TestClosedStdout:
         }[command]
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "derlint.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+            [sys.executable, "-m", "derlint.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            start_new_session=True,
         )
-        with proc:
-            assert len(proc.stdout.read(100)) == 100
-            proc.stdout.close()  # what `| head -c 100` does
-            err = proc.stderr.read().decode()
-            assert proc.wait(timeout=120) == cli.EXIT_ERROR
-        assert err == "", err  # no Traceback, and no "Exception ignored" from the final flush
+        try:
+            with proc:
+                assert len(proc.stdout.read(100)) == 100
+                proc.stdout.close()  # what `| head -c 100` does
+                # A worker left running would hold stderr open, so the wait has a bound.
+                err = proc.communicate(timeout=120)[1].decode()
+                assert proc.returncode == cli.EXIT_ERROR
+            assert err == "", err  # no Traceback, and no "Exception ignored" from the final flush
+            with pytest.raises(ProcessLookupError):  # lint's forked workers have gone with it
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)  # nothing is left behind when a check fails
 
 
 class TestParser:
