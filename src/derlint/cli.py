@@ -5,8 +5,8 @@ writes one report per certificate, diff analyzes a table of external
 chain validation outcomes and optionally joins it against lint output.
 
 Exit status for lint: 0 when every certificate was accepted, 1 when any
-was rejected, 2 for usage problems, files that could not be read or
-directories that could not be listed.
+was rejected, 2 for usage problems, files that could not be read,
+directories that could not be listed or a forked worker that failed.
 diff exits 0 on success and 2 on bad input.  Either exits 2, quietly,
 when its standard output is closed before the report is written.
 """
