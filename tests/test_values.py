@@ -227,10 +227,10 @@ _BAD = Code.CHAR_SET_VIOLATION
         (validate_charset, b"\x1c\x08\x00\x00\x00A\x00\x11\x00\x00", (_BAD, 6, "code point out of range")),
         (validate_charset, b"\x1c\x08\x00\x00\x00A\x00\x00\xd8\x00", (_BAD, 6, "code point out of range")),
         (validate_charset, b"\x1c\x04\x00\x01\xf6\x00", "\U0001f600"),
+        (decode_bit_string, b"\x03\x01\x03", (Code.BAD_BIT_STRING_ENCODING, 2, "unused bits in empty BIT STRING")),
         # The last code point, and a unit above U+FFFF followed by another: each unit is exactly 4 octets.
         (validate_charset, b"\x1c\x04\x00\x10\xff\xff", "\U0010ffff"),
         (validate_charset, b"\x1c\x08\x00\x01\x00\x00\x00\x00\x00A", "\U00010000A"),
-        (decode_bit_string, b"\x03\x01\x03", (Code.BAD_BIT_STRING_ENCODING, 2, "unused bits in empty BIT STRING")),
     ],
 )
 def test_decoder_branch(decoder, data, expected):
