@@ -5,7 +5,7 @@ script runs two checks, one process at a time:
 
 * golden_corpus.render() against tests/data/golden_lint.jsonl;
 * `derlint lint` and `derlint diff` on the error cases of tests/test_cli.py, a byte-order mark and a NUL in an
-  outcome label, and `derlint lint` on a directory of 80 files, which a host with two or more CPUs lints in
+  outcome label, and `derlint lint` on a directory of 400 files, which a host with two or more CPUs lints in
   forked workers; each compares stdout, stderr and exit status with the reference interpreter's (3.11.7, or
   the oldest found when it is not installed).
 
@@ -53,10 +53,10 @@ def _pem(*ders: bytes) -> bytes:
     return "".join(f"-----BEGIN CERTIFICATE-----\n{b64}\n-----END CERTIFICATE-----\n" for b64 in blocks).encode()
 
 
-# More files than one chunk of `derlint lint` holds, so that a host with two or more CPUs lints them in forked
-# workers: DER, PEM and multi-block PEM files, accepted and rejected.
-BATCH = {f"batch/{i:02d}.{('der', 'der', 'pem', 'pem')[i % 4]}": (GOOD, BAD, _pem(GOOD), _pem(GOOD, BAD))[i % 4]
-         for i in range(80)}
+# Enough files for `derlint lint` to fork (cli.FORK_CHUNKS chunks of cli.CHUNK_FILES) on a host with two or more
+# CPUs: DER, PEM and multi-block PEM files, accepted and rejected.
+BATCH = {f"batch/{i:03d}.{('der', 'der', 'pem', 'pem')[i % 4]}": (GOOD, BAD, _pem(GOOD), _pem(GOOD, BAD))[i % 4]
+         for i in range(400)}
 
 
 # name -> (arguments, files).  A file's value is its content, or a str naming the target of a symbolic link.

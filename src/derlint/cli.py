@@ -30,11 +30,13 @@ EXIT_REJECTED = 1
 EXIT_ERROR = 2
 
 CHUNK_FILES = 32  # files per chunk of a lint batch: what a forked worker lints at a time, and what is printed at once
+FORK_CHUNKS = 10  # a smaller batch is linted inline: forked, it ran slower or even (experiments/fork_crossover.py)
 
 # The lint stack is imported only when lint runs, and the analyzer (with csv)
 # only when diff runs, so each command loads just its own.  perfbench's traced
-# run wraps these names here, so each is a module attribute, resolved from its
-# module on first access.
+# run wraps the analyzer's names here, so each is a module attribute, resolved
+# from its module on first access.  lint reaches ingest directly; its three
+# names stay only as part of this module's import surface.
 _LAZY_NAMES = {
     "lint": "ingest",
     "load_input": "ingest",
@@ -110,30 +112,29 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         chunks = [load_documents(sys.stdin.buffer.read(), "<stdin>", options.fmt)]
 
-    def lint_chunk(chunk: list) -> tuple[str, str, Histogram]:
-        out, err, counts = io.StringIO(), io.StringIO(), Histogram()
+    def lint_chunk(chunk: list, out, err) -> tuple[Histogram, bool]:  # its counts, and whether a read failed
+        counts, io_failed = Histogram(), False
         for result in lint_files(chunk, options) if args.paths else (lint(doc, options) for doc in chunk):
             if isinstance(result, tuple):
                 print(f"derlint: {result[0]}: {result[1]}", file=err)
+                io_failed = True
                 continue
             counts.add(result.diagnostics)
             if args.report == "json":
                 print(json.dumps(result.to_json_dict()), file=out)
             else:
                 _print_text_report(result, out)
-        return out.getvalue(), err.getvalue(), counts
+        return counts, io_failed
 
-    # Reports are printed a chunk at a time, in path order; only the counts are kept.
+    # Reports come in path order, each as soon as it is linted, or from forked workers a chunk at a time.
     histogram = Histogram()
     io_failed = False
     try:
         with contextlib.closing(_in_order(lint_chunk, chunks)) as results:
-            for out, err, counts in results:
-                sys.stdout.write(out)
-                sys.stderr.write(err)
-                io_failed = io_failed or bool(err)
+            for counts, failed in results:
                 histogram.merge(counts)
-    except EOFError:  # a forked worker ended before it sent a chunk's reports
+                io_failed = io_failed or failed
+    except EOFError:  # a forked worker ended before it sent all of a chunk's reports
         print("derlint: a lint worker failed; the reports after these are missing", file=sys.stderr)
         return EXIT_ERROR
 
@@ -150,37 +151,54 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _in_order(work, chunks: list):
-    """Yield work(chunk) for each chunk in order, from forked workers when more than one CPU may run them."""
+    """Yield work(chunk, out, err) per chunk in order: inline to stdout and stderr, or forked, the text piped back."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    n = min(cpus, len(chunks)) if hasattr(os, "fork") else 1
+    n = min(cpus, len(chunks)) if hasattr(os, "fork") and len(chunks) >= FORK_CHUNKS else 1
+    inline = (work(chunk, sys.stdout, sys.stderr) for chunk in chunks)
     if n < 2:
-        yield from map(work, chunks)
+        yield from inline
         return
     import pickle
     import signal
-    workers = []  # (pid, read end of its pipe); chunk k goes to worker k mod n
+    pids, readers = [], []  # chunk k goes to worker k mod n, which sends its results down readers[k]'s pipe
     try:
-        for k in range(n):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    with open(w, "wb") as pipe:
-                        for chunk in chunks[k::n]:
-                            pickle.dump(work(chunk), pipe)
-                    os._exit(0)
-                except Exception:
-                    sys.excepthook(*sys.exc_info())
-                finally:
-                    os._exit(1)
-            os.close(w)
-            workers.append((pid, open(r, "rb")))
+        try:
+            for k in range(n):
+                r, w = os.pipe()
+                readers.append(open(r, "rb"))
+                with open(w, "wb") as pipe:  # the parent's copy closes at once; a worker never leaves this block
+                    pids.append(os.fork())
+                    if pids[-1] == 0:
+                        try:
+                            for reader in readers:  # hold no read end, so that writes fail once the parent has gone
+                                reader.close()
+                            for chunk in chunks[k::n]:
+                                out, err = io.StringIO(), io.StringIO()
+                                result = work(chunk, out, err)
+                                pickle.dump((out.getvalue(), err.getvalue(), result), pipe)
+                                pipe.flush()  # the whole chunk goes now, not when the next one fills the buffer
+                            os._exit(0)
+                        except Exception as exc:  # a broken pipe means the parent has gone, and its exit says why
+                            if not isinstance(exc, BrokenPipeError):
+                                sys.excepthook(*sys.exc_info())
+                        finally:
+                            os._exit(1)
+        except OSError:  # no pipe or process to be had, as under a process limit: lint inline, as on one CPU
+            yield from inline  # a worker already started fills its pipe, then waits to be killed below
+            return
         for i in range(len(chunks)):
-            yield pickle.load(workers[i % n][1])  # EOFError when the worker ended without sending it
+            try:
+                out, err, result = pickle.load(readers[i % n])  # EOFError when the worker ended before sending it
+            except pickle.UnpicklingError as exc:  # the worker ended while sending it
+                raise EOFError(exc) from exc
+            sys.stdout.write(out)
+            sys.stderr.write(err)
+            yield result
     finally:
-        for pid, reader in workers:  # a worker still running has sent nothing that will be read
+        for pid in pids:  # a worker still running has sent nothing that will be read
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        for reader in readers:
             reader.close()
 
 

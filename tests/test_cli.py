@@ -260,6 +260,7 @@ class TestForkedBatch:
         (root / "g").symlink_to(root / "f")
         (root / "h.pem").write_bytes(_pem(bad))
         monkeypatch.setattr(cli, "CHUNK_FILES", 2)  # 5 chunks with the missing file below
+        monkeypatch.setattr(cli, "FORK_CHUNKS", 2)
         return root
 
     @staticmethod
@@ -301,12 +302,15 @@ class TestForkedBatch:
         else:
             assert out.splitlines()[-1] == "4 accepted, 4 rejected of 8"
 
-    def test_one_cpu_or_one_chunk_runs_inline(self, capsys, monkeypatch, tree):
+    def test_one_cpu_or_too_few_chunks_runs_inline(self, capsys, monkeypatch, tree):
         _, forks = self.lint(capsys, monkeypatch, 1, ["lint", str(tree)])
         assert forks == 0
-        monkeypatch.setattr(cli, "CHUNK_FILES", 32)
+        monkeypatch.setattr(cli, "FORK_CHUNKS", 5)  # the tree has 4 chunks
         _, forks = self.lint(capsys, monkeypatch, 2, ["lint", str(tree)])
         assert forks == 0
+        monkeypatch.setattr(cli, "FORK_CHUNKS", 4)
+        _, forks = self.lint(capsys, monkeypatch, 2, ["lint", str(tree)])
+        assert forks == 2
 
     def test_a_worker_that_raises_is_an_error_without_a_summary(self, capsys, monkeypatch, tree):
         from derlint import ingest
@@ -325,6 +329,46 @@ class TestForkedBatch:
         assert "summary" not in out
         ids = ["a.der", "b.der", "c.pem", "d.pem#1", "d.pem#2", "d.pem#3"]  # the chunks before e.txt's
         assert [r["id"] for r in json_lines(out)] == [str(tree / name) for name in ids]
+
+    def test_a_worker_that_dies_while_sending_is_an_error_without_a_summary(self, capsys, monkeypatch, tree):
+        import pickle
+
+        real_dump = pickle.dump
+
+        def dump(obj, file):
+            if "c.pem" not in obj[0]:
+                return real_dump(obj, file)
+            data = pickle.dumps(obj)
+            file.write(data[: len(data) // 2])
+            file.flush()
+            os._exit(1)  # killed halfway through the chunk's reports
+
+        monkeypatch.setattr(pickle, "dump", dump)
+        (status, out, err), forks = self.lint(capsys, monkeypatch, 2, ["lint", "--no-timing", str(tree)])
+        assert (status, forks) == (cli.EXIT_ERROR, 2)
+        assert err == "derlint: a lint worker failed; the reports after these are missing\n"
+        assert [r["id"] for r in json_lines(out)] == [str(tree / "a.der"), str(tree / "b.der")]
+
+    def test_a_fork_that_fails_lints_inline(self, capsys, monkeypatch, tree):
+        argv = ["lint", "--no-timing", str(tree)]
+        inline, _ = self.lint(capsys, monkeypatch, 1, argv)
+        real_fork = os.fork
+        forks = []
+
+        def fork():  # the first worker starts, the second is refused, as under a process limit
+            forks.append(None)
+            if len(forks) > 1:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        fds = len(os.listdir("/dev/fd"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", fork)
+        assert run(capsys, argv) == inline
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):  # the worker that started has been reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/dev/fd")) == fds  # and both pipes are closed
 
 
 class TestDiff:
@@ -589,14 +633,27 @@ class TestDiff:
         assert err.startswith("derlint: reports: line 3001: not JSON: ") and err.count("\n") == 1, err
 
 
+def _bad_docs(tmp_path) -> Path:
+    # More output than the pipe and stdout's buffer hold, so a write fails or waits while the command runs.
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    for i in range(1000):
+        (docs / f"bad{i:04d}.der").write_bytes(certs.base_cert() + b"\x00")
+    return docs
+
+
+def _start_cli(argv: list[str]) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.Popen(
+        [sys.executable, "-m", "derlint.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        start_new_session=True,
+    )
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("command", ["lint", "lint-text", "diff-text"])
     def test_reader_closing_early_ends_quietly(self, tmp_path, command):
-        # More output than the pipe and stdout's buffer hold, so a write fails while the command runs.
-        docs = tmp_path / "docs"
-        docs.mkdir()
-        for i in range(1000):
-            (docs / f"bad{i:04d}.der").write_bytes(certs.base_cert() + b"\x00")
+        docs = _bad_docs(tmp_path)
         records = tmp_path / "records.csv"
         records.write_text(CSV_HEADER + "\n" + "".join(f"root>l{i},l{i},openssl,Expired\n" for i in range(3000)))
         argv = {
@@ -604,11 +661,7 @@ class TestClosedStdout:
             "lint-text": ["lint", "--report", "text", str(docs)],
             "diff-text": ["diff", "--report", "text", "--records", str(records)],
         }[command]
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "derlint.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-            start_new_session=True,
-        )
+        proc = _start_cli(argv)
         try:
             with proc:
                 assert len(proc.stdout.read(100)) == 100
@@ -622,6 +675,21 @@ class TestClosedStdout:
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)  # nothing is left behind when a check fails
+
+    def test_workers_end_when_the_parent_is_killed(self, tmp_path):
+        # SIGTERM's default action runs no cleanup, so the parent neither kills nor reaps its workers.
+        proc = _start_cli(["lint", str(_bad_docs(tmp_path))])
+        try:
+            with proc:
+                assert len(proc.stdout.read(100)) == 100  # the workers are running, or blocked on a full pipe
+                os.kill(proc.pid, signal.SIGTERM)  # the parent alone
+                # stdout and stderr reach their end only once no worker holds them: each ends on a broken pipe.
+                err = proc.communicate(timeout=60)[1].decode()
+                assert proc.returncode == -signal.SIGTERM
+            assert err == "", err  # quietly, with no traceback from any worker
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
 
 
 class TestParser:
