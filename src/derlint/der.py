@@ -58,7 +58,7 @@ L3 = 1 << 34  # three-octet path base
 L4 = 1 << 35  # four-octet path base
 Q0 = 1 << 36  # initial state, before any length octet
 
-# Default cap on constructed nesting depth.
+# Cap on constructed nesting depth, read once per scan.
 MAX_DEPTH = 64
 
 # Every code raised here, bound once: a Code.X read costs over ten global reads (EnumType.__getattr__).
@@ -69,14 +69,11 @@ _TRUNCATED, _OVERFLOW, _TOO_DEEP, _TRAILING = (
     Code.TRUNCATED_INPUT, Code.CHILD_OVERFLOW, Code.NESTING_TOO_DEEP, Code.TRAILING_BYTES
 )
 
-LengthAutomatonState = int
-
-
-def is_accepting(state: LengthAutomatonState) -> bool:
+def is_accepting(state: int) -> bool:
     return state == 0
 
 
-def delta_length(state: LengthAutomatonState, byte: int) -> LengthAutomatonState:
+def delta_length(state: int, byte: int) -> int:
     """One step of the length-decoding transition function.
 
     state must be Q0 or an intermediate length-accumulation state; the
@@ -254,8 +251,6 @@ def parse_tlv_tree(
     data: bytes,
     start: int = 0,
     end: int | None = None,
-    *,
-    max_depth: int = MAX_DEPTH,
 ) -> TlvNode:
     """Parse one complete DER element from the region data[start:end].
 
@@ -281,6 +276,7 @@ def parse_tlv_tree(
     # counts the pairs on outer.
     outer: list[tuple[int, list[TlvNode]]] = []
     depth = 0
+    depth_cap = MAX_DEPTH
     limit = end
     top: list[TlvNode] = []
     kids = top
@@ -322,7 +318,7 @@ def parse_tlv_tree(
             if not build:
                 # The depth check and the closing below, repeated so that a built node pays only the test above.
                 if tag & 0x20:
-                    if depth >= max_depth:
+                    if depth >= depth_cap:
                         raise RecognitionError(_TOO_DEEP, offset=header)
                     if length:
                         outer.append((limit, kids))
@@ -347,7 +343,7 @@ def parse_tlv_tree(
         node.buffer = data
         kids.append(node)
         if tag & 0x20:
-            if depth >= max_depth:
+            if depth >= depth_cap:
                 raise RecognitionError(_TOO_DEEP, offset=header)
             if length:
                 outer.append((limit, kids))

@@ -184,11 +184,11 @@ class Histogram:
 
     __slots__ = ("total", "accepted", "rejected", "counts")
 
-    def __init__(self, total: int = 0, accepted: int = 0, rejected: int = 0, counts: dict[Code, int] | None = None):
-        self.total = total
-        self.accepted = accepted
-        self.rejected = rejected
-        self.counts = {} if counts is None else counts
+    def __init__(self):
+        self.total = 0
+        self.accepted = 0
+        self.rejected = 0
+        self.counts: dict[Code, int] = {}
 
     def add(self, diagnostics: list[Diagnostic]) -> None:
         self.total += 1

@@ -175,9 +175,9 @@ def _csv_reason(exc: csv.Error) -> str:
 class AnalysisResult:
     __slots__ = ("verdicts", "missing")
 
-    def __init__(self, verdicts: list[ChainVerdict] | None = None, missing: list[MissingCaRecord] | None = None):
-        self.verdicts = [] if verdicts is None else verdicts
-        self.missing = [] if missing is None else missing
+    def __init__(self):
+        self.verdicts: list[ChainVerdict] = []
+        self.missing: list[MissingCaRecord] = []
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,15 +234,12 @@ class CrossTab:
 
     __slots__ = ("disagreements", "by_code", "agreements", "accepted_here_rejected_there", "unjoined")
 
-    def __init__(
-        self, disagreements: dict[str, int] | None = None, by_code: dict[str, dict[str, int]] | None = None,
-        agreements: int = 0, accepted_here_rejected_there: int = 0, unjoined: list[UnjoinedRecord] | None = None,
-    ):
-        self.disagreements = {} if disagreements is None else disagreements
-        self.by_code = {} if by_code is None else by_code
-        self.agreements = agreements
-        self.accepted_here_rejected_there = accepted_here_rejected_there
-        self.unjoined = [] if unjoined is None else unjoined
+    def __init__(self):
+        self.disagreements: dict[str, int] = {}
+        self.by_code: dict[str, dict[str, int]] = {}
+        self.agreements = 0
+        self.accepted_here_rejected_there = 0
+        self.unjoined: list[UnjoinedRecord] = []
 
     def _counts_json_dict(self) -> dict:
         """to_json_dict without the unjoined records."""

@@ -219,7 +219,7 @@ class AkiValue(NamedTuple):
 class ExtensionEntry:
     __slots__ = ("index", "critical", "node", "body")
 
-    def __init__(self, index: int, critical: bool, node: TlvNode, body: object | None = None):
+    def __init__(self, index: int, critical: bool, node: TlvNode, body: object | None):
         self.index = index
         self.critical = critical
         self.node = node

@@ -60,11 +60,11 @@ _PSS_FIELDS = frozenset({0xA0, 0xA1, 0xA2, 0xA3})
 class AlgorithmId:
     __slots__ = ("node", "oid", "grammar", "curve_oid")
 
-    def __init__(self, node: TlvNode, oid: str | None = None, grammar: str | None = None, curve_oid: str | None = None):
+    def __init__(self, node: TlvNode):
         self.node = node
-        self.oid = oid
-        self.grammar = grammar
-        self.curve_oid = curve_oid
+        self.oid: str | None = None
+        self.grammar: str | None = None
+        self.curve_oid: str | None = None
 
 
 class ParsedTbs:
@@ -73,33 +73,25 @@ class ParsedTbs:
         "extensions", "extensions_present",
     )
 
-    def __init__(
-        self, version: int = 0, inner_algorithm: AlgorithmId | None = None, issuer: TlvNode | None = None,
-        subject: TlvNode | None = None, subject_empty: bool = False, key_family: str | None = None,
-        has_unique_id: bool = False, extensions: dict[str, ExtensionEntry] | None = None,
-        extensions_present: bool = False,
-    ):
-        self.version = version
-        self.inner_algorithm = inner_algorithm
-        self.issuer = issuer
-        self.subject = subject
-        self.subject_empty = subject_empty
-        self.key_family = key_family
-        self.has_unique_id = has_unique_id
-        self.extensions = extensions
-        self.extensions_present = extensions_present
+    def __init__(self):
+        self.version = 0
+        self.inner_algorithm: AlgorithmId | None = None
+        self.issuer: TlvNode | None = None
+        self.subject: TlvNode | None = None
+        self.subject_empty = False
+        self.key_family: str | None = None
+        self.has_unique_id = False
+        self.extensions: dict[str, ExtensionEntry] | None = None
+        self.extensions_present = False
 
 
 class ParsedCertificate:
     __slots__ = ("tbs", "outer_algorithm", "diagnostics")
 
-    def __init__(
-        self, tbs: ParsedTbs | None = None, outer_algorithm: AlgorithmId | None = None,
-        diagnostics: list[Diagnostic] | None = None,
-    ):
-        self.tbs = tbs
-        self.outer_algorithm = outer_algorithm
-        self.diagnostics = [] if diagnostics is None else diagnostics
+    def __init__(self, diagnostics: list[Diagnostic]):
+        self.tbs: ParsedTbs | None = None
+        self.outer_algorithm: AlgorithmId | None = None
+        self.diagnostics = diagnostics
 
     @property
     def accepted(self) -> bool:
@@ -390,7 +382,8 @@ def _check_key_bits(
         # The point starts after the BIT STRING's unused-bits octet.
         point_offset = key_node.content_offset + 1
         first = bits[0]
-        width = ctx.reg.curve_width(alg.curve_oid) if alg.curve_oid else None
+        curve = ctx.reg.by_role["curve"].get(alg.curve_oid)  # "point-N": N is the coordinate width
+        width = None if curve is None else int(curve[6:])
         if first == 0x04:
             expect = None if width is None else 1 + 2 * width
         elif first in (0x02, 0x03):

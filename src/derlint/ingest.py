@@ -1,8 +1,8 @@
 """Input handling and the linting pipeline.
 
-Container handling is as strict as the certificate grammar itself: the
-armored text form is recognized exactly (fixed labels, canonical base64,
-64-column body lines), and anything else must already be the raw binary
+Container handling is strict: the armored text form needs fixed labels,
+canonical base64 and body lines of at most 64 columns (a body wrapped
+narrower is read too), and anything else must already be the raw binary
 form.  Container problems are ordinary diagnostics, so a batch over a
 mixed directory never aborts on one bad file.
 """
@@ -58,14 +58,14 @@ class CertificateReport:
 
     def __init__(
         self, doc_id: str, sha256: str, outcome: str, size_bytes: int, parse_time_micros: int | None,
-        diagnostics: list[Diagnostic] | None = None,
+        diagnostics: list[Diagnostic],
     ):
         self.doc_id = doc_id
         self.sha256 = sha256
         self.outcome = outcome
         self.size_bytes = size_bytes
         self.parse_time_micros = parse_time_micros
-        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.diagnostics = diagnostics
 
     def to_json_dict(self) -> dict:
         out = {

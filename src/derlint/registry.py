@@ -36,9 +36,7 @@ more than the registry file names.  Any other OID is decoded in full.
 silent_extensions starts empty too.  The extension walk adds the whole
 encoding of a short extension entry it walked without a diagnostic,
 keyed to what that walk gave (extnID, critical flag, body value), so a
-repeated entry is not walked again; extensions.py bounds it.  A copy made
-from another registry's tables starts with an empty one, so two registries
-never share an answer.
+repeated entry is not walked again; extensions.py bounds it.
 """
 
 from __future__ import annotations
@@ -87,21 +85,17 @@ _DOTTED_OID = re.compile(r"(?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))+")
 class Registry:
     """Parsed registry, one mapping per role; every role has one, so by_role[role].get(oid) is lookup(role, oid).
 
-    Equality and repr read what the file gave, by_role and oids; by_der and silent_extensions, which walks fill,
-    are left out, so linting with a registry does not change what it equals.
+    Registry() is empty: parse_registry fills by_role and oids, and the walks fill by_der and silent_extensions.
+    Equality and repr read what the file gave, by_role and oids; by_der and silent_extensions are left out, so
+    linting with a registry does not change what it equals.
     """
 
     __slots__ = ("by_role", "oids", "by_der", "silent_extensions")
 
-    def __init__(
-        self,
-        by_role: dict[str, dict[str, str]] | None = None,
-        oids: set[str] | None = None,
-        by_der: dict[bytes, str] | None = None,
-    ):
-        self.by_role = {**{role: {} for role in _VALID_GRAMMARS}, **(by_role or {})}
-        self.oids = set() if oids is None else oids
-        self.by_der = {} if by_der is None else by_der
+    def __init__(self):
+        self.by_role: dict[str, dict[str, str]] = {role: {} for role in _VALID_GRAMMARS}
+        self.oids: set[str] = set()
+        self.by_der: dict[bytes, str] = {}
         self.silent_extensions: dict[bytes, tuple[str, bool, object]] = {}
 
     def __eq__(self, other):
@@ -114,12 +108,6 @@ class Registry:
 
     def lookup(self, role: str, oid: str) -> str | None:
         return self.by_role[role].get(oid)
-
-    def curve_width(self, oid: str) -> int | None:
-        name = self.lookup("curve", oid)
-        if name is None:
-            return None
-        return int(name.split("-", 1)[1])
 
 
 def parse_registry(text: str, source: str = "<string>") -> Registry:

@@ -272,12 +272,13 @@ class TestParseTlvTree:
                 Code.NESTING_TOO_DEEP, len(blob) - len(levels[-1 - MAX_DEPTH]), Code.NESTING_TOO_DEEP.label
             )
 
-    def test_deep_nesting_under_raised_cap(self):
+    def test_deep_nesting_under_raised_cap(self, monkeypatch):
+        monkeypatch.setattr("derlint.der.MAX_DEPTH", 10_000)  # read once per scan
         depth = 5_000
         blob = enc.null()
         for _ in range(depth):
             blob = enc.seq(blob)
-        node = parse_tlv_tree(blob, max_depth=10_000)
+        node = parse_tlv_tree(blob)
         levels = 0
         while node.children:
             (node,) = node.children

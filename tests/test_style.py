@@ -1,8 +1,9 @@
 """Source guards: every line of the package fits in 120 columns, the
 export list holds only names the package has, no module reads the
 environment or rebinds a module global, the walk records every
-diagnostic through WalkContext.add, and no regular expression uses syntax
-newer than CPython 3.10.
+diagnostic through WalkContext.add, no regular expression uses syntax
+newer than CPython 3.10, and each record class keeps its fields in
+__slots__ and gives each instance lists and dicts of its own.
 
 Line counts are how refactors of src/derlint are compared, so a count must
 not be lowered by joining lines past the width the code is wrapped at.
@@ -12,10 +13,19 @@ in; an environment read or a global set at run time would add a hidden input.
 
 import ast
 import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
 import derlint
+from derlint.der import parse_tlv_tree
+from derlint.differential import AnalysisResult, CrossTab
+from derlint.diagnostics import Histogram
+from derlint.extensions import ExtensionEntry
+from derlint.grammar import AlgorithmId, ParsedCertificate, ParsedTbs
+from derlint.ingest import CertificateReport, InputDocument, LintOptions
+from derlint.registry import Registry
 
 MAX_COLUMNS = 120
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
@@ -132,3 +142,43 @@ def test_every_pattern_parses_on_python_3_10():
     newer = [f"{site} {name}" for site, pattern in patterns for name in _opcode_names(PATTERN_PARSER.parse(pattern))
              if name in NEWER_SYNTAX]
     assert newer == []
+
+
+# Each record class with __slots__, and how to build a fresh one; a required list is passed fresh, as its callers do.
+RECORDS = {
+    LintOptions: LintOptions,
+    InputDocument: lambda: InputDocument("doc"),
+    CertificateReport: lambda: CertificateReport("doc", "", "accepted", 0, None, []),
+    ParsedCertificate: lambda: ParsedCertificate([]),
+    ParsedTbs: ParsedTbs,
+    AlgorithmId: lambda: AlgorithmId(parse_tlv_tree(b"\x05\x00")),
+    ExtensionEntry: lambda: ExtensionEntry(0, False, parse_tlv_tree(b"\x05\x00"), None),
+    Registry: Registry,
+    Histogram: Histogram,
+    AnalysisResult: AnalysisResult,
+    CrossTab: CrossTab,
+}
+
+
+def _containers(value):
+    """Each list, dict or set in a slot's value, and in the values of a dict it holds."""
+    if isinstance(value, (list, dict, set)):
+        yield value
+    if isinstance(value, dict):
+        for inner in value.values():
+            yield from _containers(inner)
+
+
+def test_record_classes_have_slots_and_share_no_list_or_dict():
+    modules = [importlib.import_module(f"derlint.{m.name}") for m in pkgutil.iter_modules(derlint.__path__)]
+    slotted = {
+        cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__ and "__slots__" in vars(cls) and not issubclass(cls, tuple)
+    }
+    # The scan node has no constructor, and the walk context lives for one walk.
+    assert {cls.__name__ for cls in slotted} - {cls.__name__ for cls in RECORDS} == {"TlvNode", "WalkContext"}
+    for cls, build in RECORDS.items():
+        first, second = build(), build()
+        assert not hasattr(first, "__dict__"), cls.__name__
+        held = [id(c) for r in (first, second) for slot in cls.__slots__ for c in _containers(getattr(r, slot))]
+        assert len(held) == len(set(held)), cls.__name__
