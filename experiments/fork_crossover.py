@@ -16,9 +16,9 @@ documents, would report this script's peak instead.  wait4 gives the largest pea
 workers it reaped, not their sum.  Nothing is downloaded; each DIR is removed after its size.
 
     python3 experiments/fork_crossover.py OUT.json [--docs 64 160 318 413 509 814 1280 10000 100000]
-        [--runs 21] [--large-runs 5] [--seed 1]
+        [--runs 21] [--seed 1]
 
-Sizes of at least 10,000 documents run --large-runs pairs, the others --runs.  It prints one line per size and
+Sizes of at least 10,000 documents run LARGE_RUNS (5) pairs, the others --runs.  It prints one line per size and
 writes every run, with the medians, to OUT.json.  The crossover is the smallest size whose median paired
 difference (forked minus inline) is below zero.
 """
@@ -45,7 +45,8 @@ import corpus  # noqa: E402
 
 MODES = {"forked": 2, "inline": 10**9}  # FORK_CHUNKS in each copy of src/
 BATCH = 10_000  # documents generated and written at a time, so this script stays small
-LARGE = 10_000  # sizes from here on run --large-runs pairs
+LARGE = 10_000  # sizes from here on run LARGE_RUNS pairs
+LARGE_RUNS = 5
 
 # Runs argv with stdout to /dev/null; prints wall seconds, peak RSS in KiB and the exit status as JSON.
 LAUNCHER = """
@@ -106,7 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("out", type=Path)
     parser.add_argument("--docs", type=int, nargs="+", default=[64, 160, 318, 413, 509, 814, 1280, 10_000, 100_000])
     parser.add_argument("--runs", type=int, default=21)
-    parser.add_argument("--large-runs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     result = {
@@ -122,14 +122,14 @@ def main(argv: list[str] | None = None) -> int:
         for docs in args.docs:
             top = Path(tmp) / f"docs{docs}"
             files, size_bytes = write_documents(top, docs, args.seed)
-            pairs = args.large_runs if docs >= LARGE else args.runs
+            pairs = LARGE_RUNS if docs >= LARGE else args.runs
             runs: dict[str, list[dict]] = {mode: [] for mode in MODES}
             for i in range(pairs):
                 for mode in ("forked", "inline") if i % 2 == 0 else ("inline", "forked"):
                     runs[mode].append(run_lint(srcs[mode], top))
             shutil.rmtree(top)
             forked, inline = ([r["wall_s"] for r in runs[mode]] for mode in ("forked", "inline"))
-            q = statistics.quantiles(inline, n=4) if pairs > 1 else None
+            q = statistics.quantiles(inline, n=4)
             size = {
                 "docs": docs,
                 "files": files,
@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
                 "inline": summary(runs["inline"], docs),
                 "median_pair_diff_ms": round(1e3 * statistics.median(f - s for f, s in zip(forked, inline)), 1),
                 "forked_faster_pairs": sum(f < s for f, s in zip(forked, inline)),
-                "inline_iqr_ms": None if q is None else round(1e3 * (q[2] - q[0]), 1),
+                "inline_iqr_ms": round(1e3 * (q[2] - q[0]), 1),
                 "runs": runs,
             }
             result["sizes"].append(size)

@@ -104,7 +104,7 @@ class Registry:
         return (self.by_role, self.oids) == (other.by_role, other.oids)
 
     def __repr__(self) -> str:
-        return f"Registry(by_role={self.by_role!r}, oids={self.oids!r})"
+        return f"<Registry by_role={self.by_role!r} oids={self.oids!r}>"
 
     def lookup(self, role: str, oid: str) -> str | None:
         return self.by_role[role].get(oid)

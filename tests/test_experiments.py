@@ -7,7 +7,7 @@ perfbench's corpus, in a fresh interpreter, since the script puts src,
 tests and perfbench first on sys.path itself.
 
 experiments/fork_crossover.py rewrites cli.FORK_CHUNKS in two copies of
-src/, so a rename there breaks it.  Here it runs one pair at its smallest
+src/, so a rename there breaks it.  Here it runs two pairs at its smallest
 size, one lint process at a time.
 """
 
@@ -44,10 +44,10 @@ def test_memo_traffic_counts_entries_of_typical_documents():
     assert entries >= short > answered >= 1
 
 
-def test_fork_crossover_writes_one_pair_at_the_smallest_size(tmp_path):
+def test_fork_crossover_writes_two_pairs_at_the_smallest_size(tmp_path):
     out = tmp_path / "crossover.json"
     done = subprocess.run(
-        [sys.executable, str(ROOT / "experiments" / "fork_crossover.py"), str(out), "--docs", "64", "--runs", "1"],
+        [sys.executable, str(ROOT / "experiments" / "fork_crossover.py"), str(out), "--docs", "64", "--runs", "2"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -55,11 +55,13 @@ def test_fork_crossover_writes_one_pair_at_the_smallest_size(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     (size,) = json.loads(out.read_text())["sizes"]
-    assert (size["docs"], size["pairs"], size["inline_iqr_ms"]) == (64, 1, None)
-    assert size["files"] > 0 and size["bytes"] > 0 and 0 <= size["forked_faster_pairs"] <= 1
+    assert (size["docs"], size["pairs"]) == (64, 2)
+    assert size["files"] > 0 and size["bytes"] > 0 and 0 <= size["forked_faster_pairs"] <= 2
+    assert isinstance(size["inline_iqr_ms"], float) and size["inline_iqr_ms"] >= 0
     for mode in ("forked", "inline"):
         assert size[mode]["median_ms"] > 0 and size[mode]["docs_per_s"] > 0, mode
         assert size[mode]["peak_rss_mib"] > 0 and size[mode]["peak_rss_kib_per_doc"] > 0, mode
-        (run,) = size["runs"][mode]
-        assert run["exit"] in (0, 1) and run["wall_s"] > 0 and run["peak_rss_kib"] > 0, mode
+        assert len(size["runs"][mode]) == 2, mode
+        for run in size["runs"][mode]:
+            assert run["exit"] in (0, 1) and run["wall_s"] > 0 and run["peak_rss_kib"] > 0, mode
     assert isinstance(size["median_pair_diff_ms"], float)
