@@ -354,18 +354,15 @@ def _tagged_fields(ctx: WalkContext, fields, what: str, tags: frozenset[int], pa
     """Yield the context-tagged fields of what, in ascending tag number order.
 
     tags holds the identifier octets a field may carry.  A field with
-    another tag, or out of order, is recorded and yields None: the caller
-    stops there.
+    another tag, or out of order, is recorded and ends the fields.
     """
     last = -1
     for child in fields:
         if child.tag not in tags:
             ctx.add(_MALFORMED_BODY, child, path, f"unexpected field {child.describe_tag()} in {what}")
-            yield None
             return
         if child.tag & 0x1F <= last:
             ctx.add(_MALFORMED_BODY, child, path, f"{what} fields out of order or repeated")
-            yield None
             return
         last = child.tag & 0x1F
         yield child
@@ -396,8 +393,6 @@ def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -
     key_id = None
     has_issuer = has_serial = False
     for child in _tagged_fields(ctx, root.children, "authorityKeyIdentifier", _EITHER_0_TO_2, path):
-        if child is None:
-            break
         if child.tag == 0x80:
             if child.content_length == 0:
                 ctx.add(Code.EMPTY_VALUE_FIELD, child, path, "empty keyIdentifier")
@@ -415,14 +410,14 @@ def _body_authority_key_identifier(root: TlvNode, ctx: WalkContext, path: str) -
             ctx.decode(decode_integer, child, f"{path}.authorityCertSerialNumber")
         else:
             ctx.add(_MALFORMED_BODY, child, path, _AKI_WRONG_FORM[child.tag & 0x1F])
-    else:  # not after a misplaced field, which ends the walk
-        if has_issuer != has_serial:
-            ctx.add(
-                _MALFORMED_BODY,
-                root,
-                path,
-                "authorityCertIssuer and authorityCertSerialNumber must appear together",
-            )
+    # After a complete walk only: a misplaced field ends it before the last field is read.
+    if has_issuer != has_serial and child is root.children[-1]:
+        ctx.add(
+            _MALFORMED_BODY,
+            root,
+            path,
+            "authorityCertIssuer and authorityCertSerialNumber must appear together",
+        )
     return AkiValue(key_id)
 
 
@@ -585,8 +580,6 @@ def _body_name_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None:
     empty = "nameConstraints with neither permitted nor excluded subtrees"
     fields = _elements(ctx, root, "nameConstraints", path, empty)
     for child in _tagged_fields(ctx, fields or (), "nameConstraints", _CONSTRUCTED_0_TO_1, path):
-        if child is None:
-            return
         which = "permittedSubtrees" if child.tag == 0xA0 else "excludedSubtrees"
         if not child.children:
             ctx.add(_MALFORMED_BODY, child, path, f"empty {which}")
@@ -601,8 +594,6 @@ def _parse_general_subtree(node: TlvNode, ctx: WalkContext, path: str) -> None:
         return
     parse_general_name(kids[0], ctx, path, in_name_constraints=True)
     for extra in _tagged_fields(ctx, kids[1:], "generalSubtree", _PRIMITIVE_0_TO_1, path):
-        if extra is None:
-            return
         if _non_negative(ctx, extra, path, "subtree bound") == 0 and extra.tag == 0x80:
             ctx.add(Code.DEFAULT_VALUE_ENCODED, extra, path, "minimum 0 explicitly encoded")
 
@@ -610,8 +601,6 @@ def _parse_general_subtree(node: TlvNode, ctx: WalkContext, path: str) -> None:
 def _body_policy_constraints(root: TlvNode, ctx: WalkContext, path: str) -> None:
     fields = _elements(ctx, root, "policyConstraints", path, "policyConstraints with no fields")
     for child in _tagged_fields(ctx, fields or (), "policyConstraints", _PRIMITIVE_0_TO_1, path):
-        if child is None:
-            return
         _non_negative(ctx, child, path, "skipCerts")
 
 
@@ -634,8 +623,6 @@ def _body_crl_distribution_points(root: TlvNode, ctx: WalkContext, path: str) ->
 def _parse_distribution_point(node: TlvNode, ctx: WalkContext, path: str) -> None:
     fields = _elements(ctx, node, "distributionPoint", path, "empty distributionPoint")
     for child in _tagged_fields(ctx, fields or (), "distributionPoint", _EITHER_0_TO_2, path):
-        if child is None:
-            return
         if child.tag == 0xA0 and len(child.children) == 1:
             choice = child.children[0]
             if choice.tag == 0xA0:

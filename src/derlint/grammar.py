@@ -21,13 +21,15 @@ from .der import TlvNode, parse_tlv_tree
 from .diagnostics import Code, Diagnostic, RecognitionError
 from .extensions import (
     OID_SUBJECT_ALT_NAME,
+    _BODY_PARSERS,
+    _FORBIDDEN_USAGE,
     ExtensionEntry,
     WalkContext,
     check_key_usage_rules,
     parse_extensions,
 )
 from .matchers import run_cross_checks
-from .names import parse_name
+from .names import _PERMITTED_BY_KIND, parse_name
 from .registry import Registry, default_registry
 from .values import (
     TAG_BIT_STRING,
@@ -55,6 +57,19 @@ _MALFORMED_PARAMS, _MALFORMED_KEY, _MALFORMED_SIG = (
 
 # The explicitly tagged fields [0] to [3] of RSASSA-PSS parameters, as identifier octets.
 _PSS_FIELDS = frozenset({0xA0, 0xA1, 0xA2, 0xA3})
+
+# The grammar names the walk dispatches on, by registry role: those the if-chains of _check_parameters,
+# _check_key_bits and parse_signature_value take, and the keys of the extension and name walks' tables.
+# parse_registry refuses any other name; a curve takes point-N instead.
+_WALK_GRAMMARS = {
+    "signature": frozenset({"null", "absent", "rsa-pss-params"}),
+    "sigvalue": frozenset({"opaque", "dss-sig"}),
+    "spki": frozenset({"null", "named-curve", "dss-params", "dh-params", "kea-params", "gost-params"}),
+    "keybits": frozenset({"rsa-key", "ec-point", "integer-key", "octet-key"}),
+    "keyfamily": _FORBIDDEN_USAGE,
+    "extension": _BODY_PARSERS,
+    "attribute": _PERMITTED_BY_KIND,
+}
 
 
 class AlgorithmId:

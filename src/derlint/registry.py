@@ -47,36 +47,8 @@ from importlib import resources
 
 from .values import ARC_MAX
 
-_VALID_GRAMMARS = {
-    "signature": {"null", "absent", "rsa-pss-params"},
-    "sigvalue": {"opaque", "dss-sig"},
-    "spki": {"null", "named-curve", "dss-params", "dh-params", "kea-params", "gost-params"},
-    "keybits": {"rsa-key", "ec-point", "integer-key", "octet-key"},
-    "keyfamily": {"rsa", "dsa", "dh", "kea", "ec", "gost"},
-    "extension": {
-        "authority-key-identifier",
-        "subject-key-identifier",
-        "key-usage",
-        "certificate-policies",
-        "policy-mappings",
-        "subject-alt-name",
-        "issuer-alt-name",
-        "subject-directory-attributes",
-        "basic-constraints",
-        "name-constraints",
-        "policy-constraints",
-        "extended-key-usage",
-        "crl-distribution-points",
-        "inhibit-any-policy",
-        "freshest-crl",
-        "authority-info-access",
-        "subject-info-access",
-    },
-    "attribute": {"dir-string", "printable", "ia5"},
-    # Curve grammars are point-N where N, ASCII digits with no leading zero, is the
-    # coordinate width in octets; the shape is validated instead of enumerating a set.
-    "curve": set(),
-}
+# The roles, in the order by_role lists them; parse_registry takes the grammar names each accepts from the walk.
+_ROLES = ("signature", "sigvalue", "spki", "keybits", "keyfamily", "extension", "attribute", "curve")
 
 # Dotted OID text as the walk spells a decoded OID: two or more ASCII decimal arcs, none with a leading zero.
 _DOTTED_OID = re.compile(r"(?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))+")
@@ -93,7 +65,7 @@ class Registry:
     __slots__ = ("by_role", "oids", "by_der", "silent_extensions")
 
     def __init__(self):
-        self.by_role: dict[str, dict[str, str]] = {role: {} for role in _VALID_GRAMMARS}
+        self.by_role: dict[str, dict[str, str]] = {role: {} for role in _ROLES}
         self.oids: set[str] = set()
         self.by_der: dict[bytes, str] = {}
         self.silent_extensions: dict[bytes, tuple[str, bool, object]] = {}
@@ -111,6 +83,8 @@ class Registry:
 
 
 def parse_registry(text: str, source: str = "<string>") -> Registry:
+    from .grammar import _WALK_GRAMMARS  # here, not at the top: importing the registry alone loads no walk module
+
     reg = Registry()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -126,12 +100,12 @@ def parse_registry(text: str, source: str = "<string>") -> Registry:
         arcs = [int(arc) if len(arc) <= 10 else ARC_MAX + 1 for arc in oid.split(".")]
         if arcs[0] > 2 or (arcs[0] < 2 and arcs[1] > 39) or max(arcs) > ARC_MAX:
             raise ValueError(f"{source}:{lineno}: no DER OID decodes to {oid!r}")
-        if role not in _VALID_GRAMMARS:
+        if role not in reg.by_role:
             raise ValueError(f"{source}:{lineno}: unknown role {role!r}")
         if role == "curve":
             if not re.fullmatch("point-[1-9][0-9]*", grammar):
                 raise ValueError(f"{source}:{lineno}: curve grammar must be point-N")
-        elif grammar not in _VALID_GRAMMARS[role]:
+        elif grammar not in _WALK_GRAMMARS[role]:
             raise ValueError(f"{source}:{lineno}: unknown grammar {grammar!r} for role {role}")
         bucket = reg.by_role[role]
         if oid in bucket:

@@ -183,6 +183,16 @@ class TestLint:
         assert status == cli.EXIT_ERROR
         assert "--max-size" in err
 
+    def test_max_size_bounds_each_document(self, capsys, good_file):
+        size = good_file.stat().st_size
+        unbounded = run(capsys, ["lint", "--no-timing", str(good_file)])
+        assert run(capsys, ["lint", "--no-timing", "--max-size", str(size), str(good_file)]) == unbounded
+        assert unbounded[0] == cli.EXIT_OK
+        status, out, err = run(capsys, ["lint", "--no-timing", "--max-size", str(size - 1), str(good_file)])
+        assert (status, err) == (cli.EXIT_REJECTED, "")
+        report = json_lines(out)[0]
+        assert [(d["code"], d["byte_offset"]) for d in report["diagnostics"]] == [("LENGTH_TOO_LARGE", size - 1)]
+
     def test_unreadable_registry(self, capsys, tmp_path, good_file):
         status, _, err = run(
             capsys, ["lint", "--registry", str(tmp_path / "nope.txt"), str(good_file)]

@@ -8,6 +8,7 @@ regenerate the file after a deliberate output change.
 import ast
 import json
 import sys
+import tokenize
 from pathlib import Path
 
 import golden_corpus
@@ -95,10 +96,13 @@ def test_extension_shape_diagnostics_are_locked():
     assert {(d[0], d[4]) for d in body} >= EMPTY_BODY_MESSAGES
 
 
+WALK_MODULES = (derlint.grammar, derlint.names, derlint.extensions, derlint.matchers)
+
+
 def _call_sites(*names: str) -> set[tuple[str, int]]:
     """(file, line) of every call to ctx.<name> or <name> in the walk modules."""
     sites = set()
-    for module in (derlint.grammar, derlint.names, derlint.extensions, derlint.matchers):
+    for module in WALK_MODULES:
         for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
             func = getattr(node, "func", None)
             if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "ctx":
@@ -107,6 +111,24 @@ def _call_sites(*names: str) -> set[tuple[str, int]]:
                 name = getattr(func, "id", None)
             if name in names:
                 sites.add((module.__file__, node.lineno))
+    return sites
+
+
+def _token_call_sites(*names: str) -> set[tuple[str, int]]:
+    """_call_sites read from the token stream instead of the syntax tree: a name token in names, then "(", after
+    "ctx ." (itself not after ".") or after neither "." nor "def"."""
+    sites = set()
+    for module in WALK_MODULES:
+        with open(module.__file__, "rb") as fh:
+            tokens = [tok for tok in tokenize.tokenize(fh.readline) if tok.type in (tokenize.NAME, tokenize.OP)]
+        for i in range(3, len(tokens) - 1):
+            if tokens[i].string not in names or tokens[i + 1].string != "(":
+                continue
+            before = [tok.string for tok in tokens[i - 3 : i]]
+            if before[1:] == ["ctx", "."] and before[0] != ".":
+                sites.add((module.__file__, tokens[i - 2].start[0]))
+            elif before[2] not in (".", "def"):
+                sites.add((module.__file__, tokens[i].start[0]))
     return sites
 
 
@@ -119,7 +141,11 @@ def test_corpus_reaches_every_walk_diagnostic():
     add_sites = _call_sites("add")
     failing_sites = _call_sites("expect", "_expect", "decode", "oid", "payload")
     failure = {"expect": False, "_expect": False, "decode": None, "oid": None, "payload": None}
-    files = {path for path, _ in add_sites}
+    # The scan must not go blind: a token scan finds the same sites, and every walk module records diagnostics.
+    assert add_sites == _token_call_sites("add")
+    assert failing_sites == _token_call_sites(*failure)
+    files = {path for path, _ in add_sites | failing_sites}
+    assert files == {module.__file__ for module in WALK_MODULES}
     ran, failed = set(), set()
 
     def line_tracer(frame, event, arg):
@@ -135,7 +161,6 @@ def test_corpus_reaches_every_walk_diagnostic():
         golden_corpus.render()
     finally:
         sys.settrace(previous)
-    assert len(add_sites) > 100 and len(failing_sites) > 80
     missed = sorted(f"{Path(path).name}:{line}" for path, line in (add_sites - ran) | (failing_sites - failed))
     assert not missed, f"diagnostic sites no golden document reaches: {missed}"
 
@@ -212,3 +237,4 @@ def test_container_diagnostics_are_locked():
     container = {(d[0], d[4]) for d in _golden_diagnostics() if d[3] == "container"}
     for code, prefix in CONTAINER_MESSAGES:
         assert any(c == code and m.startswith(prefix) for c, m in container), (code, prefix)
+

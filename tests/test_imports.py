@@ -95,6 +95,21 @@ def test_lint_command_leaves_the_analyzer_unloaded(tmp_path):
     assert SLOW_TO_IMPORT & modules == set()
 
 
+def test_registry_loads_the_walk_only_to_parse():
+    # parse_registry reads the grammar names from the walk's tables, which it imports when it first runs.
+    code = (
+        "import sys\n"
+        "import derlint.registry as registry\n"
+        "print(*sorted(sys.modules))\n"
+        "reg = registry.parse_registry('2.5.29.15 ; extension ; key-usage\\n1.2.3 ; keyfamily ; rsa\\n')\n"
+        "assert reg.by_role['extension'] == {'2.5.29.15': 'key-usage'}, reg\n"
+        "print('parsed')\n"
+    )
+    *modules, last = run_fresh(code).split()
+    assert last == "parsed"
+    assert {f"derlint.{name}" for name in ("grammar", "names", "extensions", "matchers")} & set(modules) == set()
+
+
 def test_star_import_binds_each_name_to_its_home_module():
     code = (
         "import importlib, derlint\n"
@@ -112,6 +127,7 @@ def test_dir_lists_every_exported_name():
     names = run_fresh("import derlint\nprint(*dir(derlint))\n").split()
     assert set(derlint.__all__) <= set(names)
     assert "__version__" in names and names == sorted(names)
+    assert set(derlint.__all__) <= set(dir(derlint))  # in this process too, so that __dir__ runs under the suite
 
 
 @pytest.mark.parametrize("module", ["derlint", "derlint.cli"])

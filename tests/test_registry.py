@@ -4,11 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from derlint import extensions, names, registry
+from derlint import extensions
 from derlint.der import parse_tlv_tree
 from derlint.diagnostics import Code
 from derlint.extensions import WalkContext, parse_extensions
-from derlint.grammar import AlgorithmId, _check_key_bits, _check_parameters, parse_algorithm_identifier
+from derlint.grammar import _WALK_GRAMMARS, AlgorithmId, _check_key_bits, _check_parameters, parse_algorithm_identifier
 from derlint.grammar import parse_certificate
 from derlint.names import parse_name
 from derlint.registry import default_registry, load_registry, parse_registry
@@ -60,6 +60,7 @@ def test_linting_leaves_equal_registries_equal():
     parse_certificate(certs.base_cert(), linted)
     assert linted.by_der and linted.silent_extensions and other.by_der == {}
     assert linted == other and repr(linted) == repr(other)
+    assert (linted == object()) is False and linted != object()
 
 
 def test_second_walk_decodes_only_unregistered_oids(monkeypatch):
@@ -145,6 +146,10 @@ def test_non_minimal_registered_oid_keeps_the_slot_code():
         ("1 ; signature ; null\n", "bad.txt:1: '1' is not a dotted OID"),
         ("1.2.\u0663 ; signature ; null\n", "bad.txt:1: '1.2.\u0663' is not a dotted OID"),
         ("1.2.3 ; signature ; rsa-key\n", "bad.txt:1: unknown grammar 'rsa-key' for role signature"),
+        # Names missing from the walk's tables: a body parser, a key family's usage rule, a string kind.
+        ("1.2.3 ; extension ; rsa-key\n", "bad.txt:1: unknown grammar 'rsa-key' for role extension"),
+        ("1.2.3 ; keyfamily ; ed25519\n", "bad.txt:1: unknown grammar 'ed25519' for role keyfamily"),
+        ("1.2.3 ; attribute ; utf8\n", "bad.txt:1: unknown grammar 'utf8' for role attribute"),
         (
             "1.2.3 ; signature ; null\n1.2.3 ; spki ; null\n1.2.3 ; signature ; absent\n",
             "bad.txt:3: duplicate entry for (1.2.3, signature)",
@@ -166,25 +171,13 @@ def test_bundled_registry_spells_every_oid_as_the_walk_does():
     assert all(int(grammar.removeprefix("point-")) > 0 for grammar in reg.by_role["curve"].values())
 
 
-def test_registry_grammars_match_the_walk_tables():
-    """A grammar name the registry accepts for these roles must be one the walk has a table entry for.
-
-    A name in the registry's set alone would load, then raise KeyError in `_parse_body` or fall to a
-    `.get` default that permits every key usage or string type; a name in a walk table alone is dead.
-    """
-    grammars = registry._VALID_GRAMMARS
-    assert grammars["extension"] == set(extensions._BODY_PARSERS)
-    assert grammars["keyfamily"] == set(extensions._FORBIDDEN_USAGE)
-    assert grammars["attribute"] == set(names._PERMITTED_BY_KIND)
-
-
 def test_registry_grammars_reach_a_branch_of_their_walk():
     """Each grammar name of the roles the walk dispatches by if chains reaches one of its branches.
 
-    A name in the registry's set alone would load, then raise AssertionError in the walk; parse_signature_value
+    A name in the walk's table alone would load, then raise AssertionError in the walk; parse_signature_value
     reads any sigvalue name but "opaque" as "dss-sig", so that set is fixed.
     """
-    grammars = registry._VALID_GRAMMARS
+    grammars = _WALK_GRAMMARS
     null = parse_tlv_tree(enc.null())
     for role in ("signature", "spki"):
         for grammar in grammars[role]:
