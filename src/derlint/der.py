@@ -40,12 +40,15 @@ parsed as regions of the whole document, so every node and error has an
 absolute document offset, and the region end acts as the input end.
 The scan is the only place a TlvNode is built: it stores the node's
 slots directly, since the class has no constructor.  It builds them only
-under a root that ends where the region does: under one that ends early
-the scan makes the same checks and reports the same first error, at the
-latest TRAILING_BYTES, but keeps no node.
+under a root that ends where the region does: for a root that ends
+early, _scan_early_root scans the region again, makes the same checks,
+reports the same first error, at the latest TRAILING_BYTES, and keeps
+no node.
 """
 
 from __future__ import annotations
+
+from typing import NoReturn
 
 from .diagnostics import Code, RecognitionError
 
@@ -280,11 +283,6 @@ def parse_tlv_tree(
     limit = end
     top: list[TlvNode] = []
     kids = top
-    # Whether elements are built.  Only the root can end where the region
-    # does, so the root's header decides; a root that ends early can only
-    # end in an error, TRAILING_BYTES at the latest, so under it the scan
-    # makes the same checks in the same order and keeps no node.
-    build = False
     pos = start
     while True:
         header = pos
@@ -313,27 +311,9 @@ def parse_tlv_tree(
             if limit == end:
                 raise RecognitionError(_TRUNCATED, offset=limit, message=f"declared length {length} overruns input")
             raise RecognitionError(_OVERFLOW, offset=header, message=f"declared length {length} overruns parent extent")
-        if not build:
-            build = stop == end
-            if not build:
-                # The depth check and the closing below, repeated so that a built node pays only the test above.
-                if tag & 0x20:
-                    if depth >= depth_cap:
-                        raise RecognitionError(_TOO_DEEP, offset=header)
-                    if length:
-                        outer.append((limit, kids))
-                        depth += 1
-                        limit = stop
-                        continue
-                pos = stop
-                # Unlike a built root, a root that ends early stops short of limit: depth 0 alone ends the scan.
-                if pos == limit or not depth:
-                    while pos == limit and depth:
-                        limit, kids = outer.pop()
-                        depth -= 1
-                    if not depth:
-                        break
-                continue
+        # Only the root is read at depth 0.  A root that ends early can only be refused: no node is built for it.
+        if not depth and stop != end:
+            _scan_early_root(data, start, end)
         # Slots stored inline: TlvNode has no __init__, so the call runs no Python frame.
         node = TlvNode()
         node.tag = tag
@@ -356,16 +336,65 @@ def parse_tlv_tree(
             node.children = ()
         pos = stop
         # Close every element that ends here; the root closing ends the scan.  Only the
-        # last child of an element ends where it does, and a built root ends at limit.
+        # last child of an element ends where it does, and the root ends at the region's end.
         if pos == limit:
             while pos == limit and depth:
                 limit, kids = outer.pop()
                 depth -= 1
             if not depth:
                 break
-    if pos != end:
-        raise RecognitionError(_TRAILING, offset=pos, message=f"{end - pos} byte(s) after element")
     return top[0]
+
+
+def _scan_early_root(data: bytes, start: int, end: int) -> NoReturn:
+    """Scan the region data[start:end] again, keeping no node, for a root that ends before the region does.
+
+    Such a root can only be refused, so nothing here is built.  The scan makes parse_tlv_tree's checks in the
+    same order and raises the same first error, TRAILING_BYTES at the latest.  parse_tlv_tree has read the
+    root's header already, so only an element inside the root can fail, and it overruns a parent, never the
+    input.
+    """
+    outer: list[int] = []  # where each open element's parent ends
+    depth = 0
+    depth_cap = MAX_DEPTH
+    limit = end
+    pos = start
+    while True:
+        header = pos
+        length = -1
+        if pos + 1 < limit and (tag := data[pos]) & 0x1F != 0x1F:
+            first = data[pos + 1]
+            if first < 0x80:
+                length = first
+                pos += 2
+            elif first == 0x81:
+                if pos + 2 < limit and data[pos + 2] >= 0x80:
+                    length = data[pos + 2]
+                    pos += 3
+            elif first == 0x82:
+                if pos + 3 < limit and data[pos + 2]:
+                    length = (data[pos + 2] << 8) | data[pos + 3]
+                    pos += 4
+        if length < 0:
+            tag, pos = _read_identifier(data, pos, limit, False)
+            length, pos = _read_length(data, pos, limit, False)
+        if pos + length > limit:
+            raise RecognitionError(_OVERFLOW, offset=header, message=f"declared length {length} overruns parent extent")
+        if tag & 0x20:
+            if depth >= depth_cap:
+                raise RecognitionError(_TOO_DEEP, offset=header)
+            if length:
+                outer.append(limit)
+                depth += 1
+                limit = pos + length
+                continue
+        pos += length
+        # Close every element that ends here.  The root closes short of the region's end, which ends the scan.
+        while pos == limit:
+            limit = outer.pop()
+            depth -= 1
+        if not depth:
+            raise RecognitionError(_TRAILING, offset=pos, message=f"{end - pos} byte(s) after element")
 
 
 # Toy recognizer for the radix-4 warm-up language: d1 d2 a^n with digits

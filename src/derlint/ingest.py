@@ -10,10 +10,10 @@ mixed directory never aborts on one bad file.
 from __future__ import annotations
 
 import base64
-import hashlib
 import os
-import time
 from collections.abc import Iterator
+from hashlib import sha256
+from time import perf_counter_ns
 
 from .der import CONTENT_MAX
 from .diagnostics import Code, Diagnostic, diag
@@ -189,8 +189,8 @@ def load_input(raw: bytes, doc_id: str, fmt: str = "auto") -> InputDocument:
 def lint(doc: InputDocument, options: LintOptions | None = None) -> CertificateReport:
     """Run the recognizer over one document and build its report."""
     options = options or LintOptions()
-    digest = hashlib.sha256(doc.data).hexdigest()
-    started = time.perf_counter_ns()
+    digest = sha256(doc.data).hexdigest()
+    started = perf_counter_ns()
     if doc.container_error is not None:
         diagnostics = [doc.container_error]
     elif len(doc.data) > options.max_size:
@@ -198,20 +198,21 @@ def lint(doc: InputDocument, options: LintOptions | None = None) -> CertificateR
         diagnostics = [diag(Code.LENGTH_TOO_LARGE, path="certificate", offset=options.max_size, message=message)]
     else:
         diagnostics = parse_certificate(doc.data, options.registry).diagnostics
-    elapsed_micros = (time.perf_counter_ns() - started) // 1000
-
+    elapsed_micros = (perf_counter_ns() - started) // 1000
+    outcome = "accepted"
+    for d in diagnostics:
+        if d.code.rejects:
+            outcome = "rejected"
+            break
     return CertificateReport(
-        doc_id=doc.doc_id,
-        sha256=digest,
-        outcome="rejected" if any(d.code.rejects for d in diagnostics) else "accepted",
-        size_bytes=len(doc.data),
-        parse_time_micros=elapsed_micros if options.timing else None,
-        diagnostics=diagnostics,
+        doc.doc_id, digest, outcome, len(doc.data), elapsed_micros if options.timing else None, diagnostics
     )
 
 
 def lint_bytes(data: bytes, doc_id: str = "<input>", options: LintOptions | None = None) -> CertificateReport:
     options = options or LintOptions()
+    if options.fmt == "der":  # one document, the bytes as given: what load_input would return
+        return lint(InputDocument(doc_id, data), options)
     return lint(load_input(data, doc_id, options.fmt), options)
 
 

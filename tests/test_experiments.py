@@ -9,6 +9,10 @@ tests and perfbench first on sys.path itself.
 experiments/fork_crossover.py rewrites cli.FORK_CHUNKS in two copies of
 src/, so a rename there breaks it.  Here it runs two pairs at its smallest
 size, one lint process at a time.
+
+experiments/refusal_split.py times parse_tlv_tree, parse_certificate and
+lint_bytes on perfbench's reject corpus, so a rename there breaks it.  Here
+it runs once over 30 documents.
 """
 
 import json
@@ -65,3 +69,25 @@ def test_fork_crossover_writes_two_pairs_at_the_smallest_size(tmp_path):
         for run in size["runs"][mode]:
             assert run["exit"] in (0, 1) and run["wall_s"] > 0 and run["peak_rss_kib"] > 0, mode
     assert isinstance(size["median_pair_diff_ms"], float)
+
+
+def test_refusal_split_prints_a_row_per_kind():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "experiments" / "refusal_split.py"), "--docs", "30", "--runs", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = {}
+    for line in done.stdout.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| ") and cells[1].isdigit():
+            rows[cells[0]] = (int(cells[1]), [float(cell) for cell in cells[2:]])
+    assert set(rows) == {"random", "truncated", "trailing", "all"}
+    assert sum(rows[kind][0] for kind in ("random", "truncated", "trailing")) == rows["all"][0] == 30
+    for kind, (_, (scan, parse, digest, whole, frames)) in rows.items():
+        assert 0 < scan and 0 < parse and 0 < digest and 0 < whole, kind
+        # lint_bytes runs at least itself, lint and parse_certificate, and the scan.
+        assert frames >= 4, kind

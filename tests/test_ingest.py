@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+import golden_corpus
 from derlint.diagnostics import Code, Histogram
 from derlint.ingest import (
     CertificateReport,
@@ -207,6 +208,44 @@ class TestLint:
         payload = lint_bytes(certs.base_cert() + b"\x00", "x").to_json_dict()
         assert set(payload) >= {"id", "sha256", "outcome", "size_bytes", "diagnostics"}
         assert payload["diagnostics"][0]["code"] == "TRAILING_BYTES"
+
+
+def _json_or_error(run, *args):
+    """run(*args).to_json_dict(), or the ValueError text run raises."""
+    try:
+        return run(*args).to_json_dict()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestDerRoute:
+    """lint_bytes hands a declared-DER document straight to lint; every format must still report what
+    lint(load_input(...)) reports, and raise what it raises."""
+
+    def test_lint_bytes_reports_what_load_input_gives(self):
+        inputs = golden_corpus.documents()
+        inputs += [(doc_id, raw) for doc_id, raw, _ in golden_corpus.container_documents()]
+        raised = set()
+        for fmt in ("auto", "der", "pem"):
+            for bound in ({}, {"max_size": 64}):
+                options = LintOptions(fmt=fmt, timing=False, **bound)
+                for doc_id, data in inputs:
+                    ours = _json_or_error(lint_bytes, data, doc_id, options)
+                    general = _json_or_error(lambda: lint(load_input(data, doc_id, fmt), options))
+                    assert ours == general, (doc_id, fmt, bound)
+                    if isinstance(ours, str):
+                        raised.add((doc_id, fmt))
+        # Only armored text with more than one block raises, and only where it is read as armored text.
+        assert {"container/twelve-blocks", "container/two-blocks"} <= {doc_id for doc_id, _ in raised}
+        assert {fmt for _, fmt in raised} == {"auto", "pem"}
+
+    def test_errors_keep_their_text(self):
+        bundle = (pem_of(certs.base_cert()) * 2).encode()
+        for fmt in ("auto", "pem"):
+            with pytest.raises(ValueError, match="^x.pem: expected one certificate, found 2$"):
+                lint_bytes(bundle, "x.pem", LintOptions(fmt=fmt))
+        with pytest.raises(ValueError, match="^unknown input format 'xml'$"):
+            lint_bytes(certs.base_cert(), "x", LintOptions(fmt="xml"))
 
 
 class TestBatch:
